@@ -73,14 +73,19 @@ def _print_matrix(A: Mat, label: "str | None" = None) -> None:
 
 def _cap(args) -> int:
     if args.cap is not None:
+        if args.cap < 0:
+            raise ParseError(f"--cap {args.cap} is negative")
         return args.cap
     env = os.environ.get("GALEKIT_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"GALEKIT_CAP={env!r} is not an integer") from None
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ParseError(f"GALEKIT_CAP={env!r} is not an integer") from None
+    if cap < 0:
+        raise ParseError(f"GALEKIT_CAP={env!r} is negative")
+    return cap
 
 
 def _quotient_lines(q) -> list[str]:
@@ -94,16 +99,20 @@ def _json_quotient(q):
 
 
 def _parse_fan_file(path: str, V: Mat) -> Fan:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
     cones = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                cones.append([int(tok) for tok in line.split()])
-            except ValueError:
-                raise ParseError(f"bad cone line {line!r}") from None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            cones.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise ParseError(f"bad cone line {line!r}") from None
     if not cones:
         raise ParseError(f"no cones in {path}")
     return fan_from_cones(V, cones)

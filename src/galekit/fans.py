@@ -1,38 +1,49 @@
 """Exact cone geometry, fan validity, and enumeration of all simplicial fans
 with a prescribed ray set and support.
 
-Cones are index sets (1-based) into the columns of an ambient matrix V.  A
-collection of maximal simplicial cones is a fan when every pairwise
-intersection is a common face; for simplicial cones with pairwise distinct
-ray directions this is equivalent to "the intersection equals the cone on
-the shared generators", which we decide exactly by enumerating the extreme
-rays of the intersection (a pointed cone) and testing membership.
+Cones are index sets (1-based) into the columns of an ambient matrix V.
+Every combinatorial question about cones on V is answered from one table of
+V's oriented matroid, built once per V: the signs of the maximal minors of
+V restricted to a row basis (the chirotope) and the oriented circuits, the
+sign patterns of the minimal linear dependences among the columns.  Each
+circuit Z is stored in both orientations as a pair (Z+, Z-) of bitmasks,
+bit j-1 standing for column j.  Rank-deficient V and cones of any dimension
+are covered, since a row basis has the same dependences as V.
 
-Enumeration strategy: candidate maximal cones are the full-dimensional
-index sets containing no further ray strictly inside; a depth-first search
-grows partial fans through unmatched interior facets.  Support coverage is
-certified combinatorially: every facet of the final collection is either
-shared by exactly two maximal cones or spans a supporting hyperplane of the
-whole configuration.
+* A cone is simplicial iff it contains the support of no circuit.
+* Two simplicial cones s, t intersect in a common face iff no circuit has
+  Z+ inside s and Z- inside t (De Loera, Rambau, Santos, *Triangulations*,
+  2010, ch. 4).  A collection of maximal simplicial cones is a fan when
+  every pair passes this test.
+* Ray k lies strictly inside the full-dimensional cone on a basis B iff
+  (B, {k}) is an oriented circuit.
+* Column j lies on the side of the hyperplane spanned by a facet F given by
+  the sign of the minor on the columns (F, j).
+
+Enumeration strategy: candidate maximal cones are the bases containing no
+further ray strictly inside; a depth-first search grows partial fans
+through unmatched interior facets.  Each node adds the facets of its new
+cone to the set of unmatched ones handed down from its parent, and a
+candidate is admitted by testing its precomputed conflict set against the
+cones already chosen.  Support coverage is certified combinatorially: every
+facet of the final collection is either shared by exactly two maximal cones
+or spans a supporting hyperplane of the whole configuration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .matrix import (
     DomainError,
     Mat,
+    _bareiss_det,
     check_index_set,
-    dot,
     solve,
-    vec_gcd,
 )
-from .normal_forms import left_kernel_rows
 from .fw import _nonneg_combination
 
 
@@ -103,115 +114,129 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# exact pairwise face test
+# the oriented-circuit table
 
-def _primitive(vec: Sequence) -> tuple[int, ...]:
-    denom = 1
-    for v in vec:
-        if isinstance(v, Fraction):
-            denom = math.lcm(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = vec_gcd(ints)
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+def _mask(idx0: Iterable[int]) -> int:
+    m = 0
+    for j in idx0:
+        m |= 1 << j
+    return m
 
 
-class _ConeGeom:
-    """Cached exact H-description of a simplicial cone."""
-
-    def __init__(self, V: Mat, gens: tuple[int, ...]):
-        self.gens = gens
-        sub = V.take_cols([g - 1 for g in gens])
-        # coefficient functionals: rows w with w . v_gen = delta
-        gram = sub.transpose() @ sub
-        self.coeff = gram.inverse() @ sub.transpose()
-        # equalities cutting out the linear span
-        self.span_eq = left_kernel_rows(sub)
-
-    def contains(self, x: Sequence) -> bool:
-        return (all(dot(e, x) == 0 for e in self.span_eq)
-                and all(dot(w, x) >= 0 for w in self.coeff.row_tuples()))
+def _bits(m: int) -> list[int]:
+    return [j for j in range(m.bit_length()) if m >> j & 1]
 
 
-def _proper_intersection(V: Mat, ca: _ConeGeom, cb: _ConeGeom) -> bool:
-    """Whether cone(A) ∩ cone(B) equals the cone on the shared generators."""
-    shared = tuple(sorted(set(ca.gens) & set(cb.gens)))
-    n = V.rows
-    eqs = [tuple(e) for e in ca.span_eq] + [tuple(e) for e in cb.span_eq]
-    ineqs = ([_primitive(w) for w in ca.coeff.row_tuples()]
-             + [_primitive(w) for w in cb.coeff.row_tuples()])
-    eq_rank = Mat(eqs).rank() if eqs else 0
-    need = n - 1 - eq_rank
-    if need < 0:
-        return True
-    shared_geom = _ConeGeom(V, shared) if shared else None
+class _Circuits:
+    """Chirotope and oriented circuits of the columns of V.
 
-    def ray_ok(z: tuple) -> bool:
-        if shared_geom is None:
-            return False
-        return shared_geom.contains(z)
+    ``chi`` maps the bitmask of each basis (rank-many independent columns)
+    to the sign of its minor on a fixed row basis; ``circuits`` holds every
+    oriented circuit in both orientations as sorted (positive, negative)
+    bitmask pairs.  The circuit of a rank+1 subset S = (s_0 < ... < s_rank)
+    of rank ``rank`` is the sign vector of its kernel, (-1)^i chi(S - s_i).
+    """
 
-    seen = set()
-    for pick in combinations(range(len(ineqs)), need):
-        rows = eqs + [ineqs[t] for t in pick]
-        if rows:
-            mat = Mat(rows)
-            kern = left_kernel_rows(mat.transpose())
-        else:
-            kern = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        if len(kern) != 1:
-            continue
-        z = _primitive(kern[0])
-        for cand in (z, tuple(-v for v in z)):
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if ca.contains(cand) and cb.contains(cand) and not ray_ok(cand):
-                return False
-    return True
+    def __init__(self, V: Mat):
+        _, rows = V.int_scaled()
+        basis: list[list[int]] = []
+        for row in rows:
+            if Mat(basis + [row]).rank() > len(basis):
+                basis.append(row)
+        s, rho = V.cols, len(basis)
+        self.rank = rho
+        self.cols = s
+        chi: dict[int, int] = {}
+        for sub in combinations(range(s), rho):
+            d = _bareiss_det([[row[j] for j in sub] for row in basis]) if rho else 1
+            if d:
+                chi[_mask(sub)] = 1 if d > 0 else -1
+        found = set()
+        for sub in combinations(range(s), rho + 1):
+            m = _mask(sub)
+            pos = neg = 0
+            for i, j in enumerate(sub):
+                sign = chi.get(m ^ 1 << j, 0)
+                if sign:
+                    if (sign > 0) == (i % 2 == 0):
+                        pos |= 1 << j
+                    else:
+                        neg |= 1 << j
+            if pos | neg:
+                found.add((pos, neg))
+                found.add((neg, pos))
+        self.chi = chi
+        self.circuits = tuple(sorted(found))
+        self.circuit_set = frozenset(found)
+        self._opposite: dict[int, tuple[int, ...]] = {}
+        self._boundary: dict[int, bool] = {}
+
+    def independent(self, cone: int) -> bool:
+        return not any((p | q) & ~cone == 0 for p, q in self.circuits)
+
+    def opposite(self, cone: int) -> tuple[int, ...]:
+        """Z- of every circuit with Z+ inside the cone."""
+        if cone not in self._opposite:
+            self._opposite[cone] = tuple(q for p, q in self.circuits
+                                         if p & ~cone == 0)
+        return self._opposite[cone]
+
+    def meet_properly(self, a: int, b: int) -> bool:
+        """Whether the simplicial cones a, b intersect in a common face."""
+        return not any(q & ~b == 0 for q in self.opposite(a))
+
+    def side(self, facet: int, j: int) -> int:
+        """Sign of column j (0-based) against the hyperplane spanned by the
+        facet: the minor on the facet's columns followed by column j."""
+        sign = self.chi.get(facet | 1 << j, 0)
+        return -sign if (facet >> j).bit_count() % 2 else sign
+
+    def is_boundary(self, facet: int) -> bool:
+        """Whether every column sits weakly on one side of the facet."""
+        if facet not in self._boundary:
+            sides = {self.side(facet, j) for j in range(self.cols)}
+            self._boundary[facet] = not (1 in sides and -1 in sides)
+        return self._boundary[facet]
 
 
-def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
-    """Do the given simplicial cones pairwise intersect in common faces?"""
-    cones = []
-    for c in maximal_cones:
-        gens = c.gens if isinstance(c, Cone) else tuple(sorted(c))
-        check_index_set(gens, V.cols, allow_empty=False)
-        if V.take_cols([g - 1 for g in gens]).rank() != len(gens):
-            raise DomainError(f"cone {gens} is not simplicial")
-        cones.append(gens)
-    geoms = {g: _ConeGeom(V, g) for g in set(cones)}
-    for a, b in combinations(sorted(set(cones)), 2):
-        if not _proper_intersection(V, geoms[a], geoms[b]):
-            return False
-    return True
+@lru_cache(maxsize=1)
+def _circuit_table(V: Mat) -> _Circuits:
+    # one entry: consecutive calls on one V (enumerate a fan, then validate
+    # it with is_fan and the support check) share a single table
+    return _Circuits(V)
 
 
 # ---------------------------------------------------------------------------
-# facets and support
+# fan validity and support
 
-def _facet_normal(V: Mat, facet: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive normal of the hyperplane spanned by an (n-1)-subset."""
-    if not facet:
-        if V.rows == 1:
-            return (1,)
-        raise DomainError("empty facet in dimension > 1")
-    sub = V.take_cols([g - 1 for g in facet])
-    kern = left_kernel_rows(sub)
-    if len(kern) != 1:
-        raise DomainError(f"facet {facet} does not span a hyperplane")
-    return _primitive(kern[0])
+def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
+    """Do the given simplicial cones pairwise intersect in common faces?"""
+    table = _circuit_table(V)
+    masks = set()
+    for c in maximal_cones:
+        gens = c.gens if isinstance(c, Cone) else tuple(sorted(c))
+        check_index_set(gens, V.cols, allow_empty=False)
+        mask = _mask(g - 1 for g in gens)
+        if not table.independent(mask):
+            raise DomainError(f"cone {gens} is not simplicial")
+        masks.add(mask)
+    return all(table.meet_properly(a, b)
+               for a, b in combinations(sorted(masks), 2))
 
 
-def _facet_info(V: Mat, facet: tuple[int, ...]):
-    """(normal, side_of_each_column, boundary_flag); boundary means every
-    column sits weakly on one side."""
-    u = _facet_normal(V, facet)
-    sides = tuple(dot(u, V.col(j)) for j in range(V.cols))
-    pos = any(s > 0 for s in sides)
-    neg = any(s < 0 for s in sides)
-    return u, sides, not (pos and neg)
+def _support_complete(V: Mat, cones: Sequence[Sequence[int]]) -> bool:
+    """is_support_complete for cones already known to form a fan."""
+    table = _circuit_table(V)
+    if any(len(c) != table.rank for c in cones):
+        return False
+    counts: dict[int, int] = {}
+    for c in cones:
+        mask = _mask(g - 1 for g in c)
+        for g in c:
+            facet = mask ^ 1 << (g - 1)
+            counts[facet] = counts.get(facet, 0) + 1
+    return all(cnt == 2 or (cnt == 1 and table.is_boundary(facet))
+               for facet, cnt in counts.items())
 
 
 def is_support_complete(V: Mat, fan: Fan) -> bool:
@@ -226,32 +251,7 @@ def is_support_complete(V: Mat, fan: Fan) -> bool:
         return False
     if not is_fan(V, cones):
         raise DomainError("invalid fan")
-    n = V.rows
-    rho = V.rank()
-    if rho < n:
-        # change coordinates to the span of the columns and retry there
-        from .normal_forms import hnf as _hnf
-        res = _hnf(V.transpose())
-        basis = Mat([res.H.row(i) for i in range(res.rank)])
-        coords = solve(basis.transpose(), V)
-        reduced = Fan(V=coords, maximal_cones=fan.maximal_cones)
-        return is_support_complete(coords, reduced)
-    if any(len(c) != n for c in cones):
-        return False
-    counts: dict[tuple[int, ...], int] = {}
-    for c in cones:
-        for drop in c:
-            facet = tuple(g for g in c if g != drop)
-            counts[facet] = counts.get(facet, 0) + 1
-    for facet, cnt in counts.items():
-        if cnt == 2:
-            continue
-        if cnt > 2:
-            return False
-        _, _, boundary = _facet_info(V, facet)
-        if not boundary:
-            return False
-    return True
+    return _support_complete(V, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -272,103 +272,92 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
     for j in range(s):
         if not any(V.col(j)):
             raise DomainError(f"degenerate configuration: column {j + 1} is zero")
-    cols = list(V.col_tuples())
+    table = _circuit_table(V)
     for i in range(s):
         for j in range(i + 1, s):
-            u, w = cols[i], cols[j]
-            if Mat([u, w]).rank() == 1 and dot(u, w) > 0:
+            if (1 << i, 1 << j) in table.circuit_set:
                 raise DomainError("degenerate configuration: columns "
                                   f"{i + 1} and {j + 1} span the same ray")
-    if V.rank() < n:
+    if table.rank < n:
         raise DomainError("degenerate configuration: rank-deficient matrix")
 
-    candidates: list[tuple[int, ...]] = []
-    for pick in combinations(range(1, s + 1), n):
-        sub = V.take_cols([g - 1 for g in pick])
-        if sub.det() == 0:
-            continue
-        inv = sub.inverse()
-        interior_blocked = False
-        for k in range(1, s + 1):
-            if k in pick:
-                continue
-            coeffs = [dot(row, V.col(k - 1)) for row in inv.row_tuples()]
-            if all(c > 0 for c in coeffs):
-                interior_blocked = True
-                break
-        if not interior_blocked:
-            candidates.append(pick)
+    blocked = {p for p, q in table.circuits if q.bit_count() == 1}
+    cands = [m for m in (_mask(pick) for pick in combinations(range(s), n))
+             if m in table.chi and m not in blocked]
 
-    geoms = {c: _ConeGeom(V, c) for c in candidates}
-    facet_cache: dict[tuple[int, ...], tuple] = {}
+    # conflicts[i]: bitmask of the candidates that do not meet candidate i
+    # in a common face, i.e. contain Z- of a circuit with Z+ inside i
+    holding = [0] * s
+    for i, m in enumerate(cands):
+        for j in _bits(m):
+            holding[j] |= 1 << i
+    every = (1 << len(cands)) - 1
+    conflicts = []
+    for m in cands:
+        bad = 0
+        for q in table.opposite(m):
+            hold = every
+            for j in _bits(q):
+                hold &= holding[j]
+            bad |= hold
+        conflicts.append(bad)
 
-    def facet_data(facet):
-        if facet not in facet_cache:
-            facet_cache[facet] = _facet_info(V, facet)
-        return facet_cache[facet]
+    # interior facets of each candidate, with the side of the dropped ray
+    inner: list[list[tuple[int, int]]] = []
+    by_facet: dict[int, list[tuple[int, int]]] = {}
+    for i, m in enumerate(cands):
+        faces = []
+        for j in _bits(m):
+            facet = m ^ 1 << j
+            if not table.is_boundary(facet):
+                side = table.side(facet, j)
+                faces.append((facet, side))
+                by_facet.setdefault(facet, []).append((i, side))
+        inner.append(faces)
 
-    def cone_side(facet, cone):
-        # sign of the off-facet generator against the facet normal
-        _, sides, _ = facet_data(facet)
-        extra = next(g for g in cone if g not in facet)
-        return 1 if sides[extra - 1] > 0 else -1 if sides[extra - 1] < 0 else 0
+    # unmatched interior facet -> side its missing neighbour must lie on
+    open_facets: dict[int, int] = {}
 
-    by_facet: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for c in candidates:
-        for drop in c:
-            facet = tuple(g for g in c if g != drop)
-            by_facet.setdefault(facet, []).append(c)
+    def toggle(i: int, sign: int) -> None:
+        # adding a cone (sign -1) opens its unmatched facets and closes the
+        # rest; removing it (sign +1) undoes exactly that.  A cone that
+        # passed the conflict test lies opposite every open facet it shares,
+        # since two cones on one side of a common facet overlap, so no facet
+        # is ever covered from one side twice.
+        for facet, side in inner[i]:
+            if facet in open_facets:
+                del open_facets[facet]
+            else:
+                open_facets[facet] = sign * side
 
-    pair_ok_cache: dict[tuple, bool] = {}
+    full = (1 << s) - 1
+    results: list[int] = []
 
-    def pair_ok(a, b):
-        key = (a, b) if a <= b else (b, a)
-        if key not in pair_ok_cache:
-            pair_ok_cache[key] = _proper_intersection(V, geoms[key[0]], geoms[key[1]])
-        return pair_ok_cache[key]
-
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def open_facets(chosen):
-        counts: dict[tuple[int, ...], int] = {}
-        for c in chosen:
-            for drop in c:
-                facet = tuple(g for g in c if g != drop)
-                counts[facet] = counts.get(facet, 0) + 1
-        out = []
-        for facet, cnt in sorted(counts.items()):
-            if cnt > 2:
-                return None
-            if cnt == 1 and not facet_data(facet)[2]:
-                out.append(facet)
-        return out
-
-    def dfs(chosen: list[tuple[int, ...]], root):
-        open_list = open_facets(chosen)
-        if open_list is None:
+    def dfs(root: int, chosen: int, used: int) -> None:
+        if not open_facets:
+            if used == full:
+                results.append(chosen)
             return
-        if not open_list:
-            used = {g for c in chosen for g in c}
-            if len(used) == s:
-                results.append(tuple(sorted(chosen)))
-            return
-        facet = open_list[0]
-        owner = next(c for c in chosen if set(facet) <= set(c))
-        side = cone_side(facet, owner)
-        for cand in by_facet.get(facet, ()):
-            if cand <= root or cand in chosen:
+        facet = min(open_facets)
+        need = open_facets[facet]
+        # a chosen cone on this facet lies on the other side, so the side
+        # test also skips it
+        for i, side in by_facet[facet]:
+            if i <= root or side != need or conflicts[i] & chosen:
                 continue
-            if cone_side(facet, cand) != -side:
-                continue
-            if all(pair_ok(cand, c) for c in chosen):
-                dfs(chosen + [cand], root)
+            toggle(i, -1)
+            dfs(root, chosen | 1 << i, used | cands[i])
+            toggle(i, 1)
 
-    for c in candidates:
-        dfs([c], c)
+    for root, m in enumerate(cands):
+        toggle(root, -1)
+        dfs(root, 1 << root, m)
+        toggle(root, 1)
 
-    fans = sorted(set(results))
-    return [Fan(V=V, maximal_cones=tuple(Cone(gens=c) for c in fset))
-            for fset in fans]
+    # candidates are in lexicographic order, so index tuples sort like fans
+    cones = [Cone(gens=tuple(j + 1 for j in _bits(m))) for m in cands]
+    return [Fan(V=V, maximal_cones=tuple(cones[i] for i in fset))
+            for fset in sorted({tuple(_bits(chosen)) for chosen in results})]
 
 
 def is_divisorially_detected(V: Mat, cap: int = 10) -> bool:

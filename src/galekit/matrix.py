@@ -18,8 +18,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Number = "int | Fraction"
-
 
 class GaleKitError(Exception):
     """Base class for all galekit errors."""
@@ -299,13 +297,6 @@ def mat_vec(A: Mat, v: Sequence) -> tuple:
     return tuple(dot(row, v) for row in A.row_tuples())
 
 
-def vec_mat(v: Sequence, A: Mat) -> tuple:
-    """Row vector times A."""
-    if len(v) != A.rows:
-        raise DomainError("vector length mismatch")
-    return tuple(dot(v, col) for col in A.col_tuples())
-
-
 def vec_gcd(v: Sequence[int]) -> int:
     g = 0
     for x in v:
@@ -363,7 +354,10 @@ _ENTRY_RE = re.compile(r"[+-]?\d+(?:/\d+)?$")
 def parse_entry(tok: str):
     if not _ENTRY_RE.match(tok):
         raise ParseError(f"bad matrix entry {tok!r}")
-    f = Fraction(tok)
+    try:
+        f = Fraction(tok)
+    except ZeroDivisionError:
+        raise ParseError(f"bad matrix entry {tok!r}: zero denominator") from None
     return _norm_entry(f)
 
 

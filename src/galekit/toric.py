@@ -37,7 +37,7 @@ from .lattices import (
 )
 from .gale import gale_dual
 from .fw import classify_f, classify_w, is_w_reduced
-from .fans import Fan, enumerate_SF, fan_from_cones, is_fan, is_support_complete
+from .fans import Fan, _support_complete, enumerate_SF, fan_from_cones, is_fan
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _check_fan(V: Mat, fan: Fan) -> None:
         raise DomainError("invalid fan: not every ray is used by a maximal cone")
     if not is_fan(V, fan.maximal_cones):
         raise DomainError("invalid fan: cones do not meet along faces")
-    if not is_support_complete(V, fan):
+    if not _support_complete(V, fan.cone_sets()):
         raise DomainError("invalid fan: support does not cover the column cone")
 
 

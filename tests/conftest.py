@@ -11,7 +11,7 @@ from itertools import combinations
 import math
 import random
 
-from galekit import Mat
+from galekit import Mat, left_kernel_rows
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -151,3 +151,95 @@ def rand_f_matrix(rng: random.Random, n: int, s: int, tries: int = 400,
         if classify_f(A).is_f_matrix:
             return A
     return None
+
+
+def _primitive(vec) -> tuple:
+    denom = 1
+    for v in vec:
+        denom = math.lcm(denom, Fraction(v).denominator)
+    ints = [int(v * denom) for v in vec]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in ints) if g else tuple(ints)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+class ConeGeom:
+    """Exact H-description of a simplicial cone on 1-based columns of V:
+    coefficient functionals and the equalities cutting out its span."""
+
+    def __init__(self, V: Mat, gens):
+        self.gens = tuple(gens)
+        sub = V.take_cols([g - 1 for g in self.gens])
+        gram = sub.transpose() @ sub
+        self.coeff = gram.inverse() @ sub.transpose()
+        self.span_eq = left_kernel_rows(sub)
+
+    def contains(self, x) -> bool:
+        return (all(_dot(e, x) == 0 for e in self.span_eq)
+                and all(_dot(w, x) >= 0 for w in self.coeff.row_tuples()))
+
+
+def proper_intersection(V: Mat, ca: ConeGeom, cb: ConeGeom) -> bool:
+    """Reference pair test: whether cone(A) ∩ cone(B) equals the cone on the
+    shared generators, decided by enumerating the extreme rays of the
+    intersection (a pointed cone) and testing them for membership."""
+    shared = tuple(sorted(set(ca.gens) & set(cb.gens)))
+    n = V.rows
+    eqs = [tuple(e) for e in ca.span_eq] + [tuple(e) for e in cb.span_eq]
+    ineqs = ([_primitive(w) for w in ca.coeff.row_tuples()]
+             + [_primitive(w) for w in cb.coeff.row_tuples()])
+    eq_rank = Mat(eqs).rank() if eqs else 0
+    need = n - 1 - eq_rank
+    if need < 0:
+        return True
+    shared_geom = ConeGeom(V, shared) if shared else None
+    seen = set()
+    for pick in combinations(range(len(ineqs)), need):
+        rows = eqs + [ineqs[t] for t in pick]
+        if rows:
+            kern = left_kernel_rows(Mat(rows).transpose())
+        else:
+            kern = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        if len(kern) != 1:
+            continue
+        z = _primitive(kern[0])
+        for cand in (z, tuple(-v for v in z)):
+            if cand in seen:
+                continue
+            seen.add(cand)
+            if (ca.contains(cand) and cb.contains(cand)
+                    and not (shared_geom and shared_geom.contains(cand))):
+                return False
+    return True
+
+
+def support_complete_oracle(V: Mat, cones) -> bool:
+    """Reference support certificate for full-dimensional cones on a
+    full-rank V: every facet is shared by two cones or its hyperplane (normal
+    from the left kernel) has every column weakly on one side."""
+    n = V.rows
+    if any(len(c) != n for c in cones):
+        return False
+    counts = {}
+    for c in cones:
+        for drop in c:
+            facet = tuple(g for g in c if g != drop)
+            counts[facet] = counts.get(facet, 0) + 1
+    for facet, cnt in counts.items():
+        if cnt == 2:
+            continue
+        if cnt > 2:
+            return False
+        if facet:
+            u = left_kernel_rows(V.take_cols([g - 1 for g in facet]))[0]
+        else:
+            u = (1,)
+        sides = [_dot(u, V.col(j)) for j in range(V.cols)]
+        if any(x > 0 for x in sides) and any(x < 0 for x in sides):
+            return False
+    return True

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -204,6 +205,32 @@ def test_fans_cap_env(capsys, noproj_file, monkeypatch):
     assert code == 0 and out.startswith("count: 8")
 
 
+def test_fans_negative_cap_is_usage_error(capsys, noproj_file):
+    code, _, err = run_cli(capsys, "fans", noproj_file, "--cap", "-1")
+    assert code == 2
+    assert "--cap" in err
+
+
+def test_fans_negative_cap_env_is_usage_error(capsys, noproj_file, monkeypatch):
+    monkeypatch.setenv("GALEKIT_CAP", "-1")
+    code, _, err = run_cli(capsys, "fans", noproj_file)
+    assert code == 2
+    assert "GALEKIT_CAP" in err
+
+
+def test_fans_json_independent_of_hash_seed(noproj_file):
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "galekit", "fans", "--json", noproj_file],
+            capture_output=True, env=env)
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["count"] == "8"
+
+
 def test_class_group(capsys, vfile):
     code, out, _ = run_cli(capsys, "class-group", vfile)
     assert code == 0
@@ -276,6 +303,14 @@ def test_report_kind_fan(capsys, vfile):
     assert "cartier_indices: 2 2 2 1" in out
 
 
+def test_report_missing_fan_file(capsys, vfile, tmp_path):
+    missing = str(tmp_path / "no-such-fan.txt")
+    code, _, err = run_cli(capsys, "report", vfile, "--kind", "fan",
+                           "--fan-file", missing)
+    assert code == 2
+    assert "cannot read" in err
+
+
 def test_cartier_index_cli(capsys, vfile):
     code, out, _ = run_cli(capsys, "cartier-index", vfile, "--divisor", "1,0,0,0")
     assert code == 0
@@ -304,6 +339,14 @@ def test_parse_error_exit_code(capsys, tmp_path):
     p.write_text("1.5 2\n")
     code, _, err = run_cli(capsys, "gale", str(p))
     assert code == 2
+
+
+def test_zero_denominator_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("1/0 2\n")
+    code, _, err = run_cli(capsys, "gale", str(p))
+    assert code == 2
+    assert "1/0" in err
 
 
 def test_usage_error_exit_code(capsys):

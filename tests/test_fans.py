@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,13 @@ from galekit import (
     is_fan,
     is_support_complete,
 )
-from conftest import rand_f_matrix, rand_mat
+from conftest import (
+    ConeGeom,
+    proper_intersection,
+    rand_f_matrix,
+    rand_mat,
+    support_complete_oracle,
+)
 
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
 P2_V = Mat([[1, 0, -1], [0, 1, -1]])
@@ -190,23 +197,28 @@ def test_is_fan_lower_dimensional_cones():
 
 
 def _brute_force_sf(V):
-    """Reference enumeration: test every subset of the nonsingular n-subsets
-    against the fan definition directly."""
-    from itertools import combinations as comb
+    """Reference enumeration: every set of nonsingular n-subsets that meet
+    pairwise properly under the vertex-enumeration oracle, kept when it uses
+    every ray and passes the reference support certificate."""
     n, s = V.shape
-    cones = [c for c in comb(range(1, s + 1), n)
+    cones = [c for c in combinations(range(1, s + 1), n)
              if V.take_cols([g - 1 for g in c]).rank() == n]
+    geoms = [ConeGeom(V, c) for c in cones]
+    ok = {(a, b): proper_intersection(V, geoms[a], geoms[b])
+          for a, b in combinations(range(len(cones)), 2)}
     out = []
-    for size in range(1, len(cones) + 1):
-        for pick in comb(cones, size):
-            used = {g for c in pick for g in c}
-            if used != set(range(1, s + 1)):
-                continue
-            if not is_fan(V, pick):
-                continue
-            fan = fan_from_cones(V, pick)
-            if is_support_complete(V, fan):
-                out.append(tuple(sorted(pick)))
+
+    def grow(pick, start):
+        if pick:
+            chosen = [cones[k] for k in pick]
+            used = {g for c in chosen for g in c}
+            if used == set(range(1, s + 1)) and support_complete_oracle(V, chosen):
+                out.append(tuple(chosen))
+        for k in range(start, len(cones)):
+            if all(ok[(a, k)] for a in pick):
+                grow(pick + [k], k + 1)
+
+    grow([], 0)
     return sorted(out)
 
 
@@ -224,6 +236,18 @@ def test_enumerate_matches_brute_force():
         brute = _brute_force_sf(V)
         assert sorted(f.cone_sets() for f in fans) == brute
         cases += 1
+    found = 0
+    while cases < 8:
+        V = rand_mat(rng, 3, 6, -2, 2)
+        try:
+            fans = enumerate_SF(V)
+        except DomainError:
+            continue
+        brute = _brute_force_sf(V)
+        assert sorted(f.cone_sets() for f in fans) == brute
+        found += len(brute)
+        cases += 1
+    assert found > 0
 
 
 def test_support_complete_rank_deficient_configurations():
@@ -259,3 +283,32 @@ def test_enumerate_fans_cover_random_support_points():
                       for i in range(V.rows))
             for fan in fans:
                 assert any(cone_contains(V, c, x) for c in fan.maximal_cones)
+
+
+def test_pair_test_matches_vertex_oracle():
+    """The oriented-circuit pair test inside is_fan against the
+    vertex-enumeration oracle, on cones of every dimension."""
+    rng = random.Random(605)
+    pairs = deficient = 0
+    for trial in range(24):
+        n = 2 + trial % 3
+        s = rng.randint(n + 1, n + 4)
+        V = rand_mat(rng, n, s, -2, 2)
+        if trial % 4 == 3:
+            # the last row becomes the sum of the others
+            rows = V.to_lists()
+            rows[-1] = [sum(col) for col in zip(*rows[:-1])]
+            V = Mat(rows)
+        cones = [c for d in range(1, n + 1)
+                 for c in combinations(range(1, s + 1), d)
+                 if V.take_cols([g - 1 for g in c]).rank() == d]
+        if len(cones) < 2:
+            continue
+        deficient += V.rank() < n
+        for _ in range(40):
+            a, b = rng.sample(cones, 2)
+            expected = proper_intersection(V, ConeGeom(V, a), ConeGeom(V, b))
+            assert is_fan(V, [a, b]) == expected, (V, a, b)
+            pairs += 1
+    assert deficient >= 5
+    assert pairs >= 900
