@@ -210,13 +210,26 @@ def _circuit_table(V: Mat) -> _Circuits:
 # fan validity and support
 
 def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
-    """Do the given simplicial cones pairwise intersect in common faces?"""
-    table = _circuit_table(V)
-    masks = set()
+    """Do the given simplicial cones pairwise intersect in common faces?
+
+    The circuit table is built on the columns the cones use: a circuit of V
+    supported on those columns is a circuit of V restricted to them.
+    """
+    cones = []
     for c in maximal_cones:
         gens = c.gens if isinstance(c, Cone) else tuple(sorted(c))
-        check_index_set(gens, V.cols, allow_empty=False)
-        mask = _mask(g - 1 for g in gens)
+        cones.append(check_index_set(gens, V.cols, allow_empty=False))
+    used = sorted({g - 1 for gens in cones for g in gens})
+    if not used:
+        return True
+    if len(used) == V.cols:
+        table = _circuit_table(V)
+    else:
+        table = _Circuits(V.take_cols(used))
+    pos = {j: t for t, j in enumerate(used)}
+    masks = set()
+    for gens in cones:
+        mask = _mask(pos[g - 1] for g in gens)
         if not table.independent(mask):
             raise DomainError(f"cone {gens} is not simplicial")
         masks.add(mask)
@@ -230,10 +243,10 @@ def _support_complete(V: Mat, cones: Sequence[Sequence[int]]) -> bool:
     if any(len(c) != table.rank for c in cones):
         return False
     counts: dict[int, int] = {}
-    for c in cones:
-        mask = _mask(g - 1 for g in c)
-        for g in c:
-            facet = mask ^ 1 << (g - 1)
+    # a cone listed twice is still one cone
+    for mask in {_mask(g - 1 for g in c) for c in cones}:
+        for j in _bits(mask):
+            facet = mask ^ 1 << j
             counts[facet] = counts.get(facet, 0) + 1
     return all(cnt == 2 or (cnt == 1 and table.is_boundary(facet))
                for facet, cnt in counts.items())

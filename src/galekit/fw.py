@@ -7,9 +7,15 @@ column lattice to be all of Z^n.  W-side clauses: full rank, no cotorsion,
 a nonnegative row-lattice basis, no zero columns, no unit vectors and no
 mixed-sign 2-sparse vectors in the row lattice.
 
-All feasibility questions (cone membership, strictly positive lattice
-vectors) are decided exactly over the rationals by enumerating square
-subsystems; no floating point and no tolerance anywhere.
+Every feasibility question (positive spanning, cone membership, strictly
+positive lattice vectors) is one linear program {x >= 0 : A x = b}, decided
+by an exact phase-1 simplex with Bland's rule on a fraction-free integer
+tableau (``matrix._nonneg_solve``).  A feasible answer comes with its point
+x, an infeasible one with a Farkas certificate w (w A >= 0, w b < 0), and
+both are re-checked exactly; no floating point and no tolerance anywhere.
+Witnesses are one valid choice, not canonical ones.  Clause f of the W-side
+is read off the Gale dual of the row lattice: it is violated exactly when two
+of its columns are both zero or positively proportional.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
+    _nonneg_solve,
     dot,
     solve,
     submatrix_cols,
@@ -53,55 +59,28 @@ class FMatrixReport:
 
 
 def _nonneg_combination(cols: list[tuple], target: tuple) -> "list | None":
-    """Exact coefficients c >= 0 with sum(c_i * cols_i) = target, or None.
-
-    By Caratheodory it is enough to scan subsets of size rank(cols): any
-    feasible point is feasible on an independent subset, extendable to a
-    maximal one.
-    """
+    """Exact coefficients c >= 0 with sum(c_i * cols_i) = target, or None."""
     if not any(target):
         return [0] * len(cols)
     if not cols:
         return None
-    mat = Mat.from_cols(cols)
-    rho = mat.rank()
-    if rho == 0:
-        return None
-    tgt = Mat([[x] for x in target])
-    for pick in combinations(range(len(cols)), rho):
-        sub = mat.take_cols(pick)
-        if sub.rank() < rho:
-            continue
-        sol = solve(sub, tgt)
-        if sol is None:
-            continue
-        vals = [sol[i, 0] for i in range(rho)]
-        if any(v < 0 for v in vals):
-            continue
-        out = [0] * len(cols)
-        for slot, v in zip(pick, vals):
-            out[slot] = v
-        return out
-    return None
+    x, _ = _nonneg_solve(list(zip(*cols)), target)
+    return x
 
 
 def is_f_complete(A: Mat) -> bool:
     """Do the columns of A positively span the whole ambient space?
 
-    Criterion: full rank and, for each column v, -v is a nonnegative
-    rational combination of the remaining columns.
+    Criterion (Stiemke): full row rank and a linear relation A y = 0 with
+    y > 0, i.e. some u >= 0 with A u = -A 1, decided by one exact simplex.
     """
     if not A.is_integral:
         raise DomainError("is_f_complete requires an integer matrix")
     if A.rank() < A.rows:
         return False
-    cols = list(A.col_tuples())
-    for i, v in enumerate(cols):
-        others = cols[:i] + cols[i + 1:]
-        neg = tuple(-x for x in v)
-        if _nonneg_combination(others, neg) is None:
-            return False
-    return True
+    rows = A.row_tuples()
+    x, _ = _nonneg_solve(rows, [-sum(row) for row in rows])
+    return x is not None
 
 
 def is_w_positive(A: Mat) -> tuple[bool, "tuple[int, ...] | None"]:
@@ -199,31 +178,20 @@ def classify_w(Q: Mat) -> WMatrixReport:
 
 
 def _has_mixed_sign_plane_vector(lat: Lattice) -> bool:
-    # clause f: look at L ∩ span(e_i, e_j) for every coordinate plane
-    m = lat.ambient_dim
+    """Clause f, read off the Gale dual.
+
+    With K a basis of the orthogonal complement of L (its columns are the
+    Gale dual of L), L meets the plane span(e_i, e_j) in {(a, b) :
+    a K_i + b K_j = 0}.  That holds a vector with a * b < 0 iff K_i and K_j
+    are both zero or positively proportional, i.e. have the same primitive
+    vector.
+    """
     if lat.rank == 0:
         return False
-    basis = lat.basis_matrix()
-    for i in range(m):
-        for j in range(i + 1, m):
-            rest = [c for c in range(m) if c not in (i, j)]
-            if rest:
-                reduced = basis.take_cols(rest)
-                kern = left_kernel_rows(reduced)
-                plane_rows = [tuple(sum(k[t] * basis[t, c] for t in range(lat.rank))
-                                    for c in range(m)) for k in kern]
-            else:
-                plane_rows = [tuple(row) for row in lat.basis]
-            plane_rows = [p for p in plane_rows if any(p)]
-            if not plane_rows:
-                continue
-            rk = Mat(plane_rows).rank() if plane_rows else 0
-            if rk >= 2:
-                return True
-            gen = plane_rows[0]
-            if gen[i] * gen[j] < 0:
-                return True
-    return False
+    kern = left_kernel_rows(lat.basis_matrix().transpose())
+    cols = list(zip(*kern)) if kern else [()] * lat.ambient_dim
+    prim = [tuple(x // g for x in c) if (g := vec_gcd(c)) else c for c in cols]
+    return len(set(prim)) < len(prim)
 
 
 def _positive_relation(V: Mat, i: int) -> list[int]:
@@ -307,6 +275,11 @@ def i_reduce(Q: Mat, i: int) -> Mat:
     if not rep.is_w_matrix:
         raise DomainError("i_reduce requires a W-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
+    return _i_reduce(Q, i)
+
+
+def _i_reduce(Q: Mat, i: int) -> Mat:
+    """i_reduce for a Q already known to be a W-matrix."""
     V = gale_dual(Q)
     d = vec_gcd(V.col(i - 1))
     if d == 1:
@@ -334,14 +307,15 @@ def i_reduce(Q: Mat, i: int) -> Mat:
 
 def w_reduce(Q: Mat) -> Mat:
     """Full weight-matrix reduction: i-reductions for i = 1..n+r in order,
-    recomputing the Gale dual's column gcds after each step."""
+    recomputing the Gale dual's column gcds after each step.  Q is
+    validated once: each step maps a W-matrix to a W-matrix."""
     rep = classify_w(Q)
     if not rep.is_w_matrix:
         raise DomainError("w_reduce requires a W-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
     cur = Q
     for i in range(1, Q.cols + 1):
-        cur = i_reduce(cur, i)
+        cur = _i_reduce(cur, i)
     return cur
 
 

@@ -265,6 +265,101 @@ def solve(A: Mat, B: Mat) -> "Mat | None":
     return Mat(sol)
 
 
+# ---------------------------------------------------------------------------
+# exact feasibility of A x = b, x >= 0
+
+def _phase1(a: list[list[int]], b: list[int]) -> tuple:
+    """Phase-1 simplex on an integer system, with Bland's rule.
+
+    Minimises the sum of one artificial variable per row over
+    [a | I] (x, s) = b, x, s >= 0 (rows with b_i < 0 are negated first).
+    The tableau is kept fraction-free: it stores D * B^-1 [a | I | b] and
+    the reduced-cost row times D, D = det B > 0, and each pivot divides
+    exactly by the previous D (Bareiss).  Returns (x, None) when the
+    optimum is 0, and otherwise (None, w), where w is the dual optimum
+    negated, read off the artificial columns' reduced costs: w a >= 0 and
+    w b < 0.  Unchecked.
+    """
+    m, n = len(a), len(a[0])
+    sign = [-1 if bi < 0 else 1 for bi in b]
+    tab = []
+    for i in range(m):
+        row = [sign[i] * x for x in a[i]] + [0] * m + [sign[i] * b[i]]
+        row[n + i] = 1
+        tab.append(row)
+    cost = [-sum(col) for col in zip(*tab)]
+    cost[n:n + m] = [0] * m
+    basic = [n + i for i in range(m)]
+    d = 1
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            p = tab[i][enter]
+            if p <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # ratio rhs/p against the best so far; ties go to the lower index
+            lhs = tab[i][-1] * tab[leave][enter]
+            rhs = tab[leave][-1] * p
+            if lhs < rhs or (lhs == rhs and basic[i] < basic[leave]):
+                leave = i
+        if leave is None:
+            raise GaleKitError("phase-1 simplex unbounded (internal invariant)")
+        prow = tab[leave]
+        p = prow[enter]
+        for i in range(m):
+            if i != leave:
+                q = tab[i][enter]
+                tab[i] = [(p * x - q * y) // d for x, y in zip(tab[i], prow)]
+        q = cost[enter]
+        cost = [(p * x - q * y) // d for x, y in zip(cost, prow)]
+        d = p
+        basic[leave] = enter
+    if cost[-1] == 0:
+        x = [0] * n
+        for i, j in enumerate(basic):
+            if j < n:
+                x[j] = _norm_entry(Fraction(tab[i][-1], d))
+        return x, None
+    return None, [sign[i] * (cost[n + i] - d) for i in range(m)]
+
+
+def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
+    """Exact feasibility of {x : A x = b, x >= 0} for rational A (given as
+    rows) and b.
+
+    Returns (x, None) with x >= 0 and A x = b, or (None, w) with a Farkas
+    certificate w A >= 0, w b < 0 that no such x exists.  Either answer is
+    re-checked exactly before it is returned; a failed check raises
+    GaleKitError.  The x found is one basic solution, not a canonical one.
+    """
+    mult, rows, rhs = [], [], []
+    for row, bi in zip(A, b):
+        k = math.lcm(*(v.denominator for v in (*row, bi) if isinstance(v, Fraction)))
+        mult.append(k)
+        rows.append([_as_int(v * k) for v in row])
+        rhs.append(_as_int(bi * k))
+    x, w = _phase1(rows, rhs)
+    if w is None:
+        if any(v < 0 for v in x) or any(dot(row, x) != bi for row, bi in zip(A, b)):
+            raise GaleKitError("simplex point fails A x = b, x >= 0 "
+                               "(internal invariant)")
+        return x, None
+    w = [wi * k for wi, k in zip(w, mult)]
+    g = vec_gcd(w)
+    if g:
+        w = [wi // g for wi in w]
+    if any(dot(w, col) < 0 for col in zip(*A)) or dot(w, b) >= 0:
+        raise GaleKitError("Farkas certificate fails w A >= 0, w b < 0 "
+                           "(internal invariant)")
+    return None, w
+
+
 def vstack(mats: Sequence[Mat]) -> Mat:
     rows = []
     for m in mats:

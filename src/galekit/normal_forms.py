@@ -19,9 +19,8 @@ from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
-    _as_int,
+    _nonneg_solve,
     block_diag,
-    solve,
     xgcd,
 )
 
@@ -249,42 +248,28 @@ def strictly_positive_row_vector(basis: Sequence[Sequence[int]],
     """An integer combination of the basis rows that is > 0 on every support
     column, together with its coefficient vector, or None.
 
-    Feasibility of ``lam @ B >= 1`` is decided exactly by enumerating basic
-    solutions: the constraint normals span, so the polyhedron is pointed and
-    nonempty iff some square subsystem solved at equality is feasible.
+    Feasibility of ``lam @ B_S >= 1`` (lam free) is one exact phase-1
+    simplex: lam = p - q with p, q >= 0 and a slack per support column.  An
+    infeasible system comes with a checked Farkas certificate; a feasible
+    lam is scaled by the lcm of its denominators.  The vector returned is
+    one valid witness, not a canonical one.
     """
     k = len(basis)
     cols = list(support)
     if k == 0 or not cols:
         return None
-    bmat = Mat(basis)
-    sub = bmat.take_cols(cols)
-    from itertools import combinations
-    ones = Mat([[1]] * k)
-    for pick in combinations(range(len(cols)), k):
-        square = sub.take_cols(pick)
-        if square.rank() < k:
-            continue
-        lam = solve(square.transpose(), ones)
-        if lam is None:
-            continue
-        lam_row = tuple(lam.col(0))
-        ok = True
-        for j in range(len(cols)):
-            if sum(l * sub[i, j] for i, l in enumerate(lam_row)) < 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        denom = 1
-        for x in lam_row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        lam_int = tuple(_as_int(x * denom) for x in lam_row)
-        vec = tuple(sum(l * basis[i][j] for i, l in enumerate(lam_int))
-                    for j in range(bmat.cols))
-        return vec, lam_int
-    return None
+    rows = [[basis[i][j] for i in range(k)] + [-basis[i][j] for i in range(k)]
+            + [-int(t == s) for t in range(len(cols))]
+            for s, j in enumerate(cols)]
+    x, _ = _nonneg_solve(rows, [1] * len(cols))
+    if x is None:
+        return None
+    lam = [Fraction(p - q) for p, q in zip(x[:k], x[k:2 * k])]
+    denom = math.lcm(*(v.denominator for v in lam))
+    lam_int = tuple(int(v * denom) for v in lam)
+    vec = tuple(sum(l * row[j] for l, row in zip(lam_int, basis))
+                for j in range(len(basis[0])))
+    return vec, lam_int
 
 
 def basis_with_positive_first_row(basis: Sequence[Sequence[int]],

@@ -2,8 +2,8 @@
 
 Oracles here deliberately avoid the library's own fast paths: determinants
 by cofactor expansion, ranks by naive rational elimination, minor gcds by
-direct enumeration.  They are the reference implementations the production
-code is checked against.
+direct enumeration, feasibility by scanning square subsystems.  They are
+the reference implementations the production code is checked against.
 """
 
 from fractions import Fraction
@@ -12,6 +12,7 @@ import math
 import random
 
 from galekit import Mat, left_kernel_rows
+from galekit.matrix import solve
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -243,3 +244,100 @@ def support_complete_oracle(V: Mat, cones) -> bool:
         if any(x > 0 for x in sides) and any(x < 0 for x in sides):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# square-subsystem scans: the feasibility routines the exact simplex replaced
+
+def nonneg_combination_oracle(cols, target):
+    """Coefficients c >= 0 with sum(c_i * cols_i) = target, or None, found by
+    scanning the square subsystems on rank-many columns (Caratheodory)."""
+    if not any(target):
+        return [0] * len(cols)
+    if not cols:
+        return None
+    mat = Mat.from_cols(cols)
+    rho = mat.rank()
+    if rho == 0:
+        return None
+    tgt = Mat([[x] for x in target])
+    for pick in combinations(range(len(cols)), rho):
+        sub = mat.take_cols(pick)
+        if sub.rank() < rho:
+            continue
+        sol = solve(sub, tgt)
+        if sol is None:
+            continue
+        vals = [sol[i, 0] for i in range(rho)]
+        if any(v < 0 for v in vals):
+            continue
+        out = [0] * len(cols)
+        for slot, v in zip(pick, vals):
+            out[slot] = v
+        return out
+    return None
+
+
+def is_f_complete_oracle(A: Mat) -> bool:
+    """Full rank and, for each column v, -v a nonnegative combination of the
+    other columns."""
+    if A.rank() < A.rows:
+        return False
+    cols = list(A.col_tuples())
+    return all(
+        nonneg_combination_oracle(cols[:i] + cols[i + 1:], tuple(-x for x in v))
+        is not None
+        for i, v in enumerate(cols))
+
+
+def strictly_positive_row_vector_oracle(basis, support):
+    """(vec, lam) with vec = lam @ basis > 0 on the support, or None, by
+    solving every square subsystem of lam @ B_S = 1 at equality."""
+    k = len(basis)
+    cols = list(support)
+    if k == 0 or not cols:
+        return None
+    bmat = Mat(basis)
+    sub = bmat.take_cols(cols)
+    ones = Mat([[1]] * k)
+    for pick in combinations(range(len(cols)), k):
+        square = sub.take_cols(pick)
+        if square.rank() < k:
+            continue
+        lam = solve(square.transpose(), ones)
+        if lam is None:
+            continue
+        lam_row = tuple(lam.col(0))
+        if any(sum(l * sub[i, j] for i, l in enumerate(lam_row)) < 1
+               for j in range(len(cols))):
+            continue
+        denom = math.lcm(*(Fraction(x).denominator for x in lam_row))
+        lam_int = tuple(int(x * denom) for x in lam_row)
+        vec = tuple(sum(l * basis[i][j] for i, l in enumerate(lam_int))
+                    for j in range(bmat.cols))
+        return vec, lam_int
+    return None
+
+
+def mixed_sign_plane_oracle(lat) -> bool:
+    """Clause f by one left kernel per coordinate plane: does the lattice
+    meet some span(e_i, e_j) in a vector with opposite-sign entries?"""
+    m = lat.ambient_dim
+    if lat.rank == 0:
+        return False
+    basis = lat.basis_matrix()
+    for i in range(m):
+        for j in range(i + 1, m):
+            rest = [c for c in range(m) if c not in (i, j)]
+            if rest:
+                kern = left_kernel_rows(basis.take_cols(rest))
+                plane = [tuple(sum(k[t] * basis[t, c] for t in range(lat.rank))
+                               for c in range(m)) for k in kern]
+            else:
+                plane = [tuple(row) for row in lat.basis]
+            plane = [p for p in plane if any(p)]
+            if not plane:
+                continue
+            if Mat(plane).rank() >= 2 or plane[0][i] * plane[0][j] < 0:
+                return True
+    return False

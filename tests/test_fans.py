@@ -22,6 +22,7 @@ from conftest import (
     ConeGeom,
     proper_intersection,
     rand_f_matrix,
+    rand_full_row_rank,
     rand_mat,
     support_complete_oracle,
 )
@@ -85,6 +86,14 @@ def test_support_complete_proper_cone():
     assert is_support_complete(RAY4_V, fan)
     half = fan_from_cones(RAY4_V, [(1, 2, 3)])
     assert not is_support_complete(RAY4_V, half)
+
+
+def test_support_complete_counts_a_repeated_cone_once():
+    # one quadrant listed twice is still one quadrant, not a complete fan
+    assert not is_support_complete(P2_V, fan_from_cones(P2_V, [(1, 2)]))
+    assert not is_support_complete(P2_V, fan_from_cones(P2_V, [(1, 2), (1, 2)]))
+    assert is_support_complete(
+        P2_V, fan_from_cones(P2_V, [(1, 2), (1, 3), (2, 3), (2, 3)]))
 
 
 def test_enumerate_p2():
@@ -312,3 +321,23 @@ def test_pair_test_matches_vertex_oracle():
             pairs += 1
     assert deficient >= 5
     assert pairs >= 900
+
+
+def test_is_fan_on_few_columns_of_a_wide_configuration():
+    """Two cones on a 5x18 V: the circuit table covers only the columns the
+    cones use, and the answer agrees with the vertex-enumeration oracle."""
+    rng = random.Random(606)
+    V = rand_full_row_rank(rng, 5, 18, -3, 3)
+    verdicts = [0, 0]
+    while sum(verdicts) < 16:
+        a = rng.sample(range(1, 19), 5)
+        rest = [j for j in range(1, 19) if j not in a]
+        b = a[:rng.randint(0, 4)] + rng.sample(rest, 5)
+        b = b[:5]
+        a, b = tuple(sorted(a)), tuple(sorted(b))
+        if any(V.take_cols([g - 1 for g in c]).rank() < 5 for c in (a, b)):
+            continue
+        expected = proper_intersection(V, ConeGeom(V, a), ConeGeom(V, b))
+        assert is_fan(V, [a, b]) == expected, (a, b)
+        verdicts[expected] += 1
+    assert min(verdicts) >= 3
