@@ -31,7 +31,7 @@ from .lattices import (
     lattice_intersection,
     quotient_structure,
 )
-from .gale import det_duality_check, gale_dual, quotient_iso_check
+from .gale import GaleDualPair, det_duality_check, gale_dual, quotient_iso_check
 from .fw import classify_f, classify_w, f_reduce, positivize, w_reduce
 from .fans import Fan, enumerate_SF, fan_from_cones
 from .toric import class_group, cartier_index, full_report, is_pws
@@ -179,7 +179,7 @@ def _cmd_gale(args) -> None:
     G = gale_dual(A)
     checked = None
     if args.check:
-        checked = _run_gale_checks(A, G, args.check_size_cap)
+        checked = _run_gale_checks(GaleDualPair(A, G), args.check_size_cap)
     if args.json:
         obj = {"gale": _json_matrix(G)}
         if checked is not None:
@@ -191,19 +191,18 @@ def _cmd_gale(args) -> None:
         print(f"check: ok ({checked} subsets)")
 
 
-def _run_gale_checks(V: Mat, Q: Mat, size_cap: int) -> int:
+def _run_gale_checks(pair: GaleDualPair, size_cap: int) -> int:
     from itertools import combinations
-    m = V.cols
-    n = V.rows
+    m = pair.V.cols
     count = 0
     for size in range(0, min(m, size_cap) + 1):
         for idx in combinations(range(1, m + 1), size):
-            left, right, equal = quotient_iso_check(V, Q, idx)
+            left, right, equal = quotient_iso_check(pair, idx)
             if not equal:
                 raise GaleKitError(f"quotient mismatch at I={idx}: "
                                    f"{left} vs {right}")
-            if size == n:
-                lhs, rhs, ok = det_duality_check(V, Q, idx)
+            if size == pair.n:
+                lhs, rhs, ok = det_duality_check(pair, idx)
                 if not ok:
                     raise GaleKitError(f"determinant mismatch at I={idx}: "
                                        f"{lhs} vs {rhs}")

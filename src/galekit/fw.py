@@ -13,9 +13,12 @@ by an exact phase-1 simplex with Bland's rule on a fraction-free integer
 tableau (``matrix._nonneg_solve``).  A feasible answer comes with its point
 x, an infeasible one with a Farkas certificate w (w A >= 0, w b < 0), and
 both are re-checked exactly; no floating point and no tolerance anywhere.
-Witnesses are one valid choice, not canonical ones.  Clause f of the W-side
-is read off the Gale dual of the row lattice: it is violated exactly when two
-of its columns are both zero or positively proportional.
+Witnesses are one valid choice, not canonical ones.  ``positivize`` takes
+its strictly positive relation from the same LP that decides positive
+spanning.  Repeated ray directions (F clause d) are equal primitive columns;
+clause f of the W-side is read off the Gale dual of the row lattice: it is
+violated exactly when two of its columns have the same primitive vector
+(both zero or positively proportional).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .matrix import (
     GaleKitError,
     Mat,
     _nonneg_solve,
-    dot,
     solve,
     submatrix_cols,
     vec_gcd,
@@ -76,11 +78,15 @@ def is_f_complete(A: Mat) -> bool:
     """
     if not A.is_integral:
         raise DomainError("is_f_complete requires an integer matrix")
-    if A.rank() < A.rows:
-        return False
+    return A.rank() == A.rows and _positive_kernel_vector(A) is not None
+
+
+def _positive_kernel_vector(A: Mat) -> "list | None":
+    """Some rational y > 0 with A y = 0, or None if there is none: one exact
+    LP for u >= 0 with A u = -A 1, then y = u + 1."""
     rows = A.row_tuples()
-    x, _ = _nonneg_solve(rows, [-sum(row) for row in rows])
-    return x is not None
+    u, _ = _nonneg_solve(rows, [-sum(row) for row in rows])
+    return None if u is None else [x + 1 for x in u]
 
 
 def is_w_positive(A: Mat) -> tuple[bool, "tuple[int, ...] | None"]:
@@ -118,13 +124,7 @@ def classify_f(V: Mat) -> FMatrixReport:
     cols = list(V.col_tuples())
     if any(not any(c) for c in cols):
         violated.append("c")
-    prop = False
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            u, w = cols[i], cols[j]
-            if any(u) and any(w) and Mat([u, w]).rank() == 1 and dot(u, w) > 0:
-                prop = True
-    if prop:
+    if _has_proportional_columns(cols):
         violated.append("d")
     if Lattice.from_rows(cols, n) != Lattice.standard(n):
         violated.append("e")
@@ -177,6 +177,19 @@ def classify_w(Q: Mat) -> WMatrixReport:
                          positive_witness=witness)
 
 
+def _primitive(c: tuple) -> tuple:
+    """c divided by the gcd of its entries (a zero vector stays zero)."""
+    g = vec_gcd(c)
+    return tuple(x // g for x in c) if g else tuple(c)
+
+
+def _has_proportional_columns(cols: list[tuple]) -> bool:
+    """Clause d: two nonzero integer columns with the same primitive vector
+    (positively proportional)."""
+    prim = [_primitive(c) for c in cols if any(c)]
+    return len(set(prim)) < len(prim)
+
+
 def _has_mixed_sign_plane_vector(lat: Lattice) -> bool:
     """Clause f, read off the Gale dual.
 
@@ -190,60 +203,41 @@ def _has_mixed_sign_plane_vector(lat: Lattice) -> bool:
         return False
     kern = left_kernel_rows(lat.basis_matrix().transpose())
     cols = list(zip(*kern)) if kern else [()] * lat.ambient_dim
-    prim = [tuple(x // g for x in c) if (g := vec_gcd(c)) else c for c in cols]
+    prim = [_primitive(c) for c in cols]
     return len(set(prim)) < len(prim)
 
 
-def _positive_relation(V: Mat, i: int) -> list[int]:
-    """Integer relation sum_j c_j v_j = 0 with c >= 0 and c_i > 0 (0-based i)."""
-    cols = list(V.col_tuples())
-    v = cols[i]
-    others = cols[:i] + cols[i + 1:]
-    neg = tuple(-x for x in v)
-    comb = _nonneg_combination(others, neg)
-    if comb is None:
-        raise GaleKitError("no positive relation found; Gale dual of a "
-                           "W-matrix must positively span (theorem violation)")
-    denom = 1
-    for x in comb:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    rel = [0] * len(cols)
-    rel[i] = denom
-    slots = [j for j in range(len(cols)) if j != i]
-    for slot, x in zip(slots, comb):
-        rel[slot] = int(x * denom)
-    return rel
+def _require_w_matrix(Q: Mat, caller: str) -> None:
+    rep = classify_w(Q)
+    if not rep.is_w_matrix:
+        raise DomainError(f"{caller} requires a W-matrix "
+                          f"(violated clauses: {','.join(rep.violated)})")
 
 
 def positivize(Q: Mat) -> Mat:
     """An entrywise nonnegative matrix with the same row lattice as the
     W-matrix Q and a strictly positive first row.
 
-    Procedure: sum exact positive column relations of the Gale dual into a
-    strictly positive primitive vector c, lift c into the row lattice, move
-    it to the first row by a unimodular change of basis, then add multiples
-    of it to the remaining rows.
+    Procedure: one exact LP gives a relation y > 0 among the columns of the
+    Gale dual; scaled to a primitive integer vector c it lies in the row
+    lattice (Q has no cotorsion).  Lift c, move it to the first row by a
+    unimodular change of basis, then add multiples of it to the remaining
+    rows.
     """
-    rep = classify_w(Q)
-    if not rep.is_w_matrix:
-        raise DomainError("positivize requires a W-matrix "
-                          f"(violated clauses: {','.join(rep.violated)})")
-    V = gale_dual(Q)
-    m = Q.cols
-    total = [0] * m
-    for i in range(m):
-        rel = _positive_relation(V, i)
-        total = [a + b for a, b in zip(total, rel)]
-    g = vec_gcd(total)
-    c = [x // g for x in total]
+    _require_w_matrix(Q, "positivize")
+    y = _positive_kernel_vector(gale_dual(Q))
+    if y is None:
+        raise GaleKitError("no positive relation found; Gale dual of a "
+                           "W-matrix must positively span (theorem violation)")
+    denom = math.lcm(*(Fraction(x).denominator for x in y))
+    c = list(_primitive(tuple(int(x * denom) for x in y)))
     lam = solve(Q.transpose(), Mat([[x] for x in c]))
     if lam is None or not lam.is_integral:
         raise GaleKitError("positive relation vector does not lift into the "
                            "row lattice (no-cotorsion violation)")
     lam_row = tuple(lam.col(0))
     rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam_row,
-                                            list(range(m)))
+                                            list(range(Q.cols)))
     return Mat(rows)
 
 
@@ -271,51 +265,38 @@ def i_reduce(Q: Mat, i: int) -> Mat:
     """
     if not 1 <= i <= Q.cols:
         raise DomainError(f"column index {i} out of range")
-    rep = classify_w(Q)
-    if not rep.is_w_matrix:
-        raise DomainError("i_reduce requires a W-matrix "
-                          f"(violated clauses: {','.join(rep.violated)})")
-    return _i_reduce(Q, i)
+    _require_w_matrix(Q, "i_reduce")
+    d = vec_gcd(gale_dual(Q).col(i - 1))
+    return Q if d == 1 else _rescale(Q, i, d)
 
 
-def _i_reduce(Q: Mat, i: int) -> Mat:
-    """i_reduce for a Q already known to be a W-matrix."""
-    V = gale_dual(Q)
-    d = vec_gcd(V.col(i - 1))
-    if d == 1:
-        return Q
-    qi = submatrix_cols(Q, (i,), complement=True)
-    alpha = snf(qi).alpha
-    moved = alpha @ Q
-    r = Q.rows
-    rows = moved.to_lists()
-    out = []
-    for ri, row in enumerate(rows):
-        new = []
-        for j, x in enumerate(row):
-            if j == i - 1:
-                x = x * d
-            if ri == r - 1:
-                if x % d:
-                    raise GaleKitError("last row not divisible in i-reduction "
-                                       "(cyclic-quotient theorem violation)")
-                x //= d
-            new.append(x)
-        out.append(new)
-    return Mat(out)
+def _rescale(Q: Mat, i: int, d: int) -> Mat:
+    """The i-reduction of a W-matrix Q whose Gale dual has gcd d > 1 in
+    column i."""
+    alpha = snf(submatrix_cols(Q, (i,), complement=True)).alpha
+    rows = (alpha @ Q).to_lists()
+    for row in rows:
+        row[i - 1] *= d
+    if any(x % d for x in rows[-1]):
+        raise GaleKitError("last row not divisible in i-reduction "
+                           "(cyclic-quotient theorem violation)")
+    rows[-1] = [x // d for x in rows[-1]]
+    return Mat(rows)
 
 
 def w_reduce(Q: Mat) -> Mat:
     """Full weight-matrix reduction: i-reductions for i = 1..n+r in order,
-    recomputing the Gale dual's column gcds after each step.  Q is
-    validated once: each step maps a W-matrix to a W-matrix."""
-    rep = classify_w(Q)
-    if not rep.is_w_matrix:
-        raise DomainError("w_reduce requires a W-matrix "
-                          f"(violated clauses: {','.join(rep.violated)})")
-    cur = Q
+    reading each column gcd off the current Gale dual.  Q is validated once
+    (each step maps a W-matrix to a W-matrix), and the dual is recomputed
+    only after a step that rescales; the other steps leave Q unchanged."""
+    _require_w_matrix(Q, "w_reduce")
+    cur, V = Q, gale_dual(Q)
     for i in range(1, Q.cols + 1):
-        cur = _i_reduce(cur, i)
+        d = vec_gcd(V.col(i - 1))
+        if d > 1:
+            cur = _rescale(cur, i, d)
+            if i < Q.cols:
+                V = gale_dual(cur)
     return cur
 
 
@@ -325,16 +306,18 @@ def is_w_reduced(Q: Mat) -> bool:
     Computed both directly (cotorsion of each L_r(Q^i)) and through the
     Gale dual's column gcds; the two must agree.
     """
-    rep = classify_w(Q)
-    if not rep.is_w_matrix:
-        raise DomainError("is_w_reduced requires a W-matrix "
-                          f"(violated clauses: {','.join(rep.violated)})")
+    _require_w_matrix(Q, "is_w_reduced")
+    return _is_w_reduced(Q, gale_dual(Q))
+
+
+def _is_w_reduced(Q: Mat, V: Mat) -> bool:
+    """is_w_reduced for a W-matrix Q, given a matrix V whose row lattice is
+    ker(Q) (column gcds do not depend on the basis chosen)."""
     m = Q.cols
     direct = all(
         not has_cotorsion(m - 1, Lattice.from_matrix(
             submatrix_cols(Q, (i,), complement=True)))
         for i in range(1, m + 1))
-    V = gale_dual(Q)
     via_dual = all(vec_gcd(V.col(j)) == 1 for j in range(m))
     if direct != via_dual:
         raise GaleKitError("reducedness criteria disagree (internal invariant)")

@@ -41,7 +41,8 @@ def double_gale(A: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class GaleDualPair:
-    """A fan/weight matrix pair (V, Q) with L_r(Q) = ker(V)."""
+    """A fan/weight matrix pair (V, Q) with L_r(Q) = ker(V), validated once
+    at construction; the duality checks below take it as their input."""
 
     V: Mat
     Q: Mat
@@ -80,12 +81,11 @@ def solve_left_factor(A: Mat, Q: Mat) -> "Mat | None":
     return alpha if alpha.is_integral else None
 
 
-def quotient_iso_check(V: Mat, Q: Mat, I, validate: bool = True,
+def quotient_iso_check(pair: GaleDualPair, I,
                        ) -> tuple[QuotientStructure, QuotientStructure, bool]:
     """Both sides of the subgroup-quotient isomorphism attached to an index
     set I: Z^(n+r-k)/L_r(Q^I) on the left, L_c(V)/L_c(V_I) on the right."""
-    if validate:
-        GaleDualPair(V, Q)
+    V, Q = pair.V, pair.Q
     m = V.cols
     idx = check_index_set(I, m)
     k = len(idx)
@@ -112,11 +112,9 @@ def quotient_iso_check(V: Mat, Q: Mat, I, validate: bool = True,
     return left, right, left == right
 
 
-def det_duality_check(V: Mat, Q: Mat, I, validate: bool = True,
-                      ) -> tuple[int, int, bool]:
+def det_duality_check(pair: GaleDualPair, I) -> tuple[int, int, bool]:
     """[Z^n : L_c(V)] * |det Q^I| versus |det V_I| for |I| = n."""
-    if validate:
-        GaleDualPair(V, Q)
+    V, Q = pair.V, pair.Q
     idx = check_index_set(I, V.cols)
     if len(idx) != V.rows:
         raise DomainError(f"index set must have size n = {V.rows}")

@@ -8,6 +8,8 @@ subgroup is the intersection of the column lattices of the complementary
 weight submatrices over all maximal cones, Cartier divisors are spanned by
 an explicit block product, and Cartier indices come from per-cone linear
 systems.
+``full_report`` validates its input once and derives each object once; the
+public per-object functions validate the fan, then call the same cores.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .lattices import (
     quotient_structure,
 )
 from .gale import gale_dual
-from .fw import classify_f, classify_w, is_w_reduced
+from .fw import _is_w_reduced, classify_f, classify_w
 from .fans import Fan, _support_complete, enumerate_SF, fan_from_cones, is_fan
 
 
@@ -145,12 +147,14 @@ def _check_fan(V: Mat, fan: Fan) -> None:
         raise DomainError("invalid fan: support does not cover the column cone")
 
 
-def picard_basis(Q: Mat, fan: Fan, validate: bool = True) -> Mat:
+def picard_basis(Q: Mat, fan: Fan) -> Mat:
     """Basis (rows) of the Picard subgroup inside Z^r: intersection of the
     column lattices of the complementary weight submatrices."""
-    V = gale_dual(Q)
-    if validate:
-        _check_fan(V, fan)
+    _check_fan(gale_dual(Q), fan)
+    return _picard_basis(Q, fan)
+
+
+def _picard_basis(Q: Mat, fan: Fan) -> Mat:
     lattices = []
     for idx in _index_sets(fan):
         qi = submatrix_cols(Q, idx)
@@ -177,12 +181,16 @@ def cartier_basis(B: Mat, U_Q: Mat) -> Mat:
     return block_diag(B, Mat.identity(total - r)) @ U_Q
 
 
-def delta_sigma(Q: Mat, fan: Fan, validate: bool = True) -> int:
+def delta_sigma(Q: Mat, fan: Fan) -> int:
     """lcm of |det| of the complementary weight submatrices over all maximal
     cones; multiplies every ray divisor into a Cartier divisor."""
-    V = gale_dual(Q)
-    if validate:
-        _check_fan(V, fan)
+    _check_fan(gale_dual(Q), fan)
+    cb = cartier_basis(_picard_basis(Q, fan), cl_generators_full(Q))
+    return _delta_sigma(Q, fan, cb)
+
+
+def _delta_sigma(Q: Mat, fan: Fan, cb: Mat) -> int:
+    """delta_sigma, checked against the Cartier basis cb of the same fan."""
     value = 1
     for idx in _index_sets(fan):
         d = abs(det_exact(submatrix_cols(Q, idx)))
@@ -190,7 +198,6 @@ def delta_sigma(Q: Mat, fan: Fan, validate: bool = True) -> int:
             raise DomainError("degenerate maximal cone: complementary "
                               "weight submatrix is singular")
         value = value * d // math.gcd(value, d)
-    cb = cartier_basis(picard_basis(Q, fan, validate=False), cl_generators_full(Q))
     lat = Lattice.from_matrix(cb)
     for j in range(Q.cols):
         vec = tuple(value * int(t == j) for t in range(Q.cols))
@@ -200,7 +207,7 @@ def delta_sigma(Q: Mat, fan: Fan, validate: bool = True) -> int:
     return value
 
 
-def cartier_index(V: Mat, fan: Fan, a: Sequence[int], validate: bool = True) -> int:
+def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
     """Least k >= 1 such that k*a gives integral per-cone linear data.
 
     For each maximal cone the square system m . v_j = a_j (j in the cone)
@@ -209,20 +216,23 @@ def cartier_index(V: Mat, fan: Fan, a: Sequence[int], validate: bool = True) -> 
     """
     if len(a) != V.cols:
         raise DomainError("divisor coefficient length mismatch")
-    if validate:
-        _check_fan(V, fan)
-    k = 1
+    _check_fan(V, fan)
+    return _cartier_indices(V, fan, [a])[0]
+
+
+def _cartier_indices(V: Mat, fan: Fan, divisors: Sequence) -> tuple[int, ...]:
+    """cartier_index of each divisor: one solve per maximal cone, with one
+    right-hand side column per divisor."""
+    ks = [1] * len(divisors)
     for cone in fan.maximal_cones:
         sub = V.take_cols([g - 1 for g in cone.gens])
-        rhs = Mat([[a[g - 1]] for g in cone.gens])
+        rhs = Mat([[a[g - 1] for a in divisors] for g in cone.gens])
         sol = solve(sub.transpose(), rhs)
         if sol is None:
             raise DomainError("degenerate cone in cartier_index")
-        for i in range(sol.rows):
-            x = sol[i, 0]
-            if isinstance(x, Fraction):
-                k = k * x.denominator // math.gcd(k, x.denominator)
-    return k
+        for row in sol.row_tuples():
+            ks = [math.lcm(k, Fraction(x).denominator) for k, x in zip(ks, row)]
+    return tuple(ks)
 
 
 def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
@@ -234,6 +244,9 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     The fan may be passed explicitly (Fan or cone index sets) or selected by
     1-based ``fan_index`` among the enumerated fans; when the configuration
     admits a single fan it is chosen automatically.
+
+    Validation and every derivation happen once.  A torsion-free V has a
+    saturated row lattice, so it serves as the Gale dual of its own Q.
     """
     if (Q is None) == (V is None):
         raise DomainError("provide exactly one of Q or V")
@@ -242,17 +255,21 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
         if not wrep.is_w_matrix:
             raise DomainError("input is not a W-matrix "
                               f"(violated clauses: {','.join(wrep.violated)})")
-        if not is_w_reduced(Q):
+        V = gale_dual(Q)
+        if not _is_w_reduced(Q, V):
             raise DomainError("weight matrix is not reduced; "
                               "run reduce-w and retry")
-        V = gale_dual(Q)
+        pws_flag, _ = is_pws(V)
     else:
         pws_flag, _ = is_pws(V)
         if not pws_flag:
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")
         Q = gale_dual(V)
-        if not is_w_reduced(Q):
+        if not classify_w(Q).is_w_matrix:
+            raise GaleKitError("Gale dual of an F-matrix is not a W-matrix "
+                               "(internal invariant)")
+        if not _is_w_reduced(Q, V):
             raise DomainError("derived weight matrix is not reduced; "
                               "run reduce-w and retry")
 
@@ -276,16 +293,12 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
 
     n, r = V.rows, Q.rows
     cl = class_group(V)
-    pws_flag, _ = is_pws(V)
     u_full = cl_generators_full(Q)
     gens = Mat([u_full.row(i) for i in range(r)])
-    b = picard_basis(Q, chosen, validate=False)
+    b = _picard_basis(Q, chosen)
     c = cartier_basis(b, u_full)
-    delta = delta_sigma(Q, chosen, validate=False)
-    indices = tuple(
-        cartier_index(V, chosen,
-                      tuple(int(t == j) for t in range(n + r)), validate=False)
-        for j in range(n + r))
+    delta = _delta_sigma(Q, chosen, c)
+    indices = _cartier_indices(V, chosen, Mat.identity(n + r).row_tuples())
 
     _assert_report_invariants(Q, V, gens, b, c, delta)
     return ToricReport(n=n, r=r, cl=cl, is_pws=pws_flag, cl_generators=gens,

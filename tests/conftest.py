@@ -6,10 +6,12 @@ direct enumeration, feasibility by scanning square subsystems.  They are
 the reference implementations the production code is checked against.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 import math
 import random
+import sys
 
 from galekit import Mat, left_kernel_rows
 from galekit.matrix import solve
@@ -25,6 +27,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def count_calls(monkeypatch, module, *names) -> Counter:
+    """Count calls to the named functions of ``module``, wherever a galekit
+    module binds them (``from .x import y`` makes a binding per importer)."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        fn = getattr(module, name)
+        wrapper = counted(name, fn)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "galekit" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
 
 
 def rand_mat(rng: random.Random, m: int, n: int, lo: int = -5, hi: int = 5) -> Mat:
@@ -317,6 +339,17 @@ def strictly_positive_row_vector_oracle(basis, support):
                     for j in range(bmat.cols))
         return vec, lam_int
     return None
+
+
+def proportional_columns_oracle(cols) -> bool:
+    """Clause d by a rank test per column pair: two nonzero columns of rank
+    1 together with a positive dot product."""
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            u, w = cols[i], cols[j]
+            if any(u) and any(w) and Mat([u, w]).rank() == 1 and _dot(u, w) > 0:
+                return True
+    return False
 
 
 def mixed_sign_plane_oracle(lat) -> bool:

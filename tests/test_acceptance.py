@@ -10,6 +10,7 @@ import time
 from itertools import combinations
 
 from galekit import (
+    GaleDualPair,
     Lattice,
     Mat,
     cartier_index,
@@ -125,13 +126,14 @@ def test_criterion_4_gale_duality_properties():
         if Q @ V.transpose() != zero:
             failures += 1
             continue
+        pair = GaleDualPair(V, Q)
         for size in range(m + 1):
             for I in combinations(range(1, m + 1), size):
-                _, _, equal = quotient_iso_check(V, Q, I, validate=False)
+                _, _, equal = quotient_iso_check(pair, I)
                 if not equal:
                     failures += 1
                 if size == n:
-                    _, _, ok = det_duality_check(V, Q, I, validate=False)
+                    _, _, ok = det_duality_check(pair, I)
                     if not ok:
                         failures += 1
     ok = failures == 0 and instances >= 200

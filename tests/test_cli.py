@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ WORKED_Q_TEXT = "1 1 0 0\n0 1 1 2\n"
 NOPROJ_V_TEXT = ("1 0 0 0 -1 1\n"
                  "0 1 0 -1 -1 2\n"
                  "0 0 1 -1 0 1\n")
+Q6_TEXT = "1 1 0 0 1 0\n0 1 1 1 0 0\n0 0 0 1 1 1\n"
 
 
 @pytest.fixture
@@ -282,11 +284,36 @@ def test_report_json(capsys, qfile):
 
 def test_report_fan_selection(capsys, tmp_path):
     p = tmp_path / "q6.txt"
-    p.write_text("1 1 0 0 1 0\n0 1 1 1 0 0\n0 0 0 1 1 1\n")
+    p.write_text(Q6_TEXT)
     code, _, err = run_cli(capsys, "report", str(p))
     assert code == 1 and "8 fans" in err
     code, out, _ = run_cli(capsys, "report", str(p), "--fan", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_report_json_golden_all_q6_fans(capsys, tmp_path, k):
+    golden = json.loads((Path(__file__).parent / "data" / "report_q6.json").read_text())
+    p = tmp_path / "q6.txt"
+    p.write_text(Q6_TEXT)
+    code, out, _ = run_cli(capsys, "report", "--json", "--fan", str(k), str(p))
+    assert code == 0
+    assert out == golden[str(k)]
+
+
+def test_report_json_independent_of_hash_seed(tmp_path):
+    p = tmp_path / "q6.txt"
+    p.write_text(Q6_TEXT)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "galekit", "report", "--json", "--fan", "3",
+             str(p)], capture_output=True, env=env)
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["delta_sigma"] == "2"
 
 
 def test_report_fan_file(capsys, qfile, tmp_path):

@@ -14,6 +14,7 @@ from conftest import (
     is_f_complete_oracle,
     mixed_sign_plane_oracle,
     nonneg_combination_oracle,
+    proportional_columns_oracle,
     rand_mat,
     strictly_positive_row_vector_oracle,
 )
@@ -99,11 +100,15 @@ def _rand_q(rng):
 
 def test_fw_kernels_match_subset_scans(monkeypatch):
     rng = random.Random(702)
-    feasible = infeasible = deficient = 0
+    feasible = infeasible = deficient = proportional = 0
     for _ in range(250):
         Q = _rand_q(rng)
         deficient += Q.rank() < Q.rows
         assert is_f_complete(Q) == is_f_complete_oracle(Q)
+        cols = list(Q.col_tuples())
+        prop = fw._has_proportional_columns(cols)
+        assert prop == proportional_columns_oracle(cols)
+        proportional += prop
 
         lat = Lattice.from_matrix(Q)
         if lat.rank:
@@ -127,6 +132,7 @@ def test_fw_kernels_match_subset_scans(monkeypatch):
             mp.setattr(fw, "strictly_positive_row_vector",
                        strictly_positive_row_vector_oracle)
             mp.setattr(fw, "_has_mixed_sign_plane_vector", mixed_sign_plane_oracle)
+            mp.setattr(fw, "_has_proportional_columns", proportional_columns_oracle)
             ref_f, ref_w = classify_f(Q), classify_w(Q)
         assert got_f == ref_f
         assert got_w.violated == ref_w.violated
@@ -136,6 +142,7 @@ def test_fw_kernels_match_subset_scans(monkeypatch):
             assert all(x > 0 for j, x in enumerate(witness) if any(Q.col(j)))
             assert witness in lat
     assert feasible >= 40 and infeasible >= 40 and deficient >= 10
+    assert 40 <= proportional <= 210
 
 
 def test_wrong_certificate_raises(monkeypatch):

@@ -21,12 +21,17 @@ from galekit import (
     submatrix_cols,
     w_reduce,
 )
+from galekit import fw, gale
 from galekit.matrix import vec_gcd
-from conftest import rand_f_matrix, rand_full_row_rank
+from conftest import count_calls, rand_f_matrix, rand_full_row_rank
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
 RED_Q = Mat([[1, 2, 0, 0], [0, 0, 3, 5]])
+# 3x11 W-matrix whose Gale dual has column gcds 2, 2, 3 at columns 2, 5, 8
+WIDE_Q = Mat([[1, 0, -1, 1, 1, -1, -1, 0, 1, 0, -2],
+              [0, 1, 4, 2, 1, 2, 2, 0, 0, 4, 6],
+              [0, 0, 0, 6, 3, 12, 18, 2, 6, 0, 12]])
 
 
 def _row_lattice_equal(A, B):
@@ -112,6 +117,25 @@ def test_positivize_reduction_tail():
     assert _row_lattice_equal(out, Mat([[1, 1, 0, 0], [0, 0, 1, 1]]))
 
 
+def test_positivize_solves_one_lp(monkeypatch):
+    # counts the LPs of fw itself; classify_w's clause c solves its own
+    calls = []
+    nonneg_solve = fw._nonneg_solve
+
+    def counted(A, b):
+        calls.append(1)
+        return nonneg_solve(A, b)
+
+    monkeypatch.setattr(fw, "_nonneg_solve", counted)
+    for Q in (WORKED_Q, WIDE_Q, Mat([[2, 2, 15, 15], [-1, -1, -7, -7]])):
+        del calls[:]
+        out = positivize(Q)
+        assert len(calls) == 1
+        assert all(x >= 0 for row in out.row_tuples() for x in row)
+        assert all(x > 0 for x in out.row(0))
+        assert _row_lattice_equal(out, Q)
+
+
 def test_positivize_rejects_non_w():
     with pytest.raises(DomainError):
         positivize(Mat([[1, 0], [0, 1]]))
@@ -193,6 +217,21 @@ def test_is_w_reduced_examples():
     assert is_w_reduced(WORKED_Q)
     assert not is_w_reduced(RED_Q)
     assert is_w_reduced(Mat([[1, 1, 1]]))
+
+
+def test_w_reduce_recomputes_dual_only_after_rescaling(monkeypatch):
+    steps, cur = [], WIDE_Q
+    for i in range(1, WIDE_Q.cols + 1):
+        nxt = i_reduce(cur, i)
+        steps.append(nxt != cur)
+        cur = nxt
+    assert [i + 1 for i, s in enumerate(steps) if s] == [2, 5, 8]
+    counts = count_calls(monkeypatch, gale, "gale_dual")
+    assert w_reduce(WIDE_Q) == cur
+    assert counts["gale_dual"] == 1 + 3
+    counts.clear()
+    assert w_reduce(cur) == cur
+    assert counts["gale_dual"] == 1
 
 
 def test_w_reduce_idempotent_up_to_lattice():

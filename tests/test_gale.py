@@ -21,6 +21,7 @@ from conftest import rand_full_row_rank, rand_mat
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
+WORKED_PAIR = GaleDualPair(WORKED_V, WORKED_Q)
 
 
 def _row_lattice_equal(A, B):
@@ -95,12 +96,12 @@ def test_pair_validation():
 
 
 def test_quotient_iso_worked_example():
-    left, right, equal = quotient_iso_check(WORKED_V, WORKED_Q, (1,))
+    left, right, equal = quotient_iso_check(WORKED_PAIR, (1,))
     assert equal
 
 
 def test_quotient_iso_empty_index():
-    left, right, equal = quotient_iso_check(WORKED_V, WORKED_Q, ())
+    left, right, equal = quotient_iso_check(WORKED_PAIR, ())
     assert equal
     assert left == QuotientStructure(2, ())
 
@@ -108,25 +109,25 @@ def test_quotient_iso_empty_index():
 def test_quotient_iso_reduction_pair():
     Q = Mat([[1, 2, 0, 0], [0, 0, 3, 5]])
     V = gale_dual(Q)
-    left, right, equal = quotient_iso_check(V, Q, (1,))
+    left, right, equal = quotient_iso_check(GaleDualPair(V, Q), (1,))
     assert equal
     # torsion is cyclic of order d_1 = 2 on top of the free part
     assert left == QuotientStructure(1, (2,))
 
 
 def test_det_duality_worked_example():
-    lhs, rhs, equal = det_duality_check(WORKED_V, WORKED_Q, (1, 3))
+    lhs, rhs, equal = det_duality_check(WORKED_PAIR, (1, 3))
     assert (lhs, rhs, equal) == (2, 2, True)
 
 
 def test_det_duality_zero_case():
-    lhs, rhs, equal = det_duality_check(WORKED_V, WORKED_Q, (1, 2))
+    lhs, rhs, equal = det_duality_check(WORKED_PAIR, (1, 2))
     assert (lhs, rhs, equal) == (0, 0, True)
 
 
 def test_det_duality_requires_size_n():
     with pytest.raises(DomainError):
-        det_duality_check(WORKED_V, WORKED_Q, (1,))
+        det_duality_check(WORKED_PAIR, (1,))
 
 
 def test_universal_property():
@@ -150,11 +151,11 @@ def test_subset_identities_random():
         n = rng.randint(1, m - 1)
         V = rand_full_row_rank(rng, n, m)
         Q = gale_dual(V)
-        GaleDualPair(V, Q)
+        pair = GaleDualPair(V, Q)
         for size in range(m + 1):
             for I in combinations(range(1, m + 1), size):
-                left, right, equal = quotient_iso_check(V, Q, I, validate=False)
+                left, right, equal = quotient_iso_check(pair, I)
                 assert equal, (V, I, left, right)
                 if size == n:
-                    lhs, rhs, ok = det_duality_check(V, Q, I, validate=False)
+                    lhs, rhs, ok = det_duality_check(pair, I)
                     assert ok, (V, I, lhs, rhs)

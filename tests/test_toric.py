@@ -23,7 +23,8 @@ from galekit import (
     torsion_via_Tn,
     weil_class,
 )
-from conftest import box_vectors, rand_full_row_rank
+from galekit import fw, gale, toric
+from conftest import box_vectors, count_calls, rand_full_row_rank
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -229,6 +230,22 @@ def test_full_report_worked_example():
 def test_full_report_from_fan_matrix():
     rep = full_report(V=WORKED_V)
     assert rep.picard_basis == Mat([[2, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("source", ["Q", "V"])
+def test_full_report_derives_each_object_once(monkeypatch, source):
+    gale_calls = count_calls(monkeypatch, gale, "gale_dual")
+    fw_calls = count_calls(monkeypatch, fw, "classify_w")
+    toric_calls = count_calls(monkeypatch, toric, "is_pws", "cl_generators_full")
+    if source == "Q":
+        rep = full_report(Q=WORKED_Q)
+    else:
+        rep = full_report(V=WORKED_V)
+    assert rep.picard_basis == Mat([[2, 0], [0, 2]])
+    assert gale_calls["gale_dual"] == 1
+    assert fw_calls["classify_w"] == 1
+    assert toric_calls["is_pws"] == 1
+    assert toric_calls["cl_generators_full"] == 1
 
 
 def test_full_report_p2():
