@@ -13,19 +13,17 @@ by an exact phase-1 simplex with Bland's rule on a fraction-free integer
 tableau (``matrix._nonneg_solve``).  A feasible answer comes with its point
 x, an infeasible one with a Farkas certificate w (w A >= 0, w b < 0), and
 both are re-checked exactly; no floating point and no tolerance anywhere.
-Witnesses are one valid choice, not canonical ones.  ``positivize`` takes
-its strictly positive relation from the same LP that decides positive
-spanning.  Repeated ray directions (F clause d) are equal primitive columns;
-clause f of the W-side is read off the Gale dual of the row lattice: it is
-violated exactly when two of its columns have the same primitive vector
-(both zero or positively proportional).
+Witnesses are one valid choice, not canonical ones.  ``positivize`` starts
+from the strictly positive witness that ``classify_w`` already found.
+Repeated ray directions (F clause d) are equal primitive columns; clause f
+of the W-side is read off the Gale dual of the row lattice: it is violated
+exactly when two of its columns have the same primitive vector (both zero
+or positively proportional).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .matrix import (
     DomainError,
@@ -78,15 +76,10 @@ def is_f_complete(A: Mat) -> bool:
     """
     if not A.is_integral:
         raise DomainError("is_f_complete requires an integer matrix")
-    return A.rank() == A.rows and _positive_kernel_vector(A) is not None
-
-
-def _positive_kernel_vector(A: Mat) -> "list | None":
-    """Some rational y > 0 with A y = 0, or None if there is none: one exact
-    LP for u >= 0 with A u = -A 1, then y = u + 1."""
+    if A.rank() < A.rows:
+        return False
     rows = A.row_tuples()
-    u, _ = _nonneg_solve(rows, [-sum(row) for row in rows])
-    return None if u is None else [x + 1 for x in u]
+    return _nonneg_solve(rows, [-sum(row) for row in rows])[0] is not None
 
 
 def is_w_positive(A: Mat) -> tuple[bool, "tuple[int, ...] | None"]:
@@ -207,33 +200,28 @@ def _has_mixed_sign_plane_vector(lat: Lattice) -> bool:
     return len(set(prim)) < len(prim)
 
 
-def _require_w_matrix(Q: Mat, caller: str) -> None:
+def _require_w_matrix(Q: Mat, caller: str) -> WMatrixReport:
     rep = classify_w(Q)
     if not rep.is_w_matrix:
         raise DomainError(f"{caller} requires a W-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
+    return rep
 
 
 def positivize(Q: Mat) -> Mat:
     """An entrywise nonnegative matrix with the same row lattice as the
     W-matrix Q and a strictly positive first row.
 
-    Procedure: one exact LP gives a relation y > 0 among the columns of the
-    Gale dual; scaled to a primitive integer vector c it lies in the row
-    lattice (Q has no cotorsion).  Lift c, move it to the first row by a
-    unimodular change of basis, then add multiples of it to the remaining
-    rows.
+    Procedure: the positive witness of ``classify_w`` is > 0 on every column
+    and lies in the row lattice; divided by its gcd it is a primitive c,
+    still in the lattice (Q has no cotorsion).  Lift c, move it to the
+    first row by a unimodular change of basis, then add multiples of it to
+    the remaining rows.
     """
-    _require_w_matrix(Q, "positivize")
-    y = _positive_kernel_vector(gale_dual(Q))
-    if y is None:
-        raise GaleKitError("no positive relation found; Gale dual of a "
-                           "W-matrix must positively span (theorem violation)")
-    denom = math.lcm(*(Fraction(x).denominator for x in y))
-    c = list(_primitive(tuple(int(x * denom) for x in y)))
+    c = list(_primitive(_require_w_matrix(Q, "positivize").positive_witness))
     lam = solve(Q.transpose(), Mat([[x] for x in c]))
     if lam is None or not lam.is_integral:
-        raise GaleKitError("positive relation vector does not lift into the "
+        raise GaleKitError("positive witness does not lift into the "
                            "row lattice (no-cotorsion violation)")
     lam_row = tuple(lam.col(0))
     rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam_row,

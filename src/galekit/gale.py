@@ -23,14 +23,15 @@ from .normal_forms import left_kernel_rows
 
 
 def gale_dual(A: Mat) -> Mat:
-    """Canonical Gale dual: Hermite basis of ker(A) as rows."""
+    """Canonical Gale dual: Hermite basis of ker(A) as rows.  The rank of A
+    is read off the same elimination: cols minus the kernel's dimension."""
     if not A.is_integral:
         raise DomainError("gale_dual requires an integer matrix")
-    if A.rank() < A.rows:
+    kern = left_kernel_rows(A.transpose())
+    if A.cols - len(kern) < A.rows:
         raise DomainError("gale_dual requires full row rank")
     if A.cols <= A.rows:
         raise DomainError("gale_dual requires more columns than rows")
-    kern = left_kernel_rows(A.transpose())
     return Mat(kern)
 
 

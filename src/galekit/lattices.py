@@ -4,6 +4,8 @@ quotient structures.
 A lattice is stored by its canonical basis: the (rational) Hermite form of
 any generating set with zero rows dropped.  Equal lattices therefore have
 identical representations, so equality is plain structural equality.
+Intersections come from integer left kernels: the kernel of two stacked
+bases is the set of pairs of coordinates that name the same vector.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .matrix import (
-    DomainError,
-    Mat,
-    _norm_entry,
-    vstack,
-)
+from .matrix import DomainError, Mat, _norm_entry
 from .normal_forms import hnf, left_kernel_rows, snf
 
 
@@ -168,40 +165,29 @@ def dual_lattice(L: Lattice) -> Lattice:
     return Lattice.from_matrix(transverse(L.basis_matrix()))
 
 
-def _span_intersection(rows1: Sequence, rows2: Sequence, ambient: int) -> list[tuple]:
-    """Basis rows of span(rows1) ∩ span(rows2) over Q."""
-    stacked = Mat(list(rows1) + [tuple(-x for x in r) for r in rows2])
-    kern = left_kernel_rows(stacked)
-    k1 = len(rows1)
-    b1 = Mat(rows1)
-    out = []
-    for krow in kern:
-        vec = tuple(sum(krow[i] * b1[i, j] for i in range(k1))
-                    for j in range(ambient))
-        if any(vec):
-            out.append(vec)
-    return out
+def _intersect_pair(L1: Lattice, L2: Lattice) -> Lattice:
+    """L1 ∩ L2 from one integer left kernel of the stacked bases.
 
-
-def _restrict_to_span(L: Lattice, span_rows: Sequence) -> Lattice:
-    """L ∩ span(span_rows) (the span must sit inside the span of L)."""
-    comp = left_kernel_rows(Mat(span_rows).transpose())
-    if not comp:
-        return L
-    basis = L.basis_matrix()
-    prod = basis @ Mat(comp).transpose()
-    kern = left_kernel_rows(prod)
-    take = [tuple(sum(k[i] * basis[i, j] for i in range(L.rank))
-                  for j in range(L.ambient_dim)) for k in kern]
-    return Lattice.from_rows(take, L.ambient_dim)
+    Canonical bases have independent rows, so the integer rows (u, v) of
+    the kernel of [B1; -B2] are exactly the pairs with u B1 = v B2, and
+    (u, v) -> u B1 maps them onto L1 ∩ L2.
+    """
+    b1 = L1.basis
+    kern = left_kernel_rows(Mat(list(b1) + [tuple(-x for x in r) for r in L2.basis]))
+    rows = [tuple(sum(c * row[j] for c, row in zip(k, b1) if c)
+                  for j in range(L1.ambient_dim)) for k in kern]
+    return Lattice.from_rows(rows, L1.ambient_dim)
 
 
 def lattice_intersection(lattices: Sequence[Lattice]) -> Lattice:
     """Intersection of finitely many lattices with a common ambient space.
 
-    Works by restriction to the common rational span followed by the
-    dual-of-sum-of-duals construction (stack all duals, Hermite-reduce once,
-    dualize back).
+    A pairwise fold: each step intersects the running result with the next
+    lattice through one integer left kernel of their stacked canonical
+    bases (Cohen, *A Course in Computational Algebraic Number Theory*,
+    §2.4).  Rational bases need no special care, since ``hnf`` clears
+    denominators.  The result is zero as soon as an operand or a partial
+    intersection is.
     """
     lattices = list(lattices)
     if not lattices:
@@ -209,27 +195,12 @@ def lattice_intersection(lattices: Sequence[Lattice]) -> Lattice:
     ambient = lattices[0].ambient_dim
     if any(L.ambient_dim != ambient for L in lattices):
         raise DomainError("mismatched ambient dimensions")
-    if len(lattices) == 1:
-        return lattices[0]
-    if any(L.rank == 0 for L in lattices):
-        return Lattice.zero(ambient)
-
-    span = list(lattices[0].basis)
+    out = lattices[0]
     for L in lattices[1:]:
-        span = _span_intersection(span, L.basis, ambient)
-        if not span:
+        if out.rank == 0 or L.rank == 0:
             return Lattice.zero(ambient)
-    dim = len(span)
-
-    duals = []
-    for L in lattices:
-        if L.rank != dim:
-            L = _restrict_to_span(L, span)
-        duals.append(transverse(L.basis_matrix()))
-    stacked = vstack(duals)
-    res = hnf(stacked)
-    sum_basis = Mat([res.H.row(i) for i in range(res.rank)])
-    return Lattice.from_matrix(transverse(sum_basis))
+        out = _intersect_pair(out, L)
+    return out
 
 
 def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:

@@ -59,57 +59,57 @@ def _row_sub(m: list[list[int]], i: int, k: int, q: int) -> None:
 def _hnf_int(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Row HNF of an integer matrix with transform.
 
-    Scan order is fixed (leftmost column first, smallest nonzero pivot,
-    smallest nonnegative remainders above), and the rows of the transform
-    that span the left kernel are themselves put in Hermite form, which
-    makes the whole transform deterministic even when A has a nontrivial
-    left kernel.
+    Each row of the transform rides behind its matrix row in one augmented
+    list [A | I], so a swap, a sign change or a Euclid step is one operation
+    on one row.  Scan order is fixed (leftmost column first, smallest
+    nonzero pivot, smallest nonnegative remainders above), and the rows of
+    the transform that span the left kernel are themselves put in Hermite
+    form, which makes the whole transform deterministic even when A has a
+    nontrivial left kernel.
     """
     m = len(mat)
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     n = len(mat[0])
+    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(mat)]
     p = 0
     pivots: list[int] = []
     for j in range(n):
         if p == m:
             break
         while True:
-            nz = [i for i in range(p, m) if mat[i][j]]
+            nz = [i for i in range(p, m) if aug[i][j]]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: (abs(mat[i][j]), i))
+            i0 = min(nz, key=lambda i: (abs(aug[i][j]), i))
             if i0 != p:
-                mat[p], mat[i0] = mat[i0], mat[p]
-                u[p], u[i0] = u[i0], u[p]
-            if mat[p][j] < 0:
-                mat[p] = [-x for x in mat[p]]
-                u[p] = [-x for x in u[p]]
-            a = mat[p][j]
+                aug[p], aug[i0] = aug[i0], aug[p]
+            if aug[p][j] < 0:
+                aug[p] = [-x for x in aug[p]]
+            top = aug[p]
+            a = top[j]
             clean = True
             for i in range(p + 1, m):
-                b = mat[i][j]
+                b = aug[i][j]
                 if b:
-                    q = b // a
-                    _row_sub(mat, i, p, q)
-                    _row_sub(u, i, p, q)
-                    if mat[i][j]:
+                    q = b // a  # nonzero: a is the smallest |entry|
+                    aug[i] = [x - q * y for x, y in zip(aug[i], top)]
+                    if aug[i][j]:
                         clean = False
             if clean:
                 break
-        if mat[p][j]:
-            a = mat[p][j]
+        top = aug[p]
+        a = top[j]
+        if a:
             for i in range(p):
-                q = mat[i][j] // a
-                _row_sub(mat, i, p, q)
-                _row_sub(u, i, p, q)
+                q = aug[i][j] // a
+                if q:
+                    aug[i] = [x - q * y for x, y in zip(aug[i], top)]
             pivots.append(j)
             p += 1
+    h = [row[:n] for row in aug]
+    u = [row[n:] for row in aug]
     if p < m:
-        kern = [u[i][:] for i in range(p, m)]
-        kern_h, _, _ = _hnf_int(kern)
-        for i in range(p, m):
-            u[i] = kern_h[i - p]
-    return mat, u, pivots
+        u[p:], _, _ = _hnf_int(u[p:])
+    return h, u, pivots
 
 
 def hnf(A: Mat) -> HnfResult:

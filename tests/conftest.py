@@ -374,3 +374,91 @@ def mixed_sign_plane_oracle(lat) -> bool:
             if Mat(plane).rank() >= 2 or plane[0][i] * plane[0][j] < 0:
                 return True
     return False
+
+
+def intersection_oracle(lattices):
+    """The dual-of-sum-of-duals construction of lattice intersections:
+    intersect the rational spans, restrict every lattice to the common
+    span, stack the transverse duals, Hermite-reduce once and dualize
+    back."""
+    from galekit import Lattice, hnf, transverse
+
+    ambient = lattices[0].ambient_dim
+    if len(lattices) == 1:
+        return lattices[0]
+    if any(L.rank == 0 for L in lattices):
+        return Lattice.zero(ambient)
+
+    def combine(kern, rows):
+        return [tuple(sum(k[i] * rows[i][j] for i in range(len(rows)))
+                      for j in range(ambient)) for k in kern]
+
+    span = list(lattices[0].basis)
+    for L in lattices[1:]:
+        stacked = Mat(span + [tuple(-x for x in r) for r in L.basis])
+        span = [v for v in combine(left_kernel_rows(stacked), span) if any(v)]
+        if not span:
+            return Lattice.zero(ambient)
+    comp = left_kernel_rows(Mat(span).transpose())
+    duals = []
+    for L in lattices:
+        if L.rank != len(span) and comp:
+            basis = L.basis_matrix()
+            kern = left_kernel_rows(basis @ Mat(comp).transpose())
+            L = Lattice.from_rows(combine(kern, L.basis), ambient)
+        duals.append(transverse(L.basis_matrix()))
+    res = hnf(Mat([row for D in duals for row in D.row_tuples()]))
+    sum_basis = Mat([res.H.row(i) for i in range(res.rank)])
+    return Lattice.from_matrix(transverse(sum_basis))
+
+
+def hnf_int_oracle(mat):
+    """Row HNF with transform kept in a second list of rows, each row
+    operation applied to the matrix and to the transform in turn: the same
+    scan order as ``normal_forms._hnf_int``."""
+    mat = [list(r) for r in mat]
+    m, n = len(mat), len(mat[0])
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def sub(rows, i, k, q):
+        if q:
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+
+    p = 0
+    pivots = []
+    for j in range(n):
+        if p == m:
+            break
+        while True:
+            nz = [i for i in range(p, m) if mat[i][j]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(mat[i][j]), i))
+            if i0 != p:
+                mat[p], mat[i0] = mat[i0], mat[p]
+                u[p], u[i0] = u[i0], u[p]
+            if mat[p][j] < 0:
+                mat[p] = [-x for x in mat[p]]
+                u[p] = [-x for x in u[p]]
+            a = mat[p][j]
+            clean = True
+            for i in range(p + 1, m):
+                if mat[i][j]:
+                    q = mat[i][j] // a
+                    sub(mat, i, p, q)
+                    sub(u, i, p, q)
+                    if mat[i][j]:
+                        clean = False
+            if clean:
+                break
+        if mat[p][j]:
+            a = mat[p][j]
+            for i in range(p):
+                q = mat[i][j] // a
+                sub(mat, i, p, q)
+                sub(u, i, p, q)
+            pivots.append(j)
+            p += 1
+    if p < m:
+        u[p:] = hnf_int_oracle(u[p:])[0]
+    return mat, u, pivots

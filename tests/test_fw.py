@@ -118,7 +118,8 @@ def test_positivize_reduction_tail():
 
 
 def test_positivize_solves_one_lp(monkeypatch):
-    # counts the LPs of fw itself; classify_w's clause c solves its own
+    # the one LP is classify_w's clause c (in normal_forms); positivize
+    # reuses its witness, so fw itself solves none and needs no Gale dual
     calls = []
     nonneg_solve = fw._nonneg_solve
 
@@ -127,10 +128,13 @@ def test_positivize_solves_one_lp(monkeypatch):
         return nonneg_solve(A, b)
 
     monkeypatch.setattr(fw, "_nonneg_solve", counted)
+    gale_calls = count_calls(monkeypatch, gale, "gale_dual")
     for Q in (WORKED_Q, WIDE_Q, Mat([[2, 2, 15, 15], [-1, -1, -7, -7]])):
         del calls[:]
+        gale_calls.clear()
         out = positivize(Q)
-        assert len(calls) == 1
+        assert len(calls) == 0
+        assert gale_calls["gale_dual"] == 0
         assert all(x >= 0 for row in out.row_tuples() for x in row)
         assert all(x > 0 for x in out.row(0))
         assert _row_lattice_equal(out, Q)

@@ -15,7 +15,14 @@ from galekit import (
     quotient_structure,
     transverse,
 )
-from conftest import box_vectors, minors_gcd_oracle, rand_mat
+from galekit import lattices, matrix, normal_forms
+from conftest import (
+    box_vectors,
+    count_calls,
+    intersection_oracle,
+    minors_gcd_oracle,
+    rand_mat,
+)
 
 
 def test_transverse_inverse_case():
@@ -124,6 +131,62 @@ def test_intersection_disjoint_lines():
     L1 = Lattice.from_matrix(Mat([[1, 0]]))
     L2 = Lattice.from_matrix(Mat([[0, 1]]))
     assert lattice_intersection([L1, L2]).rank == 0
+
+
+def _rand_generators(rng, m, rational):
+    """m/2 to m+1 generator rows in Z^m or Q^m, sometimes with a dependent
+    row, sometimes supported on one block of coordinates only (so that two
+    such lattices can have disjoint spans), sometimes none at all."""
+    if rng.random() < 0.05:
+        return []
+    rows = []
+    for _ in range(rng.randint(max(1, m // 2), m + 1)):
+        if rational:
+            rows.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         for _ in range(m)])
+        else:
+            rows.append([rng.randint(-5, 5) for _ in range(m)])
+    if len(rows) >= 2 and rng.random() < 0.3:
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    if rng.random() < 0.15:
+        cut, low = rng.randint(0, m), rng.random() < 0.5
+        rows = [[x if (j < cut) == low else 0 for j, x in enumerate(r)]
+                for r in rows]
+    return rows
+
+
+def test_intersection_matches_dual_sum_oracle():
+    rng = random.Random(305)
+    seen = {"zero": 0, "rational": 0, "partial": 0, "full": 0}
+    for _ in range(600):
+        m, rational = rng.randint(1, 6), rng.random() < 0.25
+        lats = [Lattice.from_rows(_rand_generators(rng, m, rational), m)
+                for _ in range(rng.randint(2, 4))]
+        got = lattice_intersection(lats)
+        assert got == intersection_oracle(lats)
+        if got.rank == 0:
+            seen["zero"] += 1
+        elif not got.is_integral:
+            seen["rational"] += 1
+        elif got.rank < m:
+            seen["partial"] += 1
+        else:
+            seen["full"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_intersection_is_one_kernel_per_pair(monkeypatch):
+    L1 = Lattice.from_matrix(Mat([[1, 2, 3, 4], [0, 5, 6, 7]]))
+    L2 = Lattice.from_matrix(Mat([[2, 0, 2, 0], [0, 3, 1, 4], [1, 1, 1, 1]]))
+    expected = intersection_oracle([L1, L2])
+    kernels = count_calls(monkeypatch, normal_forms, "left_kernel_rows")
+    others = count_calls(monkeypatch, lattices, "transverse")
+    solves = count_calls(monkeypatch, matrix, "solve")
+    assert lattice_intersection([L1, L2]) == expected
+    assert kernels["left_kernel_rows"] == 1
+    assert others["transverse"] == 0
+    assert solves["solve"] == 0
 
 
 def test_intersection_requires_nonempty():

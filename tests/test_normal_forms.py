@@ -14,8 +14,10 @@ from galekit import (
     positive_row_echelon,
     snf,
 )
+from galekit.normal_forms import _hnf_int
 from conftest import (
     check_hnf_result,
+    hnf_int_oracle,
     minors_gcd_oracle,
     rand_mat,
     rand_unimodular,
@@ -75,6 +77,22 @@ def test_left_kernel_rows():
     rows = left_kernel_rows(WORKED_Q.transpose())
     assert rows == [(1, -1, 1, 0), (0, 0, 2, -1)]
     assert left_kernel_rows(Mat.identity(3)) == []
+
+
+def test_fused_hnf_int_matches_two_list_oracle():
+    rng = random.Random(206)
+    deficient = 0
+    for _ in range(400):
+        r, c = rng.randint(1, 7), rng.randint(1, 8)
+        A = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if r >= 2 and rng.random() < 0.4:
+            A[-1] = [x - 2 * y for x, y in zip(A[0], A[1])]
+        if rng.random() < 0.1:
+            A[rng.randrange(r)] = [0] * c
+        expected = hnf_int_oracle(A)
+        deficient += len(expected[2]) < r
+        assert _hnf_int([row[:] for row in A]) == expected
+    assert deficient >= 100
 
 
 def test_snf_paper_example():
