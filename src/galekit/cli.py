@@ -98,7 +98,8 @@ def _json_quotient(q):
             "torsion": [_num(c) for c in q.torsion_factors]}
 
 
-def _parse_fan_file(path: str, V: Mat) -> Fan:
+def _read_fan_file(path: str) -> list[list[int]]:
+    """The cone index sets of a fan file, one cone per line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -115,12 +116,12 @@ def _parse_fan_file(path: str, V: Mat) -> Fan:
             raise ParseError(f"bad cone line {line!r}") from None
     if not cones:
         raise ParseError(f"no cones in {path}")
-    return fan_from_cones(V, cones)
+    return cones
 
 
 def _select_fan(V: Mat, args) -> Fan:
     if getattr(args, "fan_file", None):
-        return _parse_fan_file(args.fan_file, V)
+        return fan_from_cones(V, _read_fan_file(args.fan_file))
     fans = enumerate_SF(V, cap=_cap(args))
     k = getattr(args, "fan", None)
     if k is None:
@@ -350,9 +351,7 @@ def _cmd_report(args) -> None:
     A = _read_matrix(args.matrix)
     kwargs = {"cap": _cap(args)}
     if args.fan_file:
-        # the fan file needs the fan matrix; derive it first
-        V = A if args.kind == "fan" else gale_dual(A)
-        kwargs["fan"] = _parse_fan_file(args.fan_file, V)
+        kwargs["fan"] = _read_fan_file(args.fan_file)
     elif args.fan is not None:
         kwargs["fan_index"] = args.fan
     rep = full_report(Q=A, **kwargs) if args.kind == "weight" else \

@@ -41,6 +41,7 @@ from .matrix import (
     DomainError,
     Mat,
     _bareiss_det,
+    _eliminate,
     check_index_set,
     solve,
 )
@@ -139,10 +140,9 @@ class _Circuits:
 
     def __init__(self, V: Mat):
         _, rows = V.int_scaled()
-        basis: list[list[int]] = []
-        for row in rows:
-            if Mat(basis + [row]).rank() > len(basis):
-                basis.append(row)
+        # pivot columns of V^T: each row of V independent of those before it
+        pivots, _ = _eliminate([list(c) for c in zip(*rows)], len(rows))
+        basis = [rows[i] for i in pivots]
         s, rho = V.cols, len(basis)
         self.rank = rho
         self.cols = s

@@ -136,7 +136,7 @@ def classify_w(Q: Mat) -> WMatrixReport:
     r, m = Q.shape
     violated = []
     lat = Lattice.from_matrix(Q)
-    if Q.rank() != r:
+    if lat.rank != r:  # the Hermite basis has the rank of Q
         violated.append("a")
     if has_cotorsion(m, lat):
         violated.append("b")

@@ -5,6 +5,11 @@ positive denominator), so arithmetic never overflows and no floating point
 appears anywhere.  Matrices are immutable values: every transform returns a
 new matrix.
 
+Rank, ``solve``, ``inverse`` and the phase-1 simplex share one
+fraction-free (Bareiss) Gauss-Jordan pivot step on integer rows; ``solve``
+reads X off the pivot rows over one common denominator.  Determinants keep
+their own Bareiss loop, cheaper on the small minors of the circuit table.
+
 Text format shared by the CLI and tests: one row per line, entries
 whitespace-separated, rationals written ``p/q``, integers plain; blank lines
 and ``#`` comments are ignored.  All externally visible column/row indices
@@ -150,12 +155,8 @@ class Mat:
         return all(isinstance(x, int) for row in self._rows for x in row)
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for row in self._rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = d * x.denominator // math.gcd(d, x.denominator)
-        return d
+        return math.lcm(*(x.denominator for row in self._rows for x in row
+                          if isinstance(x, Fraction)))
 
     def int_scaled(self) -> tuple[int, list[list[int]]]:
         """(D, D*self as int lists); D is the lcm of all denominators."""
@@ -180,30 +181,15 @@ class Mat:
         return _norm_entry(Fraction(value, d ** self.rows))
 
     def rank(self) -> int:
-        # fraction-free elimination; row count of the pivot set
         _, m = self.int_scaled()
-        nrows, ncols = len(m), len(m[0])
-        r = 0
-        for j in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][j]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            a = m[r][j]
-            for i in range(r + 1, nrows):
-                b = m[i][j]
-                if b:
-                    m[i] = [a * x - b * y for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == nrows:
-                break
-        return r
+        return len(_eliminate(m, self.cols)[0])
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DomainError("inverse requires a square matrix")
+        # a square A X = I has a solution exactly when A is nonsingular
         sol = solve(self, Mat.identity(self.rows))
-        if sol is None or self.rank() < self.rows:
+        if sol is None:
             raise DomainError("matrix is singular")
         return sol
 
@@ -228,6 +214,47 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _pivot(m: list[list[int]], r: int, j: int, d: int) -> None:
+    """Fraction-free Gauss-Jordan step on row r, column j (in place): every
+    other row becomes (p * row - row[j] * m[r]) // d with p = m[r][j] and d
+    the previous pivot, an exact division (Bareiss)."""
+    prow = m[r]
+    p = prow[j]
+    for i, row in enumerate(m):
+        if i != r:
+            q = row[j]
+            m[i] = [(p * x - q * y) // d for x, y in zip(row, prow)]
+
+
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on the first ncols columns (in place).
+
+    Returns (pivots, d), the pivot columns and the last pivot: rows
+    0..len(pivots)-1 are then d times the reduced row echelon form and the
+    other rows vanish on the first ncols columns."""
+    pivots: list[int] = []
+    d = 1
+    nrows = len(m)
+    for j in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        _pivot(m, r, j, d)
+        d = m[r][j]
+        pivots.append(j)
+    return pivots, d
+
+
+def _int_row(row: Sequence) -> tuple[int, list[int]]:
+    """(k, k * row as ints); k is the lcm of the row's denominators."""
+    k = math.lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    return k, [_as_int(x * k) for x in row]
+
+
 def solve(A: Mat, B: Mat) -> "Mat | None":
     """A particular exact solution X of A @ X = B, or None if inconsistent.
 
@@ -235,33 +262,14 @@ def solve(A: Mat, B: Mat) -> "Mat | None":
     """
     if A.rows != B.rows:
         raise DomainError("solve: row mismatch")
-    m, n = A.shape
-    k = B.cols
-    aug = [[Fraction(x) for x in A.row(i)] + [Fraction(x) for x in B.row(i)]
-           for i in range(m)]
-    piv_cols = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if aug[i][j]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        a = aug[r][j]
-        aug[r] = [x / a for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][j]:
-                c = aug[i][j]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(j)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if any(aug[i][n:]):
-            return None
+    n, k = A.cols, B.cols
+    m = [_int_row(a + b)[1] for a, b in zip(A.row_tuples(), B.row_tuples())]
+    pivots, d = _eliminate(m, n)
+    if any(any(row[n:]) for row in m[len(pivots):]):
+        return None
     sol = [[0] * k for _ in range(n)]
-    for idx, j in enumerate(piv_cols):
-        sol[j] = [_norm_entry(x) for x in aug[idx][n:]]
+    for row, j in zip(m, pivots):
+        sol[j] = [Fraction(x, d) if x % d else x // d for x in row[n:]]
     return Mat(sol)
 
 
@@ -273,9 +281,9 @@ def _phase1(a: list[list[int]], b: list[int]) -> tuple:
 
     Minimises the sum of one artificial variable per row over
     [a | I] (x, s) = b, x, s >= 0 (rows with b_i < 0 are negated first).
-    The tableau is kept fraction-free: it stores D * B^-1 [a | I | b] and
-    the reduced-cost row times D, D = det B > 0, and each pivot divides
-    exactly by the previous D (Bareiss).  Returns (x, None) when the
+    The tableau is kept fraction-free: it stores D * B^-1 [a | I | b] and,
+    as its last row, the reduced-cost row times D, D = det B > 0; each
+    pivot is the shared Bareiss step ``_pivot``.  Returns (x, None) when the
     optimum is 0, and otherwise (None, w), where w is the dual optimum
     negated, read off the artificial columns' reduced costs: w a >= 0 and
     w b < 0.  Unchecked.
@@ -289,10 +297,11 @@ def _phase1(a: list[list[int]], b: list[int]) -> tuple:
         tab.append(row)
     cost = [-sum(col) for col in zip(*tab)]
     cost[n:n + m] = [0] * m
+    tab.append(cost)
     basic = [n + i for i in range(m)]
     d = 1
     while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -310,23 +319,16 @@ def _phase1(a: list[list[int]], b: list[int]) -> tuple:
                 leave = i
         if leave is None:
             raise GaleKitError("phase-1 simplex unbounded (internal invariant)")
-        prow = tab[leave]
-        p = prow[enter]
-        for i in range(m):
-            if i != leave:
-                q = tab[i][enter]
-                tab[i] = [(p * x - q * y) // d for x, y in zip(tab[i], prow)]
-        q = cost[enter]
-        cost = [(p * x - q * y) // d for x, y in zip(cost, prow)]
-        d = p
+        _pivot(tab, leave, enter, d)
+        d = tab[leave][enter]
         basic[leave] = enter
-    if cost[-1] == 0:
+    if tab[m][-1] == 0:
         x = [0] * n
         for i, j in enumerate(basic):
             if j < n:
                 x[j] = _norm_entry(Fraction(tab[i][-1], d))
         return x, None
-    return None, [sign[i] * (cost[n + i] - d) for i in range(m)]
+    return None, [sign[i] * (tab[m][n + i] - d) for i in range(m)]
 
 
 def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
@@ -340,10 +342,10 @@ def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
     """
     mult, rows, rhs = [], [], []
     for row, bi in zip(A, b):
-        k = math.lcm(*(v.denominator for v in (*row, bi) if isinstance(v, Fraction)))
+        k, ints = _int_row((*row, bi))
         mult.append(k)
-        rows.append([_as_int(v * k) for v in row])
-        rhs.append(_as_int(bi * k))
+        rows.append(ints[:-1])
+        rhs.append(ints[-1])
     x, w = _phase1(rows, rhs)
     if w is None:
         if any(v < 0 for v in x) or any(dot(row, x) != bi for row, bi in zip(A, b)):
@@ -358,13 +360,6 @@ def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
         raise GaleKitError("Farkas certificate fails w A >= 0, w b < 0 "
                            "(internal invariant)")
     return None, w
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    rows = []
-    for m in mats:
-        rows.extend(m.row_tuples())
-    return Mat(rows)
 
 
 def block_diag(*mats: Mat) -> Mat:

@@ -33,7 +33,6 @@ from .normal_forms import hnf
 from .lattices import (
     Lattice,
     QuotientStructure,
-    gcd_max_minors,
     lattice_intersection,
     quotient_structure,
 )
@@ -64,34 +63,40 @@ def class_group(V: Mat) -> QuotientStructure:
 
 def torsion_via_Tn(V: Mat) -> QuotientStructure:
     """Torsion of the class group through the upper block of HNF(V^T)."""
-    n = V.rows
-    if V.rank() < n:
+    if V.rank() < V.rows:
         raise DomainError("torsion_via_Tn requires full row rank")
+    return _upper_block(V)[2]
+
+
+def _upper_block(V: Mat) -> tuple:
+    """(HNF(V^T), its upper block T_n, Z^n / T_n) for V of full row rank n."""
+    n = V.rows
     res = hnf(V.transpose())
     top = Mat([res.H.row(i) for i in range(n)])
     q = quotient_structure(n, Lattice.from_matrix(top))
     if q.free_rank:
         raise GaleKitError("upper HNF block of V^T is singular (unreachable)")
-    return q
+    return res, top, q
 
 
 def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
-    """Evaluate the four torsion-freeness conditions independently and require
-    agreement: trivial torsion, identity HNF block, full column lattice,
-    coprime maximal minors."""
+    """Evaluate the four torsion-freeness conditions and require agreement:
+    trivial torsion, identity HNF block and coprime maximal minors (|det T_n|
+    = 1), all read off one HNF(V^T) = [T_n; 0], and a full column lattice
+    (clause e of ``classify_f``)."""
     rep = classify_f(V)
     if not rep.is_f_matrix:
         raise DomainError("is_pws requires an F-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
     n = V.rows
-    cond = {}
-    cond["torsion_trivial"] = torsion_via_Tn(V).is_trivial
-    res = hnf(V.transpose())
+    res, top, torsion = _upper_block(V)
     expected = [[int(i == j) for j in range(n)] for i in range(V.cols)]
-    cond["hnf_identity_block"] = res.H == Mat(expected)
-    cond["column_lattice_full"] = (
-        Lattice.from_rows(V.col_tuples(), n) == Lattice.standard(n))
-    cond["coprime_minors"] = gcd_max_minors(V) == 1
+    cond = {
+        "torsion_trivial": torsion.is_trivial,
+        "hnf_identity_block": res.H == Mat(expected),
+        "column_lattice_full": "e" not in rep.violated,
+        "coprime_minors": abs(top.det()) == 1,
+    }
     values = set(cond.values())
     if len(values) > 1:
         raise GaleKitError(f"PWS conditions disagree: {cond} (internal invariant)")

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's own fast paths: determinants
 by cofactor expansion, ranks by naive rational elimination, minor gcds by
-direct enumeration, feasibility by scanning square subsystems.  They are
-the reference implementations the production code is checked against.
+direct enumeration, feasibility by scanning square subsystems, linear
+systems by a ``Fraction`` Gauss-Jordan tableau.  They are the reference
+implementations the production code is checked against.
 """
 
 from collections import Counter
@@ -13,8 +14,8 @@ import math
 import random
 import sys
 
-from galekit import Mat, left_kernel_rows
-from galekit.matrix import solve
+from galekit import DomainError, Mat, left_kernel_rows
+from galekit.matrix import _norm_entry
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -46,6 +47,19 @@ def count_calls(monkeypatch, module, *names) -> Counter:
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "galekit" and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+def count_rank_calls(monkeypatch) -> Counter:
+    """Count calls to ``Mat.rank``."""
+    counts = Counter()
+    rank = Mat.rank
+
+    def wrapper(self):
+        counts["rank"] += 1
+        return rank(self)
+
+    monkeypatch.setattr(Mat, "rank", wrapper)
     return counts
 
 
@@ -104,6 +118,43 @@ def gauss_rank(A: Mat) -> int:
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def solve_oracle(A: Mat, B: Mat) -> "Mat | None":
+    """A particular exact solution X of A @ X = B, or None if inconsistent.
+
+    Free variables are set to zero, which makes the answer deterministic.
+    """
+    if A.rows != B.rows:
+        raise DomainError("solve: row mismatch")
+    m, n = A.shape
+    k = B.cols
+    aug = [[Fraction(x) for x in A.row(i)] + [Fraction(x) for x in B.row(i)]
+           for i in range(m)]
+    piv_cols = []
+    r = 0
+    for j in range(n):
+        piv = next((i for i in range(r, m) if aug[i][j]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        a = aug[r][j]
+        aug[r] = [x / a for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][j]:
+                c = aug[i][j]
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(j)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if any(aug[i][n:]):
+            return None
+    sol = [[0] * k for _ in range(n)]
+    for idx, j in enumerate(piv_cols):
+        sol[j] = [_norm_entry(x) for x in aug[idx][n:]]
+    return Mat(sol)
 
 
 def minors_gcd_oracle(A: Mat, k: int) -> int:
@@ -279,15 +330,15 @@ def nonneg_combination_oracle(cols, target):
     if not cols:
         return None
     mat = Mat.from_cols(cols)
-    rho = mat.rank()
+    rho = gauss_rank(mat)
     if rho == 0:
         return None
     tgt = Mat([[x] for x in target])
     for pick in combinations(range(len(cols)), rho):
         sub = mat.take_cols(pick)
-        if sub.rank() < rho:
+        if gauss_rank(sub) < rho:
             continue
-        sol = solve(sub, tgt)
+        sol = solve_oracle(sub, tgt)
         if sol is None:
             continue
         vals = [sol[i, 0] for i in range(rho)]
@@ -303,7 +354,7 @@ def nonneg_combination_oracle(cols, target):
 def is_f_complete_oracle(A: Mat) -> bool:
     """Full rank and, for each column v, -v a nonnegative combination of the
     other columns."""
-    if A.rank() < A.rows:
+    if gauss_rank(A) < A.rows:
         return False
     cols = list(A.col_tuples())
     return all(
@@ -324,9 +375,9 @@ def strictly_positive_row_vector_oracle(basis, support):
     ones = Mat([[1]] * k)
     for pick in combinations(range(len(cols)), k):
         square = sub.take_cols(pick)
-        if square.rank() < k:
+        if gauss_rank(square) < k:
             continue
-        lam = solve(square.transpose(), ones)
+        lam = solve_oracle(square.transpose(), ones)
         if lam is None:
             continue
         lam_row = tuple(lam.col(0))

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from galekit import Lattice, Mat, parse_matrix
+from galekit import Lattice, Mat, gale, parse_matrix
 from galekit.cli import main
+from conftest import count_calls
 
 WORKED_Q_TEXT = "1 1 0 0\n0 1 1 2\n"
 NOPROJ_V_TEXT = ("1 0 0 0 -1 1\n"
@@ -316,12 +317,29 @@ def test_report_json_independent_of_hash_seed(tmp_path):
     assert json.loads(outputs[0])["delta_sigma"] == "2"
 
 
-def test_report_fan_file(capsys, qfile, tmp_path):
+def test_report_fan_file(capsys, qfile, tmp_path, monkeypatch):
     ff = tmp_path / "fan.txt"
     ff.write_text("1 3\n2 3\n2 4\n1 4\n")
+    calls = count_calls(monkeypatch, gale, "gale_dual")
     code, out, _ = run_cli(capsys, "report", qfile, "--fan-file", str(ff))
     assert code == 0
     assert "delta_sigma: 2" in out
+    assert calls["gale_dual"] == 1
+
+
+def test_report_fan_file_non_w_matrix(capsys, tmp_path):
+    # the same clause message with and without a fan file
+    q = tmp_path / "q.txt"
+    q.write_text("1 0\n0 1\n")
+    ff = tmp_path / "fan.txt"
+    ff.write_text("1\n2\n")
+    errs = []
+    for extra in ([], ["--fan-file", str(ff)]):
+        code, _, err = run_cli(capsys, "report", str(q), *extra)
+        assert code == 1
+        errs.append(err)
+    assert "input is not a W-matrix (violated clauses:" in errs[0]
+    assert errs[0] == errs[1]
 
 
 def test_report_kind_fan(capsys, vfile):

@@ -23,7 +23,7 @@ from galekit import (
 )
 from galekit import fw, gale
 from galekit.matrix import vec_gcd
-from conftest import count_calls, rand_f_matrix, rand_full_row_rank
+from conftest import count_calls, count_rank_calls, rand_f_matrix, rand_full_row_rank
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -71,6 +71,13 @@ def test_classify_w_examples():
     assert not rep.is_w_matrix and "e" in rep.violated
 
     assert classify_w(RED_Q).is_w_matrix
+
+
+def test_classify_w_reads_rank_off_hermite_basis(monkeypatch):
+    rank_calls = count_rank_calls(monkeypatch)
+    assert classify_w(WORKED_Q).is_w_matrix
+    assert "a" in classify_w(Mat([[1, 1, 2], [2, 2, 4]])).violated
+    assert rank_calls["rank"] == 0
 
 
 def test_classify_w_mixed_sign_clause():

@@ -13,7 +13,8 @@ from galekit import (
     rank_exact,
     submatrix_cols,
 )
-from conftest import cofactor_det, gauss_rank, rand_mat
+from galekit.matrix import solve
+from conftest import cofactor_det, gauss_rank, rand_mat, solve_oracle
 
 
 def test_det_paper_minor():
@@ -153,3 +154,72 @@ def test_rank_huge_entries():
         A = Mat([[rng.randint(-10**12, 10**12) for _ in range(4)]
                  for _ in range(3)])
         assert rank_exact(A) == gauss_rank(A)
+
+
+def _outcome(fn):
+    """repr of the value, or the error type and message."""
+    try:
+        return repr(fn())
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _inverse_oracle(A):
+    sol = solve_oracle(A, Mat.identity(A.rows))
+    if sol is None:
+        raise DomainError("matrix is singular")
+    return sol
+
+
+def _assert_kernel_matches_oracles(A, B):
+    assert repr(solve(A, B)) == repr(solve_oracle(A, B))
+    assert A.rank() == gauss_rank(A)
+    if A.rows == A.cols:
+        assert _outcome(A.inverse) == _outcome(lambda: _inverse_oracle(A))
+
+
+def test_fraction_free_kernel_matches_oracles():
+    # 2,000 systems of shapes 1-7 x 1-7 with 1-3 right-hand sides; 20 %
+    # rational, 30 % rank-deficient, 40 % consistent by construction
+    rng = random.Random(106)
+
+    def entry():
+        x = rng.randint(-6, 6)
+        return Fraction(x, rng.randint(2, 7)) if rational else x
+
+    tally = {"rational": 0, "deficient": 0, "none": 0, "square": 0}
+    for _ in range(2000):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 3)
+        rational = rng.random() < 0.2
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3 and m > 1:
+            c = [rng.randint(-2, 2) for _ in range(m - 1)]
+            rows[-1] = [sum(ci * rows[i][j] for i, ci in enumerate(c))
+                        for j in range(n)]
+        A = Mat(rows)
+        if rng.random() < 0.4:
+            B = A @ Mat([[entry() for _ in range(k)] for _ in range(n)])
+        else:
+            B = Mat([[entry() for _ in range(k)] for _ in range(m)])
+        _assert_kernel_matches_oracles(A, B)
+        tally["rational"] += rational
+        tally["deficient"] += gauss_rank(A) < min(m, n)
+        tally["none"] += solve_oracle(A, B) is None
+        tally["square"] += m == n
+    assert all(count >= 200 for count in tally.values()), tally
+
+
+def test_fraction_free_kernel_large_entries():
+    # 300 square matrices with entries up to 10^6, some singular by construction
+    rng = random.Random(107)
+    singular = 0
+    for t in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        if t % 3 == 0 and n > 1:
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        A = Mat(rows)
+        B = Mat([[rng.randint(-10**6, 10**6)] for _ in range(n)])
+        _assert_kernel_matches_oracles(A, B)
+        singular += A.rank() < n
+    assert singular >= 50

@@ -23,8 +23,8 @@ from galekit import (
     torsion_via_Tn,
     weil_class,
 )
-from galekit import fw, gale, toric
-from conftest import box_vectors, count_calls, rand_full_row_rank
+from galekit import fw, gale, normal_forms, toric
+from conftest import box_vectors, count_calls, count_rank_calls, rand_full_row_rank
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -68,6 +68,17 @@ def test_is_pws_examples():
     assert not flag and not any(cond.values())
     flag, _ = is_pws(gale_dual(NOPROJ_Q))
     assert flag
+
+
+def test_is_pws_reads_one_hnf_of_v_transpose(monkeypatch):
+    # classify_f: 2 hnf + 2 ranks; then one HNF(V^T) and the Hermite basis
+    # of its upper block
+    hnf_calls = count_calls(monkeypatch, normal_forms, "hnf")
+    rank_calls = count_rank_calls(monkeypatch)
+    flag, cond = is_pws(WORKED_V)
+    assert flag and all(cond.values())
+    assert hnf_calls["hnf"] <= 4
+    assert rank_calls["rank"] <= 2
 
 
 def test_is_pws_requires_f_matrix():
