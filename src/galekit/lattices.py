@@ -231,8 +231,6 @@ def gcd_max_minors(A: Mat) -> int:
     """gcd of the n x n minors of an integer n x (n+r) matrix of rank n."""
     if not A.is_integral:
         raise DomainError("gcd_max_minors requires an integer matrix")
-    if A.rank() < A.rows:
-        raise DomainError("rank-deficient input")
     return _gcd_maximal_minors(A)
 
 

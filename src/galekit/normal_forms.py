@@ -6,6 +6,12 @@ integral).  ``snf`` is integer-only.  ``positive_row_echelon`` turns any
 matrix whose row lattice admits a nonnegative basis into an entrywise
 nonnegative row echelon form, via unimodular row operations and a column
 permutation.
+
+The transforms live in the rows being reduced.  A d x m matrix A is held as
+one block [[A, I_d], [I_m, 0]] (``_hnf_int`` has no beta: [A | I_d]): a row
+step on the top d rows updates alpha with A, and a column step on the left
+m columns, applied to every row, updates beta with A.  The reduced matrix
+alpha @ A @ beta, alpha and beta are sliced off the block at the end.
 """
 
 from __future__ import annotations
@@ -50,22 +56,28 @@ class SnfResult:
     factors: tuple[int, ...]
 
 
-def _row_sub(m: list[list[int]], i: int, k: int, q: int) -> None:
-    if q:
-        mi, mk = m[i], m[k]
-        m[i] = [x - q * y for x, y in zip(mi, mk)]
+def _block(mat: list[list[int]]) -> list[list[int]]:
+    """The block [[A, I_d], [I_m, 0]] of the d x m matrix A = ``mat``; the
+    zero block is not stored."""
+    d, m = len(mat), len(mat[0])
+    return ([row + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
+            + [[int(i == j) for j in range(m)] for i in range(m)])
+
+
+def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
+    """(reduced A, alpha, beta) sliced off a block built by ``_block``."""
+    return (Mat([row[:m] for row in blk[:d]]), Mat([row[m:] for row in blk[:d]]),
+            Mat(blk[d:]))
 
 
 def _hnf_int(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Row HNF of an integer matrix with transform.
+    """Row HNF of an integer matrix with transform, reduced on [A | I_m].
 
-    Each row of the transform rides behind its matrix row in one augmented
-    list [A | I], so a swap, a sign change or a Euclid step is one operation
-    on one row.  Scan order is fixed (leftmost column first, smallest
-    nonzero pivot, smallest nonnegative remainders above), and the rows of
-    the transform that span the left kernel are themselves put in Hermite
-    form, which makes the whole transform deterministic even when A has a
-    nontrivial left kernel.
+    Scan order is fixed (leftmost column first, smallest nonzero pivot,
+    smallest nonnegative remainders above), and the rows of the transform
+    that span the left kernel are themselves put in Hermite form, which
+    makes the whole transform deterministic even when A has a nontrivial
+    left kernel.
     """
     m = len(mat)
     n = len(mat[0])
@@ -133,10 +145,6 @@ def left_kernel_rows(A: Mat) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
 def _swap_cols(m, i, j):
     for row in m:
         row[i], row[j] = row[j], row[i]
@@ -152,39 +160,35 @@ def _col_sub(m, j, k, q):
 def snf(A: Mat) -> SnfResult:
     if not A.is_integral:
         raise DomainError("snf requires an integer matrix")
-    mat = A.to_lists()
     d, m = A.shape
-    left = [[int(i == j) for j in range(d)] for i in range(d)]
-    right = [[int(i == j) for j in range(m)] for i in range(m)]
+    blk = _block(A.to_lists())
+
+    def fix_sign(i: int) -> None:
+        if blk[i][i] < 0:
+            blk[i] = [-x for x in blk[i]]
 
     def clear_at(t: int) -> None:
-        # assumes mat[t][t] != 0; clears row t and column t
+        # assumes blk[t][t] != 0; clears row t and column t
         while True:
-            if mat[t][t] < 0:
-                mat[t] = [-x for x in mat[t]]
-                left[t] = [-x for x in left[t]]
-            a = mat[t][t]
+            fix_sign(t)
+            a = blk[t][t]
             restart = False
             for i in range(d):
-                if i != t and mat[i][t]:
-                    q = mat[i][t] // a
-                    _row_sub(mat, i, t, q)
-                    _row_sub(left, i, t, q)
-                    if mat[i][t]:
-                        _swap_rows(mat, i, t)
-                        _swap_rows(left, i, t)
+                if i != t and blk[i][t]:
+                    q = blk[i][t] // a
+                    if q:
+                        blk[i] = [x - q * y for x, y in zip(blk[i], blk[t])]
+                    if blk[i][t]:
+                        blk[i], blk[t] = blk[t], blk[i]
                         restart = True
                         break
             if restart:
                 continue
             for j in range(m):
-                if j != t and mat[t][j]:
-                    q = mat[t][j] // a
-                    _col_sub(mat, j, t, q)
-                    _col_sub(right, j, t, q)
-                    if mat[t][j]:
-                        _swap_cols(mat, j, t)
-                        _swap_cols(right, j, t)
+                if j != t and blk[t][j]:
+                    _col_sub(blk, j, t, blk[t][j] // a)
+                    if blk[t][j]:
+                        _swap_cols(blk, j, t)
                         restart = True
                         break
             if not restart:
@@ -196,37 +200,26 @@ def snf(A: Mat) -> SnfResult:
         best = None
         for i in range(t, d):
             for j in range(t, m):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
+                v = blk[i][j]
+                if v and (best is None or abs(v) < abs(blk[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
             break
         if best[0] != t:
-            _swap_rows(mat, best[0], t)
-            _swap_rows(left, best[0], t)
+            blk[best[0]], blk[t] = blk[t], blk[best[0]]
         if best[1] != t:
-            _swap_cols(mat, best[1], t)
-            _swap_cols(right, best[1], t)
+            _swap_cols(blk, best[1], t)
         clear_at(t)
         t += 1
 
-    k = t
-
-    def fix_sign(i: int) -> None:
-        if mat[i][i] < 0:
-            mat[i] = [-x for x in mat[i]]
-            left[i] = [-x for x in left[i]]
-
-    for i in range(k):
+    for i in range(t):
         fix_sign(i)
     # enforce the divisibility chain c_i | c_{i+1}
     i = 0
-    while i + 1 < k:
-        a, b = mat[i][i], mat[i + 1][i + 1]
+    while i + 1 < t:
+        a, b = blk[i][i], blk[i + 1][i + 1]
         if b % a:
-            for row in mat:
-                row[i] += row[i + 1]
-            for row in right:
+            for row in blk:
                 row[i] += row[i + 1]
             clear_at(i)
             fix_sign(i)
@@ -235,8 +228,9 @@ def snf(A: Mat) -> SnfResult:
         else:
             i += 1
 
-    factors = tuple(mat[i][i] for i in range(k))
-    return SnfResult(S=Mat(mat), alpha=Mat(left), beta=Mat(right), factors=factors)
+    S, alpha, beta = _unblock(blk, d, m)
+    factors = tuple(blk[i][i] for i in range(t))
+    return SnfResult(S=S, alpha=alpha, beta=beta, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +276,26 @@ def basis_with_positive_first_row(basis: Sequence[Sequence[int]],
     c = lam @ basis must hold.  Returns (new_rows, T) with new_rows = T @ basis
     and T unimodular.
     """
-    k = len(basis)
+    k, n = len(basis), len(basis[0])
     lam_col = Mat([[x] for x in lam])
     res = hnf(lam_col)
     alpha = res.U
     t_mat = alpha.inverse().transpose()
     if not t_mat.is_integral:
         raise GaleKitError("unimodular inverse produced non-integer entries")
-    rows = (t_mat @ Mat(basis)).to_lists()
+    # T @ [basis | I_k] = [T @ basis | T]: each row carries its row of T
+    rows = [row + list(t) for row, t in zip((t_mat @ Mat(basis)).to_lists(),
+                                             t_mat.row_tuples())]
     first = rows[0]
     if any(first[j] <= 0 for j in support):
         raise GaleKitError("rebased first row is not strictly positive on support")
-    t_rows = t_mat.to_lists()
     for i in range(1, k):
         # smallest integer multiple of the first row making this row >= 0
         mult = math.ceil(max((Fraction(-rows[i][j], first[j]) for j in support),
                              default=Fraction(0)))
         if mult:
             rows[i] = [x + mult * y for x, y in zip(rows[i], first)]
-            t_rows[i] = [x + mult * y for x, y in zip(t_rows[i], t_rows[0])]
-    return rows, Mat(t_rows)
+    return [row[:n] for row in rows], Mat([row[n:] for row in rows])
 
 
 def positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]], Mat]:
@@ -325,71 +319,58 @@ def positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]],
 
 def _perm_cols(mat, perm_target, order):
     # reorder columns order -> positions perm_target..; applied to all rows
-    for row in mat:
-        seg = [row[j] for j in order]
-        for off, val in enumerate(seg):
-            row[perm_target + off] = val
-
-
-def _apply_col_order(mat: list[list], right: list[list[int]],
-                     c0: int, order: list[int]) -> None:
-    if order == list(range(c0, c0 + len(order))):
+    if order == list(range(perm_target, perm_target + len(order))):
         return
-    _perm_cols(mat, c0, order)
-    _perm_cols(right, c0, order)
+    for row in mat:
+        row[perm_target:perm_target + len(order)] = [row[j] for j in order]
 
 
-def _clear_first_column(mat, left, right, r0, c0, d, m) -> None:
+def _clear_first_column(blk, r0, c0, d, m) -> None:
     """Zero out window column c0 below its first row, keeping entries >= 0."""
     if d <= 1:
         return
     last = r0 + d - 1
 
     def sort_key(j):
-        den = mat[last][j]
+        den = blk[last][j]
         if den == 0:
             return (0, Fraction(0), j)
-        return (1, -Fraction(mat[last - 1][j], den), j)
+        return (1, -Fraction(blk[last - 1][j], den), j)
 
-    order = sorted(range(c0, c0 + m), key=sort_key)
-    _apply_col_order(mat, right, c0, order)
+    _perm_cols(blk, c0, sorted(range(c0, c0 + m), key=sort_key))
 
-    if mat[last][c0] != 0:
-        a, b = mat[last - 1][c0], mat[last][c0]
+    if blk[last][c0] != 0:
+        a, b = blk[last - 1][c0], blk[last][c0]
         g, x, y = xgcd(a, b)
-        row_hi = [x * u + y * v for u, v in zip(mat[last - 1], mat[last])]
+        row_hi = [x * u + y * v for u, v in zip(blk[last - 1], blk[last])]
         row_lo = [(-b // g) * u + (a // g) * v
-                  for u, v in zip(mat[last - 1], mat[last])]
-        mat[last - 1], mat[last] = row_hi, row_lo
-        lhi = [x * u + y * v for u, v in zip(left[last - 1], left[last])]
-        llo = [(-b // g) * u + (a // g) * v
-               for u, v in zip(left[last - 1], left[last])]
-        left[last - 1], left[last] = lhi, llo
+                  for u, v in zip(blk[last - 1], blk[last])]
+        blk[last - 1], blk[last] = row_hi, row_lo
         mult = 0
         for j in range(c0, c0 + m):
-            if mat[last][j] > 0 and mat[last - 1][j] < 0:
-                mult = max(mult, math.ceil(Fraction(-mat[last - 1][j], mat[last][j])))
+            if blk[last][j] > 0 and blk[last - 1][j] < 0:
+                mult = max(mult, math.ceil(Fraction(-blk[last - 1][j], blk[last][j])))
         if mult:
-            mat[last - 1] = [u + mult * v for u, v in zip(mat[last - 1], mat[last])]
-            left[last - 1] = [u + mult * v for u, v in zip(left[last - 1], left[last])]
+            blk[last - 1] = [u + mult * v for u, v in zip(blk[last - 1], blk[last])]
 
     j0 = 0
-    while j0 < m and mat[last][c0 + j0] == 0:
+    while j0 < m and blk[last][c0 + j0] == 0:
         j0 += 1
-    assert all(mat[last][c0 + t] > 0 for t in range(j0, m))
+    if any(blk[last][c0 + t] <= 0 for t in range(j0, m)):
+        raise GaleKitError("last window row is not positive right of its "
+                           "zeros (internal invariant)")
 
-    _clear_first_column(mat, left, right, r0, c0, d - 1, j0)
+    _clear_first_column(blk, r0, c0, d - 1, j0)
 
     # recursion may have left negatives right of the truncation; the last row
     # is zero there-left and positive there-right, so it can repair them
     for i in range(r0, last):
         mult = 0
         for j in range(c0 + j0, c0 + m):
-            if mat[i][j] < 0:
-                mult = max(mult, math.ceil(Fraction(-mat[i][j], mat[last][j])))
+            if blk[i][j] < 0:
+                mult = max(mult, math.ceil(Fraction(-blk[i][j], blk[last][j])))
         if mult:
-            mat[i] = [u + mult * v for u, v in zip(mat[i], mat[last])]
-            left[i] = [u + mult * v for u, v in zip(left[i], left[last])]
+            blk[i] = [u + mult * v for u, v in zip(blk[i], blk[last])]
 
 
 def positive_row_echelon(A: Mat) -> tuple[Mat, Mat, Mat]:
@@ -401,31 +382,28 @@ def positive_row_echelon(A: Mat) -> tuple[Mat, Mat, Mat]:
     if not A.is_integral:
         raise DomainError("positive_row_echelon requires an integer matrix")
     d, m = A.shape
-    mat = A.to_lists()
-    left = [[int(i == j) for j in range(d)] for i in range(d)]
-    right = [[int(i == j) for j in range(m)] for i in range(m)]
+    blk = _block(A.to_lists())
 
-    if any(x < 0 for row in mat for x in row):
+    if any(x < 0 for row in A.row_tuples() for x in row):
         res = hnf(A)
         r = res.rank
         basis = [list(res.H.row(i)) for i in range(r)]
         pos_rows, t_mat = positive_row_basis(basis)
         trans = block_diag(t_mat, Mat.identity(d - r)) if r < d else t_mat
-        full = trans @ res.U
         mat = pos_rows + [[0] * m for _ in range(d - r)]
-        left = full.to_lists()
+        blk[:d] = [row + list(u) for row, u in zip(mat, (trans @ res.U).row_tuples())]
 
     r0 = c0 = 0
     rows_left, cols_left = d, m
     while rows_left > 0 and cols_left > 0:
-        _clear_first_column(mat, left, right, r0, c0, rows_left, cols_left)
-        if mat[r0][c0] > 0:
+        _clear_first_column(blk, r0, c0, rows_left, cols_left)
+        if blk[r0][c0] > 0:
             r0 += 1
             rows_left -= 1
         c0 += 1
         cols_left -= 1
 
-    return Mat(mat), Mat(left), Mat(right)
+    return _unblock(blk, d, m)
 
 
 def is_row_echelon(A: Mat) -> bool:

@@ -56,9 +56,10 @@ class ToricReport:
 
 def class_group(V: Mat) -> QuotientStructure:
     """Isomorphism type of Z^(n+r) / (row lattice of V)."""
-    if V.rank() < V.rows:
+    L = Lattice.from_matrix(V)
+    if L.rank < V.rows:
         raise DomainError("class_group requires full row rank")
-    return quotient_structure(V.cols, Lattice.from_matrix(V))
+    return quotient_structure(V.cols, L)
 
 
 def torsion_via_Tn(V: Mat) -> QuotientStructure:
@@ -264,10 +265,11 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
         if not _is_w_reduced(Q, V):
             raise DomainError("weight matrix is not reduced; "
                               "run reduce-w and retry")
-        pws_flag, _ = is_pws(V)
+        if not is_pws(V)[0]:
+            raise GaleKitError("Gale dual of a W-matrix has class-group "
+                               "torsion (internal invariant)")
     else:
-        pws_flag, _ = is_pws(V)
-        if not pws_flag:
+        if not is_pws(V)[0]:
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")
         Q = gale_dual(V)
@@ -297,7 +299,7 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     _check_fan(V, chosen)
 
     n, r = V.rows, Q.rows
-    cl = class_group(V)
+    cl = QuotientStructure(r)  # is_pws: Cl is torsion-free, so Cl = Z^r
     u_full = cl_generators_full(Q)
     gens = Mat([u_full.row(i) for i in range(r)])
     b = _picard_basis(Q, chosen)
@@ -306,7 +308,7 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     indices = _cartier_indices(V, chosen, Mat.identity(n + r).row_tuples())
 
     _assert_report_invariants(Q, V, gens, b, c, delta)
-    return ToricReport(n=n, r=r, cl=cl, is_pws=pws_flag, cl_generators=gens,
+    return ToricReport(n=n, r=r, cl=cl, is_pws=True, cl_generators=gens,
                        picard_basis=b, cartier_basis=c, delta_sigma=delta,
                        cartier_indices=indices)
 

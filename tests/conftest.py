@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library's own fast paths: determinants
 by cofactor expansion, ranks by naive rational elimination, minor gcds by
 direct enumeration, feasibility by scanning square subsystems, linear
-systems by a ``Fraction`` Gauss-Jordan tableau.  They are the reference
+systems by a ``Fraction`` Gauss-Jordan tableau, normal forms with their
+transforms in separate lists.  They are the reference
 implementations the production code is checked against.
 """
 
@@ -13,9 +14,11 @@ from itertools import combinations
 import math
 import random
 import sys
+from typing import Sequence
 
-from galekit import DomainError, Mat, left_kernel_rows
-from galekit.matrix import _norm_entry
+from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
+from galekit.matrix import _norm_entry, block_diag, xgcd
+from galekit.normal_forms import strictly_positive_row_vector
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -432,7 +435,7 @@ def intersection_oracle(lattices):
     intersect the rational spans, restrict every lattice to the common
     span, stack the transverse duals, Hermite-reduce once and dualize
     back."""
-    from galekit import Lattice, hnf, transverse
+    from galekit import Lattice, transverse
 
     ambient = lattices[0].ambient_dim
     if len(lattices) == 1:
@@ -513,3 +516,274 @@ def hnf_int_oracle(mat):
     if p < m:
         u[p:] = hnf_int_oracle(u[p:])[0]
     return mat, u, pivots
+
+
+# ---------------------------------------------------------------------------
+# Smith form and positive row echelon form with the transforms kept in
+# separate lists of rows, every row and column step applied to the matrix
+# and to its transform in turn: the two-list versions of
+# ``normal_forms.snf`` and ``normal_forms.positive_row_echelon``.
+
+def _row_sub(m: list[list[int]], i: int, k: int, q: int) -> None:
+    if q:
+        mi, mk = m[i], m[k]
+        m[i] = [x - q * y for x, y in zip(mi, mk)]
+
+
+def _swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def _swap_cols(m, i, j):
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _col_sub(m, j, k, q):
+    # column j -= q * column k
+    if q:
+        for row in m:
+            row[j] -= q * row[k]
+
+
+def snf_oracle(A: Mat) -> SnfResult:
+    if not A.is_integral:
+        raise DomainError("snf requires an integer matrix")
+    mat = A.to_lists()
+    d, m = A.shape
+    left = [[int(i == j) for j in range(d)] for i in range(d)]
+    right = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def clear_at(t: int) -> None:
+        # assumes mat[t][t] != 0; clears row t and column t
+        while True:
+            if mat[t][t] < 0:
+                mat[t] = [-x for x in mat[t]]
+                left[t] = [-x for x in left[t]]
+            a = mat[t][t]
+            restart = False
+            for i in range(d):
+                if i != t and mat[i][t]:
+                    q = mat[i][t] // a
+                    _row_sub(mat, i, t, q)
+                    _row_sub(left, i, t, q)
+                    if mat[i][t]:
+                        _swap_rows(mat, i, t)
+                        _swap_rows(left, i, t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(m):
+                if j != t and mat[t][j]:
+                    q = mat[t][j] // a
+                    _col_sub(mat, j, t, q)
+                    _col_sub(right, j, t, q)
+                    if mat[t][j]:
+                        _swap_cols(mat, j, t)
+                        _swap_cols(right, j, t)
+                        restart = True
+                        break
+            if not restart:
+                break
+
+    t = 0
+    limit = min(d, m)
+    while t < limit:
+        best = None
+        for i in range(t, d):
+            for j in range(t, m):
+                v = mat[i][j]
+                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            _swap_rows(mat, best[0], t)
+            _swap_rows(left, best[0], t)
+        if best[1] != t:
+            _swap_cols(mat, best[1], t)
+            _swap_cols(right, best[1], t)
+        clear_at(t)
+        t += 1
+
+    k = t
+
+    def fix_sign(i: int) -> None:
+        if mat[i][i] < 0:
+            mat[i] = [-x for x in mat[i]]
+            left[i] = [-x for x in left[i]]
+
+    for i in range(k):
+        fix_sign(i)
+    # enforce the divisibility chain c_i | c_{i+1}
+    i = 0
+    while i + 1 < k:
+        a, b = mat[i][i], mat[i + 1][i + 1]
+        if b % a:
+            for row in mat:
+                row[i] += row[i + 1]
+            for row in right:
+                row[i] += row[i + 1]
+            clear_at(i)
+            fix_sign(i)
+            fix_sign(i + 1)
+            i = max(i - 1, 0)
+        else:
+            i += 1
+
+    factors = tuple(mat[i][i] for i in range(k))
+    return SnfResult(S=Mat(mat), alpha=Mat(left), beta=Mat(right), factors=factors)
+
+
+def _basis_with_positive_first_row(basis: Sequence[Sequence[int]],
+                                   c: Sequence[int],
+                                   lam: Sequence[int],
+                                   support: Sequence[int],
+                                   ) -> tuple[list[list[int]], Mat]:
+    """Rebase so that the first row is c/gcd(lam) and all rows are >= 0.
+
+    c = lam @ basis must hold.  Returns (new_rows, T) with new_rows = T @ basis
+    and T unimodular.
+    """
+    k = len(basis)
+    lam_col = Mat([[x] for x in lam])
+    res = hnf(lam_col)
+    alpha = res.U
+    t_mat = alpha.inverse().transpose()
+    if not t_mat.is_integral:
+        raise GaleKitError("unimodular inverse produced non-integer entries")
+    rows = (t_mat @ Mat(basis)).to_lists()
+    first = rows[0]
+    if any(first[j] <= 0 for j in support):
+        raise GaleKitError("rebased first row is not strictly positive on support")
+    t_rows = t_mat.to_lists()
+    for i in range(1, k):
+        # smallest integer multiple of the first row making this row >= 0
+        mult = math.ceil(max((Fraction(-rows[i][j], first[j]) for j in support),
+                             default=Fraction(0)))
+        if mult:
+            rows[i] = [x + mult * y for x, y in zip(rows[i], first)]
+            t_rows[i] = [x + mult * y for x, y in zip(t_rows[i], t_rows[0])]
+    return rows, Mat(t_rows)
+
+
+def _positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]], Mat]:
+    """A nonnegative basis of the row lattice of ``basis`` plus its transform.
+
+    Raises DomainError when the lattice admits no such basis (i.e. the input
+    is not W-positive).
+    """
+    cols = len(basis[0])
+    support = [j for j in range(cols) if any(row[j] for row in basis)]
+    found = strictly_positive_row_vector(basis, support)
+    if found is None:
+        raise DomainError("row lattice has no strictly positive vector: "
+                          "matrix is not W-positive")
+    c, lam = found
+    return _basis_with_positive_first_row(basis, c, lam, support)
+
+
+def _perm_cols(mat, perm_target, order):
+    # reorder columns order -> positions perm_target..; applied to all rows
+    for row in mat:
+        seg = [row[j] for j in order]
+        for off, val in enumerate(seg):
+            row[perm_target + off] = val
+
+
+def _apply_col_order(mat: list[list], right: list[list[int]],
+                     c0: int, order: list[int]) -> None:
+    if order == list(range(c0, c0 + len(order))):
+        return
+    _perm_cols(mat, c0, order)
+    _perm_cols(right, c0, order)
+
+
+def _clear_first_column(mat, left, right, r0, c0, d, m) -> None:
+    """Zero out window column c0 below its first row, keeping entries >= 0."""
+    if d <= 1:
+        return
+    last = r0 + d - 1
+
+    def sort_key(j):
+        den = mat[last][j]
+        if den == 0:
+            return (0, Fraction(0), j)
+        return (1, -Fraction(mat[last - 1][j], den), j)
+
+    order = sorted(range(c0, c0 + m), key=sort_key)
+    _apply_col_order(mat, right, c0, order)
+
+    if mat[last][c0] != 0:
+        a, b = mat[last - 1][c0], mat[last][c0]
+        g, x, y = xgcd(a, b)
+        row_hi = [x * u + y * v for u, v in zip(mat[last - 1], mat[last])]
+        row_lo = [(-b // g) * u + (a // g) * v
+                  for u, v in zip(mat[last - 1], mat[last])]
+        mat[last - 1], mat[last] = row_hi, row_lo
+        lhi = [x * u + y * v for u, v in zip(left[last - 1], left[last])]
+        llo = [(-b // g) * u + (a // g) * v
+               for u, v in zip(left[last - 1], left[last])]
+        left[last - 1], left[last] = lhi, llo
+        mult = 0
+        for j in range(c0, c0 + m):
+            if mat[last][j] > 0 and mat[last - 1][j] < 0:
+                mult = max(mult, math.ceil(Fraction(-mat[last - 1][j], mat[last][j])))
+        if mult:
+            mat[last - 1] = [u + mult * v for u, v in zip(mat[last - 1], mat[last])]
+            left[last - 1] = [u + mult * v for u, v in zip(left[last - 1], left[last])]
+
+    j0 = 0
+    while j0 < m and mat[last][c0 + j0] == 0:
+        j0 += 1
+    assert all(mat[last][c0 + t] > 0 for t in range(j0, m))
+
+    _clear_first_column(mat, left, right, r0, c0, d - 1, j0)
+
+    # recursion may have left negatives right of the truncation; the last row
+    # is zero there-left and positive there-right, so it can repair them
+    for i in range(r0, last):
+        mult = 0
+        for j in range(c0 + j0, c0 + m):
+            if mat[i][j] < 0:
+                mult = max(mult, math.ceil(Fraction(-mat[i][j], mat[last][j])))
+        if mult:
+            mat[i] = [u + mult * v for u, v in zip(mat[i], mat[last])]
+            left[i] = [u + mult * v for u, v in zip(left[i], left[last])]
+
+
+def positive_row_echelon_oracle(A: Mat) -> tuple[Mat, Mat, Mat]:
+    """(E, alpha, beta) with E = alpha @ A @ beta, E >= 0 in row echelon form,
+    alpha unimodular and beta a permutation matrix.
+
+    Raises DomainError when the row lattice of A is not W-positive.
+    """
+    if not A.is_integral:
+        raise DomainError("positive_row_echelon requires an integer matrix")
+    d, m = A.shape
+    mat = A.to_lists()
+    left = [[int(i == j) for j in range(d)] for i in range(d)]
+    right = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    if any(x < 0 for row in mat for x in row):
+        res = hnf(A)
+        r = res.rank
+        basis = [list(res.H.row(i)) for i in range(r)]
+        pos_rows, t_mat = _positive_row_basis(basis)
+        trans = block_diag(t_mat, Mat.identity(d - r)) if r < d else t_mat
+        full = trans @ res.U
+        mat = pos_rows + [[0] * m for _ in range(d - r)]
+        left = full.to_lists()
+
+    r0 = c0 = 0
+    rows_left, cols_left = d, m
+    while rows_left > 0 and cols_left > 0:
+        _clear_first_column(mat, left, right, r0, c0, rows_left, cols_left)
+        if mat[r0][c0] > 0:
+            r0 += 1
+            rows_left -= 1
+        c0 += 1
+        cols_left -= 1
+
+    return Mat(mat), Mat(left), Mat(right)

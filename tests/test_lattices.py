@@ -225,8 +225,10 @@ def test_gcd_max_minors_oracle():
 
 
 def test_gcd_max_minors_rejects_rank_deficient():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^rank-deficient input$"):
         gcd_max_minors(Mat([[1, 2], [2, 4]]))
+    with pytest.raises(DomainError, match="^rank-deficient input$"):
+        gcd_max_minors(Mat([[1, 2, 3], [2, 4, 6]]))
 
 
 def test_has_cotorsion_examples():

@@ -5,6 +5,7 @@ import pytest
 
 from galekit import (
     DomainError,
+    GaleKitError,
     Lattice,
     Mat,
     det_exact,
@@ -19,8 +20,10 @@ from conftest import (
     check_hnf_result,
     hnf_int_oracle,
     minors_gcd_oracle,
+    positive_row_echelon_oracle,
     rand_mat,
     rand_unimodular,
+    snf_oracle,
 )
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
@@ -150,6 +153,41 @@ def test_snf_rejects_rational():
         snf(Mat([[Fraction(1, 2)]]))
 
 
+def _outcome(fn, A):
+    """repr of the result, or the error type and message."""
+    try:
+        return repr(fn(A))
+    except GaleKitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_block_snf_matches_two_list_oracle():
+    # S, alpha, beta and factors, repr for repr; the kinds cycle through
+    # generic, rank-deficient (a product through a narrower inner
+    # dimension), all-zero or scaled, and entries up to 10^6
+    rng = random.Random(208)
+    kinds = {"deficient": 0, "zero_or_scaled": 0, "large": 0}
+    for it in range(2000):
+        kind = it % 4
+        d, m = rng.randint(1, 8), rng.randint(1, 10)
+        if kind == 1:
+            d, m = rng.randint(2, 8), rng.randint(2, 10)
+            k = rng.randint(1, min(d, m) - 1)
+            A = rand_mat(rng, d, k) @ rand_mat(rng, k, m)
+        elif kind == 2:
+            A = rand_mat(rng, d, m).scale(rng.randint(0, 12) if it % 8 == 2 else 0)
+        else:
+            hi = 10**6 if kind == 3 else 9
+            A = rand_mat(rng, d, m, -hi, hi)
+        expected = _outcome(snf_oracle, A)
+        assert _outcome(snf, A) == expected
+        res = snf_oracle(A)
+        kinds["deficient"] += len(res.factors) < min(d, m)
+        kinds["zero_or_scaled"] += kind == 2
+        kinds["large"] += max(abs(x) for row in A.row_tuples() for x in row) > 10**5
+    assert min(kinds.values()) >= 200, kinds
+
+
 # ---------------------------------------------------------------------------
 
 def _echelon_valid(A, E, alpha, beta):
@@ -226,3 +264,26 @@ def test_echelon_random_w_positive():
         A = rand_unimodular(rng, d) @ base
         E, alpha, beta = positive_row_echelon(A)
         _echelon_valid(A, E, alpha, beta)
+
+
+def test_block_echelon_matches_two_list_oracle():
+    # (E, alpha, beta), or the error type and message, repr for repr:
+    # scrambled nonnegative lattices, with dependent and zero rows, and
+    # arbitrary sign patterns (many of them not W-positive)
+    rng = random.Random(209)
+    raised = 0
+    for it in range(2000):
+        d, m = rng.randint(1, 5), rng.randint(1, 8)
+        if it % 2:
+            A = rand_mat(rng, d, m, -4, 6)
+        else:
+            base = [[rng.randint(0, 4) for _ in range(m)] for _ in range(d)]
+            if d >= 2 and it % 6 == 0:
+                base[-1] = [x + y for x, y in zip(base[0], base[1])]
+            if it % 10 == 4:
+                base[rng.randrange(d)] = [0] * m
+            A = rand_unimodular(rng, d) @ Mat(base)
+        expected = _outcome(positive_row_echelon_oracle, A)
+        assert _outcome(positive_row_echelon, A) == expected
+        raised += expected.startswith("DomainError")
+    assert raised >= 200

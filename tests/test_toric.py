@@ -4,6 +4,7 @@ import pytest
 
 from galekit import (
     DomainError,
+    GaleKitError,
     Lattice,
     Mat,
     QuotientStructure,
@@ -49,6 +50,14 @@ def test_torsion_via_Tn():
     assert torsion_via_Tn(WORKED_V).is_trivial
     assert torsion_via_Tn(TORSION_V) == QuotientStructure(0, (2,))
     assert torsion_via_Tn(Mat.identity(2)).is_trivial
+
+
+def test_class_group_and_torsion_reject_rank_deficient():
+    V = Mat([[1, -1, 2, 0], [2, -2, 4, 0]])
+    with pytest.raises(DomainError, match="^class_group requires full row rank$"):
+        class_group(V)
+    with pytest.raises(DomainError, match="^torsion_via_Tn requires full row rank$"):
+        torsion_via_Tn(V)
 
 
 def test_torsion_routes_agree_random():
@@ -257,6 +266,28 @@ def test_full_report_derives_each_object_once(monkeypatch, source):
     assert fw_calls["classify_w"] == 1
     assert toric_calls["is_pws"] == 1
     assert toric_calls["cl_generators_full"] == 1
+
+
+def test_full_report_reads_free_class_group(monkeypatch):
+    # is_pws has shown Cl torsion-free, so Cl = Z^r needs no class_group
+    # pass (one hnf, one snf and one rank at the parent)
+    nf_calls = count_calls(monkeypatch, normal_forms, "hnf", "snf")
+    rank_calls = count_rank_calls(monkeypatch)
+    rep = full_report(Q=WORKED_Q)
+    assert rep.cl == QuotientStructure(2, ())
+    assert nf_calls["snf"] <= 1
+    assert nf_calls["hnf"] <= 28
+    assert rank_calls["rank"] <= 2
+
+
+def test_full_report_q_path_torsion_is_an_invariant(monkeypatch):
+    # the Gale dual of a W-matrix spans a saturated lattice, so its class
+    # group has no torsion; a failed is_pws there is an internal error
+    monkeypatch.setattr(toric, "is_pws", lambda V: (False, {}))
+    with pytest.raises(GaleKitError, match="class-group torsion "
+                       r"\(internal invariant\)") as info:
+        full_report(Q=WORKED_Q)
+    assert not isinstance(info.value, DomainError)
 
 
 def test_full_report_p2():
