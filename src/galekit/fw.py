@@ -40,7 +40,7 @@ from .normal_forms import (
     snf,
     strictly_positive_row_vector,
 )
-from .lattices import Lattice, has_cotorsion
+from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
 from .gale import gale_dual
 
 
@@ -109,17 +109,18 @@ def classify_f(V: Mat) -> FMatrixReport:
     if not V.is_integral:
         raise DomainError("classify_f requires an integer matrix")
     n = V.rows
+    cols = list(V.col_tuples())
+    col_lat = Lattice.from_rows(cols, n)
     violated = []
-    if V.rank() != n:
+    if col_lat.rank != n:  # the column lattice has the rank of V
         violated.append("a")
     if not is_f_complete(V):
         violated.append("b")
-    cols = list(V.col_tuples())
     if any(not any(c) for c in cols):
         violated.append("c")
     if _has_proportional_columns(cols):
         violated.append("d")
-    if Lattice.from_rows(cols, n) != Lattice.standard(n):
+    if col_lat != Lattice.standard(n):
         violated.append("e")
     is_f = all(c not in violated for c in "abcd")
     return FMatrixReport(is_f_matrix=is_f,
@@ -291,8 +292,8 @@ def w_reduce(Q: Mat) -> Mat:
 def is_w_reduced(Q: Mat) -> bool:
     """True iff every column-deleted row lattice of Q is saturated.
 
-    Computed both directly (cotorsion of each L_r(Q^i)) and through the
-    Gale dual's column gcds; the two must agree.
+    Computed both directly (coprime maximal minors of each Q^i) and through
+    the Gale dual's column gcds; the two must agree.
     """
     _require_w_matrix(Q, "is_w_reduced")
     return _is_w_reduced(Q, gale_dual(Q))
@@ -300,12 +301,16 @@ def is_w_reduced(Q: Mat) -> bool:
 
 def _is_w_reduced(Q: Mat, V: Mat) -> bool:
     """is_w_reduced for a W-matrix Q, given a matrix V whose row lattice is
-    ker(Q) (column gcds do not depend on the basis chosen)."""
+    ker(Q) (column gcds do not depend on the basis chosen).  Each Q^i has
+    rank r (else some c e_i, c != 0, and so e_i lie in L_r(Q), against
+    clause e), so L_r(Q^i) is saturated iff its maximal minors are coprime."""
     m = Q.cols
-    direct = all(
-        not has_cotorsion(m - 1, Lattice.from_matrix(
-            submatrix_cols(Q, (i,), complement=True)))
-        for i in range(1, m + 1))
+    try:
+        direct = all(_gcd_maximal_minors(submatrix_cols(Q, (i,), complement=True)) == 1
+                     for i in range(1, m + 1))
+    except DomainError:
+        raise GaleKitError("column-deleted weight matrix is rank-deficient "
+                           "(internal invariant)") from None
     via_dual = all(vec_gcd(V.col(j)) == 1 for j in range(m))
     if direct != via_dual:
         raise GaleKitError("reducedness criteria disagree (internal invariant)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_entry
@@ -52,12 +51,13 @@ class QuotientStructure:
 class Lattice:
     """A discrete subgroup of Q^m, held in canonical (Hermite) form."""
 
-    __slots__ = ("_ambient", "_basis", "_pivots")
+    __slots__ = ("_ambient", "_basis", "_pivots", "_scaled")
 
     def __init__(self, ambient_dim: int, canonical_rows: tuple, pivots: tuple):
         self._ambient = ambient_dim
         self._basis = canonical_rows
         self._pivots = pivots
+        self._scaled = None  # (d, d * basis as ints), built on first use
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], ambient_dim: "int | None" = None) -> "Lattice":
@@ -113,16 +113,24 @@ class Lattice:
         return all(isinstance(x, int) for row in self._basis for x in row)
 
     def coordinates(self, vec: Sequence) -> "tuple | None":
-        """Integer coefficients of vec in the canonical basis, or None."""
+        """Integer coefficients of vec in the canonical basis, or None: with d
+        the lcm of the basis denominators, d * vec must be integral and is
+        back-substituted against the integer rows d * basis by ``divmod``."""
         if len(vec) != self._ambient:
             raise DomainError("vector length does not match ambient dimension")
-        x = [Fraction(v) for v in vec]
+        if self._scaled is None:
+            d = math.lcm(*(x.denominator for row in self._basis for x in row))
+            self._scaled = d, [[x.numerator * (d // x.denominator) for x in row]
+                               for row in self._basis]
+        d, rows = self._scaled
+        if any(d % v.denominator for v in vec):
+            return None
+        x = [v.numerator * (d // v.denominator) for v in vec]
         coeffs = []
-        for row, p in zip(self._basis, self._pivots):
-            q = x[p] / row[p]
-            if q.denominator != 1:
+        for row, p in zip(rows, self._pivots):
+            q, rem = divmod(x[p], row[p])
+            if rem:
                 return None
-            q = q.numerator
             coeffs.append(q)
             if q:
                 x = [a - q * b for a, b in zip(x, row)]

@@ -6,8 +6,8 @@ lattice of V; its free part is identified with Z^r through the generators
 read off the Hermite transform of Q^T.  In that identification the Picard
 subgroup is the intersection of the column lattices of the complementary
 weight submatrices over all maximal cones, Cartier divisors are spanned by
-an explicit block product, and Cartier indices come from per-cone linear
-systems.
+an explicit block product, and the Cartier index of a divisor a is the order
+of Q a in Z^r / Pic, read off its coordinates in the Picard basis.
 ``full_report`` validates its input once and derives each object once; the
 public per-object functions validate the fan, then call the same cores.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .matrix import (
@@ -214,31 +213,22 @@ def _delta_sigma(Q: Mat, fan: Fan, cb: Mat) -> int:
 
 
 def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
-    """Least k >= 1 such that k*a gives integral per-cone linear data.
-
-    For each maximal cone the square system m . v_j = a_j (j in the cone)
-    has a unique rational solution; the answer is the lcm over cones of the
-    denominators appearing in those solutions.
+    """Least k >= 1 such that k*a gives integral per-cone linear data, read
+    on the fan side (V may have class-group torsion): for each maximal cone
+    the square system m . v_j = a_j (j in the cone) has a unique rational
+    solution; k is the lcm over cones of the denominators in those solutions.
     """
     if len(a) != V.cols:
         raise DomainError("divisor coefficient length mismatch")
     _check_fan(V, fan)
-    return _cartier_indices(V, fan, [a])[0]
-
-
-def _cartier_indices(V: Mat, fan: Fan, divisors: Sequence) -> tuple[int, ...]:
-    """cartier_index of each divisor: one solve per maximal cone, with one
-    right-hand side column per divisor."""
-    ks = [1] * len(divisors)
+    k = 1
     for cone in fan.maximal_cones:
         sub = V.take_cols([g - 1 for g in cone.gens])
-        rhs = Mat([[a[g - 1] for a in divisors] for g in cone.gens])
-        sol = solve(sub.transpose(), rhs)
+        sol = solve(sub.transpose(), Mat([[a[g - 1]] for g in cone.gens]))
         if sol is None:
             raise DomainError("degenerate cone in cartier_index")
-        for row in sol.row_tuples():
-            ks = [math.lcm(k, Fraction(x).denominator) for k, x in zip(ks, row)]
-    return tuple(ks)
+        k = math.lcm(k, *(x.denominator for x in sol.col(0)))
+    return k
 
 
 def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
@@ -252,7 +242,9 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     admits a single fan it is chosen automatically.
 
     Validation and every derivation happen once.  A torsion-free V has a
-    saturated row lattice, so it serves as the Gale dual of its own Q.
+    saturated row lattice, so it serves as the Gale dual of its own Q.  The
+    Cartier index of e_j is the order of Q_j in Z^r / Pic: the lcm of the
+    denominators of its Picard coordinates (one r x r solve for all j).
     """
     if (Q is None) == (V is None):
         raise DomainError("provide exactly one of Q or V")
@@ -305,7 +297,12 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     b = _picard_basis(Q, chosen)
     c = cartier_basis(b, u_full)
     delta = _delta_sigma(Q, chosen, c)
-    indices = _cartier_indices(V, chosen, Mat.identity(n + r).row_tuples())
+    coords = solve(b.transpose(), Q)
+    if coords is None:
+        raise GaleKitError("Weil classes have no Picard coordinates "
+                           "(internal invariant)")
+    indices = tuple(math.lcm(*(x.denominator for x in col))
+                    for col in coords.col_tuples())
 
     _assert_report_invariants(Q, V, gens, b, c, delta)
     return ToricReport(n=n, r=r, cl=cl, is_pws=True, cl_generators=gens,

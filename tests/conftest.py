@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own fast paths: determinants
 by cofactor expansion, ranks by naive rational elimination, minor gcds by
 direct enumeration, feasibility by scanning square subsystems, linear
 systems by a ``Fraction`` Gauss-Jordan tableau, normal forms with their
-transforms in separate lists.  They are the reference
+transforms in separate lists, Cartier indices by one linear system per
+maximal cone on the fan side.  They are the reference
 implementations the production code is checked against.
 """
 
@@ -17,7 +18,8 @@ import sys
 from typing import Sequence
 
 from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
-from galekit.matrix import _norm_entry, block_diag, xgcd
+from galekit.fans import Fan
+from galekit.matrix import _norm_entry, block_diag, solve, xgcd
 from galekit.normal_forms import strictly_positive_row_vector
 
 
@@ -787,3 +789,18 @@ def positive_row_echelon_oracle(A: Mat) -> tuple[Mat, Mat, Mat]:
         cols_left -= 1
 
     return Mat(mat), Mat(left), Mat(right)
+
+
+def cartier_indices_oracle(V: Mat, fan: Fan, divisors: Sequence) -> tuple[int, ...]:
+    """cartier_index of each divisor: one solve per maximal cone, with one
+    right-hand side column per divisor."""
+    ks = [1] * len(divisors)
+    for cone in fan.maximal_cones:
+        sub = V.take_cols([g - 1 for g in cone.gens])
+        rhs = Mat([[a[g - 1] for a in divisors] for g in cone.gens])
+        sol = solve(sub.transpose(), rhs)
+        if sol is None:
+            raise DomainError("degenerate cone in cartier_index")
+        for row in sol.row_tuples():
+            ks = [math.lcm(k, Fraction(x).denominator) for k, x in zip(ks, row)]
+    return tuple(ks)

@@ -11,6 +11,7 @@ from galekit import fw, matrix
 from galekit.matrix import _nonneg_solve
 from galekit.normal_forms import strictly_positive_row_vector
 from conftest import (
+    gauss_rank,
     is_f_complete_oracle,
     mixed_sign_plane_oracle,
     nonneg_combination_oracle,
@@ -135,6 +136,7 @@ def test_fw_kernels_match_subset_scans(monkeypatch):
             mp.setattr(fw, "_has_proportional_columns", proportional_columns_oracle)
             ref_f, ref_w = classify_f(Q), classify_w(Q)
         assert got_f == ref_f
+        assert ("a" in got_f.violated) == (gauss_rank(Q) < Q.rows)
         assert got_w.violated == ref_w.violated
         witness = got_w.positive_witness
         assert (witness is None) == (ref_w.positive_witness is None)

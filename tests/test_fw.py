@@ -4,6 +4,7 @@ import pytest
 
 from galekit import (
     DomainError,
+    GaleKitError,
     Lattice,
     Mat,
     QuotientStructure,
@@ -21,7 +22,7 @@ from galekit import (
     submatrix_cols,
     w_reduce,
 )
-from galekit import fw, gale
+from galekit import fw, gale, normal_forms
 from galekit.matrix import vec_gcd
 from conftest import count_calls, count_rank_calls, rand_f_matrix, rand_full_row_rank
 
@@ -95,6 +96,15 @@ def test_classify_f_examples():
 
     rep = classify_f(Mat([[2, -1, 0, 0], [0, 0, 5, -3]]))
     assert rep.is_f_matrix and rep.is_cf_matrix
+
+
+def test_classify_f_reads_rank_off_column_lattice(monkeypatch):
+    # clause a from the column lattice that clause e builds; the one rank
+    # left is the Stiemke test of clause b
+    rank_calls = count_rank_calls(monkeypatch)
+    assert classify_f(WORKED_V).is_cf_matrix
+    assert rank_calls["rank"] == 1
+    assert classify_f(Mat([[1, -1], [2, -2]])).violated == ("a", "b", "e")
 
 
 def test_classify_f_non_cf():
@@ -228,6 +238,22 @@ def test_is_w_reduced_examples():
     assert is_w_reduced(WORKED_Q)
     assert not is_w_reduced(RED_Q)
     assert is_w_reduced(Mat([[1, 1, 1]]))
+
+
+def test_is_w_reduced_one_hnf_per_column(monkeypatch):
+    # one HNF per column-deleted Q^i, for its maximal minors
+    calls = count_calls(monkeypatch, normal_forms, "hnf")
+    assert fw._is_w_reduced(WORKED_Q, WORKED_V)
+    assert calls["hnf"] == WORKED_Q.cols
+
+
+def test_is_w_reduced_rank_deficient_column_is_an_invariant():
+    # a W-matrix has no rank-deficient Q^i; this Q has the unit vector e_1
+    Q = Mat([[1, 0, 0], [0, 1, 1]])
+    with pytest.raises(GaleKitError, match="rank-deficient "
+                       r"\(internal invariant\)") as info:
+        fw._is_w_reduced(Q, gale_dual(Q))
+    assert not isinstance(info.value, DomainError)
 
 
 def test_w_reduce_recomputes_dual_only_after_rescaling(monkeypatch):

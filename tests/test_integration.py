@@ -123,7 +123,7 @@ def test_full_report_fuzz_random_pws():
             qs = quotient_structure(m, Lattice.from_matrix(rep.cartier_basis))
             assert qs.torsion_order == index
             fan = fans[k - 1]
-            # the one-solve-per-cone core against one public call per divisor
+            # the Picard-coordinate indices against the fan-side public call
             for j in range(m):
                 e_j = tuple(int(t == j) for t in range(m))
                 assert rep.cartier_indices[j] == cartier_index(V, fan, e_j)

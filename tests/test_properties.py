@@ -1,12 +1,14 @@
 """Property tests of the fraction-free linear algebra kernel (``solve``,
-``Mat.rank`` and ``Mat.inverse`` on small rational matrices) and of the
-integer normal forms ``snf`` and ``positive_row_echelon``.
+``Mat.rank`` and ``Mat.inverse`` on small rational matrices), of the
+integer normal forms ``snf`` and ``positive_row_echelon``, and of lattice
+membership (``Lattice.coordinates``) and ``lattice_intersection``.
 
 Derandomized with a bounded number of examples, so the suite stays
 deterministic and fast.
 """
 
 from fractions import Fraction
+import math
 
 import pytest
 
@@ -15,13 +17,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from galekit import (  # noqa: E402
     DomainError,
+    Lattice,
     Mat,
     det_exact,
     is_row_echelon,
+    lattice_intersection,
     positive_row_echelon,
     snf,
 )
 from galekit.matrix import solve  # noqa: E402
+from conftest import solve_oracle  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -31,8 +36,8 @@ entries = st.one_of(
 )
 
 
-def matrices(rows, cols):
-    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+def matrices(rows, cols, cell=entries):
+    return st.lists(st.lists(cell, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(Mat)
 
 
@@ -156,3 +161,76 @@ def test_positive_row_echelon_when_it_returns(A):
     assert is_row_echelon(E)
     assert abs(det_exact(alpha)) == 1
     assert _is_permutation(beta)
+
+
+def _combine(coeffs, rows, width):
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width))
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    """(L, v): L spanned by integer or rational generators in Q^m; v an
+    integer or a rational combination of the generators, or any vector."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    gens = draw(matrices(k, m, draw(st.sampled_from([entries, st.integers(-6, 6)]))))
+    kind = draw(st.integers(0, 2))
+    if kind == 2:
+        v = tuple(draw(st.lists(entries, min_size=m, max_size=m)))
+    else:
+        coeff = st.integers(-4, 4) if kind == 0 else entries
+        v = _combine(draw(st.lists(coeff, min_size=k, max_size=k)), gens.row_tuples(), m)
+    return Lattice.from_matrix(gens), v
+
+
+@PROFILE
+@given(lattices_and_vectors())
+def test_coordinates_decide_membership(case):
+    L, v = case
+    c = L.coordinates(v)
+    if L.rank == 0:
+        member = not any(v)
+    else:
+        sol = solve_oracle(L.basis_matrix().transpose(), Mat([[x] for x in v]))
+        member = sol is not None and sol.is_integral
+    assert (c is not None) == member
+    if c is not None:
+        assert all(isinstance(x, int) for x in c)
+        assert _combine(c, L.basis, L.ambient_dim) == tuple(v)
+
+
+@st.composite
+def operands(draw):
+    """Two or three lattices in Q^m, each of 1 to m + 1 generators."""
+    m = draw(st.integers(1, 4))
+    return [Lattice.from_matrix(draw(matrices(draw(st.integers(1, m + 1)), m)))
+            for _ in range(draw(st.integers(2, 3)))]
+
+
+@PROFILE
+@given(operands())
+def test_intersection_lies_in_every_operand(lats):
+    inter = lattice_intersection(lats)
+    assert all(row in L for row in inter.basis for L in lats)
+
+
+@st.composite
+def full_rank_lattice(draw, m):
+    """An upper triangular integer matrix with a positive diagonal, times a
+    unimodular matrix on the right: a full-rank lattice in Z^m."""
+    rows = [[draw(st.integers(1, 4)) if i == j else
+             draw(st.integers(-5, 5)) if j > i else 0 for j in range(m)]
+            for i in range(m)]
+    return Lattice.from_matrix(Mat(rows) @ draw(unimodular(m)))
+
+
+@PROFILE
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(full_rank_lattice(m), min_size=2, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=m, max_size=m))))
+def test_intersection_contains_index_multiples(case):
+    # N Z^m lies in every operand for N the product of their indices
+    lats, coeffs = case
+    inter = lattice_intersection(lats)
+    n = math.prod(abs(det_exact(L.basis_matrix())) for L in lats)
+    v = _combine(coeffs, lats[0].basis, lats[0].ambient_dim)
+    assert tuple(n * x for x in v) in inter

@@ -13,6 +13,7 @@ from galekit import (
     cl_generators,
     cl_generators_full,
     class_group,
+    classify_w,
     delta_sigma,
     enumerate_SF,
     fan_from_cones,
@@ -20,12 +21,20 @@ from galekit import (
     gale_dual,
     gcd_max_minors,
     is_pws,
+    is_w_reduced,
     picard_basis,
     torsion_via_Tn,
+    w_reduce,
     weil_class,
 )
-from galekit import fw, gale, normal_forms, toric
-from conftest import box_vectors, count_calls, count_rank_calls, rand_full_row_rank
+from galekit import fw, gale, matrix, normal_forms, toric
+from conftest import (
+    box_vectors,
+    cartier_indices_oracle,
+    count_calls,
+    count_rank_calls,
+    rand_full_row_rank,
+)
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -278,6 +287,99 @@ def test_full_report_reads_free_class_group(monkeypatch):
     assert nf_calls["snf"] <= 1
     assert nf_calls["hnf"] <= 28
     assert rank_calls["rank"] <= 2
+
+
+def test_full_report_reads_indices_off_picard_basis(monkeypatch):
+    # one r x r solve in Picard coordinates serves every divisor, and the
+    # reducedness test takes one hnf per column-deleted weight matrix
+    calls = count_calls(monkeypatch, matrix, "solve")
+    nf_calls = count_calls(monkeypatch, normal_forms, "hnf")
+    rep = full_report(Q=WORKED_Q)
+    assert rep.cartier_indices == (2, 2, 2, 1)
+    assert calls["solve"] == 1
+    assert nf_calls["hnf"] <= 24
+
+
+def test_full_report_picard_coordinates_are_an_invariant(monkeypatch):
+    # the Picard basis is square of full rank, so the solve always succeeds
+    monkeypatch.setattr(toric, "solve", lambda A, B: None)
+    with pytest.raises(GaleKitError, match="no Picard coordinates "
+                       r"\(internal invariant\)") as info:
+        full_report(Q=WORKED_Q)
+    assert not isinstance(info.value, DomainError)
+
+
+def _wps_q(rng, m):
+    while True:
+        Q = Mat([[rng.randint(1, 9) for _ in range(m)]])
+        if classify_w(Q).is_w_matrix and is_w_reduced(Q):
+            return Q
+
+
+def _reduced_q(rng, r):
+    while True:
+        m = rng.randint(r + 2, r + 4)
+        Q = Mat([[rng.randint(0, 3) for _ in range(m)] for _ in range(r)])
+        if classify_w(Q).is_w_matrix:
+            return w_reduce(Q)
+
+
+def _wps_cones(rays):
+    """The maximal cones of a weighted projective space: all rays but one."""
+    return [tuple(j for j in rays if j != i) for i in rays]
+
+
+def _product_cones(a, b):
+    return [c1 + c2 for c1 in _wps_cones(range(1, a + 1))
+            for c2 in _wps_cones(range(a + 1, a + b + 1))]
+
+
+# The large named cases: weighted projective spaces with n + r = 14 and 20,
+# P(1,2,3,5,7,11,13) x P(1,1,2,3,5,7,9), and a product of two weighted P^9.
+LARGE_WEIGHTS = [
+    ([1, 1, 2, 3, 5, 7, 11, 13, 1, 1, 1, 1, 1, 1],),
+    ([1, 1, 2, 3, 5, 7, 11, 13, 17, 19, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],),
+    ([1, 2, 3, 5, 7, 11, 13], [1, 1, 2, 3, 5, 7, 9]),
+    ([1, 1, 2, 3, 5, 7, 11, 13, 17, 19], [1, 1, 1, 2, 3, 4, 5, 7, 9, 11]),
+]
+
+
+def _large_case(weights):
+    if len(weights) == 1:
+        return Mat([weights[0]]), _wps_cones(range(1, len(weights[0]) + 1))
+    w1, w2 = weights
+    a, b = len(w1), len(w2)
+    return Mat([w1 + [0] * b, [0] * a + w2]), _product_cones(a, b)
+
+
+def test_full_report_indices_match_fan_side_oracle():
+    # seeded WPS, products of two WPS and random reduced Q (r = 1..3), over
+    # every fan the configuration admits, then the large named cases
+    rng = random.Random(706)
+    cases = [("wps", _wps_q(rng, rng.randint(3, 7))) for _ in range(60)]
+    for _ in range(50):
+        q1, q2 = _wps_q(rng, rng.randint(2, 4)), _wps_q(rng, rng.randint(2, 4))
+        a, b = q1.cols, q2.cols
+        cases.append(("product", Mat([q1.row(0) + (0,) * b, (0,) * a + q2.row(0)])))
+    cases += [(f"r{r}", _reduced_q(rng, r))
+              for r, count in ((1, 25), (2, 25), (3, 12)) for _ in range(count)]
+    reports = dict.fromkeys(("wps", "product", "r1", "r2", "r3"), 0)
+    for family, Q in cases:
+        V = gale_dual(Q)
+        divisors = Mat.identity(Q.cols).row_tuples()
+        for fan in enumerate_SF(V):
+            rep = full_report(Q=Q, fan=fan)
+            assert rep.cartier_indices == cartier_indices_oracle(V, fan, divisors)
+            reports[family] += 1
+    assert min(reports.values()) >= 25, reports
+    assert sum(reports.values()) >= 200
+    for weights in LARGE_WEIGHTS:
+        Q, cones = _large_case(weights)
+        V = gale_dual(Q)
+        fan = fan_from_cones(V, cones)
+        rep = full_report(Q=Q, fan=fan)
+        assert rep.cartier_indices == cartier_indices_oracle(
+            V, fan, Mat.identity(Q.cols).row_tuples())
 
 
 def test_full_report_q_path_torsion_is_an_invariant(monkeypatch):
