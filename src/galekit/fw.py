@@ -120,7 +120,7 @@ def classify_f(V: Mat) -> FMatrixReport:
         violated.append("c")
     if _has_proportional_columns(cols):
         violated.append("d")
-    if col_lat != Lattice.standard(n):
+    if col_lat.basis != Mat.identity(n).row_tuples():
         violated.append("e")
     is_f = all(c not in violated for c in "abcd")
     return FMatrixReport(is_f_matrix=is_f,

@@ -5,6 +5,9 @@ positive denominator), so arithmetic never overflows and no floating point
 appears anywhere.  Matrices are immutable values: every transform returns a
 new matrix.
 
+Construction scans the entry types once and sends the entries through
+``_norm_entry`` only when one of them is not a plain ``int``.
+
 Rank, ``solve``, ``inverse`` and the phase-1 simplex share one
 fraction-free (Bareiss) Gauss-Jordan pivot step on integer rows; ``solve``
 reads X off the pivot rows over one common denominator.  Determinants keep
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -44,6 +48,14 @@ def _norm_entry(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+
+
+def _norm_rows(rows: Iterable[Iterable]) -> tuple:
+    """The rows as tuples of ``_norm_entry`` values, after one type scan."""
+    data = tuple(map(tuple, rows))
+    if not {int}.issuperset(map(type, chain.from_iterable(data))):
+        data = tuple(tuple(map(_norm_entry, row)) for row in data)
+    return data
 
 
 def _as_int(x):
@@ -74,7 +86,7 @@ class Mat:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(_norm_entry(x) for x in row) for row in rows)
+        data = _norm_rows(rows)
         if not data or not data[0]:
             raise DomainError("matrix must have at least one row and one column")
         width = len(data[0])

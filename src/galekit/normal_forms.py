@@ -8,10 +8,13 @@ nonnegative row echelon form, via unimodular row operations and a column
 permutation.
 
 The transforms live in the rows being reduced.  A d x m matrix A is held as
-one block [[A, I_d], [I_m, 0]] (``_hnf_int`` has no beta: [A | I_d]): a row
-step on the top d rows updates alpha with A, and a column step on the left
-m columns, applied to every row, updates beta with A.  The reduced matrix
-alpha @ A @ beta, alpha and beta are sliced off the block at the end.
+one block [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha
+with A, and a column step on the left m columns, applied to every row,
+updates beta with A.  The reduced matrix alpha @ A @ beta, alpha and beta
+are sliced off the block at the end.  ``_hnf_int`` reduces the first n
+columns and carries the rest: ``hnf`` reads U off [A | I]; Hermite bases
+and left kernels (the Hermite form of [A | I] on all columns) carry no
+transform, so they alone may take nearest-integer quotients.
 """
 
 from __future__ import annotations
@@ -56,12 +59,16 @@ class SnfResult:
     factors: tuple[int, ...]
 
 
+def _augment(mat: list[list[int]]) -> list[list[int]]:
+    """[A | I_d] for the d x m matrix A = ``mat``."""
+    return [row + [int(i == j) for j in range(len(mat))] for i, row in enumerate(mat)]
+
+
 def _block(mat: list[list[int]]) -> list[list[int]]:
     """The block [[A, I_d], [I_m, 0]] of the d x m matrix A = ``mat``; the
     zero block is not stored."""
-    d, m = len(mat), len(mat[0])
-    return ([row + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
-            + [[int(i == j) for j in range(m)] for i in range(m)])
+    m = len(mat[0])
+    return _augment(mat) + [[int(i == j) for j in range(m)] for i in range(m)]
 
 
 def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
@@ -70,76 +77,92 @@ def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
             Mat(blk[d:]))
 
 
-def _hnf_int(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Row HNF of an integer matrix with transform, reduced on [A | I_m].
+def _hnf_int(rows: list[list[int]], n: int, *, nearest: bool = False) -> list[int]:
+    """Row HNF of the first n columns of an integer matrix, in place,
+    carrying the later columns; returns the pivot columns.
 
-    Scan order is fixed (leftmost column first, smallest nonzero pivot,
-    smallest nonnegative remainders above), and the rows of the transform
-    that span the left kernel are themselves put in Hermite form, which
-    makes the whole transform deterministic even when A has a nontrivial
-    left kernel.
+    Scan order is fixed: leftmost column first, smallest nonzero pivot,
+    smallest nonnegative remainders above.  The Euclid step below a pivot a
+    takes floor quotients, or with ``nearest`` nearest ones (|remainder| <=
+    a/2).  The reduced columns agree, a Hermite form being unique; the
+    carried ones do not, so ``hnf``, whose transform is public, keeps floor.
     """
-    m = len(mat)
-    n = len(mat[0])
-    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(mat)]
+    m = len(rows)
     p = 0
     pivots: list[int] = []
     for j in range(n):
         if p == m:
             break
         while True:
-            nz = [i for i in range(p, m) if aug[i][j]]
+            nz = [i for i in range(p, m) if rows[i][j]]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: (abs(aug[i][j]), i))
+            i0 = min(nz, key=lambda i: (abs(rows[i][j]), i))
             if i0 != p:
-                aug[p], aug[i0] = aug[i0], aug[p]
-            if aug[p][j] < 0:
-                aug[p] = [-x for x in aug[p]]
-            top = aug[p]
+                rows[p], rows[i0] = rows[i0], rows[p]
+            if rows[p][j] < 0:
+                rows[p] = [-x for x in rows[p]]
+            top = rows[p]
             a = top[j]
             clean = True
             for i in range(p + 1, m):
-                b = aug[i][j]
+                b = rows[i][j]
                 if b:
-                    q = b // a  # nonzero: a is the smallest |entry|
-                    aug[i] = [x - q * y for x, y in zip(aug[i], top)]
-                    if aug[i][j]:
+                    # nonzero: a is the smallest |entry|
+                    q = (2 * b + a) // (2 * a) if nearest else b // a
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+                    if rows[i][j]:
                         clean = False
             if clean:
                 break
-        top = aug[p]
+        top = rows[p]
         a = top[j]
         if a:
             for i in range(p):
-                q = aug[i][j] // a
+                q = rows[i][j] // a
                 if q:
-                    aug[i] = [x - q * y for x, y in zip(aug[i], top)]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
             pivots.append(j)
             p += 1
-    h = [row[:n] for row in aug]
-    u = [row[n:] for row in aug]
-    if p < m:
-        u[p:], _, _ = _hnf_int(u[p:])
-    return h, u, pivots
+    return pivots
 
 
 def hnf(A: Mat) -> HnfResult:
-    """Hermite normal form H = U @ A (row style, pivots top-left)."""
+    """Hermite normal form H = U @ A (row style, pivots top-left); the rows
+    of U spanning the left kernel are in Hermite form, so U is deterministic."""
+    m, n = A.shape
     d, work = A.int_scaled()
-    h_int, u, piv0 = _hnf_int(work)
+    aug = _augment(work)
+    piv0 = _hnf_int(aug, n)
+    kern = [row[n:] for row in aug[len(piv0):]]
+    _hnf_int(kern, m, nearest=True)
     if d == 1:
-        h = Mat(h_int)
+        h = Mat([row[:n] for row in aug])
     else:
-        h = Mat([[Fraction(x, d) for x in row] for row in h_int])
-    return HnfResult(H=h, U=Mat(u), pivot_map=tuple(j + 1 for j in piv0))
+        h = Mat([[Fraction(x, d) for x in row[:n]] for row in aug])
+    u = Mat([row[n:] for row in aug[:len(piv0)]] + kern)
+    return HnfResult(H=h, U=u, pivot_map=tuple(j + 1 for j in piv0))
+
+
+def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
+    """The nonzero rows of ``hnf(A).H`` and their 0-based pivot columns,
+    from one pass without a transform."""
+    d, work = A.int_scaled()
+    pivots = tuple(_hnf_int(work, A.cols, nearest=True))
+    rows = work[:len(pivots)]
+    if d > 1:
+        rows = [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
+    return tuple(map(tuple, rows)), pivots
 
 
 def left_kernel_rows(A: Mat) -> list[tuple]:
-    """Canonical basis rows of {x : x @ A = 0}; empty list if A has full
-    row rank."""
-    res = hnf(A)
-    return [res.U.row(i) for i in range(res.rank, A.rows)]
+    """Canonical basis rows of {x : x @ A = 0}, the rows of ``hnf(A).U``
+    past the rank; empty list if A has full row rank.  They are the rows of
+    the Hermite form of [A | I] whose pivot lies right of A."""
+    n = A.cols
+    aug = _augment(A.int_scaled()[1])
+    rank = sum(j < n for j in _hnf_int(aug, n + A.rows, nearest=True))
+    return [tuple(row[n:]) for row in aug[rank:]]
 
 
 # ---------------------------------------------------------------------------

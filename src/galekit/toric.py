@@ -65,18 +65,17 @@ def torsion_via_Tn(V: Mat) -> QuotientStructure:
     """Torsion of the class group through the upper block of HNF(V^T)."""
     if V.rank() < V.rows:
         raise DomainError("torsion_via_Tn requires full row rank")
-    return _upper_block(V)[2]
+    return _upper_block(V)[1]
 
 
 def _upper_block(V: Mat) -> tuple:
-    """(HNF(V^T), its upper block T_n, Z^n / T_n) for V of full row rank n."""
+    """(T_n, Z^n / T_n), T_n the nonzero rows of HNF(V^T), for V of rank n."""
     n = V.rows
-    res = hnf(V.transpose())
-    top = Mat([res.H.row(i) for i in range(n)])
-    q = quotient_structure(n, Lattice.from_matrix(top))
+    lat = Lattice.from_matrix(V.transpose())
+    q = quotient_structure(n, lat)
     if q.free_rank:
         raise GaleKitError("upper HNF block of V^T is singular (unreachable)")
-    return res, top, q
+    return lat.basis_matrix(), q
 
 
 def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
@@ -89,11 +88,10 @@ def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
         raise DomainError("is_pws requires an F-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
     n = V.rows
-    res, top, torsion = _upper_block(V)
-    expected = [[int(i == j) for j in range(n)] for i in range(V.cols)]
+    top, torsion = _upper_block(V)
     cond = {
         "torsion_trivial": torsion.is_trivial,
-        "hnf_identity_block": res.H == Mat(expected),
+        "hnf_identity_block": top == Mat.identity(n),
         "column_lattice_full": "e" not in rep.violated,
         "coprime_minors": abs(top.det()) == 1,
     }

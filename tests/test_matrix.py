@@ -13,8 +13,41 @@ from galekit import (
     rank_exact,
     submatrix_cols,
 )
+from galekit import matrix
 from galekit.matrix import solve
-from conftest import cofactor_det, gauss_rank, rand_mat, solve_oracle
+from conftest import cofactor_det, count_calls, gauss_rank, rand_mat, solve_oracle
+
+
+@pytest.mark.parametrize("entry, message", [
+    (True, "bool is not a valid matrix entry"),
+    (1.0, "matrix entries must be int or Fraction, got float"),
+    ("1", "matrix entries must be int or Fraction, got str"),
+    (None, "matrix entries must be int or Fraction, got NoneType"),
+], ids=["bool", "float", "str", "None"])
+def test_constructor_rejects_entry_types(entry, message):
+    with pytest.raises(TypeError) as exc:
+        Mat([[1, 2], [3, entry]])
+    assert str(exc.value) == message
+
+
+def test_constructor_normalizes_and_accepts_iterables():
+    A = Mat([[Fraction(4, 2), Fraction(1, 2)]])
+    assert type(A[0, 0]) is int and A[0, 0] == 2
+    assert A[0, 1] == Fraction(1, 2)
+    assert Mat(zip((1, 3), (2, 4))) == Mat([[1, 2], [3, 4]])
+    assert Mat((x, x + 1) for x in (1, 3)) == Mat([[1, 2], [3, 4]])
+    assert Mat(iter(row) for row in [[5, 6]]) == Mat([[5, 6]])
+    for bad in ([], [[]], [[1, 2], [3]]):
+        with pytest.raises(DomainError):
+            Mat(bad)
+
+
+def test_int_rows_skip_entry_normalization(monkeypatch):
+    calls = count_calls(monkeypatch, matrix, "_norm_entry")
+    Mat([[1, -2, 3], [4, 5, 10 ** 30]])
+    assert calls["_norm_entry"] == 0
+    Mat([[1, Fraction(1, 2)]])
+    assert calls["_norm_entry"] == 2
 
 
 def test_det_paper_minor():

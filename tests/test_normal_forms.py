@@ -15,9 +15,11 @@ from galekit import (
     positive_row_echelon,
     snf,
 )
-from galekit.normal_forms import _hnf_int
+from galekit import normal_forms
+from galekit.normal_forms import _hermite_basis
 from conftest import (
     check_hnf_result,
+    count_calls,
     hnf_int_oracle,
     minors_gcd_oracle,
     positive_row_echelon_oracle,
@@ -27,6 +29,7 @@ from conftest import (
 )
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
+WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
 
 
 def test_hnf_worked_example_exact():
@@ -94,8 +97,46 @@ def test_fused_hnf_int_matches_two_list_oracle():
             A[rng.randrange(r)] = [0] * c
         expected = hnf_int_oracle(A)
         deficient += len(expected[2]) < r
-        assert _hnf_int([row[:] for row in A]) == expected
+        res = hnf(Mat(A))
+        assert (res.H.to_lists(), res.U.to_lists(),
+                [j - 1 for j in res.pivot_map]) == expected
     assert deficient >= 100
+
+
+def _fuzz_matrix(rng):
+    """Integer or rational, with zero and dependent rows, down to 1 x n and
+    m x 1."""
+    shape = rng.choice(["1xn", "mx1", "any", "any"])
+    r = 1 if shape == "1xn" else rng.randint(1, 7)
+    c = 1 if shape == "mx1" else rng.randint(1, 8)
+    den = rng.choice([1, 1, 2, 6])
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(c)]
+            for _ in range(r)]
+    if r >= 2 and rng.random() < 0.4:
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+    if rng.random() < 0.15:
+        rows[rng.randrange(r)] = [0] * c
+    return Mat(rows)
+
+
+def test_transform_free_passes_match_hnf():
+    # two derivations of one object: hnf's U past the rank and the Hermite
+    # form of [A | I]; hnf's H and the pass that carries no transform
+    rng = random.Random(207)
+    for _ in range(1200):
+        A = _fuzz_matrix(rng)
+        res = hnf(A)
+        assert left_kernel_rows(A) == [res.U.row(i) for i in range(res.rank, A.rows)]
+        basis, pivots = _hermite_basis(A)
+        assert basis == tuple(res.H.row(i) for i in range(res.rank))
+        assert pivots == tuple(j - 1 for j in res.pivot_map)
+
+
+def test_lattice_basis_and_left_kernel_take_no_hnf(monkeypatch):
+    calls = count_calls(monkeypatch, normal_forms, "hnf")
+    assert Lattice.from_matrix(WORKED_V).rank == 2
+    assert left_kernel_rows(WORKED_Q.transpose()) == [(1, -1, 1, 0), (0, 0, 2, -1)]
+    assert calls["hnf"] == 0
 
 
 def test_snf_paper_example():

@@ -1,7 +1,8 @@
 """Property tests of the fraction-free linear algebra kernel (``solve``,
 ``Mat.rank`` and ``Mat.inverse`` on small rational matrices), of the
 integer normal forms ``snf`` and ``positive_row_echelon``, and of lattice
-membership (``Lattice.coordinates``) and ``lattice_intersection``.
+membership (``Lattice.coordinates``), ``lattice_intersection``,
+``dual_lattice`` and ``quotient_structure`` (against sympy's Smith form).
 
 Derandomized with a bounded number of examples, so the suite stays
 deterministic and fast.
@@ -20,9 +21,11 @@ from galekit import (  # noqa: E402
     Lattice,
     Mat,
     det_exact,
+    dual_lattice,
     is_row_echelon,
     lattice_intersection,
     positive_row_echelon,
+    quotient_structure,
     snf,
 )
 from galekit.matrix import solve  # noqa: E402
@@ -234,3 +237,29 @@ def test_intersection_contains_index_multiples(case):
     n = math.prod(abs(det_exact(L.basis_matrix())) for L in lats)
     v = _combine(coeffs, lats[0].basis, lats[0].ambient_dim)
     assert tuple(n * x for x in v) in inter
+
+
+@PROFILE
+@given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda km: matrices(*km)))
+def test_dual_lattice_pairs_integrally_and_is_an_involution(A):
+    L = Lattice.from_matrix(A)
+    D = dual_lattice(L)
+    assert D.rank == L.rank
+    pairings = [sum(x * y for x, y in zip(u, v)) for u in L.basis for v in D.basis]
+    assert all(Fraction(p).denominator == 1 for p in pairings)
+    assert dual_lattice(D) == L
+
+
+@PROFILE
+@given(int_matrices(5, 5))
+def test_quotient_structure_matches_sympy_smith_form(A):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    q = quotient_structure(A.cols, Lattice.from_matrix(A))
+    S = smith_normal_form(sympy.Matrix(A.to_lists()), domain=sympy.ZZ)
+    diag = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i]]
+    assert q.free_rank == A.cols - len(diag)
+    assert q.torsion_factors == tuple(c for c in diag if c > 1)
+    if A.rows == A.cols and A.rank() == A.rows:
+        assert q.free_rank == 0 and q.torsion_order == abs(det_exact(A))
