@@ -106,6 +106,11 @@ def classify_f(V: Mat) -> FMatrixReport:
     """Clause-by-clause candidate-fan-matrix check (a: rank, b: positive
     spanning, c: nonzero columns, d: distinct ray directions, e: full
     column lattice)."""
+    return _classify_f(V)[0]
+
+
+def _classify_f(V: Mat) -> tuple[FMatrixReport, Lattice]:
+    """``classify_f(V)`` and the column lattice of V it was read off."""
     if not V.is_integral:
         raise DomainError("classify_f requires an integer matrix")
     n = V.rows
@@ -125,7 +130,7 @@ def classify_f(V: Mat) -> FMatrixReport:
     is_f = all(c not in violated for c in "abcd")
     return FMatrixReport(is_f_matrix=is_f,
                          is_cf_matrix=is_f and "e" not in violated,
-                         violated=tuple(violated))
+                         violated=tuple(violated)), col_lat
 
 
 def classify_w(Q: Mat) -> WMatrixReport:

@@ -3,10 +3,8 @@
 Entries are Python ints or ``fractions.Fraction`` values (lowest terms,
 positive denominator), so arithmetic never overflows and no floating point
 appears anywhere.  Matrices are immutable values: every transform returns a
-new matrix.
-
-Construction scans the entry types once and sends the entries through
-``_norm_entry`` only when one of them is not a plain ``int``.
+new matrix.  Construction scans the entry types once and sends the entries
+through ``_norm_entry`` only when one of them is not a plain ``int``.
 
 Rank, ``solve``, ``inverse`` and the phase-1 simplex share one
 fraction-free (Bareiss) Gauss-Jordan pivot step on integer rows; ``solve``

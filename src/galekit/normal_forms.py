@@ -12,9 +12,8 @@ one block [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha
 with A, and a column step on the left m columns, applied to every row,
 updates beta with A.  The reduced matrix alpha @ A @ beta, alpha and beta
 are sliced off the block at the end.  ``_hnf_int`` reduces the first n
-columns and carries the rest: ``hnf`` reads U off [A | I]; Hermite bases
-and left kernels (the Hermite form of [A | I] on all columns) carry no
-transform, so they alone may take nearest-integer quotients.
+columns of its rows and carries the rest: ``hnf`` and ``left_kernel_rows``
+read U off [A | I], while Hermite bases pass A alone and carry nothing.
 """
 
 from __future__ import annotations
@@ -59,16 +58,12 @@ class SnfResult:
     factors: tuple[int, ...]
 
 
-def _augment(mat: list[list[int]]) -> list[list[int]]:
-    """[A | I_d] for the d x m matrix A = ``mat``."""
-    return [row + [int(i == j) for j in range(len(mat))] for i, row in enumerate(mat)]
-
-
 def _block(mat: list[list[int]]) -> list[list[int]]:
     """The block [[A, I_d], [I_m, 0]] of the d x m matrix A = ``mat``; the
     zero block is not stored."""
-    m = len(mat[0])
-    return _augment(mat) + [[int(i == j) for j in range(m)] for i in range(m)]
+    d, m = len(mat), len(mat[0])
+    return ([row + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
+            + [[int(i == j) for j in range(m)] for i in range(m)])
 
 
 def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
@@ -77,15 +72,12 @@ def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
             Mat(blk[d:]))
 
 
-def _hnf_int(rows: list[list[int]], n: int, *, nearest: bool = False) -> list[int]:
+def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     """Row HNF of the first n columns of an integer matrix, in place,
     carrying the later columns; returns the pivot columns.
 
     Scan order is fixed: leftmost column first, smallest nonzero pivot,
-    smallest nonnegative remainders above.  The Euclid step below a pivot a
-    takes floor quotients, or with ``nearest`` nearest ones (|remainder| <=
-    a/2).  The reduced columns agree, a Hermite form being unique; the
-    carried ones do not, so ``hnf``, whose transform is public, keeps floor.
+    floor quotients below it, smallest nonnegative remainders above.
     """
     m = len(rows)
     p = 0
@@ -108,8 +100,7 @@ def _hnf_int(rows: list[list[int]], n: int, *, nearest: bool = False) -> list[in
             for i in range(p + 1, m):
                 b = rows[i][j]
                 if b:
-                    # nonzero: a is the smallest |entry|
-                    q = (2 * b + a) // (2 * a) if nearest else b // a
+                    q = b // a  # nonzero: a is the smallest |entry|
                     rows[i] = [x - q * y for x, y in zip(rows[i], top)]
                     if rows[i][j]:
                         clean = False
@@ -127,28 +118,38 @@ def _hnf_int(rows: list[list[int]], n: int, *, nearest: bool = False) -> list[in
     return pivots
 
 
-def hnf(A: Mat) -> HnfResult:
-    """Hermite normal form H = U @ A (row style, pivots top-left); the rows
-    of U spanning the left kernel are in Hermite form, so U is deterministic."""
+def _hnf_rows(A: Mat) -> tuple[int, list[list[int]], list[int]]:
+    """(d, [H | U], pivots) with H = U @ (d A) in Hermite form, d the lcm
+    of A's denominators; the rows of U spanning the left kernel are put in
+    Hermite form as well, which makes U deterministic."""
     m, n = A.shape
     d, work = A.int_scaled()
-    aug = _augment(work)
-    piv0 = _hnf_int(aug, n)
-    kern = [row[n:] for row in aug[len(piv0):]]
-    _hnf_int(kern, m, nearest=True)
+    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(work)]
+    pivots = _hnf_int(aug, n)
+    p = len(pivots)
+    kern = [row[n:] for row in aug[p:]]
+    _hnf_int(kern, m)
+    aug[p:] = [[0] * n + row for row in kern]
+    return d, aug, pivots
+
+
+def hnf(A: Mat) -> HnfResult:
+    """Hermite normal form H = U @ A (row style, pivots top-left)."""
+    n = A.cols
+    d, aug, pivots = _hnf_rows(A)
     if d == 1:
         h = Mat([row[:n] for row in aug])
     else:
         h = Mat([[Fraction(x, d) for x in row[:n]] for row in aug])
-    u = Mat([row[n:] for row in aug[:len(piv0)]] + kern)
-    return HnfResult(H=h, U=u, pivot_map=tuple(j + 1 for j in piv0))
+    return HnfResult(H=h, U=Mat([row[n:] for row in aug]),
+                     pivot_map=tuple(j + 1 for j in pivots))
 
 
 def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
     """The nonzero rows of ``hnf(A).H`` and their 0-based pivot columns,
     from one pass without a transform."""
     d, work = A.int_scaled()
-    pivots = tuple(_hnf_int(work, A.cols, nearest=True))
+    pivots = tuple(_hnf_int(work, A.cols))
     rows = work[:len(pivots)]
     if d > 1:
         rows = [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
@@ -157,12 +158,10 @@ def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
 
 def left_kernel_rows(A: Mat) -> list[tuple]:
     """Canonical basis rows of {x : x @ A = 0}, the rows of ``hnf(A).U``
-    past the rank; empty list if A has full row rank.  They are the rows of
-    the Hermite form of [A | I] whose pivot lies right of A."""
+    past the rank; empty list if A has full row rank."""
     n = A.cols
-    aug = _augment(A.int_scaled()[1])
-    rank = sum(j < n for j in _hnf_int(aug, n + A.rows, nearest=True))
-    return [tuple(row[n:]) for row in aug[rank:]]
+    _, aug, pivots = _hnf_rows(A)
+    return [tuple(row[n:]) for row in aug[len(pivots):]]
 
 
 # ---------------------------------------------------------------------------

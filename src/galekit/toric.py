@@ -36,7 +36,7 @@ from .lattices import (
     quotient_structure,
 )
 from .gale import gale_dual
-from .fw import _is_w_reduced, classify_f, classify_w
+from .fw import _classify_f, _is_w_reduced, classify_w
 from .fans import Fan, _support_complete, enumerate_SF, fan_from_cones, is_fan
 
 
@@ -65,33 +65,31 @@ def torsion_via_Tn(V: Mat) -> QuotientStructure:
     """Torsion of the class group through the upper block of HNF(V^T)."""
     if V.rank() < V.rows:
         raise DomainError("torsion_via_Tn requires full row rank")
-    return _upper_block(V)[1]
+    return _upper_block(Lattice.from_matrix(V.transpose()))[1]
 
 
-def _upper_block(V: Mat) -> tuple:
-    """(T_n, Z^n / T_n), T_n the nonzero rows of HNF(V^T), for V of rank n."""
-    n = V.rows
-    lat = Lattice.from_matrix(V.transpose())
-    q = quotient_structure(n, lat)
+def _upper_block(col_lat: Lattice) -> tuple:
+    """(T_n, Z^n / T_n), T_n the nonzero rows of HNF(V^T), from the column
+    lattice of a V of full row rank n."""
+    q = quotient_structure(col_lat.ambient_dim, col_lat)
     if q.free_rank:
         raise GaleKitError("upper HNF block of V^T is singular (unreachable)")
-    return lat.basis_matrix(), q
+    return col_lat.basis_matrix(), q
 
 
 def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
     """Evaluate the four torsion-freeness conditions and require agreement:
     trivial torsion, identity HNF block and coprime maximal minors (|det T_n|
     = 1), all read off one HNF(V^T) = [T_n; 0], and a full column lattice
-    (clause e of ``classify_f``)."""
-    rep = classify_f(V)
+    (clause e of ``classify_f``, read off the same Hermite basis T_n)."""
+    rep, col_lat = _classify_f(V)
     if not rep.is_f_matrix:
         raise DomainError("is_pws requires an F-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
-    n = V.rows
-    top, torsion = _upper_block(V)
+    top, torsion = _upper_block(col_lat)
     cond = {
         "torsion_trivial": torsion.is_trivial,
-        "hnf_identity_block": top == Mat.identity(n),
+        "hnf_identity_block": top == Mat.identity(V.rows),
         "column_lattice_full": "e" not in rep.violated,
         "coprime_minors": abs(top.det()) == 1,
     }

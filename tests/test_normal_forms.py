@@ -119,14 +119,15 @@ def _fuzz_matrix(rng):
     return Mat(rows)
 
 
-def test_transform_free_passes_match_hnf():
-    # two derivations of one object: hnf's U past the rank and the Hermite
-    # form of [A | I]; hnf's H and the pass that carries no transform
+def test_left_kernels_and_hermite_bases_match_oracles():
+    # left kernels against the two-list oracle's U past the rank (hnf's U,
+    # by the test above); hnf's H against the pass that carries no transform
     rng = random.Random(207)
     for _ in range(1200):
         A = _fuzz_matrix(rng)
         res = hnf(A)
-        assert left_kernel_rows(A) == [res.U.row(i) for i in range(res.rank, A.rows)]
+        _, u, piv = hnf_int_oracle(A.int_scaled()[1])
+        assert left_kernel_rows(A) == [tuple(row) for row in u[len(piv):]]
         basis, pivots = _hermite_basis(A)
         assert basis == tuple(res.H.row(i) for i in range(res.rank))
         assert pivots == tuple(j - 1 for j in res.pivot_map)

@@ -99,6 +99,13 @@ def test_is_pws_reads_one_hnf_of_v_transpose(monkeypatch):
     assert rank_calls["rank"] <= 2
 
 
+def test_is_pws_shares_the_column_lattice_of_classify_f(monkeypatch):
+    # T_n is the Hermite basis of the column lattice classify_f builds
+    calls = count_calls(monkeypatch, normal_forms, "_hermite_basis")
+    assert is_pws(WORKED_V)[0]
+    assert calls["_hermite_basis"] == 1
+
+
 def test_is_pws_requires_f_matrix():
     with pytest.raises(DomainError):
         is_pws(Mat([[1, 0], [0, 1]]))  # not positively spanning
