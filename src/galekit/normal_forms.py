@@ -12,8 +12,8 @@ one block [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha
 with A, and a column step on the left m columns, applied to every row,
 updates beta with A.  The reduced matrix alpha @ A @ beta, alpha and beta
 are sliced off the block at the end.  ``_hnf_int`` reduces the first n
-columns of its rows and carries the rest: ``hnf`` and ``left_kernel_rows``
-read U off [A | I], while Hermite bases pass A alone and carry nothing.
+columns (floor quotients) and carries the rest: ``hnf`` and
+``left_kernel_rows`` read U off [A | I]; Hermite bases carry nothing.
 """
 
 from __future__ import annotations
