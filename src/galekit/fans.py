@@ -21,13 +21,16 @@ are covered, since a row basis has the same dependences as V.
   the sign of the minor on the columns (F, j).
 
 Enumeration strategy: candidate maximal cones are the bases containing no
-further ray strictly inside; a depth-first search grows partial fans
+further ray strictly inside.  One pass over the circuits gives every
+candidate the bitmask of the candidates it conflicts with (``is_fan`` makes
+the same pass over its cones).  A depth-first search grows partial fans
 through unmatched interior facets.  Each node adds the facets of its new
-cone to the set of unmatched ones handed down from its parent, and a
-candidate is admitted by testing its precomputed conflict set against the
-cones already chosen.  Support coverage is certified combinatorially: every
-facet of the final collection is either shared by exactly two maximal cones
-or spans a supporting hyperplane of the whole configuration.
+cone to the set of unmatched ones handed down from its parent, a candidate
+is admitted when its conflict mask misses the cones already chosen, and a
+complete fan is read off the candidates on the search path.  Support
+coverage is certified combinatorially: every facet of the final collection
+is either shared by exactly two maximal cones or spans a supporting
+hyperplane of the whole configuration.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .matrix import (
     Mat,
     _bareiss_det,
     _eliminate,
+    _norm_rows,
     check_index_set,
     solve,
 )
@@ -99,6 +103,7 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
     gens = check_index_set(sorted(gens), V.cols)
     if len(x) != V.rows:
         raise DomainError("point dimension mismatch")
+    (x,) = _norm_rows([x])
     if not gens:
         return not any(x)  # the zero cone; it is its own relative interior
     simplicial = V.take_cols([g - 1 for g in gens]).rank() == len(gens)
@@ -111,7 +116,7 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
         coeffs = _coeffs_in_cone(V, gens, x)
         return coeffs is not None and all(c >= 0 for c in coeffs)
     cols = [V.col(g - 1) for g in gens]
-    return _nonneg_combination(cols, tuple(x)) is not None
+    return _nonneg_combination(cols, x) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +130,11 @@ def _mask(idx0: Iterable[int]) -> int:
 
 
 def _bits(m: int) -> list[int]:
-    return [j for j in range(m.bit_length()) if m >> j & 1]
+    out = []  # one step per set bit: m & -m is the lowest one
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
 
 
 class _Circuits:
@@ -136,6 +145,7 @@ class _Circuits:
     oriented circuit in both orientations as sorted (positive, negative)
     bitmask pairs.  The circuit of a rank+1 subset S = (s_0 < ... < s_rank)
     of rank ``rank`` is the sign vector of its kernel, (-1)^i chi(S - s_i).
+    ``_conflicts`` pair-tests many cones in one pass over ``circuits``.
     """
 
     def __init__(self, V: Mat):
@@ -168,22 +178,10 @@ class _Circuits:
         self.chi = chi
         self.circuits = tuple(sorted(found))
         self.circuit_set = frozenset(found)
-        self._opposite: dict[int, tuple[int, ...]] = {}
         self._boundary: dict[int, bool] = {}
 
     def independent(self, cone: int) -> bool:
         return not any((p | q) & ~cone == 0 for p, q in self.circuits)
-
-    def opposite(self, cone: int) -> tuple[int, ...]:
-        """Z- of every circuit with Z+ inside the cone."""
-        if cone not in self._opposite:
-            self._opposite[cone] = tuple(q for p, q in self.circuits
-                                         if p & ~cone == 0)
-        return self._opposite[cone]
-
-    def meet_properly(self, a: int, b: int) -> bool:
-        """Whether the simplicial cones a, b intersect in a common face."""
-        return not any(q & ~b == 0 for q in self.opposite(a))
 
     def side(self, facet: int, j: int) -> int:
         """Sign of column j (0-based) against the hyperplane spanned by the
@@ -204,6 +202,32 @@ def _circuit_table(V: Mat) -> _Circuits:
     # one entry: consecutive calls on one V (enumerate a fan, then validate
     # it with is_fan and the support check) share a single table
     return _Circuits(V)
+
+
+def _conflicts(table: _Circuits, masks: Sequence[int]) -> list[int]:
+    """conflicts[i]: bitmask of the simplicial cones in ``masks`` that do not
+    meet cone i in a common face, i.e. hold Z- of a circuit whose Z+ cone i
+    holds.  One pass over the circuits: with the cones holding each column
+    as a bitmask, a circuit costs one AND per column."""
+    holders = [0] * table.cols
+    for i, m in enumerate(masks):
+        for j in _bits(m):
+            holders[j] |= 1 << i
+    every = (1 << len(masks)) - 1
+    conflicts = [0] * len(masks)
+    for p, q in table.circuits:
+        first = every
+        for j in _bits(p):
+            first &= holders[j]
+        if not first:
+            continue
+        second = every
+        for j in _bits(q):
+            second &= holders[j]
+        if second:
+            for i in _bits(first):
+                conflicts[i] |= second
+    return conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +257,7 @@ def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
         if not table.independent(mask):
             raise DomainError(f"cone {gens} is not simplicial")
         masks.add(mask)
-    return all(table.meet_properly(a, b)
-               for a, b in combinations(sorted(masks), 2))
+    return not any(_conflicts(table, sorted(masks)))
 
 
 def _support_complete(V: Mat, cones: Sequence[Sequence[int]]) -> bool:
@@ -298,22 +321,7 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
     cands = [m for m in (_mask(pick) for pick in combinations(range(s), n))
              if m in table.chi and m not in blocked]
 
-    # conflicts[i]: bitmask of the candidates that do not meet candidate i
-    # in a common face, i.e. contain Z- of a circuit with Z+ inside i
-    holding = [0] * s
-    for i, m in enumerate(cands):
-        for j in _bits(m):
-            holding[j] |= 1 << i
-    every = (1 << len(cands)) - 1
-    conflicts = []
-    for m in cands:
-        bad = 0
-        for q in table.opposite(m):
-            hold = every
-            for j in _bits(q):
-                hold &= holding[j]
-            bad |= hold
-        conflicts.append(bad)
+    conflicts = _conflicts(table, cands)
 
     # interior facets of each candidate, with the side of the dropped ray
     inner: list[list[tuple[int, int]]] = []
@@ -344,12 +352,13 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
                 open_facets[facet] = sign * side
 
     full = (1 << s) - 1
-    results: list[int] = []
+    path: list[int] = []  # the candidates chosen, in the order pushed
+    results: list[tuple[int, ...]] = []
 
     def dfs(root: int, chosen: int, used: int) -> None:
         if not open_facets:
             if used == full:
-                results.append(chosen)
+                results.append(tuple(sorted(path)))
             return
         facet = min(open_facets)
         need = open_facets[facet]
@@ -359,18 +368,22 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
             if i <= root or side != need or conflicts[i] & chosen:
                 continue
             toggle(i, -1)
+            path.append(i)
             dfs(root, chosen | 1 << i, used | cands[i])
+            path.pop()
             toggle(i, 1)
 
     for root, m in enumerate(cands):
         toggle(root, -1)
+        path.append(root)
         dfs(root, 1 << root, m)
+        path.pop()
         toggle(root, 1)
 
     # candidates are in lexicographic order, so index tuples sort like fans
     cones = [Cone(gens=tuple(j + 1 for j in _bits(m))) for m in cands]
     return [Fan(V=V, maximal_cones=tuple(cones[i] for i in fset))
-            for fset in sorted({tuple(_bits(chosen)) for chosen in results})]
+            for fset in sorted(set(results))]
 
 
 def is_divisorially_detected(V: Mat, cap: int = 10) -> bool:

@@ -165,8 +165,7 @@ class Mat:
         return all(isinstance(x, int) for row in self._rows for x in row)
 
     def denominator_lcm(self) -> int:
-        return math.lcm(*(x.denominator for row in self._rows for x in row
-                          if isinstance(x, Fraction)))
+        return math.lcm(*(x.denominator for row in self._rows for x in row))
 
     def int_scaled(self) -> tuple[int, list[list[int]]]:
         """(D, D*self as int lists); D is the lcm of all denominators."""
@@ -261,7 +260,7 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
 
 def _int_row(row: Sequence) -> tuple[int, list[int]]:
     """(k, k * row as ints); k is the lcm of the row's denominators."""
-    k = math.lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    k = math.lcm(*(x.denominator for x in row))
     return k, [_as_int(x * k) for x in row]
 
 

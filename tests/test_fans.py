@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,19 @@ def test_cone_contains_outside():
 
 def test_cone_contains_rational_point():
     assert cone_contains(WORKED_V, (1, 3), (Fraction(1, 2), Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("point", [(1.0, 1), ("1", 1), (True, 1)])
+def test_cone_contains_rejects_non_exact_points_on_both_branches(point):
+    """A float, str or bool entry raises the same TypeError whether the cone
+    is simplicial (a solve), not simplicial (a feasibility test) or zero."""
+    three_rays = Mat([[1, 0, 1], [0, 1, 1]])
+    messages = set()
+    for V, cone in ((WORKED_V, (1, 3)), (three_rays, (1, 2, 3)), (three_rays, ())):
+        with pytest.raises(TypeError) as err:
+            cone_contains(V, cone, point)
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_is_fan_accepts_valid():
@@ -341,3 +356,65 @@ def test_is_fan_on_few_columns_of_a_wide_configuration():
         assert is_fan(V, [a, b]) == expected, (a, b)
         verdicts[expected] += 1
     assert min(verdicts) >= 3
+
+
+def _candidate_count(V):
+    """Nonsingular n-subsets of the columns with no further column strictly
+    inside, counted with exact interior membership."""
+    n, s = V.shape
+    return sum(
+        1 for c in combinations(range(1, s + 1), n)
+        if V.take_cols([g - 1 for g in c]).rank() == n
+        and not any(cone_contains(V, c, V.col(k - 1), interior=True)
+                    for k in range(1, s + 1) if k not in c))
+
+
+def test_enumerate_reproduces_golden_fan_lists():
+    """Six seeded 3x9, 3x10 and 4x9 configurations with more than 64
+    candidate cones, so the candidate and fan bitmasks of the search are
+    wider than a machine word: the fans and their order are exactly those
+    recorded in tests/data/fans_golden.json."""
+    golden = json.loads((Path(__file__).parent / "data" / "fans_golden.json").read_text())
+    shapes = set()
+    for case in golden["cases"]:
+        V = Mat(case["V"])
+        assert _candidate_count(V) == case["candidates"] > 64
+        got = [[list(c) for c in fan.cone_sets()] for fan in enumerate_SF(V)]
+        assert got == case["fans"], case["name"]
+        shapes.add(V.shape)
+    assert shapes == {(3, 9), (3, 10), (4, 9)}
+    assert len(golden["cases"]) >= 6
+
+
+def test_is_fan_matches_pairwise_vertex_oracle_on_collections():
+    """Collections of 2-6 simplicial cones of any dimension, some on
+    rank-deficient V: is_fan agrees with the vertex-enumeration pair test
+    applied to every pair."""
+    rng = random.Random(607)
+    verdicts = [0, 0]
+    trial = 0
+    while sum(verdicts) < 500:
+        trial += 1
+        n = 2 + trial % 2
+        s = rng.randint(n + 1, n + 3)
+        V = rand_mat(rng, n, s, -2, 2)
+        if trial % 5 == 0:
+            rows = V.to_lists()
+            rows[-1] = [sum(col) for col in zip(*rows[:-1])]
+            V = Mat(rows)
+        cones = [c for d in range(1, n + 1)
+                 for c in combinations(range(1, s + 1), d)
+                 if V.take_cols([g - 1 for g in c]).rank() == d]
+        if len(cones) < 2:
+            continue
+        geoms = {c: ConeGeom(V, c) for c in cones}
+        pair = {}
+        for _ in range(8):
+            pick = rng.sample(cones, min(rng.randint(2, 6), len(cones)))
+            for a, b in combinations(pick, 2):
+                if (a, b) not in pair:
+                    pair[a, b] = proper_intersection(V, geoms[a], geoms[b])
+            expected = all(pair[a, b] for a, b in combinations(pick, 2))
+            assert is_fan(V, pick) == expected, (V, pick)
+            verdicts[expected] += 1
+    assert min(verdicts) >= 50, verdicts
