@@ -176,6 +176,8 @@ def _cmd_echelon(args) -> None:
 
 
 def _cmd_gale(args) -> None:
+    if args.check_size_cap < 0:
+        raise ParseError(f"--check-size-cap {args.check_size_cap} is negative")
     A = _read_matrix(args.matrix)
     G = gale_dual(A)
     checked = None

@@ -8,7 +8,8 @@ V restricted to a row basis (the chirotope) and the oriented circuits, the
 sign patterns of the minimal linear dependences among the columns.  Each
 circuit Z is stored in both orientations as a pair (Z+, Z-) of bitmasks,
 bit j-1 standing for column j.  Rank-deficient V and cones of any dimension
-are covered, since a row basis has the same dependences as V.
+are covered, since a row basis has the same dependences as V.  Only point
+membership is asked outside the table (``cone_contains``).
 
 * A cone is simplicial iff it contains the support of no circuit.
 * Two simplicial cones s, t intersect in a common face iff no circuit has
@@ -45,11 +46,11 @@ from .matrix import (
     Mat,
     _bareiss_det,
     _eliminate,
+    _int_row,
+    _nonneg_solve,
     _norm_rows,
     check_index_set,
-    solve,
 )
-from .fw import _nonneg_combination
 
 
 @dataclass(frozen=True, order=True)
@@ -82,23 +83,12 @@ def fan_from_cones(V: Mat, cones: Iterable[Sequence[int]]) -> Fan:
 # ---------------------------------------------------------------------------
 # membership
 
-def _coeffs_in_cone(V: Mat, gens: Sequence[int], x: Sequence) -> "list | None":
-    """Coefficients of x on a simplicial generator set, or None if x is
-    outside the linear span or the system is inconsistent."""
-    sub = V.take_cols([g - 1 for g in gens])
-    sol = solve(sub, Mat([[v] for v in x]))
-    if sol is None:
-        return None
-    return [sol[i, 0] for i in range(len(gens))]
-
-
 def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
                   interior: bool = False) -> bool:
-    """Exact membership of x in the cone on the given columns of V.
-
-    With interior=True the cone must be simplicial and the test is for the
-    relative interior (all coefficients strictly positive).
-    """
+    """Exact membership of x in the cone on the given columns of V, by one
+    feasibility test {c >= 0 : V_cone c = x}.  With interior=True, of the
+    relative interior (all c_i > 0) of a simplicial cone, by one elimination
+    of [V_cone | x], which gives its rank and the coefficients of x."""
     gens = cone.gens if isinstance(cone, Cone) else tuple(cone)
     gens = check_index_set(sorted(gens), V.cols)
     if len(x) != V.rows:
@@ -106,17 +96,18 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
     (x,) = _norm_rows([x])
     if not gens:
         return not any(x)  # the zero cone; it is its own relative interior
-    simplicial = V.take_cols([g - 1 for g in gens]).rank() == len(gens)
-    if interior:
-        if not simplicial:
-            raise DomainError("interior test requires a simplicial cone")
-        coeffs = _coeffs_in_cone(V, gens, x)
-        return coeffs is not None and all(c > 0 for c in coeffs)
-    if simplicial:
-        coeffs = _coeffs_in_cone(V, gens, x)
-        return coeffs is not None and all(c >= 0 for c in coeffs)
-    cols = [V.col(g - 1) for g in gens]
-    return _nonneg_combination(cols, x) is not None
+    rows = [[row[g - 1] for g in gens] for row in V.row_tuples()]
+    if not interior:
+        return _nonneg_solve(rows, x)[0] is not None
+    k = len(gens)
+    m = [_int_row((*row, xi))[1] for row, xi in zip(rows, x)]
+    pivots, d = _eliminate(m, k)
+    if len(pivots) < k:
+        raise DomainError("interior test requires a simplicial cone")
+    if any(row[k] for row in m[k:]):
+        return False  # x is outside the span of the cone
+    # row i is d * (e_i | c_i): c_i > 0 exactly when row[k] and d agree in sign
+    return all(row[k] * d > 0 for row in m[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +168,6 @@ class _Circuits:
                 found.add((neg, pos))
         self.chi = chi
         self.circuits = tuple(sorted(found))
-        self.circuit_set = frozenset(found)
         self._boundary: dict[int, bool] = {}
 
     def independent(self, cone: int) -> bool:
@@ -309,11 +299,13 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
         if not any(V.col(j)):
             raise DomainError(f"degenerate configuration: column {j + 1} is zero")
     table = _circuit_table(V)
-    for i in range(s):
-        for j in range(i + 1, s):
-            if (1 << i, 1 << j) in table.circuit_set:
-                raise DomainError("degenerate configuration: columns "
-                                  f"{i + 1} and {j + 1} span the same ray")
+    # circuits v_i - c v_j = 0, c > 0; the least names the first pair (i, j)
+    same_ray = [(p, q) for p, q in table.circuits
+                if p < q and p.bit_count() == q.bit_count() == 1]
+    if same_ray:
+        i, j = (b.bit_length() for b in min(same_ray))
+        raise DomainError("degenerate configuration: columns "
+                          f"{i} and {j} span the same ray")
     if table.rank < n:
         raise DomainError("degenerate configuration: rank-deficient matrix")
 

@@ -30,7 +30,6 @@ from .matrix import (
     GaleKitError,
     Mat,
     _nonneg_solve,
-    solve,
     submatrix_cols,
     vec_gcd,
 )
@@ -41,7 +40,7 @@ from .normal_forms import (
     strictly_positive_row_vector,
 )
 from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
-from .gale import gale_dual
+from .gale import gale_dual, solve_left_factor
 
 
 @dataclass(frozen=True)
@@ -56,16 +55,6 @@ class FMatrixReport:
     is_f_matrix: bool
     is_cf_matrix: bool
     violated: tuple[str, ...]
-
-
-def _nonneg_combination(cols: list[tuple], target: tuple) -> "list | None":
-    """Exact coefficients c >= 0 with sum(c_i * cols_i) = target, or None."""
-    if not any(target):
-        return [0] * len(cols)
-    if not cols:
-        return None
-    x, _ = _nonneg_solve(list(zip(*cols)), target)
-    return x
 
 
 def is_f_complete(A: Mat) -> bool:
@@ -225,12 +214,11 @@ def positivize(Q: Mat) -> Mat:
     the remaining rows.
     """
     c = list(_primitive(_require_w_matrix(Q, "positivize").positive_witness))
-    lam = solve(Q.transpose(), Mat([[x] for x in c]))
-    if lam is None or not lam.is_integral:
+    lam = solve_left_factor(Mat([c]), Q)
+    if lam is None:
         raise GaleKitError("positive witness does not lift into the "
                            "row lattice (no-cotorsion violation)")
-    lam_row = tuple(lam.col(0))
-    rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam_row,
+    rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam.row(0),
                                             list(range(Q.cols)))
     return Mat(rows)
 

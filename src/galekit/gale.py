@@ -57,9 +57,11 @@ class GaleDualPair:
         n, r = v.rows, q.rows
         if n + r != v.cols:
             raise DomainError("invalid pair: shapes are not n x (n+r) and r x (n+r)")
-        if v.rank() != n or q.rank() != r:
+        kern = left_kernel_rows(v.transpose())
+        q_lattice = Lattice.from_matrix(q)
+        if v.cols - len(kern) != n or q_lattice.rank != r:
             raise DomainError("invalid pair: rank deficiency")
-        if Lattice.from_matrix(q) != Lattice.from_matrix(gale_dual(v)):
+        if q_lattice != Lattice.from_rows(kern, v.cols):
             raise DomainError("invalid pair: rows of Q do not span ker(V)")
 
     @property

@@ -174,9 +174,6 @@ class Mat:
             return 1, [list(r) for r in self._rows]
         return d, [[_as_int(x * d) for x in row] for row in self._rows]
 
-    def take_rows(self, idx0: Sequence[int]) -> "Mat":
-        return Mat([self._rows[i] for i in idx0])
-
     def take_cols(self, idx0: Sequence[int]) -> "Mat":
         return Mat([[row[j] for j in idx0] for row in self._rows])
 

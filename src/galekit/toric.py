@@ -7,7 +7,8 @@ read off the Hermite transform of Q^T.  In that identification the Picard
 subgroup is the intersection of the column lattices of the complementary
 weight submatrices over all maximal cones, Cartier divisors are spanned by
 an explicit block product, and the Cartier index of a divisor a is the order
-of Q a in Z^r / Pic, read off its coordinates in the Picard basis.
+of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  delta_Sigma
+is read off the same column lattices: |det| is the product of Hermite pivots.
 ``full_report`` validates its input once and derives each object once; the
 public per-object functions validate the fan, then call the same cores.
 """
@@ -63,9 +64,10 @@ def class_group(V: Mat) -> QuotientStructure:
 
 def torsion_via_Tn(V: Mat) -> QuotientStructure:
     """Torsion of the class group through the upper block of HNF(V^T)."""
-    if V.rank() < V.rows:
+    col_lat = Lattice.from_matrix(V.transpose())
+    if col_lat.rank < V.rows:  # the column lattice has the rank of V
         raise DomainError("torsion_via_Tn requires full row rank")
-    return _upper_block(Lattice.from_matrix(V.transpose()))[1]
+    return _upper_block(col_lat)[1]
 
 
 def _upper_block(col_lat: Lattice) -> tuple:
@@ -152,10 +154,13 @@ def picard_basis(Q: Mat, fan: Fan) -> Mat:
     """Basis (rows) of the Picard subgroup inside Z^r: intersection of the
     column lattices of the complementary weight submatrices."""
     _check_fan(gale_dual(Q), fan)
-    return _picard_basis(Q, fan)
+    return _picard_basis(Q, fan)[0]
 
 
-def _picard_basis(Q: Mat, fan: Fan) -> Mat:
+def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
+    """(Picard basis, delta_sigma).  Once the intersection has full rank r,
+    so has every block lattice L_c(Q^I): its Hermite basis is upper
+    triangular, and |det Q^I| = [Z^r : L_c(Q^I)] is its diagonal product."""
     lattices = []
     for idx in _index_sets(fan):
         qi = submatrix_cols(Q, idx)
@@ -167,7 +172,9 @@ def _picard_basis(Q: Mat, fan: Fan) -> Mat:
                            "for simplicial complete fans)")
     if not basis.is_integral:
         raise GaleKitError("Picard basis is not integral (internal invariant)")
-    return basis
+    delta = math.lcm(*(math.prod(row[i] for i, row in enumerate(lat.basis))
+                       for lat in lattices))
+    return basis, delta
 
 
 def cartier_basis(B: Mat, U_Q: Mat) -> Mat:
@@ -186,26 +193,20 @@ def delta_sigma(Q: Mat, fan: Fan) -> int:
     """lcm of |det| of the complementary weight submatrices over all maximal
     cones; multiplies every ray divisor into a Cartier divisor."""
     _check_fan(gale_dual(Q), fan)
-    cb = cartier_basis(_picard_basis(Q, fan), cl_generators_full(Q))
-    return _delta_sigma(Q, fan, cb)
+    b, delta = _picard_basis(Q, fan)
+    _check_delta_sigma(delta, cartier_basis(b, cl_generators_full(Q)))
+    return delta
 
 
-def _delta_sigma(Q: Mat, fan: Fan, cb: Mat) -> int:
-    """delta_sigma, checked against the Cartier basis cb of the same fan."""
-    value = 1
-    for idx in _index_sets(fan):
-        d = abs(det_exact(submatrix_cols(Q, idx)))
-        if d == 0:
-            raise DomainError("degenerate maximal cone: complementary "
-                              "weight submatrix is singular")
-        value = value * d // math.gcd(value, d)
+def _check_delta_sigma(delta: int, cb: Mat) -> None:
+    """delta times every ray divisor lies in the Cartier lattice spanned by
+    the rows cb of the same fan."""
     lat = Lattice.from_matrix(cb)
-    for j in range(Q.cols):
-        vec = tuple(value * int(t == j) for t in range(Q.cols))
+    for j in range(cb.cols):
+        vec = tuple(delta * int(t == j) for t in range(cb.cols))
         if vec not in lat:
             raise GaleKitError("delta_sigma multiple is not Cartier "
                                "(internal invariant)")
-    return value
 
 
 def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
@@ -290,9 +291,9 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     cl = QuotientStructure(r)  # is_pws: Cl is torsion-free, so Cl = Z^r
     u_full = cl_generators_full(Q)
     gens = Mat([u_full.row(i) for i in range(r)])
-    b = _picard_basis(Q, chosen)
+    b, delta = _picard_basis(Q, chosen)
     c = cartier_basis(b, u_full)
-    delta = _delta_sigma(Q, chosen, c)
+    _check_delta_sigma(delta, c)
     coords = solve(b.transpose(), Q)
     if coords is None:
         raise GaleKitError("Weil classes have no Picard coordinates "

@@ -67,6 +67,14 @@ def test_gale_check_flag(capsys, qfile):
     assert "check: ok" in out
 
 
+def test_gale_negative_check_size_cap_is_usage_error(capsys, qfile):
+    code, out, err = run_cli(capsys, "gale", qfile, "--check",
+                             "--check-size-cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --check-size-cap -1 is negative\n"
+
+
 def test_hnf_identity(capsys, tmp_path):
     p = tmp_path / "i3.txt"
     p.write_text("1 0 0\n0 1 0\n0 0 1\n")

@@ -20,12 +20,18 @@ from galekit import (
     is_fan,
     is_support_complete,
 )
+from galekit import matrix
 from conftest import (
     ConeGeom,
+    count_calls,
+    count_rank_calls,
+    gauss_rank,
+    nonneg_combination_oracle,
     proper_intersection,
     rand_f_matrix,
     rand_full_row_rank,
     rand_mat,
+    solve_oracle,
     support_complete_oracle,
 )
 
@@ -58,7 +64,7 @@ def test_cone_contains_rational_point():
 @pytest.mark.parametrize("point", [(1.0, 1), ("1", 1), (True, 1)])
 def test_cone_contains_rejects_non_exact_points_on_both_branches(point):
     """A float, str or bool entry raises the same TypeError whether the cone
-    is simplicial (a solve), not simplicial (a feasibility test) or zero."""
+    is simplicial, not simplicial or zero."""
     three_rays = Mat([[1, 0, 1], [0, 1, 1]])
     messages = set()
     for V, cone in ((WORKED_V, (1, 3)), (three_rays, (1, 2, 3)), (three_rays, ())):
@@ -187,6 +193,23 @@ def test_enumerate_guards():
         enumerate_SF(Mat([[1, -1, 2], [1, -1, 2]]))  # rank-deficient
 
 
+@pytest.mark.parametrize("V, pair", [
+    # columns 1, 4 and 2, 3 span common rays: (1, 4) comes first, although
+    # (2, 3) has the smaller second column
+    (Mat([[1, 0, 0, 3, -1], [0, 1, 2, 0, -1]]), (1, 4)),
+    # three columns on one ray, and a later pair on another
+    (Mat([[1, 2, 3, 0, 0, -1], [0, 0, 0, 1, 5, -1]]), (1, 2)),
+    # the rays come back in the other order: 2 then 5, 3 then 4
+    (Mat([[0, 1, 0, 0, 2, -1], [0, 0, 1, 4, 0, -1], [1, 0, 0, 0, 0, -1]]),
+     (2, 5)),
+])
+def test_enumerate_names_the_first_same_ray_pair(V, pair):
+    i, j = pair
+    with pytest.raises(DomainError, match=f"^degenerate configuration: columns "
+                       f"{i} and {j} span the same ray$"):
+        enumerate_SF(V)
+
+
 def test_enumerate_matches_weight_side():
     # enumeration driven from the Gale dual of the worked-example weights
     V = gale_dual(Mat([[1, 1, 0, 0], [0, 1, 1, 2]]))
@@ -280,6 +303,87 @@ def test_support_complete_rank_deficient_configurations():
     line = Mat([[1, -1], [0, 0]])
     assert is_support_complete(line, fan_from_cones(line, [(1,), (2,)]))
     assert not is_support_complete(line, fan_from_cones(line, [(1,)]))
+
+
+def _rand_cone_case(rng):
+    """(V, gens, x): a small V whose generator set is rank-deficient about
+    a third of the time, and a point that is often a nonnegative or positive
+    combination of the generators, sometimes scaled by a fraction."""
+    n = rng.randint(1, 4)
+    s = rng.randint(1, 6)
+    V = rand_mat(rng, n, s, -3, 3)
+    k = rng.randint(1, s)
+    gens = tuple(sorted(rng.sample(range(1, s + 1), k)))
+    if k >= 2 and rng.random() < 0.35:
+        # make the last generator a combination of the others
+        cols = [list(V.col(j)) for j in range(s)]
+        a, b = rng.sample(gens[:-1], 2) if k >= 3 else (gens[0], gens[0])
+        ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+        cols[gens[-1] - 1] = [ca * x + cb * y for x, y in
+                              zip(cols[a - 1], cols[b - 1])]
+        V = Mat.from_cols(cols)
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = [rng.randint(-3, 3) for _ in range(n)]
+    else:
+        lo = 1 if kind == 1 else 0
+        coeffs = [rng.randint(lo, 3) for _ in gens]
+        x = [sum(c * V[i, g - 1] for c, g in zip(coeffs, gens))
+             for i in range(n)]
+        if kind == 3 and rng.random() < 0.5:
+            # nudge off the cone: most such points fall outside
+            x[rng.randrange(n)] += rng.choice((-1, 1))
+    if rng.random() < 0.3:
+        q = Fraction(rng.randint(1, 4), rng.randint(2, 5))
+        x = [q * v for v in x]
+    return V, gens, x
+
+
+def test_cone_contains_matches_oracles_fuzz():
+    """Plain membership against the square-subsystem scan, the interior
+    test against plain Gaussian elimination (rank, then coefficients)."""
+    rng = random.Random(1107)
+    plain = [0, 0]
+    inner = [0, 0]
+    refused = 0
+    rational = deficient = 0
+    for _ in range(1500):
+        V, gens, x = _rand_cone_case(rng)
+        rational += any(isinstance(v, Fraction) for v in x)
+        cols = [V.col(g - 1) for g in gens]
+        want = nonneg_combination_oracle(cols, tuple(x)) is not None
+        got = cone_contains(V, gens, x)
+        assert got == want, (V, gens, x)
+        plain[got] += 1
+        sub = V.take_cols([g - 1 for g in gens])
+        if gauss_rank(sub) < len(gens):
+            deficient += 1
+            with pytest.raises(DomainError, match="^interior test requires "
+                               "a simplicial cone$"):
+                cone_contains(V, gens, x, interior=True)
+            refused += 1
+            continue
+        sol = solve_oracle(sub, Mat([[v] for v in x]))
+        want = sol is not None and all(c > 0 for c in sol.col(0))
+        got = cone_contains(V, gens, x, interior=True)
+        assert got == want, (V, gens, x)
+        inner[got] += 1
+    assert min(plain) >= 100 and min(inner) >= 100, (plain, inner)
+    assert refused >= 100 and rational >= 100 and deficient >= 100
+
+
+def test_cone_contains_asks_no_rank_and_no_solve(monkeypatch):
+    ranks = count_rank_calls(monkeypatch)
+    solves = count_calls(monkeypatch, matrix, "solve")
+    three_rays = Mat([[1, 0, 1], [0, 1, 1]])
+    for interior in (False, True):
+        assert cone_contains(WORKED_V, (1, 3), (1, 1), interior=interior)
+        assert not cone_contains(WORKED_V, (1, 3), (-1, 0), interior=interior)
+    assert cone_contains(three_rays, (1, 2, 3), (1, 1))
+    with pytest.raises(DomainError):
+        cone_contains(three_rays, (1, 2, 3), (1, 1), interior=True)
+    assert ranks["rank"] == 0
+    assert solves["solve"] == 0
 
 
 def test_cone_contains_non_simplicial():

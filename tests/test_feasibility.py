@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from galekit import GaleKitError, Lattice, Mat, classify_f, classify_w, is_f_complete
+from galekit import (
+    GaleKitError,
+    Lattice,
+    Mat,
+    classify_f,
+    classify_w,
+    cone_contains,
+    is_f_complete,
+)
 from galekit import fw, matrix
 from galekit.matrix import _nonneg_solve
 from galekit.normal_forms import strictly_positive_row_vector
@@ -65,7 +73,7 @@ def test_nonneg_solve_matches_subset_scan():
         _check_answer(A, b, x, w)
         cols = list(zip(*A))
         assert (x is not None) == (nonneg_combination_oracle(cols, tuple(b)) is not None)
-        assert (x is not None) == (fw._nonneg_combination(cols, tuple(b)) is not None)
+        assert (x is not None) == cone_contains(Mat(A), range(1, len(cols) + 1), b)
         verdicts[x is not None] += 1
     assert min(verdicts) >= 150
 

@@ -17,7 +17,7 @@ from galekit import (
     quotient_structure,
     solve_left_factor,
 )
-from conftest import rand_full_row_rank, rand_mat
+from conftest import count_rank_calls, rand_full_row_rank, rand_mat
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -94,6 +94,19 @@ def test_pair_validation():
     GaleDualPair(WORKED_V, WORKED_Q)
     with pytest.raises(DomainError):
         GaleDualPair(WORKED_V, Mat([[2, 2, 0, 0], [0, 2, 2, 4]]))
+
+
+def test_pair_validation_reads_ranks_off_its_lattices(monkeypatch):
+    rank_calls = count_rank_calls(monkeypatch)
+    GaleDualPair(WORKED_V, WORKED_Q)
+    with pytest.raises(DomainError, match="^invalid pair: rank deficiency$"):
+        GaleDualPair(Mat([[1, -1, 1, 0], [2, -2, 2, 0]]), WORKED_Q)
+    with pytest.raises(DomainError, match="^invalid pair: rank deficiency$"):
+        GaleDualPair(WORKED_V, Mat([[1, 1, 0, 0], [2, 2, 0, 0]]))
+    with pytest.raises(DomainError, match="^invalid pair: rows of Q do not "
+                       r"span ker\(V\)$"):
+        GaleDualPair(WORKED_V, Mat([[2, 2, 0, 0], [0, 2, 2, 4]]))
+    assert rank_calls["rank"] == 0
 
 
 def test_quotient_iso_worked_example():

@@ -44,3 +44,43 @@ def test_imports_only_galekit_and_stdlib(path):
             if top != "galekit" and top not in sys.stdlib_module_names:
                 foreign.append(f"{name} (line {node.lineno})")
     assert not foreign, f"{path.name}: non-stdlib imports {foreign}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_DIRS = [ROOT / "src" / "galekit", ROOT / "tests", ROOT / "perfbench"]
+
+
+def _referenced_names(tree):
+    """Identifiers a module uses: loaded or stored names, attributes, names
+    it imports, and identifiers spelt as strings (``__all__``, dotted keys
+    such as "fw.classify_f", ``monkeypatch.setattr(module, "name", ...)``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def test_every_definition_is_referenced():
+    """Each function and class of the library is used by name somewhere:
+    in the library, the tests or the benchmark (read, never imported)."""
+    used = set()
+    for folder in REFERENCE_DIRS:
+        for path in sorted(folder.rglob("*.py")):
+            used |= _referenced_names(_tree(path))
+    unused = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"defined but never referenced: {unused}"

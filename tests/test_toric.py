@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
 from galekit import (
+    Cone,
     DomainError,
+    Fan,
     GaleKitError,
     Lattice,
     Mat,
@@ -15,6 +18,7 @@ from galekit import (
     class_group,
     classify_w,
     delta_sigma,
+    det_exact,
     enumerate_SF,
     fan_from_cones,
     full_report,
@@ -59,6 +63,14 @@ def test_torsion_via_Tn():
     assert torsion_via_Tn(WORKED_V).is_trivial
     assert torsion_via_Tn(TORSION_V) == QuotientStructure(0, (2,))
     assert torsion_via_Tn(Mat.identity(2)).is_trivial
+
+
+def test_torsion_via_Tn_reads_the_rank_off_its_column_lattice(monkeypatch):
+    rank_calls = count_rank_calls(monkeypatch)
+    assert torsion_via_Tn(TORSION_V) == QuotientStructure(0, (2,))
+    with pytest.raises(DomainError, match="^torsion_via_Tn requires full row rank$"):
+        torsion_via_Tn(Mat([[1, 2, 3], [2, 4, 6]]))
+    assert rank_calls["rank"] == 0
 
 
 def test_class_group_and_torsion_reject_rank_deficient():
@@ -211,6 +223,26 @@ def test_delta_divides_picard_index_noproj():
         assert index % delta == 0
 
 
+def test_delta_sigma_is_lcm_of_complementary_dets():
+    # delta_Sigma comes off the Hermite pivots of the block lattices; the
+    # definition takes |det| of each complementary weight submatrix
+    V = gale_dual(NOPROJ_Q)
+    for fan in enumerate_SF(V):
+        dets = [abs(det_exact(NOPROJ_Q.take_cols(
+                    [j - 1 for j in range(1, 7) if j not in cone.gens])))
+                for cone in fan.maximal_cones]
+        assert delta_sigma(NOPROJ_Q, fan) == math.lcm(*dets)
+
+
+def test_picard_basis_refuses_a_singular_block():
+    # the single cone (1, 2) leaves the block Q^{3,4} = [[0, 0], [1, 2]]
+    fan = Fan(V=WORKED_V, maximal_cones=(Cone(gens=(1, 2)),))
+    with pytest.raises(GaleKitError, match="^Picard lattice is not of full "
+                       "rank") as info:
+        toric._picard_basis(WORKED_Q, fan)
+    assert not isinstance(info.value, DomainError)
+
+
 def test_cartier_index_worked():
     fan = _worked_fan()
     values = [cartier_index(WORKED_V, fan, tuple(int(t == j) for t in range(4)))
@@ -294,6 +326,22 @@ def test_full_report_reads_free_class_group(monkeypatch):
     assert nf_calls["snf"] <= 1
     assert nf_calls["hnf"] <= 28
     assert rank_calls["rank"] <= 2
+
+
+def test_full_report_reads_delta_off_the_picard_pass(monkeypatch):
+    # delta_Sigma comes off the Picard pass: the four maximal cones of the
+    # worked fan add no determinant to the 8 the rest of the report takes
+    counts = {"det": 0}
+    det = Mat.det
+
+    def counted(self):
+        counts["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(Mat, "det", counted)
+    rep = full_report(Q=WORKED_Q)
+    assert rep.delta_sigma == 2
+    assert counts["det"] <= 8
 
 
 def test_full_report_reads_indices_off_picard_basis(monkeypatch):
