@@ -12,8 +12,14 @@ one block [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha
 with A, and a column step on the left m columns, applied to every row,
 updates beta with A.  The reduced matrix alpha @ A @ beta, alpha and beta
 are sliced off the block at the end.  ``_hnf_int`` reduces the first n
-columns (floor quotients) and carries the rest: ``hnf`` and
-``left_kernel_rows`` read U off [A | I]; Hermite bases carry nothing.
+columns (floor quotients) and carries the rest: ``hnf`` reads U off
+[A | I]; Hermite bases carry nothing.
+
+Left kernels take no Euclid pass.  ``left_kernel_rows`` reads an integer
+kernel basis off one Bareiss elimination of A^T, saturates it with a
+Hermite basis taken modulo the last pivot, and puts it in Hermite form with
+one reducing substitution; ``hnf`` takes the rows of U past the rank from
+the same routine.
 """
 
 from __future__ import annotations
@@ -21,12 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
+    _eliminate,
     _nonneg_solve,
     block_diag,
     xgcd,
@@ -118,25 +126,118 @@ def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     return pivots
 
 
-def _hnf_rows(A: Mat) -> tuple[int, list[list[int]], list[int]]:
-    """(d, [H | U], pivots) with H = U @ (d A) in Hermite form, d the lcm
-    of A's denominators; the rows of U spanning the left kernel are put in
-    Hermite form as well, which makes U deterministic."""
+def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
+    """An upper triangular basis with positive diagonal of the lattice
+    spanned by ``gens`` (rows of length k) and D Z^k, every entry kept in
+    [0, D) (Cohen, Alg. 2.4.8, with the modulus fixed at D).
+
+    Column j folds the rows that are nonzero there, and then D e_j, into one
+    pivot row by extended-gcd steps; each step is a unimodular 2 x 2 row
+    operation whose second row is kept with a zero in column j.  Reducing
+    mod D is exact because D e_l stays in the lattice for every later l.
+    """
+    rows = [r for r in ([x % D for x in g] for g in gens) if any(r)]
+    basis = []
+    for j in range(k):
+        piv = None
+        rest = []
+        for r in rows:
+            b = r[j]
+            if not b:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:
+                a = piv[j]
+                g, u, v = xgcd(a, b)
+                a, b = a // g, b // g
+                other = [(a * y - b * x) % D for x, y in zip(piv, r)]
+                piv = [(u * x + v * y) % D for x, y in zip(piv, r)]
+                if any(other):
+                    rest.append(other)
+        if piv is None:
+            h = [0] * k
+            h[j] = D
+        else:
+            g, u, _ = xgcd(piv[j], D)
+            h = [u * x % D for x in piv]
+            other = [D // g * x % D for x in piv]
+            if any(other):
+                rest.append(other)
+        basis.append(h)
+        rows = rest
+    return basis
+
+
+def _left_kernel(rows: list[list[int]]) -> list[tuple]:
+    """The Hermite basis of {x in Z^m : x A = 0} for the integer m x n
+    matrix A = ``rows``.
+
+    Indices here count the rows of A last first.  One Bareiss elimination
+    of A^T picks the rightmost row basis R of A as its pivots, and turns
+    every other row index c into the kernel vector
+    dp e_c - sum_i T[i][c] e_{R_i}, dp the last pivot.  A kernel vector x
+    is fixed by y = x_C, and is integral exactly when G y = 0 mod D, with
+    G = (T[i][c]) over c in C and D = |dp|.  Those y are spanned by the rows
+    of D H^-T, H an upper triangular basis of the row lattice of G plus
+    D Z^k (``_hermite_mod``).  C is the leftmost basis of the kernel's
+    matroid, the dual of the row matroid of A, so in A's own order C holds
+    the kernel's Hermite pivots, and D H^-T, lower triangular here, is in
+    echelon form over them.  Back substitution finds each row of D H^-T and
+    reduces every entry into [0, pivot) as soon as it is found; then
+    x_R = -G y / dp.  Both divisions are exact.
+    """
+    m = len(rows)
+    work = [list(col) for col in zip(*reversed(rows))]
+    pivots, dp = _eliminate(work, m)
+    chosen = set(pivots)
+    free = [c for c in range(m) if c not in chosen]
+    k = len(free)
+    gmat = [[row[c] for c in free] for row in work[:len(pivots)]]
+    D = abs(dp)
+    if D == 1:
+        ys = [[int(t == s) for t in range(k)] for s in range(k)]
+    else:
+        herm = _hermite_mod(gmat, D, k)
+        ys = []
+        for s in range(k):
+            z = [0] * k
+            z[s] = D
+            for l in range(s, -1, -1):
+                h = herm[l]
+                q, r = divmod(z[l] - sum(map(mul, h[l + 1:s + 1], z[l + 1:s + 1])), h[l])
+                if r:
+                    raise GaleKitError("kernel substitution left a remainder "
+                                       "(internal invariant)")
+                # taking q mod the pivot of row l subtracts a multiple of row
+                # l, which changes the right-hand side at l only
+                z[l] = q % ys[l][l] if l < s else q
+            ys.append(z)
+    out = []
+    for z in reversed(ys):
+        x = [0] * m
+        for c, y in zip(free, z):
+            x[c] = y
+        for c, grow in zip(pivots, gmat):
+            q, r = divmod(-sum(map(mul, grow, z)), dp)
+            if r:
+                raise GaleKitError("kernel row is not integral (internal invariant)")
+            x[c] = q
+        out.append(tuple(reversed(x)))
+    return out
+
+
+def hnf(A: Mat) -> HnfResult:
+    """Hermite normal form H = U @ A (row style, pivots top-left); the rows
+    of U past the rank are the Hermite basis of the left kernel, which
+    makes U deterministic."""
     m, n = A.shape
     d, work = A.int_scaled()
     aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(work)]
     pivots = _hnf_int(aug, n)
     p = len(pivots)
-    kern = [row[n:] for row in aug[p:]]
-    _hnf_int(kern, m)
-    aug[p:] = [[0] * n + row for row in kern]
-    return d, aug, pivots
-
-
-def hnf(A: Mat) -> HnfResult:
-    """Hermite normal form H = U @ A (row style, pivots top-left)."""
-    n = A.cols
-    d, aug, pivots = _hnf_rows(A)
+    if p < m:
+        aug[p:] = [[0] * n + list(row) for row in _left_kernel(work)]
     if d == 1:
         h = Mat([row[:n] for row in aug])
     else:
@@ -159,9 +260,7 @@ def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
 def left_kernel_rows(A: Mat) -> list[tuple]:
     """Canonical basis rows of {x : x @ A = 0}, the rows of ``hnf(A).U``
     past the rank; empty list if A has full row rank."""
-    n = A.cols
-    _, aug, pivots = _hnf_rows(A)
-    return [tuple(row[n:]) for row in aug[len(pivots):]]
+    return _left_kernel(A.int_scaled()[1])
 
 
 # ---------------------------------------------------------------------------

@@ -119,18 +119,68 @@ def _fuzz_matrix(rng):
     return Mat(rows)
 
 
+def _lattice_scale_matrix(rng, shape):
+    """Entries up to +-1000 in the shapes the lattice layer builds: the
+    stacked 2a x b bases of an intersection (sharing a row half the time),
+    the b x a transpose of one basis (a Gale dual), a matrix whose last
+    rows are unimodular (its kernel needs no saturation: |D| = 1), and the
+    zero matrix (rank 0)."""
+    def block(r, c):
+        return [[rng.randint(-1000, 1000) for _ in range(c)] for _ in range(r)]
+
+    a = rng.randint(1, 6)
+    b = rng.randint(a, 10)
+    if shape == "stacked":
+        rows = block(2 * a, b)
+        if rng.random() < 0.5:
+            rows[a] = [x + y for x, y in zip(rows[0], rows[-1])]
+        return rows
+    if shape == "transpose":
+        return [list(col) for col in zip(*block(a, b))]
+    if shape == "unit":
+        # the last a rows are independent, so they are the pivot rows, and
+        # the last pivot is their determinant, +-1
+        return block(b, a) + rand_unimodular(rng, a).to_lists()
+    return [[0] * a for _ in range(b)]
+
+
 def test_left_kernels_and_hermite_bases_match_oracles():
     # left kernels against the two-list oracle's U past the rank (hnf's U,
     # by the test above); hnf's H against the pass that carries no transform
     rng = random.Random(207)
-    for _ in range(1200):
-        A = _fuzz_matrix(rng)
+    shapes = ["stacked", "transpose", "unit", "zero"]
+    for t in range(1600):
+        A = _fuzz_matrix(rng) if t < 1200 else Mat(_lattice_scale_matrix(rng, shapes[t % 4]))
         res = hnf(A)
         _, u, piv = hnf_int_oracle(A.int_scaled()[1])
         assert left_kernel_rows(A) == [tuple(row) for row in u[len(piv):]]
         basis, pivots = _hermite_basis(A)
         assert basis == tuple(res.H.row(i) for i in range(res.rank))
         assert pivots == tuple(j - 1 for j in res.pivot_map)
+
+
+def test_left_kernel_runs_no_euclid_pass(monkeypatch):
+    # every [A | I] reduction goes through _hnf_int; the kernel needs none
+    calls = count_calls(monkeypatch, normal_forms, "_hnf_int")
+    rng = random.Random(209)
+    for t in range(8):
+        left_kernel_rows(Mat(_lattice_scale_matrix(rng, ["stacked", "unit"][t % 2])))
+    left_kernel_rows(_fuzz_matrix(rng))
+    assert calls["_hnf_int"] == 0
+
+
+@pytest.mark.parametrize("diagonal, message", [
+    (3, "substitution left a remainder"),  # 3 does not divide D = 2
+    (2, "row is not integral"),            # 2 Z is not the lattice G + D Z
+])
+def test_left_kernel_invariants_are_galekit_errors(monkeypatch, diagonal, message):
+    A = Mat([[1], [2]])
+    assert left_kernel_rows(A) == [(2, -1)]
+    monkeypatch.setattr(normal_forms, "_hermite_mod",
+                        lambda gens, D, k: [[diagonal * int(i == j) for j in range(k)]
+                                            for i in range(k)])
+    with pytest.raises(GaleKitError, match=message + r" \(internal invariant\)"):
+        left_kernel_rows(A)
 
 
 def test_lattice_basis_and_left_kernel_take_no_hnf(monkeypatch):

@@ -1,7 +1,8 @@
 """Property tests of the fraction-free linear algebra kernel (``solve``,
-``Mat.rank`` and ``Mat.inverse`` on small rational matrices), of the
-integer normal forms ``snf`` and ``positive_row_echelon``, and of lattice
-membership (``Lattice.coordinates``), ``lattice_intersection``,
+``Mat.rank`` and ``Mat.inverse`` on small rational matrices), of integer
+left kernels (``left_kernel_rows``), of the integer normal forms ``snf``
+and ``positive_row_echelon``, and of lattice membership
+(``Lattice.coordinates``), ``lattice_intersection``,
 ``dual_lattice`` and ``quotient_structure`` (against sympy's Smith form).
 
 Derandomized with a bounded number of examples, so the suite stays
@@ -24,12 +25,14 @@ from galekit import (  # noqa: E402
     dual_lattice,
     is_row_echelon,
     lattice_intersection,
+    left_kernel_rows,
     positive_row_echelon,
     quotient_structure,
     snf,
 )
-from galekit.matrix import solve  # noqa: E402
-from conftest import solve_oracle  # noqa: E402
+from galekit.lattices import _gcd_maximal_minors  # noqa: E402
+from galekit.matrix import dot, solve  # noqa: E402
+from conftest import hnf_clauses_hold, solve_oracle  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -100,6 +103,30 @@ def test_inverse_when_nonsingular(A):
             A.inverse()
     else:
         assert A.inverse() @ A == Mat.identity(n)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """m x n matrices, half of them a product X Y through r <= n columns,
+    so that rank deficiency is common."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return draw(matrices(m, n))
+    r = draw(st.integers(1, n))
+    return draw(matrices(m, r)) @ draw(matrices(r, n))
+
+
+@PROFILE
+@given(kernel_inputs())
+def test_left_kernel_is_the_saturated_kernel_in_hermite_form(A):
+    rows = left_kernel_rows(A)
+    assert len(rows) == A.rows - A.rank()
+    assert all(dot(row, col) == 0 for row in rows for col in A.col_tuples())
+    if rows:
+        K = Mat(rows)
+        assert _gcd_maximal_minors(K) == 1
+        pivots = [next(j for j, x in enumerate(row) if x) + 1 for row in rows]
+        assert hnf_clauses_hold(K, pivots)
 
 
 def int_matrices(max_rows=5, max_cols=6, lo=-9, hi=9):
