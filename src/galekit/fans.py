@@ -24,8 +24,9 @@ membership is asked outside the table (``cone_contains``).
 Enumeration strategy: candidate maximal cones are the bases containing no
 further ray strictly inside.  One pass over the circuits gives every
 candidate the bitmask of the candidates it conflicts with (``is_fan`` makes
-the same pass over its cones).  A depth-first search grows partial fans
-through unmatched interior facets.  Each node adds the facets of its new
+the same pass over its cones).  A depth-first search, rooted at each
+candidate that holds column 1, grows partial fans through unmatched
+interior facets.  Each node adds the facets of its new
 cone to the set of unmatched ones handed down from its parent, a candidate
 is admitted when its conflict mask misses the cones already chosen, and a
 complete fan is read off the candidates on the search path.  Support
@@ -44,6 +45,7 @@ from typing import Iterable, Sequence
 from .matrix import (
     DomainError,
     Mat,
+    _back_substitute,
     _bareiss_det,
     _eliminate,
     _int_row,
@@ -88,7 +90,8 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
     """Exact membership of x in the cone on the given columns of V, by one
     feasibility test {c >= 0 : V_cone c = x}.  With interior=True, of the
     relative interior (all c_i > 0) of a simplicial cone, by one elimination
-    of [V_cone | x], which gives its rank and the coefficients of x."""
+    of [V_cone | x], which gives its rank, and a back substitution on the x
+    column alone, which gives the coefficients of x."""
     gens = cone.gens if isinstance(cone, Cone) else tuple(cone)
     gens = check_index_set(sorted(gens), V.cols)
     if len(x) != V.rows:
@@ -106,8 +109,8 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
         raise DomainError("interior test requires a simplicial cone")
     if any(row[k] for row in m[k:]):
         return False  # x is outside the span of the cone
-    # row i is d * (e_i | c_i): c_i > 0 exactly when row[k] and d agree in sign
-    return all(row[k] * d > 0 for row in m[:k])
+    # d c_i: c_i > 0 exactly when it and d agree in sign
+    return all(row[0] * d > 0 for row in _back_substitute(m, pivots, d, (k,)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +369,10 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
             toggle(i, 1)
 
     for root, m in enumerate(cands):
+        if not m & 1:
+            # a fan on every ray is found from its least cone, which holds
+            # column 1; the candidates holding it come first
+            break
         toggle(root, -1)
         path.append(root)
         dfs(root, 1 << root, m)

@@ -34,9 +34,10 @@ from .matrix import (
     vec_gcd,
 )
 from .normal_forms import (
+    _smith,
+    _with_identity,
     basis_with_positive_first_row,
     left_kernel_rows,
-    snf,
     strictly_positive_row_vector,
 )
 from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
@@ -255,7 +256,11 @@ def i_reduce(Q: Mat, i: int) -> Mat:
 def _rescale(Q: Mat, i: int, d: int) -> Mat:
     """The i-reduction of a W-matrix Q whose Gale dual has gcd d > 1 in
     column i."""
-    alpha = snf(submatrix_cols(Q, (i,), complement=True)).alpha
+    # alpha of the Smith form of Q with column i deleted: [A | I] carries it
+    A = submatrix_cols(Q, (i,), complement=True)
+    top = _with_identity(A.to_lists())
+    _smith(top, A.rows, A.cols)
+    alpha = Mat([row[A.cols:] for row in top])
     rows = (alpha @ Q).to_lists()
     for row in rows:
         row[i - 1] *= d

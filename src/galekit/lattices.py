@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_rows
 # ``hnf`` stays bound here: perfbench/selftest.py checks its traced binding.
-from .normal_forms import _hermite_basis, hnf, left_kernel_rows, snf  # noqa: F401
+from .normal_forms import _hermite_basis, _smith, hnf, left_kernel_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,9 @@ def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:
         raise DomainError("quotient_structure requires an integer lattice")
     if L.rank == 0:
         return QuotientStructure(ambient_dim, ())
-    res = snf(L.basis_matrix())
-    torsion = tuple(c for c in res.factors if c > 1)
-    return QuotientStructure(ambient_dim - len(res.factors), torsion)
+    factors = _smith([list(row) for row in L.basis], L.rank, ambient_dim)
+    torsion = tuple(c for c in factors if c > 1)
+    return QuotientStructure(ambient_dim - len(factors), torsion)
 
 
 def _gcd_maximal_minors(B: Mat) -> int:

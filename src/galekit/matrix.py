@@ -6,10 +6,12 @@ appears anywhere.  Matrices are immutable values: every transform returns a
 new matrix.  Construction scans the entry types once and sends the entries
 through ``_norm_entry`` only when one of them is not a plain ``int``.
 
-Rank, ``solve``, ``inverse`` and the phase-1 simplex share one
-fraction-free (Bareiss) Gauss-Jordan pivot step on integer rows; ``solve``
-reads X off the pivot rows over one common denominator.  Determinants keep
-their own Bareiss loop, cheaper on the small minors of the circuit table.
+Rank, ``solve`` and ``inverse`` share one fraction-free (Bareiss) forward
+elimination on integer rows; the rank reads only its pivots, and ``solve``
+back-substitutes on the right-hand side alone and reads X off it over one
+common denominator.  The phase-1 simplex keeps a Gauss-Jordan step, since
+its tableau reads every row.  Determinants keep their own Bareiss loop,
+cheaper on the small minors of the circuit table.
 
 Text format shared by the CLI and tests: one row per line, entries
 whitespace-separated, rationals written ``p/q``, integers plain; blank lines
@@ -222,8 +224,9 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def _pivot(m: list[list[int]], r: int, j: int, d: int) -> None:
     """Fraction-free Gauss-Jordan step on row r, column j (in place): every
-    other row becomes (p * row - row[j] * m[r]) // d with p = m[r][j] and d
-    the previous pivot, an exact division (Bareiss)."""
+    other row, above and below, becomes (p * row - row[j] * m[r]) // d with
+    p = m[r][j] and d the previous pivot, an exact division (Bareiss).  Only
+    the phase-1 simplex uses it: its tableau reads every row."""
     prow = m[r]
     p = prow[j]
     for i, row in enumerate(m):
@@ -233,11 +236,16 @@ def _pivot(m: list[list[int]], r: int, j: int, d: int) -> None:
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan on the first ncols columns (in place).
+    """Fraction-free forward elimination (Bareiss) on the first ncols
+    columns, in place.
 
-    Returns (pivots, d), the pivot columns and the last pivot: rows
-    0..len(pivots)-1 are then d times the reduced row echelon form and the
-    other rows vanish on the first ncols columns."""
+    Each pivot updates only the rows below it, as (p * row - row[j] * prow)
+    // d with p the new pivot and d the previous one.  Returns (pivots, d),
+    the pivot columns and the last pivot.  Rows 0..len(pivots)-1 are then
+    echelon rows, each led by a nonzero minor of the input, and the other
+    rows vanish on the first ncols columns.  Pivots, d and the vanishing
+    rows are those of a Gauss-Jordan pass; ``_back_substitute`` reads the
+    columns of d times the reduced row echelon form that a caller needs."""
     pivots: list[int] = []
     d = 1
     nrows = len(m)
@@ -249,10 +257,38 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        _pivot(m, r, j, d)
-        d = m[r][j]
+        prow = m[r]
+        p = prow[j]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            q = row[j]
+            m[i] = [(p * x - q * y) // d for x, y in zip(row, prow)]
+        d = p
         pivots.append(j)
     return pivots, d
+
+
+def _back_substitute(m: list[list[int]], pivots: Sequence[int], d: int,
+                     cols: Iterable[int]) -> list[list[int]]:
+    """Columns ``cols`` of the pivot rows of d times the reduced row echelon
+    form, from the echelon rows ``_eliminate`` leaves in m.
+
+    Bottom up, pivot row i with leading entry u[p_i] gives
+    R_i = (d * u - sum over later l of u[p_l] * R_l) // u[p_i]; every
+    division is exact, since R_i is the Gauss-Jordan row."""
+    cols = list(cols)
+    out: list[list[int]] = []  # R_l for the later pivot rows, last first
+    for i in range(len(pivots) - 1, -1, -1):
+        u = m[i]
+        acc = [d * u[c] for c in cols]
+        for p, later in zip(reversed(pivots[i + 1:]), out):
+            q = u[p]
+            if q:
+                acc = [a - q * b for a, b in zip(acc, later)]
+        p = u[pivots[i]]
+        out.append([a // p for a in acc])
+    out.reverse()
+    return out
 
 
 def _int_row(row: Sequence) -> tuple[int, list[int]]:
@@ -274,8 +310,8 @@ def solve(A: Mat, B: Mat) -> "Mat | None":
     if any(any(row[n:]) for row in m[len(pivots):]):
         return None
     sol = [[0] * k for _ in range(n)]
-    for row, j in zip(m, pivots):
-        sol[j] = [Fraction(x, d) if x % d else x // d for x in row[n:]]
+    for row, j in zip(_back_substitute(m, pivots, d, range(n, n + k)), pivots):
+        sol[j] = [Fraction(x, d) if x % d else x // d for x in row]
     return Mat(sol)
 
 
@@ -289,10 +325,10 @@ def _phase1(a: list[list[int]], b: list[int]) -> tuple:
     [a | I] (x, s) = b, x, s >= 0 (rows with b_i < 0 are negated first).
     The tableau is kept fraction-free: it stores D * B^-1 [a | I | b] and,
     as its last row, the reduced-cost row times D, D = det B > 0; each
-    pivot is the shared Bareiss step ``_pivot``.  Returns (x, None) when the
-    optimum is 0, and otherwise (None, w), where w is the dual optimum
-    negated, read off the artificial columns' reduced costs: w a >= 0 and
-    w b < 0.  Unchecked.
+    pivot is the Gauss-Jordan Bareiss step ``_pivot``.  Returns (x, None)
+    when the optimum is 0, and otherwise (None, w), where w is the dual
+    optimum negated, read off the artificial columns' reduced costs:
+    w a >= 0 and w b < 0.  Unchecked.
     """
     m, n = len(a), len(a[0])
     sign = [-1 if bi < 0 else 1 for bi in b]

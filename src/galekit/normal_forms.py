@@ -7,19 +7,23 @@ matrix whose row lattice admits a nonnegative basis into an entrywise
 nonnegative row echelon form, via unimodular row operations and a column
 permutation.
 
-The transforms live in the rows being reduced.  A d x m matrix A is held as
-one block [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha
-with A, and a column step on the left m columns, applied to every row,
-updates beta with A.  The reduced matrix alpha @ A @ beta, alpha and beta
-are sliced off the block at the end.  ``_hnf_int`` reduces the first n
-columns (floor quotients) and carries the rest: ``hnf`` reads U off
-[A | I]; Hermite bases carry nothing.
+The transforms live in the rows being reduced, and each caller passes only
+the rows it reads.  For ``snf`` a d x m matrix A is held as one block
+[[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha with A,
+and a column step on the left m columns, applied to every row, updates beta
+with A.  The reduced matrix alpha @ A @ beta, alpha and beta are sliced off
+the block at the end.  The same Smith loop, ``_smith``, runs on [A | I_d]
+alone when only alpha is read (the i-reduction of ``fw``) and on the bare
+rows of A when only the invariant factors are (``quotient_structure``).
+``_hnf_int`` reduces the first n columns (floor quotients) and carries the
+rest: ``hnf`` reads U off [A | I]; Hermite bases carry nothing.
 
 Left kernels take no Euclid pass.  ``left_kernel_rows`` reads an integer
-kernel basis off one Bareiss elimination of A^T, saturates it with a
-Hermite basis taken modulo the last pivot, and puts it in Hermite form with
-one reducing substitution; ``hnf`` takes the rows of U past the rank from
-the same routine.
+kernel basis off one forward Bareiss elimination of A^T and a back
+substitution on its non-pivot columns, saturates it with a Hermite basis
+taken modulo the last pivot, and puts it in Hermite form with one reducing
+substitution; ``hnf`` takes the rows of U past the rank from the same
+routine.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
+    _back_substitute,
     _eliminate,
     _nonneg_solve,
     block_diag,
@@ -66,12 +71,17 @@ class SnfResult:
     factors: tuple[int, ...]
 
 
+def _with_identity(mat: list[list[int]]) -> list[list[int]]:
+    """The rows [A | I_d] of the d x m matrix A = ``mat``."""
+    d = len(mat)
+    return [row + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
+
+
 def _block(mat: list[list[int]]) -> list[list[int]]:
     """The block [[A, I_d], [I_m, 0]] of the d x m matrix A = ``mat``; the
     zero block is not stored."""
-    d, m = len(mat), len(mat[0])
-    return ([row + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
-            + [[int(i == j) for j in range(m)] for i in range(m)])
+    m = len(mat[0])
+    return _with_identity(mat) + [[int(i == j) for j in range(m)] for i in range(m)]
 
 
 def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
@@ -173,10 +183,11 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     """The Hermite basis of {x in Z^m : x A = 0} for the integer m x n
     matrix A = ``rows``.
 
-    Indices here count the rows of A last first.  One Bareiss elimination
-    of A^T picks the rightmost row basis R of A as its pivots, and turns
-    every other row index c into the kernel vector
-    dp e_c - sum_i T[i][c] e_{R_i}, dp the last pivot.  A kernel vector x
+    Indices here count the rows of A last first.  One forward Bareiss
+    elimination of A^T picks the rightmost row basis R of A as its pivots;
+    back substitution on the other indices C gives T, dp times the reduced
+    row echelon form there, dp the last pivot.  Each c in C names the
+    kernel vector dp e_c - sum_i T[i][c] e_{R_i}.  A kernel vector x
     is fixed by y = x_C, and is integral exactly when G y = 0 mod D, with
     G = (T[i][c]) over c in C and D = |dp|.  Those y are spanned by the rows
     of D H^-T, H an upper triangular basis of the row lattice of G plus
@@ -193,7 +204,7 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     chosen = set(pivots)
     free = [c for c in range(m) if c not in chosen]
     k = len(free)
-    gmat = [[row[c] for c in free] for row in work[:len(pivots)]]
+    gmat = _back_substitute(work, pivots, dp, free)
     D = abs(dp)
     if D == 1:
         ys = [[int(t == s) for t in range(k)] for s in range(k)]
@@ -233,7 +244,7 @@ def hnf(A: Mat) -> HnfResult:
     makes U deterministic."""
     m, n = A.shape
     d, work = A.int_scaled()
-    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(work)]
+    aug = _with_identity(work)
     pivots = _hnf_int(aug, n)
     p = len(pivots)
     if p < m:
@@ -275,41 +286,47 @@ def _col_sub(m, j, k, q):
     # column j -= q * column k
     if q:
         for row in m:
-            row[j] -= q * row[k]
+            x = row[k]
+            if x:
+                row[j] -= q * x
 
 
-def snf(A: Mat) -> SnfResult:
-    if not A.is_integral:
-        raise DomainError("snf requires an integer matrix")
-    d, m = A.shape
-    blk = _block(A.to_lists())
+def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
+    """Smith-reduce the top-left d x m block of ``rows`` in place and return
+    its invariant factors.
 
+    Row steps act on the top d rows, whole rows; column steps act on the
+    first m columns of every row given.  So the top rows carry whatever sits
+    right of column m (alpha, in [A | I_d]) and the rows below carry the
+    column steps (beta, in the block of ``_block``); a caller passes only
+    the rows it reads.  Each step is decided by the top-left block alone.
+    """
     def fix_sign(i: int) -> None:
-        if blk[i][i] < 0:
-            blk[i] = [-x for x in blk[i]]
+        if rows[i][i] < 0:
+            rows[i] = [-x for x in rows[i]]
 
     def clear_at(t: int) -> None:
-        # assumes blk[t][t] != 0; clears row t and column t
+        # assumes rows[t][t] != 0; clears row t and column t
         while True:
             fix_sign(t)
-            a = blk[t][t]
+            a = rows[t][t]
             restart = False
             for i in range(d):
-                if i != t and blk[i][t]:
-                    q = blk[i][t] // a
+                if i != t and rows[i][t]:
+                    q = rows[i][t] // a
                     if q:
-                        blk[i] = [x - q * y for x, y in zip(blk[i], blk[t])]
-                    if blk[i][t]:
-                        blk[i], blk[t] = blk[t], blk[i]
+                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
+                    if rows[i][t]:
+                        rows[i], rows[t] = rows[t], rows[i]
                         restart = True
                         break
             if restart:
                 continue
             for j in range(m):
-                if j != t and blk[t][j]:
-                    _col_sub(blk, j, t, blk[t][j] // a)
-                    if blk[t][j]:
-                        _swap_cols(blk, j, t)
+                if j != t and rows[t][j]:
+                    _col_sub(rows, j, t, rows[t][j] // a)
+                    if rows[t][j]:
+                        _swap_cols(rows, j, t)
                         restart = True
                         break
             if not restart:
@@ -318,18 +335,19 @@ def snf(A: Mat) -> SnfResult:
     t = 0
     limit = min(d, m)
     while t < limit:
+        # the smallest nonzero |entry|, first in row-major order
         best = None
         for i in range(t, d):
-            for j in range(t, m):
-                v = blk[i][j]
-                if v and (best is None or abs(v) < abs(blk[best[0]][best[1]])):
-                    best = (i, j)
+            for j, v in enumerate(rows[i][t:m], t):
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
         if best is None:
             break
-        if best[0] != t:
-            blk[best[0]], blk[t] = blk[t], blk[best[0]]
-        if best[1] != t:
-            _swap_cols(blk, best[1], t)
+        _, i, j = best
+        if i != t:
+            rows[i], rows[t] = rows[t], rows[i]
+        if j != t:
+            _swap_cols(rows, j, t)
         clear_at(t)
         t += 1
 
@@ -338,9 +356,9 @@ def snf(A: Mat) -> SnfResult:
     # enforce the divisibility chain c_i | c_{i+1}
     i = 0
     while i + 1 < t:
-        a, b = blk[i][i], blk[i + 1][i + 1]
+        a, b = rows[i][i], rows[i + 1][i + 1]
         if b % a:
-            for row in blk:
+            for row in rows:
                 row[i] += row[i + 1]
             clear_at(i)
             fix_sign(i)
@@ -348,9 +366,16 @@ def snf(A: Mat) -> SnfResult:
             i = max(i - 1, 0)
         else:
             i += 1
+    return tuple(rows[i][i] for i in range(t))
 
+
+def snf(A: Mat) -> SnfResult:
+    if not A.is_integral:
+        raise DomainError("snf requires an integer matrix")
+    d, m = A.shape
+    blk = _block(A.to_lists())
+    factors = _smith(blk, d, m)
     S, alpha, beta = _unblock(blk, d, m)
-    factors = tuple(blk[i][i] for i in range(t))
     return SnfResult(S=S, alpha=alpha, beta=beta, factors=factors)
 
 

@@ -3,10 +3,11 @@
 Oracles here deliberately avoid the library's own fast paths: determinants
 by cofactor expansion, ranks by naive rational elimination, minor gcds by
 direct enumeration, feasibility by scanning square subsystems, linear
-systems by a ``Fraction`` Gauss-Jordan tableau, normal forms with their
-transforms in separate lists, Cartier indices by one linear system per
-maximal cone on the fan side.  They are the reference
-implementations the production code is checked against.
+systems by a ``Fraction`` Gauss-Jordan tableau, fraction-free elimination
+by a full Gauss-Jordan pass, normal forms with their transforms in separate
+lists, Cartier indices by one linear system per maximal cone on the fan
+side.  They are the reference implementations the production code is
+checked against.
 """
 
 from collections import Counter
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
 from galekit.fans import Fan
-from galekit.matrix import _norm_entry, block_diag, solve, xgcd
+from galekit.matrix import _norm_entry, _pivot, block_diag, solve, xgcd
 from galekit.normal_forms import strictly_positive_row_vector
 
 
@@ -123,6 +124,29 @@ def gauss_rank(A: Mat) -> int:
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def eliminate_oracle(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on the first ncols columns (in place).
+
+    Returns (pivots, d), the pivot columns and the last pivot: rows
+    0..len(pivots)-1 are then d times the reduced row echelon form and the
+    other rows vanish on the first ncols columns."""
+    pivots: list[int] = []
+    d = 1
+    nrows = len(m)
+    for j in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        _pivot(m, r, j, d)
+        d = m[r][j]
+        pivots.append(j)
+    return pivots, d
 
 
 def solve_oracle(A: Mat, B: Mat) -> "Mat | None":

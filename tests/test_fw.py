@@ -19,6 +19,7 @@ from galekit import (
     is_w_reduced,
     positivize,
     quotient_structure,
+    snf,
     submatrix_cols,
     w_reduce,
 )
@@ -232,6 +233,38 @@ def test_w_reduce_matches_definition_route():
         expected = gale_dual(f_reduce(gale_dual(Q))[0])
         assert _row_lattice_equal(got, expected)
         done += 1
+
+
+def _rescale_via_snf(Q, i, d):
+    """``fw._rescale`` with alpha read off the full ``snf``."""
+    alpha = snf(submatrix_cols(Q, (i,), complement=True)).alpha
+    rows = (alpha @ Q).to_lists()
+    for row in rows:
+        row[i - 1] *= d
+    if any(x % d for x in rows[-1]):
+        raise GaleKitError("last row not divisible in i-reduction "
+                           "(cyclic-quotient theorem violation)")
+    rows[-1] = [x // d for x in rows[-1]]
+    return Mat(rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except GaleKitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_rescale_alpha_matches_snf():
+    # with d = 1 the output is alpha @ Q itself; d = 2, 3 also exercise the
+    # divisibility check
+    rng = random.Random(503)
+    for it in range(600):
+        r, s = rng.randint(1, 5), rng.randint(2, 9)
+        hi = 1000 if it % 4 == 3 else 6
+        Q = Mat([[rng.randint(-hi, hi) for _ in range(s)] for _ in range(r)])
+        i, d = rng.randint(1, s), it % 3 + 1
+        assert _outcome(fw._rescale, Q, i, d) == _outcome(_rescale_via_snf, Q, i, d)
 
 
 def test_is_w_reduced_examples():

@@ -208,6 +208,24 @@ def test_quotient_rejects_rational():
         quotient_structure(2, L)
 
 
+def test_quotient_structure_runs_no_snf(monkeypatch):
+    # the bare basis rows carry no transform; the factors match snf's
+    rng = random.Random(308)
+    cases = []
+    for _ in range(200):
+        m = rng.randint(1, 8)
+        A = rand_mat(rng, rng.randint(1, 5), m, -9, 9)
+        cases.append((m, Lattice.from_rows(A.row_tuples(), m)))
+    expected = []
+    for m, L in cases:
+        factors = normal_forms.snf(L.basis_matrix()).factors if L.rank else ()
+        torsion = tuple(c for c in factors if c > 1)
+        expected.append(QuotientStructure(m - len(factors), torsion))
+    calls = count_calls(monkeypatch, normal_forms, "snf")
+    assert [quotient_structure(m, L) for m, L in cases] == expected
+    assert calls["snf"] == 0
+
+
 def test_gcd_max_minors_examples():
     assert gcd_max_minors(Mat([[1, -1, 1, 0], [0, 0, 2, -1]])) == 1
     assert gcd_max_minors(Mat([[2, 0], [0, 2]])) == 4

@@ -15,7 +15,14 @@ from galekit import (
 )
 from galekit import matrix
 from galekit.matrix import solve
-from conftest import cofactor_det, count_calls, gauss_rank, rand_mat, solve_oracle
+from conftest import (
+    cofactor_det,
+    count_calls,
+    eliminate_oracle,
+    gauss_rank,
+    rand_mat,
+    solve_oracle,
+)
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -256,3 +263,44 @@ def test_fraction_free_kernel_large_entries():
         _assert_kernel_matches_oracles(A, B)
         singular += A.rank() < n
     assert singular >= 50
+
+
+def test_forward_elimination_matches_gauss_jordan_oracle():
+    # 2,000 integer matrices up to 12 x 24, the last 0-4 columns carried:
+    # pivots, the last pivot, every vanishing row, and d * RREF on every
+    # column (pivot columns included) from the back substitution
+    rng = random.Random(108)
+    tally = {"zero_row": 0, "deficient": 0, "carried": 0, "large": 0}
+    for it in range(2000):
+        nrows, width = rng.randint(1, 12), rng.randint(1, 24)
+        ncols = width - rng.randint(0, min(4, width - 1))
+        hi = 1000 if it % 4 == 3 else 6
+        rows = [[rng.randint(-hi, hi) for _ in range(width)] for _ in range(nrows)]
+        if nrows > 2 and it % 3 == 0:
+            a, b = rng.sample(range(nrows), 2)
+            rows[b] = [rng.randint(-3, 3) * x for x in rows[a]]
+        if it % 5 == 0:
+            rows[rng.randrange(nrows)] = [0] * width
+        if it % 11 == 0:
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            rows = [[0 if j in cols else x for j, x in enumerate(r)] for r in rows]
+        expected = [r[:] for r in rows]
+        pivots, d = matrix._eliminate(rows, ncols)
+        assert (pivots, d) == eliminate_oracle(expected, ncols)
+        rank = len(pivots)
+        assert rows[rank:] == expected[rank:]
+        assert matrix._back_substitute(rows, pivots, d, range(width)) == expected[:rank]
+        tally["zero_row"] += any(not any(r) for r in expected)
+        tally["deficient"] += rank < min(nrows, ncols)
+        tally["carried"] += width > ncols
+        tally["large"] += hi > 6
+    assert min(tally.values()) >= 200, tally
+
+
+def test_rank_runs_no_back_substitution(monkeypatch):
+    calls = count_calls(monkeypatch, matrix, "_back_substitute")
+    A = Mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    assert A.rank() == 3
+    assert calls["_back_substitute"] == 0
+    assert solve(A, Mat([[1], [0], [0]])) is not None
+    assert calls["_back_substitute"] == 1

@@ -280,6 +280,21 @@ def test_block_snf_matches_two_list_oracle():
     assert min(kinds.values()) >= 200, kinds
 
 
+def test_smith_factors_on_bare_rows_match_snf():
+    # the factors of the uncarried Smith loop against snf's, on the shapes
+    # and kinds of the block fuzz above
+    rng = random.Random(210)
+    for it in range(1000):
+        d, m = rng.randint(1, 8), rng.randint(1, 10)
+        if it % 3 == 1 and min(d, m) > 1:
+            k = rng.randint(1, min(d, m) - 1)
+            A = rand_mat(rng, d, k) @ rand_mat(rng, k, m)
+        else:
+            hi = 10**6 if it % 3 == 2 else 9
+            A = rand_mat(rng, d, m, -hi, hi)
+        assert normal_forms._smith(A.to_lists(), d, m) == snf(A).factors
+
+
 # ---------------------------------------------------------------------------
 
 def _echelon_valid(A, E, alpha, beta):
