@@ -16,27 +16,41 @@ membership is asked outside the table (``cone_contains``).
   Z+ inside s and Z- inside t (De Loera, Rambau, Santos, *Triangulations*,
   2010, ch. 4).  A collection of maximal simplicial cones is a fan when
   every pair passes this test.
-* Ray k lies strictly inside the full-dimensional cone on a basis B iff
-  (B, {k}) is an oriented circuit.
+* Ray k lies in the relative interior of the cone on an independent set S
+  iff (S, {k}) is an oriented circuit.
 * Column j lies on the side of the hyperplane spanned by a facet F given by
   the sign of the minor on the columns (F, j).
 
-Enumeration strategy: candidate maximal cones are the bases containing no
-further ray strictly inside.  One pass over the circuits gives every
-candidate the bitmask of the candidates it conflicts with (``is_fan`` makes
-the same pass over its cones).  A depth-first search, rooted at each
-candidate that holds column 1, grows partial fans through unmatched
-interior facets.  Each node adds the facets of its new
-cone to the set of unmatched ones handed down from its parent, a candidate
-is admitted when its conflict mask misses the cones already chosen, and a
-complete fan is read off the candidates on the search path.  Support
-coverage is certified combinatorially: every facet of the final collection
-is either shared by exactly two maximal cones or spans a supporting
-hyperplane of the whole configuration.
+Enumeration strategy.  Candidate maximal cones are the bases B that hold
+no further ray, not even on a face: B is dropped when a circuit (Z+, {k})
+has Z+ inside B, i.e. v_k lies in the relative interior of the face
+cone(Z+) of cone(B).  Such a B is in no fan on every ray, since the ray of
+v_k would meet cone(B) in a face of dimension >= 2 and not in a common face
+(dimension 1 is a repeated ray, refused).  Conversely a collection of
+candidates whose support is the cone on all columns holds each v_k in some
+cone, hence as a generator, so every complete fan the search reaches uses
+every ray.  One pass over the circuits gives every candidate the bitmask of
+the candidates it conflicts with (``is_fan`` makes the same pass over its
+cones).
+
+A demand is an unmatched interior facet together with the side its missing
+neighbour must lie on.  Every demand a candidate can open or meet is ranked
+once by (number of candidates meeting it, facet, side), and a depth-first
+search, rooted at each candidate that holds column 1, fills the open demand
+of least rank first; a demand no candidate meets ranks first and ends its
+branch at once.  The rule depends only on the cones chosen, and exactly one
+cone of a fan meets each of its demands, so each fan is found once, from
+its least cone.  A candidate is admitted unless the node's ban mask holds
+it: the cones chosen, the cones they conflict with, and every candidate up
+to the root.  A complete fan is read off the candidates on the search path.
+Support coverage is certified combinatorially: every facet of the final
+collection is either shared by exactly two maximal cones or spans a
+supporting hyperplane of the whole configuration.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -44,6 +58,7 @@ from typing import Iterable, Sequence
 
 from .matrix import (
     DomainError,
+    GaleKitError,
     Mat,
     _back_substitute,
     _bareiss_det,
@@ -197,15 +212,21 @@ def _circuit_table(V: Mat) -> _Circuits:
     return _Circuits(V)
 
 
+def _holders(masks: Sequence[int], cols: int) -> list[int]:
+    """holders[j]: bitmask of the masks that hold column j."""
+    holders = [0] * cols
+    for i, m in enumerate(masks):
+        for j in _bits(m):
+            holders[j] |= 1 << i
+    return holders
+
+
 def _conflicts(table: _Circuits, masks: Sequence[int]) -> list[int]:
     """conflicts[i]: bitmask of the simplicial cones in ``masks`` that do not
     meet cone i in a common face, i.e. hold Z- of a circuit whose Z+ cone i
     holds.  One pass over the circuits: with the cones holding each column
     as a bitmask, a circuit costs one AND per column."""
-    holders = [0] * table.cols
-    for i, m in enumerate(masks):
-        for j in _bits(m):
-            holders[j] |= 1 << i
+    holders = _holders(masks, table.cols)
     every = (1 << len(masks)) - 1
     conflicts = [0] * len(masks)
     for p, q in table.circuits:
@@ -226,31 +247,61 @@ def _conflicts(table: _Circuits, masks: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # fan validity and support
 
-def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
-    """Do the given simplicial cones pairwise intersect in common faces?
-
-    The circuit table is built on the columns the cones use: a circuit of V
-    supported on those columns is a circuit of V restricted to them.
-    """
+def _cone_masks(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
+                ) -> tuple["_Circuits | None", list[int], list[int]]:
+    """The circuit table on the columns the cones use, those columns (0-based,
+    ascending) and the distinct cones as bitmasks over them, in the order
+    given.  A circuit of V supported on those columns is a circuit of V
+    restricted to them."""
     cones = []
     for c in maximal_cones:
         gens = c.gens if isinstance(c, Cone) else tuple(sorted(c))
         cones.append(check_index_set(gens, V.cols, allow_empty=False))
     used = sorted({g - 1 for gens in cones for g in gens})
     if not used:
-        return True
+        return None, used, []
     if len(used) == V.cols:
         table = _circuit_table(V)
     else:
         table = _Circuits(V.take_cols(used))
     pos = {j: t for t, j in enumerate(used)}
-    masks = set()
+    masks: dict[int, None] = {}
     for gens in cones:
         mask = _mask(pos[g - 1] for g in gens)
         if not table.independent(mask):
             raise DomainError(f"cone {gens} is not simplicial")
-        masks.add(mask)
-    return not any(_conflicts(table, sorted(masks)))
+        masks[mask] = None
+    return table, used, list(masks)
+
+
+def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
+    """Do the given simplicial cones pairwise intersect in common faces?"""
+    table, _, masks = _cone_masks(V, maximal_cones)
+    return not masks or not any(_conflicts(table, masks))
+
+
+def _index_set(mask: int, cols: Sequence[int]) -> str:
+    return "{" + ", ".join(str(cols[b] + 1) for b in _bits(mask)) + "}"
+
+
+def _conflict_error(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
+                    ) -> DomainError:
+    """The error for simplicial cones that are not a fan: the first pair, in
+    the order given, that does not meet in a common face, and the circuit
+    behind it, with Z+ in the first cone and Z- in the second."""
+    table, used, masks = _cone_masks(V, maximal_cones)
+    conflicts = _conflicts(table, masks)
+    for i, other in enumerate(conflicts):
+        if other:
+            a, b = masks[i], masks[(other & -other).bit_length() - 1]
+            for p, q in table.circuits:
+                if not (p & ~a or q & ~b):
+                    return DomainError(
+                        f"invalid fan: cones {_index_set(a, used)} and "
+                        f"{_index_set(b, used)} do not meet along a common face "
+                        f"(circuit Z+ = {_index_set(p, used)}, "
+                        f"Z- = {_index_set(q, used)})")
+    raise GaleKitError("no conflicting pair of cones (internal invariant)")
 
 
 def _support_complete(V: Mat, cones: Sequence[Sequence[int]]) -> bool:
@@ -268,6 +319,25 @@ def _support_complete(V: Mat, cones: Sequence[Sequence[int]]) -> bool:
                for facet, cnt in counts.items())
 
 
+def _support_error(V: Mat, cones: Sequence[Sequence[int]]) -> DomainError:
+    """The error for a fan of maximal cones whose support falls short of the
+    cone on all columns: the first interior facet, in the order of the cones
+    given, that no other cone shares."""
+    table = _circuit_table(V)
+    masks = list(dict.fromkeys(_mask(g - 1 for g in c) for c in cones))
+    counts = Counter(m ^ 1 << j for m in masks for j in _bits(m))
+    every = range(V.cols)
+    for mask in masks:
+        for j in _bits(mask):
+            facet = mask ^ 1 << j
+            if counts[facet] == 1 and not table.is_boundary(facet):
+                return DomainError(
+                    "invalid fan: support does not cover the column cone "
+                    f"(interior facet {_index_set(facet, every)} of cone "
+                    f"{_index_set(mask, every)} lies on no other cone)")
+    raise GaleKitError("every interior facet is shared (internal invariant)")
+
+
 def is_support_complete(V: Mat, fan: Fan) -> bool:
     """Does the union of the maximal cones equal the cone on all columns?
 
@@ -279,7 +349,7 @@ def is_support_complete(V: Mat, fan: Fan) -> bool:
     if not cones:
         return False
     if not is_fan(V, cones):
-        raise DomainError("invalid fan")
+        raise _conflict_error(V, cones)
     return _support_complete(V, cones)
 
 
@@ -288,7 +358,11 @@ def is_support_complete(V: Mat, fan: Fan) -> bool:
 
 def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
     """All simplicial fans whose rays are exactly the columns of V and whose
-    support is the cone spanned by all columns, in a deterministic order.
+    support is the cone spanned by all columns, sorted by their cone lists.
+
+    The candidate cones are the bases that hold no other column, not even
+    on a face, and the search fills the unmatched facet with the fewest
+    candidates first (see the module docstring).
 
     Refuses configurations with more than ``cap`` rays, zero columns,
     repeated ray directions, or rank-deficient V.
@@ -312,77 +386,82 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
     if table.rank < n:
         raise DomainError("degenerate configuration: rank-deficient matrix")
 
-    blocked = {p for p, q in table.circuits if q.bit_count() == 1}
-    cands = [m for m in (_mask(pick) for pick in combinations(range(s), n))
-             if m in table.chi and m not in blocked]
-
+    # a circuit (Z+, {k}) puts v_k in the relative interior of cone(Z+), so
+    # no basis holding Z+ is a cone of a fan on every ray
+    bases = [m for m in (_mask(pick) for pick in combinations(range(s), n))
+             if m in table.chi]
+    holders = _holders(bases, s)
+    blocked = 0
+    for p, q in table.circuits:
+        if not q & q - 1:
+            held = -1
+            for j in _bits(p):
+                held &= holders[j]
+            blocked |= held
+    cands = [m for i, m in enumerate(bases) if not blocked >> i & 1]
     conflicts = _conflicts(table, cands)
 
-    # interior facets of each candidate, with the side of the dropped ray
-    inner: list[list[tuple[int, int]]] = []
-    by_facet: dict[int, list[tuple[int, int]]] = {}
+    # a demand (F, t): an unmatched interior facet F and the side t its
+    # neighbour must lie on.  A candidate on side t of its facet F meets
+    # (F, t) and opens (F, -t); demands are indexed by rank, fewest
+    # candidates first
+    inner = []
+    meets: dict[tuple[int, int], list[int]] = {}
     for i, m in enumerate(cands):
-        faces = []
+        facets = []
         for j in _bits(m):
             facet = m ^ 1 << j
             if not table.is_boundary(facet):
                 side = table.side(facet, j)
-                faces.append((facet, side))
-                by_facet.setdefault(facet, []).append((i, side))
-        inner.append(faces)
+                facets.append((facet, side))
+                meets.setdefault((facet, side), []).append(i)
+                meets.setdefault((facet, -side), [])
+        inner.append(facets)
+    order = sorted(meets, key=lambda d: (len(meets[d]), *d))
+    rank = {d: r for r, d in enumerate(order)}
+    by_rank = [meets[d] for d in order]
+    # per candidate, one (meet, open) pair of rank bits per interior facet:
+    # adding the cone closes the demand it meets if that one is open, and
+    # opens the other otherwise.  That one is never open already: the cone
+    # that opened it would lie on the same side of the facet, and overlap.
+    pairs = [[(1 << rank[facet, side], 1 << rank[facet, -side])
+              for facet, side in facets] for facets in inner]
 
-    # unmatched interior facet -> side its missing neighbour must lie on
-    open_facets: dict[int, int] = {}
-
-    def toggle(i: int, sign: int) -> None:
-        # adding a cone (sign -1) opens its unmatched facets and closes the
-        # rest; removing it (sign +1) undoes exactly that.  A cone that
-        # passed the conflict test lies opposite every open facet it shares,
-        # since two cones on one side of a common facet overlap, so no facet
-        # is ever covered from one side twice.
-        for facet, side in inner[i]:
-            if facet in open_facets:
-                del open_facets[facet]
-            else:
-                open_facets[facet] = sign * side
-
-    full = (1 << s) - 1
     path: list[int] = []  # the candidates chosen, in the order pushed
     results: list[tuple[int, ...]] = []
 
-    def dfs(root: int, chosen: int, used: int) -> None:
-        if not open_facets:
-            if used == full:
-                results.append(tuple(sorted(path)))
+    def dfs(open_: int, ban: int) -> None:
+        if not open_:
+            results.append(tuple(sorted(path)))
             return
-        facet = min(open_facets)
-        need = open_facets[facet]
-        # a chosen cone on this facet lies on the other side, so the side
-        # test also skips it
-        for i, side in by_facet[facet]:
-            if i <= root or side != need or conflicts[i] & chosen:
+        need = (open_ & -open_).bit_length() - 1
+        for i in by_rank[need]:
+            if ban >> i & 1:
                 continue
-            toggle(i, -1)
+            child = open_
+            for meet, opens in pairs[i]:
+                if child & meet:
+                    child ^= meet
+                else:
+                    child |= opens
             path.append(i)
-            dfs(root, chosen | 1 << i, used | cands[i])
+            dfs(child, ban | conflicts[i] | 1 << i)
             path.pop()
-            toggle(i, 1)
 
     for root, m in enumerate(cands):
         if not m & 1:
             # a fan on every ray is found from its least cone, which holds
             # column 1; the candidates holding it come first
             break
-        toggle(root, -1)
         path.append(root)
-        dfs(root, 1 << root, m)
+        dfs(sum(opens for _, opens in pairs[root]),
+            conflicts[root] | (2 << root) - 1)
         path.pop()
-        toggle(root, 1)
 
     # candidates are in lexicographic order, so index tuples sort like fans
     cones = [Cone(gens=tuple(j + 1 for j in _bits(m))) for m in cands]
-    return [Fan(V=V, maximal_cones=tuple(cones[i] for i in fset))
-            for fset in sorted(set(results))]
+    return [Fan(V=V, maximal_cones=tuple(map(cones.__getitem__, fset)))
+            for fset in sorted(results)]
 
 
 def is_divisorially_detected(V: Mat, cap: int = 10) -> bool:

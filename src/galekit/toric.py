@@ -38,7 +38,15 @@ from .lattices import (
 )
 from .gale import gale_dual
 from .fw import _classify_f, _is_w_reduced, classify_w
-from .fans import Fan, _support_complete, enumerate_SF, fan_from_cones, is_fan
+from .fans import (
+    Fan,
+    _conflict_error,
+    _support_complete,
+    _support_error,
+    enumerate_SF,
+    fan_from_cones,
+    is_fan,
+)
 
 
 @dataclass(frozen=True)
@@ -145,9 +153,9 @@ def _check_fan(V: Mat, fan: Fan) -> None:
     if used != set(range(1, V.cols + 1)):
         raise DomainError("invalid fan: not every ray is used by a maximal cone")
     if not is_fan(V, fan.maximal_cones):
-        raise DomainError("invalid fan: cones do not meet along faces")
+        raise _conflict_error(V, fan.maximal_cones)
     if not _support_complete(V, fan.cone_sets()):
-        raise DomainError("invalid fan: support does not cover the column cone")
+        raise _support_error(V, fan.cone_sets())
 
 
 def picard_basis(Q: Mat, fan: Fan) -> Mat:

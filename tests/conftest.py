@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
-from galekit.fans import Fan
+from galekit.fans import Cone, Fan, _bits, _circuit_table, _conflicts, _mask
 from galekit.matrix import _norm_entry, _pivot, block_diag, solve, xgcd
 from galekit.normal_forms import strictly_positive_row_vector
 
@@ -346,6 +346,111 @@ def support_complete_oracle(V: Mat, cones) -> bool:
         if any(x > 0 for x in sides) and any(x < 0 for x in sides):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the fan search that the all-rays candidate rule and the demand order replaced:
+# candidates drop only bases with a ray strictly inside, the search always
+# extends the least open facet, and complete leaves that miss a ray are
+# discarded
+
+def enumerate_SF_oracle(V: Mat, cap: int = 10) -> list[Fan]:
+    """All simplicial fans whose rays are exactly the columns of V and whose
+    support is the cone spanned by all columns, in a deterministic order.
+
+    Refuses configurations with more than ``cap`` rays, zero columns,
+    repeated ray directions, or rank-deficient V.
+    """
+    if not V.is_integral:
+        raise DomainError("enumerate_SF requires an integer matrix")
+    n, s = V.shape
+    if s > cap:
+        raise DomainError(f"ray count {s} exceeds cap {cap}")
+    for j in range(s):
+        if not any(V.col(j)):
+            raise DomainError(f"degenerate configuration: column {j + 1} is zero")
+    table = _circuit_table(V)
+    # circuits v_i - c v_j = 0, c > 0; the least names the first pair (i, j)
+    same_ray = [(p, q) for p, q in table.circuits
+                if p < q and p.bit_count() == q.bit_count() == 1]
+    if same_ray:
+        i, j = (b.bit_length() for b in min(same_ray))
+        raise DomainError("degenerate configuration: columns "
+                          f"{i} and {j} span the same ray")
+    if table.rank < n:
+        raise DomainError("degenerate configuration: rank-deficient matrix")
+
+    blocked = {p for p, q in table.circuits if q.bit_count() == 1}
+    cands = [m for m in (_mask(pick) for pick in combinations(range(s), n))
+             if m in table.chi and m not in blocked]
+
+    conflicts = _conflicts(table, cands)
+
+    # interior facets of each candidate, with the side of the dropped ray
+    inner: list[list[tuple[int, int]]] = []
+    by_facet: dict[int, list[tuple[int, int]]] = {}
+    for i, m in enumerate(cands):
+        faces = []
+        for j in _bits(m):
+            facet = m ^ 1 << j
+            if not table.is_boundary(facet):
+                side = table.side(facet, j)
+                faces.append((facet, side))
+                by_facet.setdefault(facet, []).append((i, side))
+        inner.append(faces)
+
+    # unmatched interior facet -> side its missing neighbour must lie on
+    open_facets: dict[int, int] = {}
+
+    def toggle(i: int, sign: int) -> None:
+        # adding a cone (sign -1) opens its unmatched facets and closes the
+        # rest; removing it (sign +1) undoes exactly that.  A cone that
+        # passed the conflict test lies opposite every open facet it shares,
+        # since two cones on one side of a common facet overlap, so no facet
+        # is ever covered from one side twice.
+        for facet, side in inner[i]:
+            if facet in open_facets:
+                del open_facets[facet]
+            else:
+                open_facets[facet] = sign * side
+
+    full = (1 << s) - 1
+    path: list[int] = []  # the candidates chosen, in the order pushed
+    results: list[tuple[int, ...]] = []
+
+    def dfs(root: int, chosen: int, used: int) -> None:
+        if not open_facets:
+            if used == full:
+                results.append(tuple(sorted(path)))
+            return
+        facet = min(open_facets)
+        need = open_facets[facet]
+        # a chosen cone on this facet lies on the other side, so the side
+        # test also skips it
+        for i, side in by_facet[facet]:
+            if i <= root or side != need or conflicts[i] & chosen:
+                continue
+            toggle(i, -1)
+            path.append(i)
+            dfs(root, chosen | 1 << i, used | cands[i])
+            path.pop()
+            toggle(i, 1)
+
+    for root, m in enumerate(cands):
+        if not m & 1:
+            # a fan on every ray is found from its least cone, which holds
+            # column 1; the candidates holding it come first
+            break
+        toggle(root, -1)
+        path.append(root)
+        dfs(root, 1 << root, m)
+        path.pop()
+        toggle(root, 1)
+
+    # candidates are in lexicographic order, so index tuples sort like fans
+    cones = [Cone(gens=tuple(j + 1 for j in _bits(m))) for m in cands]
+    return [Fan(V=V, maximal_cones=tuple(cones[i] for i in fset))
+            for fset in sorted(set(results))]
 
 
 # ---------------------------------------------------------------------------

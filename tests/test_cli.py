@@ -38,6 +38,17 @@ def noproj_file(tmp_path):
     return str(p)
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra) -> dict:
+    """The environment of a ``python -m galekit`` child process: this
+    checkout's ``src`` first on PYTHONPATH, so the child imports the same
+    library as the tests without an install."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -232,7 +243,7 @@ def test_fans_negative_cap_env_is_usage_error(capsys, noproj_file, monkeypatch):
 def test_fans_json_independent_of_hash_seed(noproj_file):
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = child_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "galekit", "fans", "--json", noproj_file],
             capture_output=True, env=env)
@@ -315,7 +326,7 @@ def test_report_json_independent_of_hash_seed(tmp_path):
     p.write_text(Q6_TEXT)
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = child_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "galekit", "report", "--json", "--fan", "3",
              str(p)], capture_output=True, env=env)
@@ -379,6 +390,17 @@ def test_cartier_index_fan_file(capsys, vfile, tmp_path):
     assert out == "1\n"
 
 
+def test_cartier_index_fan_file_names_the_conflicting_cones(capsys, vfile, tmp_path):
+    ff = tmp_path / "fan.txt"
+    ff.write_text("1 3\n2 3\n2 4\n1 4\n3 4\n")
+    code, out, err = run_cli(capsys, "cartier-index", vfile,
+                             "--divisor", "0,0,0,1", "--fan-file", str(ff))
+    assert code == 1
+    assert out == ""
+    assert ("invalid fan: cones {1, 3} and {3, 4} do not meet along a common "
+            "face (circuit Z+ = {1}, Z- = {3, 4})") in err
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1 2\n2 4\n")  # rank deficient
@@ -411,7 +433,7 @@ def test_module_entry_point(tmp_path):
     p = tmp_path / "q.txt"
     p.write_text(WORKED_Q_TEXT)
     proc = subprocess.run([sys.executable, "-m", "galekit", "gale", str(p)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "1 -1 1 0\n0 0 2 -1\n"
 
@@ -419,6 +441,6 @@ def test_module_entry_point(tmp_path):
 def test_stdin_input(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "galekit", "minors-gcd", "-"],
                           input="1 -1 1 0\n0 0 2 -1\n",
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

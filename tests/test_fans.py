@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -21,10 +22,12 @@ from galekit import (
     is_support_complete,
 )
 from galekit import matrix
+from galekit.fans import _circuit_table
 from conftest import (
     ConeGeom,
     count_calls,
     count_rank_calls,
+    enumerate_SF_oracle,
     gauss_rank,
     nonneg_combination_oracle,
     proper_intersection,
@@ -107,6 +110,16 @@ def test_support_complete_proper_cone():
     assert is_support_complete(RAY4_V, fan)
     half = fan_from_cones(RAY4_V, [(1, 2, 3)])
     assert not is_support_complete(RAY4_V, half)
+
+
+def test_support_complete_names_the_conflict_of_a_non_fan():
+    # v4 = v1 + v2 + v3 lies inside cone(1, 2, 3)
+    V = Mat([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    fan = fan_from_cones(V, [(1, 2, 4), (1, 2, 3)])
+    with pytest.raises(DomainError, match=re.escape(
+            "invalid fan: cones {1, 2, 3} and {1, 2, 4} do not meet along a "
+            "common face (circuit Z+ = {1, 2, 3}, Z- = {4})") + "$"):
+        is_support_complete(V, fan)
 
 
 def test_support_complete_counts_a_repeated_cone_once():
@@ -522,3 +535,59 @@ def test_is_fan_matches_pairwise_vertex_oracle_on_collections():
             assert is_fan(V, pick) == expected, (V, pick)
             verdicts[expected] += 1
     assert min(verdicts) >= 50, verdicts
+
+
+def _fan_fuzz_case(rng, trial):
+    """A seeded configuration with n = 2-4 rows and entries in [-1, 1] or
+    [-2, 2]; one trial in five each gets a column on the ray of another, a
+    row that sums the others (rank-deficient), or a column v_a + v_b, which
+    lies in the relative interior of the 2-face cone(v_a, v_b)."""
+    n = 2 + trial % 3
+    s = rng.randint(n + 1, n + 4)
+    bound = rng.choice((1, 2))
+    rows = rand_mat(rng, n, s, -bound, bound).to_lists()
+    kind = trial % 5
+    a, b, c = rng.sample(range(s), 3)
+    if kind == 1:
+        scale = rng.choice((1, 2))
+        for row in rows:
+            row[b] = scale * row[a]
+    elif kind == 2:
+        rows[-1] = [sum(col) for col in zip(*rows[:-1])]
+    elif kind == 3:
+        for row in rows:
+            row[c] = row[a] + row[b]
+    return Mat(rows)
+
+
+def _face_ray_drops(V):
+    """The bases with a further ray in the relative interior of a proper
+    face, and none strictly inside: the all-rays rule drops them, the
+    strictly-inside rule keeps them."""
+    table = _circuit_table(V)
+    inside = {p for p, q in table.circuits if q.bit_count() == 1}
+    return sum(1 for m in table.chi
+               if m not in inside and any(p & ~m == 0 for p in inside))
+
+
+def test_enumerate_matches_oracle_fuzz():
+    """1,500 seeded configurations: the fans and their order, or the error
+    message, are those of the search that kept every basis with no ray
+    strictly inside and discarded the leaves that miss a ray."""
+    rng = random.Random(1409)
+    errors = fans = face_drops = 0
+    for trial in range(1500):
+        V = _fan_fuzz_case(rng, trial)
+        try:
+            expected = [f.cone_sets() for f in enumerate_SF_oracle(V)]
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                enumerate_SF(V)
+            assert str(got.value) == str(exc), V
+            errors += 1
+            continue
+        assert [f.cone_sets() for f in enumerate_SF(V)] == expected, V
+        fans += len(expected)
+        face_drops += _face_ray_drops(V) > 0
+    assert errors >= 500 and fans >= 4000, (errors, fans)
+    assert face_drops >= 100, face_drops

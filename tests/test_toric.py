@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -482,6 +483,23 @@ def test_full_report_rejects_torsion_fan_matrix():
 def test_full_report_needs_fan_choice():
     with pytest.raises(DomainError):
         full_report(Q=NOPROJ_Q)
+
+
+def test_check_fan_names_the_first_conflicting_pair_and_its_circuit():
+    # v1 = v3 + 2 v4 lies inside cone(3, 4), which cone(1, 3) cuts through
+    fan = fan_from_cones(WORKED_V, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    with pytest.raises(DomainError, match=re.escape(
+            "invalid fan: cones {1, 3} and {3, 4} do not meet along a common "
+            "face (circuit Z+ = {1}, Z- = {3, 4})") + "$"):
+        cartier_index(WORKED_V, fan, (1, 0, 0, 0))
+
+
+def test_check_fan_names_an_unmatched_interior_facet():
+    fan = fan_from_cones(WORKED_V, [(1, 3), (2, 3), (2, 4)])
+    with pytest.raises(DomainError, match=re.escape(
+            "invalid fan: support does not cover the column cone (interior "
+            "facet {1} of cone {1, 3} lies on no other cone)") + "$"):
+        full_report(Q=WORKED_Q, fan=fan)
 
 
 def test_full_report_explicit_fan():
