@@ -13,12 +13,16 @@ by an exact phase-1 simplex with Bland's rule on a fraction-free integer
 tableau (``matrix._nonneg_solve``).  A feasible answer comes with its point
 x, an infeasible one with a Farkas certificate w (w A >= 0, w b < 0), and
 both are re-checked exactly; no floating point and no tolerance anywhere.
-Witnesses are one valid choice, not canonical ones.  ``positivize`` starts
-from the strictly positive witness that ``classify_w`` already found.
-Repeated ray directions (F clause d) are equal primitive columns; clause f
-of the W-side is read off the Gale dual of the row lattice: it is violated
-exactly when two of its columns have the same primitive vector (both zero
-or positively proportional).
+Witnesses are one valid choice, not canonical ones.  ``classify_w`` reads
+clauses c, e and f off one kernel K = {x : Q x = 0} (for a W-matrix the
+Gale dual, which the reductions and ``full_report`` reuse).  Clause c is
+decided on the Gale-dual side (Stiemke/Gordan): L holds a vector > 0 on its
+support S iff the columns of K on S have a strictly positive relation, the
+LP of ``is_f_complete``; with cotorsion the vector is lifted from the
+saturation into L by one ``solve``.  e_j can lie in L only if column j of K
+is zero; clause f fails exactly when two columns of K have the same
+primitive vector.  Repeated ray directions (F clause d) are equal
+primitive columns.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from .matrix import (
     vec_gcd,
 )
 from .normal_forms import (
+    _lift_into_rows,
+    _positive_span_vector,
     _smith,
     _with_identity,
     basis_with_positive_first_row,
     left_kernel_rows,
-    strictly_positive_row_vector,
 )
 from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
 from .gale import gale_dual, solve_left_factor
@@ -74,22 +79,15 @@ def is_f_complete(A: Mat) -> bool:
 
 def is_w_positive(A: Mat) -> tuple[bool, "tuple[int, ...] | None"]:
     """Whether the row lattice of A has a nonnegative basis, with a strictly
-    positive witness vector when it does.
-
-    Requires every column nonzero (the strict-positivity criterion breaks
-    down otherwise).
-    """
+    positive witness vector when it does (W-clause c).  Requires every
+    column nonzero (the strict-positivity criterion breaks down otherwise)."""
     if not A.is_integral:
         raise DomainError("is_w_positive requires an integer matrix")
     for j in range(A.cols):
         if not any(A.col(j)):
             raise DomainError(f"column {j + 1} is zero: criterion inapplicable")
-    lat = Lattice.from_matrix(A)
-    found = strictly_positive_row_vector([list(r) for r in lat.basis],
-                                         list(range(A.cols)))
-    if found is None:
-        return False, None
-    return True, found[0]
+    witness = classify_w(A).positive_witness
+    return witness is not None, witness
 
 
 def classify_f(V: Mat) -> FMatrixReport:
@@ -127,6 +125,12 @@ def classify_w(Q: Mat) -> WMatrixReport:
     """Clause-by-clause candidate-weight-matrix check (a: rank, b: no
     cotorsion, c: W-positive, d: nonzero columns, e: no unit vectors,
     f: no mixed-sign 2-sparse vectors in the row lattice)."""
+    return _classify_w(Q)[0]
+
+
+def _classify_w(Q: Mat) -> tuple[WMatrixReport, list[tuple]]:
+    """``classify_w(Q)`` and the kernel it was read off: the Hermite basis
+    of {x in Z^m : Q x = 0}, which for a W-matrix is ``gale_dual(Q)``."""
     if not Q.is_integral:
         raise DomainError("classify_w requires an integer matrix")
     r, m = Q.shape
@@ -137,33 +141,36 @@ def classify_w(Q: Mat) -> WMatrixReport:
     if has_cotorsion(m, lat):
         violated.append("b")
 
+    kernel = left_kernel_rows(Q.transpose())
     witness = None
-    if lat.rank:
-        support = [j for j in range(m) if any(row[j] for row in lat.basis)]
-        found = strictly_positive_row_vector([list(row) for row in lat.basis], support)
-        if found is None:
+    if lat.rank:  # rank 0: the empty basis is vacuously positive
+        y = _positive_span_vector(lat.basis, kernel)
+        if y is None:
             violated.append("c")
         else:
-            witness = found[0]
-    # rank 0: the empty basis is vacuously positive, clause c passes
+            if "b" in violated:  # y lies in the saturation of L: lift it
+                y = _lift_into_rows(lat.basis, y)[0]
+            witness = tuple(y)
+            if witness not in lat or any((v > 0) != any(col) for v, col
+                                         in zip(witness, zip(*lat.basis))):
+                raise GaleKitError("positive witness is not > 0 exactly on the "
+                                   "support of L, or not in L (internal invariant)")
+    cols = list(zip(*kernel)) if kernel else [()] * m
 
     if any(not any(Q.col(j)) for j in range(m)):
         violated.append("d")
 
-    unit = False
-    for j in range(m):
-        e = tuple(int(t == j) for t in range(m))
-        if e in lat:
-            unit = True
-    if unit:
+    # e_j lies in the rational span of L exactly when column j of K is zero
+    if any(not any(col) and tuple(int(t == j) for t in range(m)) in lat
+           for j, col in enumerate(cols)):
         violated.append("e")
 
-    if _has_mixed_sign_plane_vector(lat):
+    if _has_mixed_sign_plane_vector(cols):
         violated.append("f")
 
     is_w = not violated
     return WMatrixReport(is_w_matrix=is_w, violated=tuple(violated),
-                         positive_witness=witness)
+                         positive_witness=witness), kernel
 
 
 def _primitive(c: tuple) -> tuple:
@@ -179,29 +186,21 @@ def _has_proportional_columns(cols: list[tuple]) -> bool:
     return len(set(prim)) < len(prim)
 
 
-def _has_mixed_sign_plane_vector(lat: Lattice) -> bool:
-    """Clause f, read off the Gale dual.
-
-    With K a basis of the orthogonal complement of L (its columns are the
-    Gale dual of L), L meets the plane span(e_i, e_j) in {(a, b) :
-    a K_i + b K_j = 0}.  That holds a vector with a * b < 0 iff K_i and K_j
-    are both zero or positively proportional, i.e. have the same primitive
-    vector.
-    """
-    if lat.rank == 0:
-        return False
-    kern = left_kernel_rows(lat.basis_matrix().transpose())
-    cols = list(zip(*kern)) if kern else [()] * lat.ambient_dim
-    prim = [_primitive(c) for c in cols]
+def _has_mixed_sign_plane_vector(kernel_cols: list[tuple]) -> bool:
+    """Clause f, read off the columns of the kernel K of L (the Gale dual):
+    L meets the plane span(e_i, e_j) in {(a, b) : a K_i + b K_j = 0}, which
+    holds a vector with a * b < 0 iff K_i and K_j are both zero or
+    positively proportional, i.e. have the same primitive vector."""
+    prim = [_primitive(c) for c in kernel_cols]
     return len(set(prim)) < len(prim)
 
 
-def _require_w_matrix(Q: Mat, caller: str) -> WMatrixReport:
-    rep = classify_w(Q)
+def _require_w_matrix(Q: Mat, caller: str) -> tuple[WMatrixReport, list[tuple]]:
+    rep, kernel = _classify_w(Q)
     if not rep.is_w_matrix:
         raise DomainError(f"{caller} requires a W-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
-    return rep
+    return rep, kernel
 
 
 def positivize(Q: Mat) -> Mat:
@@ -214,13 +213,12 @@ def positivize(Q: Mat) -> Mat:
     first row by a unimodular change of basis, then add multiples of it to
     the remaining rows.
     """
-    c = list(_primitive(_require_w_matrix(Q, "positivize").positive_witness))
+    c = list(_primitive(_require_w_matrix(Q, "positivize")[0].positive_witness))
     lam = solve_left_factor(Mat([c]), Q)
     if lam is None:
         raise GaleKitError("positive witness does not lift into the "
                            "row lattice (no-cotorsion violation)")
-    rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam.row(0),
-                                            list(range(Q.cols)))
+    rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam.row(0))
     return Mat(rows)
 
 
@@ -248,8 +246,8 @@ def i_reduce(Q: Mat, i: int) -> Mat:
     """
     if not 1 <= i <= Q.cols:
         raise DomainError(f"column index {i} out of range")
-    _require_w_matrix(Q, "i_reduce")
-    d = vec_gcd(gale_dual(Q).col(i - 1))
+    kernel = _require_w_matrix(Q, "i_reduce")[1]
+    d = vec_gcd([row[i - 1] for row in kernel])
     return Q if d == 1 else _rescale(Q, i, d)
 
 
@@ -276,8 +274,7 @@ def w_reduce(Q: Mat) -> Mat:
     reading each column gcd off the current Gale dual.  Q is validated once
     (each step maps a W-matrix to a W-matrix), and the dual is recomputed
     only after a step that rescales; the other steps leave Q unchanged."""
-    _require_w_matrix(Q, "w_reduce")
-    cur, V = Q, gale_dual(Q)
+    cur, V = Q, Mat(_require_w_matrix(Q, "w_reduce")[1])
     for i in range(1, Q.cols + 1):
         d = vec_gcd(V.col(i - 1))
         if d > 1:
@@ -293,8 +290,7 @@ def is_w_reduced(Q: Mat) -> bool:
     Computed both directly (coprime maximal minors of each Q^i) and through
     the Gale dual's column gcds; the two must agree.
     """
-    _require_w_matrix(Q, "is_w_reduced")
-    return _is_w_reduced(Q, gale_dual(Q))
+    return _is_w_reduced(Q, Mat(_require_w_matrix(Q, "is_w_reduced")[1]))
 
 
 def _is_w_reduced(Q: Mat, V: Mat) -> bool:

@@ -42,6 +42,7 @@ from .matrix import (
     _eliminate,
     _nonneg_solve,
     block_diag,
+    solve,
     xgcd,
 )
 
@@ -382,47 +383,53 @@ def snf(A: Mat) -> SnfResult:
 # ---------------------------------------------------------------------------
 # positivity helpers on row lattices
 
-def strictly_positive_row_vector(basis: Sequence[Sequence[int]],
-                                 support: Sequence[int],
-                                 ) -> "tuple[tuple[int, ...], tuple[int, ...]] | None":
-    """An integer combination of the basis rows that is > 0 on every support
-    column, together with its coefficient vector, or None.
+def _positive_span_vector(basis: Sequence[Sequence[int]],
+                          kernel: Sequence[Sequence[int]]) -> "list[int] | None":
+    """An integer y in the rational row space of ``basis``, > 0 on the
+    support S of its rows and 0 off it, or None.  ``kernel`` spans the
+    orthogonal complement (the Gale dual), so by Stiemke's theorem this is
+    one exact simplex on S: K_S u = -K_S 1, u >= 0, y = 1 + u scaled by the
+    lcm of its denominators.  Rows vanishing on S are dropped.  y lies in
+    the saturation of the row lattice, not necessarily in the lattice."""
+    m = len(basis[0])
+    support = [j for j in range(m) if any(row[j] for row in basis)]
+    rows = [sub for sub in ([row[j] for j in support] for row in kernel) if any(sub)]
+    u = [0] * len(support)
+    if rows:
+        u, _ = _nonneg_solve(rows, [-sum(row) for row in rows])
+        if u is None:
+            return None
+    denom = math.lcm(*(x.denominator for x in u))
+    y = [0] * m
+    for j, x in zip(support, u):
+        y[j] = int((1 + x) * denom)
+    return y
 
-    Feasibility of ``lam @ B_S >= 1`` (lam free) is one exact phase-1
-    simplex: lam = p - q with p, q >= 0 and a slack per support column.  An
-    infeasible system comes with a checked Farkas certificate; a feasible
-    lam is scaled by the lcm of its denominators.  The vector returned is
-    one valid witness, not a canonical one.
-    """
-    k = len(basis)
-    cols = list(support)
-    if k == 0 or not cols:
-        return None
-    rows = [[basis[i][j] for i in range(k)] + [-basis[i][j] for i in range(k)]
-            + [-int(t == s) for t in range(len(cols))]
-            for s, j in enumerate(cols)]
-    x, _ = _nonneg_solve(rows, [1] * len(cols))
-    if x is None:
-        return None
-    lam = [Fraction(p - q) for p, q in zip(x[:k], x[k:2 * k])]
-    denom = math.lcm(*(v.denominator for v in lam))
-    lam_int = tuple(int(v * denom) for v in lam)
-    vec = tuple(sum(l * row[j] for l, row in zip(lam_int, basis))
-                for j in range(len(basis[0])))
-    return vec, lam_int
+
+def _lift_into_rows(basis: Sequence[Sequence[int]], y: Sequence[int],
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(c, lam) with c = lam @ basis = d y and lam integral, for the least
+    d >= 1: one ``solve`` for the rational coefficients of y."""
+    lam = solve(Mat(basis).transpose(), Mat([[v] for v in y]))
+    if lam is None:
+        raise GaleKitError("positive vector is not in the row space "
+                           "(internal invariant)")
+    lam = lam.col(0)
+    d = math.lcm(*(x.denominator for x in lam))
+    return tuple(d * v for v in y), tuple(int(x * d) for x in lam)
 
 
 def basis_with_positive_first_row(basis: Sequence[Sequence[int]],
-                                  c: Sequence[int],
-                                  lam: Sequence[int],
-                                  support: Sequence[int],
+                                  c: Sequence[int], lam: Sequence[int],
                                   ) -> tuple[list[list[int]], Mat]:
-    """Rebase so that the first row is c/gcd(lam) and all rows are >= 0.
+    """Rebase so that the first row is c/gcd(lam) and all rows are >= 0 (on
+    the support of c, where c must be > 0; the rows vanish off it).
 
     c = lam @ basis must hold.  Returns (new_rows, T) with new_rows = T @ basis
     and T unimodular.
     """
     k, n = len(basis), len(basis[0])
+    support = [j for j, v in enumerate(c) if v]
     lam_col = Mat([[x] for x in lam])
     res = hnf(lam_col)
     alpha = res.U
@@ -450,14 +457,11 @@ def positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     Raises DomainError when the lattice admits no such basis (i.e. the input
     is not W-positive).
     """
-    cols = len(basis[0])
-    support = [j for j in range(cols) if any(row[j] for row in basis)]
-    found = strictly_positive_row_vector(basis, support)
-    if found is None:
+    y = _positive_span_vector(basis, left_kernel_rows(Mat(basis).transpose()))
+    if y is None:
         raise DomainError("row lattice has no strictly positive vector: "
                           "matrix is not W-positive")
-    c, lam = found
-    return basis_with_positive_first_row(basis, c, lam, support)
+    return basis_with_positive_first_row(basis, *_lift_into_rows(basis, y))
 
 
 # ---------------------------------------------------------------------------

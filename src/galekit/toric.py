@@ -37,7 +37,7 @@ from .lattices import (
     quotient_structure,
 )
 from .gale import gale_dual
-from .fw import _classify_f, _is_w_reduced, classify_w
+from .fw import _classify_f, _classify_w, _is_w_reduced, classify_w
 from .fans import (
     Fan,
     _conflict_error,
@@ -254,11 +254,11 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     if (Q is None) == (V is None):
         raise DomainError("provide exactly one of Q or V")
     if Q is not None:
-        wrep = classify_w(Q)
+        wrep, kernel = _classify_w(Q)
         if not wrep.is_w_matrix:
             raise DomainError("input is not a W-matrix "
                               f"(violated clauses: {','.join(wrep.violated)})")
-        V = gale_dual(Q)
+        V = Mat(kernel)  # the Gale dual of Q, read off clause c's kernel
         if not _is_w_reduced(Q, V):
             raise DomainError("weight matrix is not reduced; "
                               "run reduce-w and retry")

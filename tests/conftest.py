@@ -2,12 +2,13 @@
 
 Oracles here deliberately avoid the library's own fast paths: determinants
 by cofactor expansion, ranks by naive rational elimination, minor gcds by
-direct enumeration, feasibility by scanning square subsystems, linear
-systems by a ``Fraction`` Gauss-Jordan tableau, fraction-free elimination
-by a full Gauss-Jordan pass, normal forms with their transforms in separate
-lists, Cartier indices by one linear system per maximal cone on the fan
-side.  They are the reference implementations the production code is
-checked against.
+direct enumeration, feasibility by scanning square subsystems (and
+W-positivity also by the row-space LP the library used before it moved to
+the Gale dual), linear systems by a ``Fraction`` Gauss-Jordan tableau,
+fraction-free elimination by a full Gauss-Jordan pass, normal forms with
+their transforms in separate lists, Cartier indices by one linear system
+per maximal cone on the fan side.  They are the reference implementations
+the production code is checked against.
 """
 
 from collections import Counter
@@ -20,8 +21,8 @@ from typing import Sequence
 
 from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
 from galekit.fans import Cone, Fan, _bits, _circuit_table, _conflicts, _mask
-from galekit.matrix import _norm_entry, _pivot, block_diag, solve, xgcd
-from galekit.normal_forms import strictly_positive_row_vector
+from galekit.matrix import _nonneg_solve, _norm_entry, _pivot, block_diag, solve, xgcd
+from galekit.normal_forms import _lift_into_rows, _positive_span_vector
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -497,6 +498,39 @@ def is_f_complete_oracle(A: Mat) -> bool:
         for i, v in enumerate(cols))
 
 
+def strictly_positive_row_vector(basis: Sequence[Sequence[int]],
+                                 support: Sequence[int],
+                                 ) -> "tuple[tuple[int, ...], tuple[int, ...]] | None":
+    """An integer combination of the basis rows that is > 0 on every support
+    column, together with its coefficient vector, or None.
+
+    Feasibility of ``lam @ B_S >= 1`` (lam free) is one exact phase-1
+    simplex: lam = p - q with p, q >= 0 and a slack per support column.  An
+    infeasible system comes with a checked Farkas certificate; a feasible
+    lam is scaled by the lcm of its denominators.  The vector returned is
+    one valid witness, not a canonical one.
+
+    This was the library's W-clause c until that clause moved to the
+    smaller Stiemke LP on the Gale dual; it stays as an oracle.
+    """
+    k = len(basis)
+    cols = list(support)
+    if k == 0 or not cols:
+        return None
+    rows = [[basis[i][j] for i in range(k)] + [-basis[i][j] for i in range(k)]
+            + [-int(t == s) for t in range(len(cols))]
+            for s, j in enumerate(cols)]
+    x, _ = _nonneg_solve(rows, [1] * len(cols))
+    if x is None:
+        return None
+    lam = [Fraction(p - q) for p, q in zip(x[:k], x[k:2 * k])]
+    denom = math.lcm(*(v.denominator for v in lam))
+    lam_int = tuple(int(v * denom) for v in lam)
+    vec = tuple(sum(l * row[j] for l, row in zip(lam_int, basis))
+                for j in range(len(basis[0])))
+    return vec, lam_int
+
+
 def strictly_positive_row_vector_oracle(basis, support):
     """(vec, lam) with vec = lam @ basis > 0 on the support, or None, by
     solving every square subsystem of lam @ B_S = 1 at equality."""
@@ -805,13 +839,13 @@ def _positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]]
     Raises DomainError when the lattice admits no such basis (i.e. the input
     is not W-positive).
     """
-    cols = len(basis[0])
-    support = [j for j in range(cols) if any(row[j] for row in basis)]
-    found = strictly_positive_row_vector(basis, support)
-    if found is None:
+    # the witness is the library's own, so both layouts rebase the same row
+    y = _positive_span_vector(basis, left_kernel_rows(Mat(basis).transpose()))
+    if y is None:
         raise DomainError("row lattice has no strictly positive vector: "
                           "matrix is not W-positive")
-    c, lam = found
+    c, lam = _lift_into_rows(basis, y)
+    support = [j for j, v in enumerate(c) if v]
     return _basis_with_positive_first_row(basis, c, lam, support)
 
 

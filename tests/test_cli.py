@@ -343,7 +343,7 @@ def test_report_fan_file(capsys, qfile, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "report", qfile, "--fan-file", str(ff))
     assert code == 0
     assert "delta_sigma: 2" in out
-    assert calls["gale_dual"] == 1
+    assert calls["gale_dual"] == 0  # V is the kernel of classify_w
 
 
 def test_report_fan_file_non_w_matrix(capsys, tmp_path):

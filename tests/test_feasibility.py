@@ -13,11 +13,11 @@ from galekit import (
     classify_f,
     classify_w,
     cone_contains,
+    gale_dual,
     is_f_complete,
 )
-from galekit import fw, matrix
+from galekit import fw, matrix, normal_forms
 from galekit.matrix import _nonneg_solve
-from galekit.normal_forms import strictly_positive_row_vector
 from conftest import (
     gauss_rank,
     is_f_complete_oracle,
@@ -25,6 +25,7 @@ from conftest import (
     nonneg_combination_oracle,
     proportional_columns_oracle,
     rand_mat,
+    strictly_positive_row_vector,
     strictly_positive_row_vector_oracle,
 )
 
@@ -107,6 +108,38 @@ def _rand_q(rng):
     return Mat(rows)
 
 
+def _classify_by_oracles(monkeypatch, Q, positive):
+    """classify_f(Q) and classify_w(Q) with every fw kernel replaced by an
+    oracle; ``positive(basis, support)`` answers W-clause c."""
+    lat = Lattice.from_matrix(Q)
+
+    def span_vector(basis, kernel):
+        support = [j for j in range(Q.cols) if any(row[j] for row in basis)]
+        found = positive([list(row) for row in basis], support)
+        return None if found is None else list(found[0])
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fw, "is_f_complete", is_f_complete_oracle)
+        mp.setattr(fw, "_positive_span_vector", span_vector)
+        mp.setattr(fw, "_has_mixed_sign_plane_vector",
+                   lambda cols: mixed_sign_plane_oracle(lat))
+        mp.setattr(fw, "_has_proportional_columns", proportional_columns_oracle)
+        return classify_f(Q), classify_w(Q)
+
+
+def _check_w_report(Q, rep):
+    """The witness of clause c is > 0 on the support of L and lies in L;
+    and for a W-matrix the kernel handed on is the Gale dual."""
+    lat = Lattice.from_matrix(Q)
+    witness = rep.positive_witness
+    assert (witness is None) == ("c" in rep.violated or lat.rank == 0)
+    if witness is not None:
+        assert all((x > 0) == any(Q.col(j)) for j, x in enumerate(witness))
+        assert witness in lat
+    if rep.is_w_matrix:
+        assert Mat(fw._classify_w(Q)[1]) == gale_dual(Q)
+
+
 def test_fw_kernels_match_subset_scans(monkeypatch):
     rng = random.Random(702)
     feasible = infeasible = deficient = proportional = 0
@@ -120,39 +153,106 @@ def test_fw_kernels_match_subset_scans(monkeypatch):
         proportional += prop
 
         lat = Lattice.from_matrix(Q)
+        got_w, kernel = fw._classify_w(Q)
+        kernel_cols = list(zip(*kernel)) if kernel else [()] * Q.cols
         if lat.rank:
             basis = [list(row) for row in lat.basis]
             support = [j for j in range(Q.cols) if any(row[j] for row in basis)]
-            got = strictly_positive_row_vector(basis, support)
+            got = got_w.positive_witness
+            lp = strictly_positive_row_vector(basis, support)
             ref = strictly_positive_row_vector_oracle(basis, support)
-            assert (got is None) == (ref is None)
+            assert (got is None) == (lp is None) == (ref is None)
             if got is None:
                 infeasible += 1
             else:
                 feasible += 1
-                vec, lam = got
+                vec, lam = lp
                 assert all(vec[j] > 0 for j in support)
                 assert vec == tuple(_dot(lam, col) for col in zip(*basis))
-        assert fw._has_mixed_sign_plane_vector(lat) == mixed_sign_plane_oracle(lat)
+        assert (fw._has_mixed_sign_plane_vector(kernel_cols)
+                == mixed_sign_plane_oracle(lat))
 
-        got_f, got_w = classify_f(Q), classify_w(Q)
-        with monkeypatch.context() as mp:
-            mp.setattr(fw, "is_f_complete", is_f_complete_oracle)
-            mp.setattr(fw, "strictly_positive_row_vector",
-                       strictly_positive_row_vector_oracle)
-            mp.setattr(fw, "_has_mixed_sign_plane_vector", mixed_sign_plane_oracle)
-            mp.setattr(fw, "_has_proportional_columns", proportional_columns_oracle)
-            ref_f, ref_w = classify_f(Q), classify_w(Q)
-        assert got_f == ref_f
+        got_f = classify_f(Q)
+        assert classify_w(Q) == got_w
+        for positive in (strictly_positive_row_vector,
+                         strictly_positive_row_vector_oracle):
+            ref_f, ref_w = _classify_by_oracles(monkeypatch, Q, positive)
+            assert got_f == ref_f
+            assert got_w.violated == ref_w.violated
+            assert (got_w.positive_witness is None) == (ref_w.positive_witness is None)
         assert ("a" in got_f.violated) == (gauss_rank(Q) < Q.rows)
-        assert got_w.violated == ref_w.violated
-        witness = got_w.positive_witness
-        assert (witness is None) == (ref_w.positive_witness is None)
-        if witness is not None:
-            assert all(x > 0 for j, x in enumerate(witness) if any(Q.col(j)))
-            assert witness in lat
+        _check_w_report(Q, got_w)
     assert feasible >= 40 and infeasible >= 40 and deficient >= 10
     assert 40 <= proportional <= 210
+
+
+def _rand_q_second(rng):
+    """Weight-matrix candidates of a second family: a random nonnegative-
+    leaning matrix with cotorsion (a scaled row, or two rows mixed by a
+    transform of determinant 4), zero columns, a dependent row, a multiple
+    of a unit vector, or one column the negative sum of the others."""
+    r, m = rng.randint(1, 4), rng.randint(2, 8)
+    rows = rand_mat(rng, r, m, -1, 4).to_lists()
+    shape = rng.randrange(6)
+    if shape == 0:
+        # cotorsion: a row scaled by 2 or 3
+        i = rng.randrange(r)
+        rows[i] = [rng.choice((2, 3)) * x for x in rows[i]]
+    elif shape == 1 and r > 1:
+        rows[1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+        rows[0] = [2 * x for x in rows[0]]
+    elif shape == 2:
+        for j in rng.sample(range(m), rng.randint(1, min(2, m - 1))):
+            for row in rows:
+                row[j] = 0
+    elif shape == 3 and r > 1:
+        rows[-1] = [rng.choice((-1, 1, 2)) * x for x in rows[0]]
+    elif shape == 4:
+        # a multiple of a unit vector: e_j in the rational span of L
+        rows[0] = [0] * m
+        rows[0][rng.randrange(m)] = rng.choice((1, 2, 3))
+    else:
+        # infeasible-prone: one column the negative of a sum of others
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = -sum(row) + row[j]
+    return Mat(rows)
+
+
+def test_w_positivity_second_corpus(monkeypatch):
+    """An independently seeded corpus for clause c: verdicts against both
+    oracles, witnesses > 0 on the support and inside L."""
+    rng = random.Random(1509)
+    seen = {"b": 0, "c": 0, "zero": 0, "deficient": 0, "lifted": 0, "e": 0,
+            "unit_multiple": 0}
+    for _ in range(300):
+        Q = _rand_q_second(rng)
+        got_f, (got_w, kernel) = classify_f(Q), fw._classify_w(Q)
+        for positive in (strictly_positive_row_vector,
+                         strictly_positive_row_vector_oracle):
+            ref_f, ref_w = _classify_by_oracles(monkeypatch, Q, positive)
+            assert got_f == ref_f
+            assert got_w.violated == ref_w.violated
+        _check_w_report(Q, got_w)
+        if "d" not in got_w.violated:
+            ok, witness = fw.is_w_positive(Q)
+            assert ok == ("c" not in got_w.violated)
+            assert witness is None or witness in Lattice.from_matrix(Q)
+        seen["b"] += "b" in got_w.violated
+        seen["c"] += "c" in got_w.violated
+        seen["zero"] += "d" in got_w.violated
+        seen["deficient"] += "a" in got_w.violated
+        seen["e"] += "e" in got_w.violated
+        # some e_j in the span of L but outside L: a zero kernel column and
+        # no unit vector
+        seen["unit_multiple"] += ("e" not in got_w.violated and any(
+            not any(row[j] for row in kernel) for j in range(Q.cols)))
+        # the LP's vector lies outside L (only in its saturation): lifted
+        lat = Lattice.from_matrix(Q)
+        if lat.rank:
+            y = normal_forms._positive_span_vector(lat.basis, kernel)
+            seen["lifted"] += y is not None and tuple(y) not in lat
+    assert min(seen.values()) >= 20, seen
 
 
 def test_wrong_certificate_raises(monkeypatch):

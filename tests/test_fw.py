@@ -23,7 +23,7 @@ from galekit import (
     submatrix_cols,
     w_reduce,
 )
-from galekit import fw, gale, normal_forms
+from galekit import fw, gale, matrix, normal_forms
 from galekit.matrix import vec_gcd
 from conftest import count_calls, count_rank_calls, rand_f_matrix, rand_full_row_rank
 
@@ -136,26 +136,42 @@ def test_positivize_reduction_tail():
 
 
 def test_positivize_solves_one_lp(monkeypatch):
-    # the one LP is classify_w's clause c (in normal_forms); positivize
-    # reuses its witness, so fw itself solves none and needs no Gale dual
-    calls = []
-    nonneg_solve = fw._nonneg_solve
-
-    def counted(A, b):
-        calls.append(1)
-        return nonneg_solve(A, b)
-
-    monkeypatch.setattr(fw, "_nonneg_solve", counted)
+    # the one LP is classify_w's clause c (bound in normal_forms, where the
+    # Stiemke LP on the kernel lives); positivize reuses its witness and
+    # needs no Gale dual
+    calls = count_calls(monkeypatch, matrix, "_nonneg_solve")
     gale_calls = count_calls(monkeypatch, gale, "gale_dual")
     for Q in (WORKED_Q, WIDE_Q, Mat([[2, 2, 15, 15], [-1, -1, -7, -7]])):
-        del calls[:]
+        calls.clear()
         gale_calls.clear()
         out = positivize(Q)
-        assert len(calls) == 0
+        assert calls["_nonneg_solve"] == 1
         assert gale_calls["gale_dual"] == 0
         assert all(x >= 0 for row in out.row_tuples() for x in row)
         assert all(x > 0 for x in out.row(0))
         assert _row_lattice_equal(out, Q)
+
+
+def test_classify_w_solves_one_lp_on_one_kernel(monkeypatch):
+    # clauses c, e and f and the lift under cotorsion share one kernel
+    lp_calls = count_calls(monkeypatch, matrix, "_nonneg_solve")
+    kernel_calls = count_calls(monkeypatch, normal_forms, "left_kernel_rows")
+    cases = [(WORKED_Q, ()), (WIDE_Q, ()), (RED_Q, ()),
+             (Mat([[1, -1]]), ("c", "f")),
+             (Mat([[2, 2, 4]]), ("b",)),
+             (Mat([[2, 0, 2], [0, 2, 2]]), ("b", "f")),
+             # e_1 spans a zero column of the kernel; only 2 e_1 lies in L
+             (Mat([[1, 0, 0], [0, 1, 1]]), ("e",)),
+             (Mat([[2, 0, 0], [0, 1, 1]]), ("b",))]
+    for Q, violated in cases:
+        lp_calls.clear()
+        kernel_calls.clear()
+        rep = classify_w(Q)
+        assert rep.violated == violated
+        assert lp_calls["_nonneg_solve"] == 1
+        assert kernel_calls["left_kernel_rows"] == 1
+        if "c" not in violated:
+            assert rep.positive_witness in Lattice.from_matrix(Q)
 
 
 def test_positivize_rejects_non_w():
@@ -298,12 +314,13 @@ def test_w_reduce_recomputes_dual_only_after_rescaling(monkeypatch):
         steps.append(nxt != cur)
         cur = nxt
     assert [i + 1 for i, s in enumerate(steps) if s] == [2, 5, 8]
+    # the first dual is the kernel of classify_w, one more per rescaling
     counts = count_calls(monkeypatch, gale, "gale_dual")
     assert w_reduce(WIDE_Q) == cur
-    assert counts["gale_dual"] == 1 + 3
+    assert counts["gale_dual"] == 3
     counts.clear()
     assert w_reduce(cur) == cur
-    assert counts["gale_dual"] == 1
+    assert counts["gale_dual"] == 0
 
 
 def test_w_reduce_idempotent_up_to_lattice():

@@ -3,7 +3,8 @@
 left kernels (``left_kernel_rows``), of the integer normal forms ``snf``
 and ``positive_row_echelon``, and of lattice membership
 (``Lattice.coordinates``), ``lattice_intersection``,
-``dual_lattice`` and ``quotient_structure`` (against sympy's Smith form).
+``dual_lattice`` and ``quotient_structure`` (against sympy's Smith form),
+and of the Gale duality between positive spanning and W-positivity.
 
 Derandomized with a bounded number of examples, so the suite stays
 deterministic and fast.
@@ -21,8 +22,11 @@ from galekit import (  # noqa: E402
     DomainError,
     Lattice,
     Mat,
+    classify_w,
     det_exact,
     dual_lattice,
+    gale_dual,
+    is_f_complete,
     is_row_echelon,
     lattice_intersection,
     left_kernel_rows,
@@ -290,3 +294,22 @@ def test_quotient_structure_matches_sympy_smith_form(A):
     assert q.torsion_factors == tuple(c for c in diag if c > 1)
     if A.rows == A.cols and A.rank() == A.rows:
         assert q.free_rank == 0 and q.torsion_order == abs(det_exact(A))
+
+
+@st.composite
+def gale_inputs(draw):
+    """An integer n x m matrix with n < m, entries small."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n + 1, n + 4))
+    return draw(matrices(n, m, st.integers(-3, 3)))
+
+
+@PROFILE
+@given(gale_inputs())
+def test_f_complete_iff_gale_dual_is_w_positive(V):
+    # Stiemke/Gordan: V y = 0 for some y > 0 iff the row lattice of the Gale
+    # dual holds a strictly positive vector (W-clause c)
+    hypothesis.assume(V.rank() == V.rows)
+    Q = gale_dual(V)
+    hypothesis.assume(all(any(col) for col in Q.col_tuples()))
+    assert is_f_complete(V) == ("c" not in classify_w(Q).violated)
