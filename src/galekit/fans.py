@@ -3,13 +3,14 @@ with a prescribed ray set and support.
 
 Cones are index sets (1-based) into the columns of an ambient matrix V.
 Every combinatorial question about cones on V is answered from one table of
-V's oriented matroid, built once per V: the signs of the maximal minors of
-V restricted to a row basis (the chirotope) and the oriented circuits, the
-sign patterns of the minimal linear dependences among the columns.  Each
-circuit Z is stored in both orientations as a pair (Z+, Z-) of bitmasks,
-bit j-1 standing for column j.  Rank-deficient V and cones of any dimension
-are covered, since a row basis has the same dependences as V.  Only point
-membership is asked outside the table (``cone_contains``).
+V's oriented matroid, built once per call and passed on, never cached: the
+signs of the maximal minors of V restricted to a row basis (the chirotope)
+and the oriented circuits, the sign patterns of the minimal linear
+dependences among the columns.  Each circuit Z is stored in both
+orientations as a pair (Z+, Z-) of bitmasks, bit j-1 standing for column j.
+Rank-deficient V and cones of any dimension are covered, since a row basis
+has the same dependences as V.  Only point membership is asked outside the
+table (``cone_contains``).
 
 * A cone is simplicial iff it contains the support of no circuit.
 * Two simplicial cones s, t intersect in a common face iff no circuit has
@@ -30,8 +31,11 @@ v_k would meet cone(B) in a face of dimension >= 2 and not in a common face
 candidates whose support is the cone on all columns holds each v_k in some
 cone, hence as a generator, so every complete fan the search reaches uses
 every ray.  One pass over the circuits gives every candidate the bitmask of
-the candidates it conflicts with (``is_fan`` makes the same pass over its
-cones).
+the candidates it conflicts with.
+
+Validation (``is_fan``, ``is_support_complete``, ``_check_fan``) makes the
+same pass over the cones given and one count of their facets; each returns
+the DomainError naming its first offender, or None.
 
 A demand is an unmatched interior facet together with the side its missing
 neighbour must lie on.  Every demand a candidate can open or meet is ranked
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -205,13 +208,6 @@ class _Circuits:
         return self._boundary[facet]
 
 
-@lru_cache(maxsize=1)
-def _circuit_table(V: Mat) -> _Circuits:
-    # one entry: consecutive calls on one V (enumerate a fan, then validate
-    # it with is_fan and the support check) share a single table
-    return _Circuits(V)
-
-
 def _holders(masks: Sequence[int], cols: int) -> list[int]:
     """holders[j]: bitmask of the masks that hold column j."""
     holders = [0] * cols
@@ -247,23 +243,22 @@ def _conflicts(table: _Circuits, masks: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # fan validity and support
 
-def _cone_masks(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
-                ) -> tuple["_Circuits | None", list[int], list[int]]:
-    """The circuit table on the columns the cones use, those columns (0-based,
-    ascending) and the distinct cones as bitmasks over them, in the order
-    given.  A circuit of V supported on those columns is a circuit of V
-    restricted to them."""
+def _cone_masks(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"],
+                every_column: bool = False
+                ) -> tuple["_Circuits | None", Sequence[int], list[int]]:
+    """The circuit table on the columns the cones use (on every column of V
+    with ``every_column``), those columns (0-based, ascending) and the
+    distinct cones as bitmasks over them, in the order given.  A circuit of
+    V supported on those columns is a circuit of V restricted to them."""
     cones = []
     for c in maximal_cones:
         gens = c.gens if isinstance(c, Cone) else tuple(sorted(c))
         cones.append(check_index_set(gens, V.cols, allow_empty=False))
-    used = sorted({g - 1 for gens in cones for g in gens})
+    used = range(V.cols) if every_column else sorted(
+        {g - 1 for gens in cones for g in gens})
     if not used:
         return None, used, []
-    if len(used) == V.cols:
-        table = _circuit_table(V)
-    else:
-        table = _Circuits(V.take_cols(used))
+    table = _Circuits(V if len(used) == V.cols else V.take_cols(used))
     pos = {j: t for t, j in enumerate(used)}
     masks: dict[int, None] = {}
     for gens in cones:
@@ -274,24 +269,17 @@ def _cone_masks(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
     return table, used, list(masks)
 
 
-def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
-    """Do the given simplicial cones pairwise intersect in common faces?"""
-    table, _, masks = _cone_masks(V, maximal_cones)
-    return not masks or not any(_conflicts(table, masks))
-
-
 def _index_set(mask: int, cols: Sequence[int]) -> str:
     return "{" + ", ".join(str(cols[b] + 1) for b in _bits(mask)) + "}"
 
 
-def _conflict_error(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
-                    ) -> DomainError:
-    """The error for simplicial cones that are not a fan: the first pair, in
-    the order given, that does not meet in a common face, and the circuit
-    behind it, with Z+ in the first cone and Z- in the second."""
-    table, used, masks = _cone_masks(V, maximal_cones)
-    conflicts = _conflicts(table, masks)
-    for i, other in enumerate(conflicts):
+def _conflict(table: _Circuits, used: Sequence[int], masks: Sequence[int]
+              ) -> "DomainError | None":
+    """None when the simplicial cones ``masks`` pairwise meet in common
+    faces; else the error naming the first pair, in the order given, that
+    does not, and the circuit behind it, with Z+ in the first cone and Z- in
+    the second."""
+    for i, other in enumerate(_conflicts(table, masks)):
         if other:
             a, b = masks[i], masks[(other & -other).bit_length() - 1]
             for p, q in table.circuits:
@@ -301,41 +289,38 @@ def _conflict_error(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
                         f"{_index_set(b, used)} do not meet along a common face "
                         f"(circuit Z+ = {_index_set(p, used)}, "
                         f"Z- = {_index_set(q, used)})")
-    raise GaleKitError("no conflicting pair of cones (internal invariant)")
+            raise GaleKitError("conflicting cones with no circuit between "
+                               "them (internal invariant)")
+    return None
 
 
-def _support_complete(V: Mat, cones: Sequence[Sequence[int]]) -> bool:
-    """is_support_complete for cones already known to form a fan."""
-    table = _circuit_table(V)
-    if any(len(c) != table.rank for c in cones):
-        return False
-    counts: dict[int, int] = {}
-    # a cone listed twice is still one cone
-    for mask in {_mask(g - 1 for g in c) for c in cones}:
-        for j in _bits(mask):
-            facet = mask ^ 1 << j
-            counts[facet] = counts.get(facet, 0) + 1
-    return all(cnt == 2 or (cnt == 1 and table.is_boundary(facet))
-               for facet, cnt in counts.items())
-
-
-def _support_error(V: Mat, cones: Sequence[Sequence[int]]) -> DomainError:
-    """The error for a fan of maximal cones whose support falls short of the
-    cone on all columns: the first interior facet, in the order of the cones
-    given, that no other cone shares."""
-    table = _circuit_table(V)
-    masks = list(dict.fromkeys(_mask(g - 1 for g in c) for c in cones))
+def _unmatched_facet(table: _Circuits, masks: Sequence[int]
+                     ) -> "DomainError | None":
+    """None when the maximal cones ``masks`` of a fan (over every column)
+    cover the cone on all columns: every facet is shared by exactly two
+    cones or spans a supporting hyperplane of all columns.  Else the error
+    naming the first interior facet, in the order of the cones, that no
+    other cone shares."""
     counts = Counter(m ^ 1 << j for m in masks for j in _bits(m))
-    every = range(V.cols)
+    every = range(table.cols)
     for mask in masks:
         for j in _bits(mask):
             facet = mask ^ 1 << j
+            if counts[facet] > 2:
+                raise GaleKitError("a facet lies on more than two cones of a fan "
+                                   "(internal invariant)")
             if counts[facet] == 1 and not table.is_boundary(facet):
                 return DomainError(
                     "invalid fan: support does not cover the column cone "
                     f"(interior facet {_index_set(facet, every)} of cone "
                     f"{_index_set(mask, every)} lies on no other cone)")
-    raise GaleKitError("every interior facet is shared (internal invariant)")
+    return None
+
+
+def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
+    """Do the given simplicial cones pairwise intersect in common faces?"""
+    table, used, masks = _cone_masks(V, maximal_cones)
+    return not masks or _conflict(table, used, masks) is None
 
 
 def is_support_complete(V: Mat, fan: Fan) -> bool:
@@ -348,9 +333,31 @@ def is_support_complete(V: Mat, fan: Fan) -> bool:
     cones = fan.cone_sets()
     if not cones:
         return False
-    if not is_fan(V, cones):
-        raise _conflict_error(V, cones)
-    return _support_complete(V, cones)
+    table, used, masks = _cone_masks(V, cones, every_column=True)
+    error = _conflict(table, used, masks)
+    if error:
+        raise error
+    if any(m.bit_count() != table.rank for m in masks):
+        return False
+    return _unmatched_facet(table, masks) is None
+
+
+def _check_fan(V: Mat, fan: Fan) -> None:
+    """Raise a DomainError naming the first defect of a fan given for V, if
+    it is not a complete simplicial fan on every column of V."""
+    if fan.V != V:
+        raise DomainError("fan does not belong to the given matrix")
+    if not fan.maximal_cones:
+        raise DomainError("fan has no maximal cones")
+    if any(len(c.gens) != V.rows for c in fan.maximal_cones):
+        raise DomainError("maximal cones must have exactly n generators")
+    rays = {g for c in fan.maximal_cones for g in c.gens}
+    if rays != set(range(1, V.cols + 1)):
+        raise DomainError("invalid fan: not every ray is used by a maximal cone")
+    table, used, masks = _cone_masks(V, fan.maximal_cones)
+    error = _conflict(table, used, masks) or _unmatched_facet(table, masks)
+    if error:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +382,7 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
     for j in range(s):
         if not any(V.col(j)):
             raise DomainError(f"degenerate configuration: column {j + 1} is zero")
-    table = _circuit_table(V)
+    table = _Circuits(V)
     # circuits v_i - c v_j = 0, c > 0; the least names the first pair (i, j)
     same_ray = [(p, q) for p, q in table.circuits
                 if p < q and p.bit_count() == q.bit_count() == 1]

@@ -15,14 +15,15 @@ x, an infeasible one with a Farkas certificate w (w A >= 0, w b < 0), and
 both are re-checked exactly; no floating point and no tolerance anywhere.
 Witnesses are one valid choice, not canonical ones.  ``classify_w`` reads
 clauses c, e and f off one kernel K = {x : Q x = 0} (for a W-matrix the
-Gale dual, which the reductions and ``full_report`` reuse).  Clause c is
-decided on the Gale-dual side (Stiemke/Gordan): L holds a vector > 0 on its
-support S iff the columns of K on S have a strictly positive relation, the
-LP of ``is_f_complete``; with cotorsion the vector is lifted from the
-saturation into L by one ``solve``.  e_j can lie in L only if column j of K
-is zero; clause f fails exactly when two columns of K have the same
-primitive vector.  Repeated ray directions (F clause d) are equal
-primitive columns.
+Gale dual, which the reductions and ``full_report`` reuse; an i-reduction
+that rescales column i by d divides column i of the dual by d, so
+``w_reduce`` carries it).  Clause c is decided on the Gale-dual side
+(Stiemke/Gordan): L holds a vector > 0 on its support S iff the columns of
+K on S have a strictly positive relation, the LP of ``is_f_complete``; with
+cotorsion the vector is lifted from the saturation into L by one ``solve``.
+e_j can lie in L only if column j of K is zero; clause f fails exactly when
+two columns of K have the same primitive vector.  Repeated ray directions
+(F clause d) are equal primitive columns.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .normal_forms import (
     left_kernel_rows,
 )
 from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
-from .gale import gale_dual, solve_left_factor
+from .gale import solve_left_factor
 
 
 @dataclass(frozen=True)
@@ -248,12 +249,13 @@ def i_reduce(Q: Mat, i: int) -> Mat:
         raise DomainError(f"column index {i} out of range")
     kernel = _require_w_matrix(Q, "i_reduce")[1]
     d = vec_gcd([row[i - 1] for row in kernel])
-    return Q if d == 1 else _rescale(Q, i, d)
+    return Q if d == 1 else _rescale(Q, kernel, i, d)[0]
 
 
-def _rescale(Q: Mat, i: int, d: int) -> Mat:
-    """The i-reduction of a W-matrix Q whose Gale dual has gcd d > 1 in
-    column i."""
+def _rescale(Q: Mat, V: list[tuple], i: int, d: int) -> tuple[Mat, list[tuple]]:
+    """The i-reduction of a W-matrix Q whose Gale dual V (Hermite basis rows)
+    has gcd d > 1 in column i, and the Gale dual of the result: V with
+    column i divided by d, still in Hermite form."""
     # alpha of the Smith form of Q with column i deleted: [A | I] carries it
     A = submatrix_cols(Q, (i,), complement=True)
     top = _with_identity(A.to_lists())
@@ -266,21 +268,21 @@ def _rescale(Q: Mat, i: int, d: int) -> Mat:
         raise GaleKitError("last row not divisible in i-reduction "
                            "(cyclic-quotient theorem violation)")
     rows[-1] = [x // d for x in rows[-1]]
-    return Mat(rows)
+    dual = [(*row[:i - 1], row[i - 1] // d, *row[i:]) for row in V]
+    return Mat(rows), dual
 
 
 def w_reduce(Q: Mat) -> Mat:
     """Full weight-matrix reduction: i-reductions for i = 1..n+r in order,
     reading each column gcd off the current Gale dual.  Q is validated once
-    (each step maps a W-matrix to a W-matrix), and the dual is recomputed
-    only after a step that rescales; the other steps leave Q unchanged."""
-    cur, V = Q, Mat(_require_w_matrix(Q, "w_reduce")[1])
+    (each step maps a W-matrix to a W-matrix) and its dual is computed once:
+    a step that rescales column i by d divides column i of the dual by d,
+    and the other steps leave both unchanged."""
+    cur, V = Q, _require_w_matrix(Q, "w_reduce")[1]
     for i in range(1, Q.cols + 1):
-        d = vec_gcd(V.col(i - 1))
+        d = vec_gcd([row[i - 1] for row in V])
         if d > 1:
-            cur = _rescale(cur, i, d)
-            if i < Q.cols:
-                V = gale_dual(cur)
+            cur, V = _rescale(cur, V, i, d)
     return cur
 
 

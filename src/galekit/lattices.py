@@ -88,10 +88,6 @@ class Lattice:
     def zero(cls, ambient_dim: int) -> "Lattice":
         return cls.from_rows([], ambient_dim)
 
-    @classmethod
-    def standard(cls, ambient_dim: int) -> "Lattice":
-        return cls.from_matrix(Mat.identity(ambient_dim))
-
     @property
     def ambient_dim(self) -> int:
         return self._ambient

@@ -390,7 +390,11 @@ def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
         rhs.append(ints[-1])
     x, w = _phase1(rows, rhs)
     if w is None:
-        if any(v < 0 for v in x) or any(dot(row, x) != bi for row, bi in zip(A, b)):
+        # A (D x) = D b on the integers D x, D the common denominator of x
+        D = math.lcm(*(v.denominator for v in x))
+        dx = [v.numerator * (D // v.denominator) for v in x]
+        if any(v < 0 for v in dx) or any(dot(row, dx) != D * bi
+                                         for row, bi in zip(A, b)):
             raise GaleKitError("simplex point fails A x = b, x >= 0 "
                                "(internal invariant)")
         return x, None

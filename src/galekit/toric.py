@@ -9,8 +9,10 @@ weight submatrices over all maximal cones, Cartier divisors are spanned by
 an explicit block product, and the Cartier index of a divisor a is the order
 of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  delta_Sigma
 is read off the same column lattices: |det| is the product of Hermite pivots.
-``full_report`` validates its input once and derives each object once; the
-public per-object functions validate the fan, then call the same cores.
+``full_report`` validates its input once and derives each object once (from
+Q, the dual V is ``classify_w``'s kernel and V's class group is read off its
+column lattice; only a fan passed in is checked); the public per-object
+functions validate the fan, then call the same cores.
 """
 
 from __future__ import annotations
@@ -38,15 +40,7 @@ from .lattices import (
 )
 from .gale import gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced, classify_w
-from .fans import (
-    Fan,
-    _conflict_error,
-    _support_complete,
-    _support_error,
-    enumerate_SF,
-    fan_from_cones,
-    is_fan,
-)
+from .fans import Fan, _check_fan, enumerate_SF, fan_from_cones
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,13 @@ def _upper_block(col_lat: Lattice) -> tuple:
     if q.free_rank:
         raise GaleKitError("upper HNF block of V^T is singular (unreachable)")
     return col_lat.basis_matrix(), q
+
+
+def _columns_span(V: Mat) -> bool:
+    """Whether the columns of V span Z^n, i.e. HNF(V^T) = [I; 0]: for V of
+    full row rank n, the class group Z^(n+r) / L_r(V) is torsion-free."""
+    col_lat = Lattice.from_rows(V.col_tuples(), V.rows)
+    return col_lat.basis == Mat.identity(V.rows).row_tuples()
 
 
 def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
@@ -140,22 +141,6 @@ def _index_sets(fan: Fan) -> list[tuple[int, ...]]:
         chosen = set(cone.gens)
         out.append(tuple(j for j in range(1, m + 1) if j not in chosen))
     return out
-
-
-def _check_fan(V: Mat, fan: Fan) -> None:
-    if fan.V != V:
-        raise DomainError("fan does not belong to the given matrix")
-    if not fan.maximal_cones:
-        raise DomainError("fan has no maximal cones")
-    if any(len(c.gens) != V.rows for c in fan.maximal_cones):
-        raise DomainError("maximal cones must have exactly n generators")
-    used = {g for c in fan.maximal_cones for g in c.gens}
-    if used != set(range(1, V.cols + 1)):
-        raise DomainError("invalid fan: not every ray is used by a maximal cone")
-    if not is_fan(V, fan.maximal_cones):
-        raise _conflict_error(V, fan.maximal_cones)
-    if not _support_complete(V, fan.cone_sets()):
-        raise _support_error(V, fan.cone_sets())
 
 
 def picard_basis(Q: Mat, fan: Fan) -> Mat:
@@ -247,7 +232,8 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     admits a single fan it is chosen automatically.
 
     Validation and every derivation happen once.  A torsion-free V has a
-    saturated row lattice, so it serves as the Gale dual of its own Q.  The
+    saturated row lattice, so it serves as the Gale dual of its own Q.  An
+    enumerated fan is valid by construction; a fan passed in is checked.  The
     Cartier index of e_j is the order of Q_j in Z^r / Pic: the lcm of the
     denominators of its Picard coordinates (one r x r solve for all j).
     """
@@ -262,7 +248,7 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
         if not _is_w_reduced(Q, V):
             raise DomainError("weight matrix is not reduced; "
                               "run reduce-w and retry")
-        if not is_pws(V)[0]:
+        if not _columns_span(V):
             raise GaleKitError("Gale dual of a W-matrix has class-group "
                                "torsion (internal invariant)")
     else:
@@ -289,14 +275,12 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
                 raise DomainError(f"fan index {fan_index} out of range "
                                   f"1..{len(fans)}")
             chosen = fans[fan_index - 1]
-    elif isinstance(fan, Fan):
-        chosen = fan
     else:
-        chosen = fan_from_cones(V, fan)
-    _check_fan(V, chosen)
+        chosen = fan if isinstance(fan, Fan) else fan_from_cones(V, fan)
+        _check_fan(V, chosen)
 
     n, r = V.rows, Q.rows
-    cl = QuotientStructure(r)  # is_pws: Cl is torsion-free, so Cl = Z^r
+    cl = QuotientStructure(r)  # Cl is torsion-free, so Cl = Z^r
     u_full = cl_generators_full(Q)
     gens = Mat([u_full.row(i) for i in range(r)])
     b, delta = _picard_basis(Q, chosen)

@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
-from galekit.fans import Cone, Fan, _bits, _circuit_table, _conflicts, _mask
+from galekit.fans import Cone, Fan, _Circuits, _bits, _conflicts, _mask
 from galekit.matrix import _nonneg_solve, _norm_entry, _pivot, block_diag, solve, xgcd
 from galekit.normal_forms import _lift_into_rows, _positive_span_vector
 
@@ -370,7 +370,7 @@ def enumerate_SF_oracle(V: Mat, cap: int = 10) -> list[Fan]:
     for j in range(s):
         if not any(V.col(j)):
             raise DomainError(f"degenerate configuration: column {j + 1} is zero")
-    table = _circuit_table(V)
+    table = _Circuits(V)
     # circuits v_i - c v_j = 0, c > 0; the least names the first pair (i, j)
     same_ray = [(p, q) for p, q in table.circuits
                 if p < q and p.bit_count() == q.bit_count() == 1]

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -444,3 +446,80 @@ def test_stdin_input(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+VERBS = ["hnf", "snf", "echelon", "gale", "dual", "intersect", "quotient",
+         "minors-gcd", "check-f", "check-w", "positivize", "reduce-f",
+         "reduce-w", "fans", "class-group", "pws", "report", "cartier-index"]
+
+
+def _fuzz_matrix_text(rng) -> str:
+    """Mostly a small integer matrix, a few of them the examples above;
+    else ragged, empty, fractional or non-numeric text."""
+    rows, cols = rng.randint(1, 3), rng.randint(1, 6)
+    mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    kind = rng.random()
+    if kind < 0.15:
+        return rng.choice([WORKED_Q_TEXT, "1 -1 1 0\n0 0 2 -1\n",
+                           NOPROJ_V_TEXT, Q6_TEXT])
+    if kind < 0.25:
+        mat[-1].append(1)  # ragged
+    elif kind < 0.3:
+        return rng.choice(["", "# only a comment\n", "\n\n"])
+    elif kind < 0.4:
+        mat[0][0] = rng.choice(["1/2", "-3/4", "2/1", "1/0"])
+    elif kind < 0.45:
+        mat[0][-1] = rng.choice(["x", "1.5", "--", "1e3"])
+    return "\n".join(" ".join(str(x) for x in row) for row in mat) + "\n"
+
+
+def _fuzz_options(rng, verb, tmp_path, k) -> list[str]:
+    opts = ["--json"] if rng.random() < 0.3 else []
+    if verb == "gale" and rng.random() < 0.5:
+        opts += ["--check", "--check-size-cap", rng.choice(["-1", "0", "3", "x"])]
+    if verb in ("fans", "report", "cartier-index") and rng.random() < 0.3:
+        opts += ["--cap", rng.choice(["-1", "0", "4", "10", "x"])]
+    if verb in ("report", "cartier-index"):
+        choice = rng.random()
+        if choice < 0.3:
+            opts += ["--fan", rng.choice(["-1", "0", "1", "2", "9", "y"])]
+        elif choice < 0.6:
+            fan_file = tmp_path / f"fan{k}.txt"
+            fan_file.write_text(rng.choice(["1 3\n2 3\n2 4\n1 4\n", "1 2\n",
+                                            "1 x\n", "# none\n", "0 7\n"]))
+            opts += ["--fan-file", str(fan_file)]
+    if verb == "report" and rng.random() < 0.5:
+        opts += ["--kind", rng.choice(["fan", "weight", "both"])]
+    if verb == "cartier-index" and rng.random() < 0.9:
+        opts += ["--divisor", rng.choice(["1,0,0,0", "1,1,1", "0", "a,b", "1,,2"])]
+    if rng.random() < 0.03:
+        opts.append("--no-such-option")
+    return opts
+
+
+def test_cli_fuzz_exits_0_1_or_2(capsys, tmp_path, monkeypatch):
+    """Bad input never produces a traceback: 630 seeded in-process calls,
+    35 per verb, on small integer matrices and on ragged, empty, fractional
+    and non-numeric files, with good and bad options; every call returns
+    0, 1 or 2 and each code occurs at least 20 times."""
+    monkeypatch.delenv("GALEKIT_CAP", raising=False)
+    rng = random.Random(1603)
+    codes = Counter()
+    for k in range(630):
+        verb = VERBS[k % len(VERBS)]
+        paths = []
+        for t in range(rng.randint(1, 3) if verb == "intersect" else 1):
+            path = tmp_path / f"m{k}_{t}.txt"
+            path.write_text(_fuzz_matrix_text(rng))
+            paths.append(str(path))
+        if rng.random() < 0.03:
+            paths[0] = str(tmp_path / "missing.txt")
+        argv = [verb, *paths, *_fuzz_options(rng, verb, tmp_path, k)]
+        try:
+            code = main(argv)
+        except Exception as exc:  # any escape is the failure under test
+            pytest.fail(f"galekit {' '.join(argv)} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        codes[code] += 1
+    assert min(codes[c] for c in (0, 1, 2)) >= 20, codes

@@ -22,7 +22,7 @@ from galekit import (
     is_support_complete,
 )
 from galekit import matrix
-from galekit.fans import _circuit_table
+from galekit.fans import _Circuits, _check_fan
 from conftest import (
     ConeGeom,
     count_calls,
@@ -158,12 +158,26 @@ def test_enumerate_noproj_count():
 
 
 def test_enumerate_output_is_valid():
-    for V in (P2_V, RAY4_V, NOPROJ_V):
-        for fan in enumerate_SF(V):
+    """Every enumerated fan is a fan on every ray with full support, and
+    passes the check a fan given to ``full_report`` gets, which
+    ``full_report`` does not run on the fans it enumerates: the three
+    examples and 300 seeded fuzz configurations."""
+    rng = random.Random(1602)
+    configs = [P2_V, RAY4_V, NOPROJ_V] + [_fan_fuzz_case(rng, t) for t in range(300)]
+    checked = 0
+    for V in configs:
+        try:
+            fans = enumerate_SF(V)
+        except DomainError:
+            continue
+        for fan in fans:
             assert is_fan(V, fan.maximal_cones)
             assert is_support_complete(V, fan)
             used = {g for c in fan.maximal_cones for g in c.gens}
             assert used == set(range(1, V.cols + 1))
+            _check_fan(V, fan)
+            checked += 1
+    assert checked >= 900, checked
 
 
 def test_enumerate_rank2_always_unique():
@@ -564,7 +578,7 @@ def _face_ray_drops(V):
     """The bases with a further ray in the relative interior of a proper
     face, and none strictly inside: the all-rays rule drops them, the
     strictly-inside rule keeps them."""
-    table = _circuit_table(V)
+    table = _Circuits(V)
     inside = {p for p, q in table.circuits if q.bit_count() == 1}
     return sum(1 for m in table.chi
                if m not in inside and any(p & ~m == 0 for p in inside))

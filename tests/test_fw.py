@@ -264,6 +264,11 @@ def _rescale_via_snf(Q, i, d):
     return Mat(rows)
 
 
+def _rescaled_q(Q, i, d):
+    """The weight matrix ``fw._rescale`` returns (here with no dual rows)."""
+    return fw._rescale(Q, [], i, d)[0]
+
+
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -280,7 +285,7 @@ def test_rescale_alpha_matches_snf():
         hi = 1000 if it % 4 == 3 else 6
         Q = Mat([[rng.randint(-hi, hi) for _ in range(s)] for _ in range(r)])
         i, d = rng.randint(1, s), it % 3 + 1
-        assert _outcome(fw._rescale, Q, i, d) == _outcome(_rescale_via_snf, Q, i, d)
+        assert _outcome(_rescaled_q, Q, i, d) == _outcome(_rescale_via_snf, Q, i, d)
 
 
 def test_is_w_reduced_examples():
@@ -314,13 +319,44 @@ def test_w_reduce_recomputes_dual_only_after_rescaling(monkeypatch):
         steps.append(nxt != cur)
         cur = nxt
     assert [i + 1 for i, s in enumerate(steps) if s] == [2, 5, 8]
-    # the first dual is the kernel of classify_w, one more per rescaling
+    # the dual is the kernel of classify_w, carried through the rescalings
     counts = count_calls(monkeypatch, gale, "gale_dual")
     assert w_reduce(WIDE_Q) == cur
-    assert counts["gale_dual"] == 3
+    assert counts["gale_dual"] == 0
     counts.clear()
     assert w_reduce(cur) == cur
     assert counts["gale_dual"] == 0
+
+
+def test_w_reduce_carries_the_gale_dual(monkeypatch):
+    """Seeded Gale duals of random F-matrices with scaled columns: after
+    every rescaling, the dual ``w_reduce`` carries (the old dual with one
+    column divided) is ``gale_dual`` of the new weight matrix."""
+    rescale, seen = fw._rescale, []
+
+    def checked(Q, V, i, d):
+        out, dual = rescale(Q, V, i, d)
+        assert Mat(dual) == gale_dual(out), (Q, i, d)
+        seen.append(i)
+        return out, dual
+
+    monkeypatch.setattr(fw, "_rescale", checked)
+    rng = random.Random(1601)
+    done = 0
+    while done < 200:
+        n, s = rng.randint(2, 3), rng.randint(4, 6)
+        V = rand_f_matrix(rng, n, s)
+        if V is None:
+            continue
+        mults = [rng.randint(1, 3) for _ in range(s)]
+        Q = gale_dual(Mat([[x * m for x, m in zip(row, mults)]
+                           for row in V.row_tuples()]))
+        if not classify_w(Q).is_w_matrix:
+            continue
+        before = len(seen)
+        assert is_w_reduced(w_reduce(Q))
+        done += len(seen) > before
+    assert len(seen) >= 500, len(seen)
 
 
 def test_w_reduce_idempotent_up_to_lattice():

@@ -2,7 +2,8 @@
 
 Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 ``python -O`` strips), and the library imports only itself and the
-standard library (the empty dependency list of ``pyproject.toml``).
+standard library (the empty dependency list of ``pyproject.toml``) and
+keeps no results in a ``functools`` cache.
 """
 
 import ast
@@ -84,3 +85,20 @@ def test_every_definition_is_referenced():
                 if not (name.startswith("__") and name.endswith("__")) and name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"defined but never referenced: {unused}"
+
+
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_hidden_caches(path):
+    """No module keeps results in a ``functools`` cache: a cache shared by
+    every caller makes the work one call does depend on the call before."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names if alias.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(f"functools.{node.attr}")
+    assert not found, f"{path.name}: uses {found}; pass values to the callers"

@@ -153,4 +153,4 @@ def test_rational_lattice_intersection():
     from fractions import Fraction
     L1 = Lattice.from_matrix(Mat([[Fraction(1, 2), 0], [0, 1]]))
     L2 = Lattice.from_matrix(Mat([[1, 0], [0, Fraction(1, 3)]]))
-    assert lattice_intersection([L1, L2]) == Lattice.standard(2)
+    assert lattice_intersection([L1, L2]) == Lattice.from_matrix(Mat.identity(2))

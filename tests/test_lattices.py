@@ -199,7 +199,7 @@ def test_quotient_examples():
         == QuotientStructure(0, (2, 2))
     assert quotient_structure(3, Lattice.from_matrix(Mat([[2, 0, 0], [0, 3, 5]]))) \
         == QuotientStructure(1, (2,))
-    assert quotient_structure(3, Lattice.standard(3)) == QuotientStructure(0, ())
+    assert quotient_structure(3, Lattice.from_matrix(Mat.identity(3))) == QuotientStructure(0, ())
 
 
 def test_quotient_rejects_rational():

@@ -33,6 +33,7 @@ from galekit import (
     weil_class,
 )
 from galekit import fw, gale, matrix, normal_forms, toric
+from galekit import fans as fans_module
 from conftest import (
     box_vectors,
     cartier_indices_oracle,
@@ -303,10 +304,16 @@ def test_full_report_from_fan_matrix():
 
 @pytest.mark.parametrize("source", ["Q", "V"])
 def test_full_report_derives_each_object_once(monkeypatch, source):
-    # from Q, the Gale dual is the kernel classify_w computes for clause c
+    # from Q, the Gale dual is the kernel classify_w computes for clause c,
+    # and its torsion-free class group is read off its column lattice: no
+    # is_pws, so no second LP and no Smith pass.  From V, is_pws is the
+    # input check and classify_w(Q) the invariant, one LP each
     gale_calls = count_calls(monkeypatch, gale, "gale_dual")
     fw_calls = count_calls(monkeypatch, fw, "_classify_w")
     toric_calls = count_calls(monkeypatch, toric, "is_pws", "cl_generators_full")
+    lp_calls = count_calls(monkeypatch, matrix, "_nonneg_solve")
+    smith_calls = count_calls(monkeypatch, normal_forms, "_smith")
+    table_calls = count_calls(monkeypatch, fans_module, "_Circuits")
     if source == "Q":
         rep = full_report(Q=WORKED_Q)
     else:
@@ -314,8 +321,24 @@ def test_full_report_derives_each_object_once(monkeypatch, source):
     assert rep.picard_basis == Mat([[2, 0], [0, 2]])
     assert gale_calls["gale_dual"] == (source == "V")
     assert fw_calls["_classify_w"] == 1
-    assert toric_calls["is_pws"] == 1
+    assert toric_calls["is_pws"] == (source == "V")
     assert toric_calls["cl_generators_full"] == 1
+    assert lp_calls["_nonneg_solve"] == (1 if source == "Q" else 2)
+    assert smith_calls["_smith"] == (source == "V")
+    assert table_calls["_Circuits"] == 1
+
+
+def test_full_report_builds_one_circuit_table(monkeypatch):
+    # one table per call, whatever ran before on the same V: an enumerated
+    # fan is not validated again, and a fan passed in is validated with one
+    fan = _worked_fan()
+    calls = count_calls(monkeypatch, fans_module, "_Circuits")
+    for kwargs in [{"Q": WORKED_Q}, {"V": WORKED_V}, {"V": WORKED_V},
+                   {"Q": WORKED_Q, "fan": fan}, {"V": WORKED_V, "fan": fan},
+                   {"V": WORKED_V, "fan": fan.cone_sets()}]:
+        calls.clear()
+        assert full_report(**kwargs).picard_basis == Mat([[2, 0], [0, 2]])
+        assert calls["_Circuits"] == 1, kwargs
 
 
 def test_full_report_reads_free_class_group(monkeypatch):
@@ -440,9 +463,10 @@ def test_full_report_indices_match_fan_side_oracle():
 
 
 def test_full_report_q_path_torsion_is_an_invariant(monkeypatch):
-    # the Gale dual of a W-matrix spans a saturated lattice, so its class
-    # group has no torsion; a failed is_pws there is an internal error
-    monkeypatch.setattr(toric, "is_pws", lambda V: (False, {}))
+    # the Gale dual of a W-matrix spans a saturated lattice, so its columns
+    # span Z^n and its class group has no torsion; a failure there is an
+    # internal error
+    monkeypatch.setattr(toric, "_columns_span", lambda V: False)
     with pytest.raises(GaleKitError, match="class-group torsion "
                        r"\(internal invariant\)") as info:
         full_report(Q=WORKED_Q)
