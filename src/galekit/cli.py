@@ -34,7 +34,7 @@ from .lattices import (
 from .gale import GaleDualPair, det_duality_check, gale_dual, quotient_iso_check
 from .fw import classify_f, classify_w, f_reduce, positivize, w_reduce
 from .fans import Fan, enumerate_SF, fan_from_cones
-from .toric import class_group, cartier_index, full_report, is_pws
+from .toric import _cartier_index, class_group, cartier_index, full_report, is_pws
 
 DEFAULT_CAP = 10
 
@@ -389,7 +389,9 @@ def _cmd_cartier_index(args) -> None:
     except ValueError:
         raise ParseError(f"bad --divisor value {args.divisor!r}") from None
     fan = _select_fan(V, args)
-    value = cartier_index(V, fan, divisor)
+    # an enumerated fan is valid by construction; a fan file is checked
+    index = cartier_index if args.fan_file else _cartier_index
+    value = index(V, fan, divisor)
     if args.json:
         _emit_json({"cartier_index": _num(value)})
         return

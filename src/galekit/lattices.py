@@ -220,12 +220,13 @@ def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:
 
 
 def _gcd_maximal_minors(B: Mat) -> int:
-    """gcd of all maximal minors of a full-row-rank matrix, via the upper
-    block of the Hermite form of the transpose."""
+    """gcd of all maximal minors of a full-row-rank matrix: |det| of the
+    upper block of the Hermite form of the transpose, which is triangular
+    with positive diagonal, so the product of its pivots."""
     top, _ = _hermite_basis(B.transpose())
     if len(top) < B.rows:
         raise DomainError("rank-deficient input")
-    return abs(Mat(top).det())
+    return math.prod(row[i] for i, row in enumerate(top))
 
 
 def gcd_max_minors(A: Mat) -> int:

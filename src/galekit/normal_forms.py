@@ -15,13 +15,23 @@ with A.  The reduced matrix alpha @ A @ beta, alpha and beta are sliced off
 the block at the end.  The same Smith loop, ``_smith``, runs on [A | I_d]
 alone when only alpha is read (the i-reduction of ``fw``) and on the bare
 rows of A when only the invariant factors are (``quotient_structure``).
-``_hnf_int`` reduces the first n columns (floor quotients) and carries the
-rest: ``hnf`` reads U off [A | I]; Hermite bases carry nothing.
+
+Every Hermite basis that carries no transform comes from one column fold,
+``_hermite_fold`` (Cohen, *A Course in Computational Algebraic Number
+Theory*, §2.4; Kannan and Bachem, SIAM J. Comput. 1979): each column is
+folded into its row of least |entry|, by one subtraction per row whose
+entry that divides and one extended-gcd step per other row.  ``Lattice``
+bases, the maximal-minor gcd and, with a modulus D, the saturation of the
+left kernels all use it.  ``hnf`` alone keeps the Euclid scan ``_hnf_int``
+on [A | I]: H is unique, but for a tall A the first rank(A) rows of U
+depend on the order of the row operations, and the scan's order is the one
+whose rows ``toric.cl_generators`` returns as the class-group generators of
+the paper's worked example.
 
 Left kernels take no Euclid pass.  ``left_kernel_rows`` reads an integer
 kernel basis off one forward Bareiss elimination of A^T and a back
-substitution on its non-pivot columns, saturates it with a Hermite basis
-taken modulo the last pivot, and puts it in Hermite form with one reducing
+substitution on its non-pivot columns, saturates it with the fold taken
+modulo the last pivot, and puts it in Hermite form with one reducing
 substitution; ``hnf`` takes the rows of U past the rank from the same
 routine.
 """
@@ -95,8 +105,12 @@ def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     """Row HNF of the first n columns of an integer matrix, in place,
     carrying the later columns; returns the pivot columns.
 
-    Scan order is fixed: leftmost column first, smallest nonzero pivot,
-    floor quotients below it, smallest nonnegative remainders above.
+    The Euclid scan behind ``hnf``, and nothing else.  Scan order is fixed:
+    leftmost column first, smallest nonzero pivot, floor quotients below
+    it, smallest nonnegative remainders above.  H does not depend on it, but
+    the first rank rows of U do (the class-group generators of
+    ``toric.cl_generators``), so ``hnf`` keeps it; a basis that carries no
+    transform comes from ``_hermite_fold``.
     """
     m = len(rows)
     p = 0
@@ -137,47 +151,93 @@ def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     return pivots
 
 
-def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
-    """An upper triangular basis with positive diagonal of the lattice
-    spanned by ``gens`` (rows of length k) and D Z^k, every entry kept in
-    [0, D) (Cohen, Alg. 2.4.8, with the modulus fixed at D).
+def _hermite_fold(rows: Sequence[Sequence[int]], n: int, D: int = 0,
+                  ) -> tuple[list, list[int]]:
+    """(Hermite basis, 0-based pivot columns) of the lattice spanned by the
+    integer rows of width n; with D > 0, (upper triangular basis, every
+    column) of the lattice spanned by the rows and D Z^n (Cohen, Alg. 2.4.8,
+    with the modulus fixed at D).
 
-    Column j folds the rows that are nonzero there, and then D e_j, into one
-    pivot row by extended-gcd steps; each step is a unimodular 2 x 2 row
-    operation whose second row is kept with a zero in column j.  Reducing
-    mod D is exact because D e_l stays in the lattice for every later l.
+    Column j folds every row r that is nonzero there (and then D e_j) into
+    the row p with the least nonzero |entry| a.  A row whose entry b is a
+    multiple of a loses b/a times p; any other takes one unimodular 2 x 2
+    step with g = u a + v b: p becomes u p + v r and r becomes
+    (a/g) r - (b/g) p, zero in column j.  Zero rows are dropped.  Without a
+    modulus p is made positive and the rows above it are reduced into
+    [0, a); with one every entry is reduced mod D, which is exact because
+    D e_l stays in the lattice for every l, and the rows above are left as
+    they are.  The input rows are never changed.
     """
-    rows = [r for r in ([x % D for x in g] for g in gens) if any(r)]
-    basis = []
-    for j in range(k):
+    if D:
+        rows = [[x % D for x in r] for r in rows]
+    rows = [r for r in rows if any(r)]
+    basis: list = []
+    pivots: list[int] = []
+    for j in range(n):
         piv = None
+        a = 0
+        others = []
         rest = []
         for r in rows:
             b = r[j]
             if not b:
                 rest.append(r)
             elif piv is None:
-                piv = r
+                piv, a = r, abs(b)
+            elif abs(b) < a:
+                others.append(piv)
+                piv, a = r, abs(b)
             else:
-                a = piv[j]
+                others.append(r)
+        if D:
+            e = [0] * n
+            e[j] = D
+            if piv is None:
+                piv = e
+            else:
+                others.append(e)
+        elif piv is None:
+            continue
+        a = piv[j]
+        for r in others:
+            b = r[j]
+            if not b % a:
+                q = b // a
+                r = ([(y - q * x) % D for x, y in zip(piv, r)] if D
+                     else [y - q * x for x, y in zip(piv, r)])
+            else:
                 g, u, v = xgcd(a, b)
-                a, b = a // g, b // g
-                other = [(a * y - b * x) % D for x, y in zip(piv, r)]
-                piv = [(u * x + v * y) % D for x, y in zip(piv, r)]
-                if any(other):
-                    rest.append(other)
-        if piv is None:
-            h = [0] * k
-            h[j] = D
-        else:
-            g, u, _ = xgcd(piv[j], D)
-            h = [u * x % D for x in piv]
-            other = [D // g * x % D for x in piv]
-            if any(other):
-                rest.append(other)
-        basis.append(h)
+                s, t = a // g, b // g
+                if D:
+                    r, piv = ([(s * y - t * x) % D for x, y in zip(piv, r)],
+                              [(u * x + v * y) % D for x, y in zip(piv, r)])
+                else:
+                    r, piv = ([s * y - t * x for x, y in zip(piv, r)],
+                              [u * x + v * y for x, y in zip(piv, r)])
+                a = g
+            if any(r):
+                rest.append(r)
+        if not D:
+            if a < 0:
+                piv = [-x for x in piv]
+                a = -a
+            for i, h in enumerate(basis):
+                q = h[j] // a
+                if q:
+                    basis[i] = [x - q * y for x, y in zip(h, piv)]
+        basis.append(piv)
+        pivots.append(j)
         rows = rest
-    return basis
+    return basis, pivots
+
+
+def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
+    """An upper triangular basis of the lattice spanned by ``gens`` (rows of
+    length k) and D Z^k: ``_hermite_fold`` with the modulus D.  Every
+    column has a pivot, a divisor of D, and every other entry lies in
+    [0, D); the rows above a pivot are not reduced, since ``_left_kernel``
+    reduces the rows it finds as it back-substitutes."""
+    return _hermite_fold(gens, k, D)[0]
 
 
 def _left_kernel(rows: list[list[int]]) -> list[tuple]:
@@ -260,13 +320,12 @@ def hnf(A: Mat) -> HnfResult:
 
 def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
     """The nonzero rows of ``hnf(A).H`` and their 0-based pivot columns,
-    from one pass without a transform."""
+    from one fold without a transform."""
     d, work = A.int_scaled()
-    pivots = tuple(_hnf_int(work, A.cols))
-    rows = work[:len(pivots)]
+    rows, pivots = _hermite_fold(work, A.cols)
     if d > 1:
         rows = [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
-    return tuple(map(tuple, rows)), pivots
+    return tuple(map(tuple, rows)), tuple(pivots)
 
 
 def left_kernel_rows(A: Mat) -> list[tuple]:

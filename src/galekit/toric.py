@@ -91,8 +91,9 @@ def _columns_span(V: Mat) -> bool:
 def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
     """Evaluate the four torsion-freeness conditions and require agreement:
     trivial torsion, identity HNF block and coprime maximal minors (|det T_n|
-    = 1), all read off one HNF(V^T) = [T_n; 0], and a full column lattice
-    (clause e of ``classify_f``, read off the same Hermite basis T_n)."""
+    = 1, the product of the pivots of the triangular T_n), all read off one
+    HNF(V^T) = [T_n; 0], and a full column lattice (clause e of
+    ``classify_f``, read off the same Hermite basis T_n)."""
     rep, col_lat = _classify_f(V)
     if not rep.is_f_matrix:
         raise DomainError("is_pws requires an F-matrix "
@@ -102,7 +103,7 @@ def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
         "torsion_trivial": torsion.is_trivial,
         "hnf_identity_block": top == Mat.identity(V.rows),
         "column_lattice_full": "e" not in rep.violated,
-        "coprime_minors": abs(top.det()) == 1,
+        "coprime_minors": math.prod(top[i, i] for i in range(V.rows)) == 1,
     }
     values = set(cond.values())
     if len(values) > 1:
@@ -208,9 +209,15 @@ def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
     the square system m . v_j = a_j (j in the cone) has a unique rational
     solution; k is the lcm over cones of the denominators in those solutions.
     """
+    _check_fan(V, fan)
+    return _cartier_index(V, fan, a)
+
+
+def _cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
+    """``cartier_index`` on a fan known to be valid, such as one that
+    ``enumerate_SF`` returned."""
     if len(a) != V.cols:
         raise DomainError("divisor coefficient length mismatch")
-    _check_fan(V, fan)
     k = 1
     for cone in fan.maximal_cones:
         sub = V.take_cols([g - 1 for g in cone.gens])

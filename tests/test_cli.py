@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from galekit import Lattice, Mat, gale, parse_matrix
+from galekit import fans as fans_module
 from galekit.cli import main
 from conftest import count_calls
 
@@ -401,6 +402,20 @@ def test_cartier_index_fan_file_names_the_conflicting_cones(capsys, vfile, tmp_p
     assert out == ""
     assert ("invalid fan: cones {1, 3} and {3, 4} do not meet along a common "
             "face (circuit Z+ = {1}, Z- = {3, 4})") in err
+
+
+def test_cartier_index_builds_one_circuit_table(monkeypatch, capsys, vfile, tmp_path):
+    # an enumerated fan is valid by construction and is not checked again;
+    # a fan read from a file is checked, with one table
+    ff = tmp_path / "fan.txt"
+    ff.write_text("1 3\n2 3\n2 4\n1 4\n")
+    calls = count_calls(monkeypatch, fans_module, "_Circuits")
+    for extra in [(), ("--fan", "1"), ("--fan-file", str(ff))]:
+        calls.clear()
+        code, out, _ = run_cli(capsys, "cartier-index", vfile, "--divisor", "1,0,0,0",
+                               *extra)
+        assert (code, out) == (0, "2\n"), extra
+        assert calls["_Circuits"] == 1, extra
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

@@ -2,8 +2,9 @@
 
 Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 ``python -O`` strips), and the library imports only itself and the
-standard library (the empty dependency list of ``pyproject.toml``) and
-keeps no results in a ``functools`` cache.
+standard library (the empty dependency list of ``pyproject.toml``),
+keeps no results in a ``functools`` cache and runs the Euclid scan of
+``hnf`` nowhere else.
 """
 
 import ast
@@ -102,3 +103,19 @@ def test_no_hidden_caches(path):
               and isinstance(node.value, ast.Name) and node.value.id == "functools"):
             found.append(f"functools.{node.attr}")
     assert not found, f"{path.name}: uses {found}; pass values to the callers"
+
+
+def test_euclid_scan_serves_hnf_alone():
+    """``_hnf_int`` is named only inside ``hnf``, whose first rank rows of
+    U depend on its scan order; every transform-free Hermite basis comes
+    from the fold.  Calls, aliases and imports all count as uses."""
+    uses = []
+    for path in SOURCES:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name == "_hnf_int":
+                    uses.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert uses == ["normal_forms.py:hnf"], uses

@@ -159,6 +159,79 @@ def test_left_kernels_and_hermite_bases_match_oracles():
         assert pivots == tuple(j - 1 for j in res.pivot_map)
 
 
+def _fold_fuzz_case(rng):
+    """(integer rows, denominator): tall, wide or square, entries up to
+    +-10^6, full rank, rank-deficient through a product of thin factors or a
+    combined row, with zero rows half the time."""
+    r, c = rng.choice([(rng.randint(5, 9), rng.randint(1, 4)),   # tall
+                       (rng.randint(1, 4), rng.randint(5, 9)),   # wide
+                       (rng.randint(1, 6),) * 2])
+    bound = rng.choice([1, 9, 1000, 10 ** 6])
+    kind = rng.choice(["full", "thin", "combined"])
+    if kind == "thin" and min(r, c) >= 2:
+        k = rng.randint(1, min(r, c) - 1)
+        x = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
+        y = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(xr, col)) for col in zip(*y)] for xr in x]
+    else:
+        rows = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+        if kind == "combined" and r >= 2:
+            rows[-1] = [a - rng.randint(-3, 3) * b for a, b in zip(rows[0], rows[1])]
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, r)):
+            rows[rng.randrange(r)] = [0] * c
+    return rows, rng.choice([1, 1, 2, 6, 35])
+
+
+def test_hermite_fold_matches_scan_oracle():
+    # the fold behind every transform-free Hermite basis against the scan
+    # of hnf_int_oracle: the same rows and pivots, on integer and rational
+    # input, since a Hermite basis is unique
+    rng = random.Random(211)
+    seen = {"rational": 0, "deficient": 0, "zero_row": 0, "tall": 0, "wide": 0,
+            "large": 0, "zero_matrix": 0}
+    for _ in range(2400):
+        rows, den = _fold_fuzz_case(rng)
+        r, c = len(rows), len(rows[0])
+        h, _, piv = hnf_int_oracle(rows)
+        expected = [tuple(row) for row in h[:len(piv)]]
+        basis, pivots = normal_forms._hermite_fold([tuple(row) for row in rows], c)
+        assert ([tuple(row) for row in basis], pivots) == (expected, piv)
+        A = Mat([[Fraction(x, den) for x in row] for row in rows])
+        assert _hermite_basis(A) == (
+            tuple(tuple(Fraction(x, den) for x in row) for row in expected), tuple(piv))
+        seen["rational"] += den > 1
+        seen["deficient"] += 0 < len(piv) < min(r, c)
+        seen["zero_row"] += any(not any(row) for row in rows)
+        seen["tall"] += r > c
+        seen["wide"] += r < c
+        seen["large"] += max(abs(x) for row in rows for x in row) > 10 ** 5
+        seen["zero_matrix"] += not piv
+    assert min(seen.values()) >= 50, seen
+
+
+def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
+    # the fold with a modulus D: a triangular basis of the lattice of the
+    # rows and D Z^k, with the Hermite pivots, each a divisor of D, and
+    # every other entry in [0, D); the rows above a pivot are not reduced,
+    # since the kernel's back substitution reduces its own rows
+    rng = random.Random(212)
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        D = rng.choice([2, 6, 12, 210, rng.randint(2, 10 ** 6)])
+        gens = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(k)]
+                for _ in range(rng.randint(0, 7))]
+        basis = normal_forms._hermite_mod(gens, D, k)
+        h, _, piv = hnf_int_oracle(gens + [[D * int(i == j) for j in range(k)]
+                                           for i in range(k)])
+        assert piv == list(range(k))
+        assert all(basis[i][j] == 0 for i in range(k) for j in range(i))
+        assert all(0 <= x < D for i, row in enumerate(basis) for x in row[i + 1:])
+        assert [row[i] for i, row in enumerate(basis)] == [h[i][i] for i in range(k)]
+        assert all(D % row[i] == 0 for i, row in enumerate(basis))
+        assert hnf_int_oracle(basis)[0] == h[:k]
+
+
 def test_left_kernel_runs_no_euclid_pass(monkeypatch):
     # every [A | I] reduction goes through _hnf_int; the kernel needs none
     calls = count_calls(monkeypatch, normal_forms, "_hnf_int")
