@@ -33,22 +33,16 @@ from .lattices import (
 )
 from .gale import GaleDualPair, det_duality_check, gale_dual, quotient_iso_check
 from .fw import classify_f, classify_w, f_reduce, positivize, w_reduce
-from .fans import Fan, enumerate_SF, fan_from_cones
+from .fans import DEFAULT_CAP, Fan, enumerate_SF, fan_from_cones
 from .toric import _cartier_index, class_group, cartier_index, full_report, is_pws
-
-DEFAULT_CAP = 10
-
-
-def _num(x) -> str:
-    return str(x)
 
 
 def _json_matrix(A: Mat):
-    return [[_num(x) for x in row] for row in A.row_tuples()]
+    return [[str(x) for x in row] for row in A.row_tuples()]
 
 
 def _json_vector(v):
-    return [_num(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _read_matrix(path: str) -> Mat:
@@ -94,8 +88,8 @@ def _quotient_lines(q) -> list[str]:
 
 
 def _json_quotient(q):
-    return {"free_rank": _num(q.free_rank),
-            "torsion": [_num(c) for c in q.torsion_factors]}
+    return {"free_rank": str(q.free_rank),
+            "torsion": [str(c) for c in q.torsion_factors]}
 
 
 def _read_fan_file(path: str) -> list[list[int]]:
@@ -142,7 +136,7 @@ def _cmd_hnf(args) -> None:
     res = hnf(A)
     if args.json:
         _emit_json({"H": _json_matrix(res.H), "U": _json_matrix(res.U),
-                    "pivots": [_num(p) for p in res.pivot_map]})
+                    "pivots": [str(p) for p in res.pivot_map]})
         return
     _print_matrix(res.H, "H")
     _print_matrix(res.U, "U")
@@ -155,7 +149,7 @@ def _cmd_snf(args) -> None:
     if args.json:
         _emit_json({"S": _json_matrix(res.S), "alpha": _json_matrix(res.alpha),
                     "beta": _json_matrix(res.beta),
-                    "factors": [_num(c) for c in res.factors]})
+                    "factors": [str(c) for c in res.factors]})
         return
     _print_matrix(res.S, "S")
     _print_matrix(res.alpha, "alpha")
@@ -186,7 +180,7 @@ def _cmd_gale(args) -> None:
     if args.json:
         obj = {"gale": _json_matrix(G)}
         if checked is not None:
-            obj["checked_subsets"] = _num(checked)
+            obj["checked_subsets"] = str(checked)
         _emit_json(obj)
         return
     print(format_matrix(G))
@@ -221,7 +215,7 @@ def _cmd_dual(args) -> None:
 
 def _emit_basis(L: Lattice, args) -> None:
     if args.json:
-        _emit_json({"ambient_dim": _num(L.ambient_dim),
+        _emit_json({"ambient_dim": str(L.ambient_dim),
                     "basis": [_json_vector(r) for r in L.basis]})
         return
     if L.rank == 0:
@@ -250,7 +244,7 @@ def _cmd_minors_gcd(args) -> None:
     A = _read_matrix(args.matrix)
     value = gcd_max_minors(A)
     if args.json:
-        _emit_json({"gcd": _num(value)})
+        _emit_json({"gcd": str(value)})
         return
     print(value)
 
@@ -298,7 +292,7 @@ def _cmd_reduce_f(args) -> None:
     reduced, gcds = f_reduce(A)
     if args.json:
         _emit_json({"reduced": _json_matrix(reduced),
-                    "column_gcds": [_num(d) for d in gcds]})
+                    "column_gcds": [str(d) for d in gcds]})
         return
     print(format_matrix(reduced))
     print("column_gcds: " + " ".join(str(d) for d in gcds))
@@ -317,8 +311,8 @@ def _cmd_fans(args) -> None:
     V = _read_matrix(args.matrix)
     fans = enumerate_SF(V, cap=_cap(args))
     if args.json:
-        _emit_json({"count": _num(len(fans)),
-                    "fans": [[[_num(g) for g in cone.gens]
+        _emit_json({"count": str(len(fans)),
+                    "fans": [[[str(g) for g in cone.gens]
                               for cone in f.maximal_cones] for f in fans]})
         return
     print(f"count: {len(fans)}")
@@ -360,14 +354,14 @@ def _cmd_report(args) -> None:
         full_report(V=A, **kwargs)
     if args.json:
         _emit_json({
-            "n": _num(rep.n), "r": _num(rep.r),
+            "n": str(rep.n), "r": str(rep.r),
             "class_group": _json_quotient(rep.cl),
             "pws": rep.is_pws,
             "cl_generators": _json_matrix(rep.cl_generators),
             "picard_basis": _json_matrix(rep.picard_basis),
             "cartier_basis": _json_matrix(rep.cartier_basis),
-            "delta_sigma": _num(rep.delta_sigma),
-            "cartier_indices": [_num(c) for c in rep.cartier_indices],
+            "delta_sigma": str(rep.delta_sigma),
+            "cartier_indices": [str(c) for c in rep.cartier_indices],
         })
         return
     print(f"n: {rep.n}")
@@ -393,7 +387,7 @@ def _cmd_cartier_index(args) -> None:
     index = cartier_index if args.fan_file else _cartier_index
     value = index(V, fan, divisor)
     if args.json:
-        _emit_json({"cartier_index": _num(value)})
+        _emit_json({"cartier_index": str(value)})
         return
     print(value)
 
@@ -455,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fans", _cmd_fans, "enumerate simplicial fans on the columns")
     _add_matrix_arg(p)
     p.add_argument("--cap", type=int, default=None,
-                   help="ray-count guard (default 10; env GALEKIT_CAP)")
+                   help=f"ray-count guard (default {DEFAULT_CAP}; env GALEKIT_CAP)")
 
     p = add("class-group", _cmd_class_group, "class group of the fan matrix")
     _add_matrix_arg(p)
@@ -484,10 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

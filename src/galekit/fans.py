@@ -152,10 +152,10 @@ def _bits(m: int) -> list[int]:
 class _Circuits:
     """Chirotope and oriented circuits of the columns of V.
 
-    ``chi`` maps the bitmask of each basis (rank-many independent columns)
-    to the sign of its minor on a fixed row basis; ``circuits`` holds every
-    oriented circuit in both orientations as sorted (positive, negative)
-    bitmask pairs.  The circuit of a rank+1 subset S = (s_0 < ... < s_rank)
+    ``chi`` maps the bitmask of each basis (rank-many independent columns),
+    in lexicographic order, to the sign of its minor on a fixed row basis;
+    ``circuits`` holds every oriented circuit in both orientations as sorted
+    (positive, negative) bitmask pairs.  The circuit of a rank+1 subset S = (s_0 < ... < s_rank)
     of rank ``rank`` is the sign vector of its kernel, (-1)^i chi(S - s_i).
     ``_conflicts`` pair-tests many cones in one pass over ``circuits``.
     """
@@ -363,7 +363,10 @@ def _check_fan(V: Mat, fan: Fan) -> None:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
+DEFAULT_CAP = 10  # the largest ray count enumerated unless a caller says otherwise
+
+
+def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
     """All simplicial fans whose rays are exactly the columns of V and whose
     support is the cone spanned by all columns, sorted by their cone lists.
 
@@ -393,10 +396,9 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
     if table.rank < n:
         raise DomainError("degenerate configuration: rank-deficient matrix")
 
+    bases = list(table.chi)  # V has full rank: chi's keys, in lexicographic order
     # a circuit (Z+, {k}) puts v_k in the relative interior of cone(Z+), so
     # no basis holding Z+ is a cone of a fan on every ray
-    bases = [m for m in (_mask(pick) for pick in combinations(range(s), n))
-             if m in table.chi]
     holders = _holders(bases, s)
     blocked = 0
     for p, q in table.circuits:
@@ -471,6 +473,6 @@ def enumerate_SF(V: Mat, cap: int = 10) -> list[Fan]:
             for fset in sorted(results)]
 
 
-def is_divisorially_detected(V: Mat, cap: int = 10) -> bool:
+def is_divisorially_detected(V: Mat, cap: int = DEFAULT_CAP) -> bool:
     """Whether the configuration admits exactly one simplicial fan."""
     return len(enumerate_SF(V, cap=cap)) == 1

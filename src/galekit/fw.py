@@ -20,7 +20,10 @@ that rescales column i by d divides column i of the dual by d, so
 ``w_reduce`` carries it).  Clause c is decided on the Gale-dual side
 (Stiemke/Gordan): L holds a vector > 0 on its support S iff the columns of
 K on S have a strictly positive relation, the LP of ``is_f_complete``; with
-cotorsion the vector is lifted from the saturation into L by one ``solve``.
+cotorsion the vector is lifted from the saturation into L by one ``solve``
+(``_lift_into_rows``).  ``positivize`` lifts the witness the same way, to
+its coefficients over the rows of Q, and rebases on them as
+``positive_row_basis`` does.
 e_j can lie in L only if column j of K is zero; clause f fails exactly when
 two columns of K have the same primitive vector.  Repeated ray directions
 (F clause d) are equal primitive columns.
@@ -47,7 +50,6 @@ from .normal_forms import (
     left_kernel_rows,
 )
 from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
-from .gale import solve_left_factor
 
 
 @dataclass(frozen=True)
@@ -208,19 +210,21 @@ def positivize(Q: Mat) -> Mat:
     """An entrywise nonnegative matrix with the same row lattice as the
     W-matrix Q and a strictly positive first row.
 
-    Procedure: the positive witness of ``classify_w`` is > 0 on every column
-    and lies in the row lattice; divided by its gcd it is a primitive c,
-    still in the lattice (Q has no cotorsion).  Lift c, move it to the
-    first row by a unimodular change of basis, then add multiples of it to
-    the remaining rows.
+    Procedure (the route of ``positive_row_basis``): the positive witness
+    of ``classify_w`` is > 0 on every column and lies in the row lattice.
+    Lift it to its coefficients lam over the rows of Q, move lam/gcd(lam)
+    to the first row by a unimodular change of basis, then add multiples
+    of that row to the remaining rows.  The new first row is the witness
+    divided by its gcd, since gcd(lam) = gcd(witness) in a lattice without
+    cotorsion.
     """
-    c = list(_primitive(_require_w_matrix(Q, "positivize")[0].positive_witness))
-    lam = solve_left_factor(Mat([c]), Q)
-    if lam is None:
+    witness = _require_w_matrix(Q, "positivize")[0].positive_witness
+    rows = Q.to_lists()
+    c, lam = _lift_into_rows(rows, witness)
+    if c != witness:
         raise GaleKitError("positive witness does not lift into the "
                            "row lattice (no-cotorsion violation)")
-    rows, _ = basis_with_positive_first_row(Q.to_lists(), c, lam.row(0))
-    return Mat(rows)
+    return Mat(basis_with_positive_first_row(rows, c, lam)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .lattices import (
 )
 from .gale import gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced, classify_w
-from .fans import Fan, _check_fan, enumerate_SF, fan_from_cones
+from .fans import DEFAULT_CAP, Fan, _check_fan, enumerate_SF, fan_from_cones
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,6 @@ def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
     return mat_vec(Q, a)
 
 
-def _index_sets(fan: Fan) -> list[tuple[int, ...]]:
-    m = fan.V.cols
-    out = []
-    for cone in fan.maximal_cones:
-        chosen = set(cone.gens)
-        out.append(tuple(j for j in range(1, m + 1) if j not in chosen))
-    return out
-
-
 def picard_basis(Q: Mat, fan: Fan) -> Mat:
     """Basis (rows) of the Picard subgroup inside Z^r: intersection of the
     column lattices of the complementary weight submatrices."""
@@ -156,8 +147,8 @@ def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
     so has every block lattice L_c(Q^I): its Hermite basis is upper
     triangular, and |det Q^I| = [Z^r : L_c(Q^I)] is its diagonal product."""
     lattices = []
-    for idx in _index_sets(fan):
-        qi = submatrix_cols(Q, idx)
+    for cone in fan.maximal_cones:
+        qi = submatrix_cols(Q, cone.gens, complement=True)
         lattices.append(Lattice.from_rows(qi.col_tuples(), Q.rows))
     inter = lattice_intersection(lattices)
     basis = inter.basis_matrix()
@@ -230,7 +221,8 @@ def _cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
 
 def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
                 fan: "Fan | Sequence[Sequence[int]] | None" = None,
-                fan_index: "int | None" = None, cap: int = 10) -> ToricReport:
+                fan_index: "int | None" = None,
+                cap: int = DEFAULT_CAP) -> ToricReport:
     """Aggregate report for a poly weighted space given either a reduced
     weight matrix Q or a torsion-free fan matrix V, plus a fan choice.
 

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import random
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from galekit import Lattice, Mat, gale, parse_matrix
+from galekit import (Lattice, Mat, enumerate_SF, full_report, gale,
+                     is_divisorially_detected, parse_matrix)
+from galekit import cli
 from galekit import fans as fans_module
 from galekit.cli import main
 from conftest import count_calls
@@ -228,6 +232,15 @@ def test_fans_cap_env(capsys, noproj_file, monkeypatch):
     monkeypatch.setenv("GALEKIT_CAP", "12")
     code, out, _ = run_cli(capsys, "fans", noproj_file)
     assert code == 0 and out.startswith("count: 8")
+
+
+def test_one_default_cap(monkeypatch):
+    # the library defaults and the CLI fallback all read fans.DEFAULT_CAP
+    monkeypatch.delenv("GALEKIT_CAP", raising=False)
+    defaults = [inspect.signature(f).parameters["cap"].default
+                for f in (enumerate_SF, is_divisorially_detected, full_report)]
+    fallback = cli._cap(argparse.Namespace(cap=None))
+    assert defaults + [fallback] == [fans_module.DEFAULT_CAP] * 4
 
 
 def test_fans_negative_cap_is_usage_error(capsys, noproj_file):
@@ -510,6 +523,14 @@ def _fuzz_options(rng, verb, tmp_path, k) -> list[str]:
     if rng.random() < 0.03:
         opts.append("--no-such-option")
     return opts
+
+
+def test_main_builds_no_parser(capsys, monkeypatch, qfile):
+    # the parser is built once, when the module is imported
+    calls = count_calls(monkeypatch, cli, "build_parser")
+    for _ in range(3):
+        assert run_cli(capsys, "minors-gcd", qfile)[:2] == (0, "1\n")
+    assert calls["build_parser"] == 0
 
 
 def test_cli_fuzz_exits_0_1_or_2(capsys, tmp_path, monkeypatch):

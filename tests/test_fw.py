@@ -25,7 +25,8 @@ from galekit import (
 )
 from galekit import fw, gale, matrix, normal_forms
 from galekit.matrix import vec_gcd
-from conftest import count_calls, count_rank_calls, rand_f_matrix, rand_full_row_rank
+from conftest import (count_calls, count_rank_calls, rand_f_matrix, rand_full_row_rank,
+                      rand_unimodular)
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -150,6 +151,45 @@ def test_positivize_solves_one_lp(monkeypatch):
         assert all(x >= 0 for row in out.row_tuples() for x in row)
         assert all(x > 0 for x in out.row(0))
         assert _row_lattice_equal(out, Q)
+
+
+def test_positivize_first_row_is_the_primitive_witness():
+    # 300 Gale duals of random F-matrices, rows scrambled by a unimodular
+    # transform: the first row is classify_w's witness over its gcd
+    rng = random.Random(1804)
+    done = 0
+    while done < 300:
+        # columns with the positive relation w: they span R^n positively
+        # once they have full rank
+        n = rng.choice([1, 2, 3])
+        w = [rng.randint(1, 3) for _ in range(rng.randint(n + 1, n + 3))]
+        rows = [[rng.randint(-3, 3) for _ in w] for _ in range(n)]
+        V = Mat([row + [-sum(a * b for a, b in zip(row, w))] for row in rows])
+        if not classify_f(V).is_f_matrix:
+            continue
+        Q = gale_dual(V)
+        if not classify_w(Q).is_w_matrix:
+            continue
+        Q = rand_unimodular(rng, Q.rows) @ Q
+        witness = classify_w(Q).positive_witness
+        g = vec_gcd(witness)
+        out = positivize(Q)
+        assert out.row(0) == tuple(x // g for x in witness)
+        assert all(x >= 0 for row in out.row_tuples() for x in row)
+        assert _row_lattice_equal(out, Q)
+        done += 1
+
+
+def test_positivize_refuses_a_witness_that_does_not_lift(monkeypatch):
+    # a lift that returns a multiple of the witness means the witness is
+    # not in the row lattice of Q
+    def lift_twice(basis, y):
+        c, lam = normal_forms._lift_into_rows(basis, y)
+        return tuple(2 * x for x in c), tuple(2 * x for x in lam)
+
+    monkeypatch.setattr(fw, "_lift_into_rows", lift_twice)
+    with pytest.raises(GaleKitError, match="no-cotorsion violation"):
+        positivize(WORKED_Q)
 
 
 def test_classify_w_solves_one_lp_on_one_kernel(monkeypatch):
