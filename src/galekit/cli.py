@@ -33,8 +33,8 @@ from .lattices import (
 )
 from .gale import GaleDualPair, det_duality_check, gale_dual, quotient_iso_check
 from .fw import classify_f, classify_w, f_reduce, positivize, w_reduce
-from .fans import DEFAULT_CAP, Fan, enumerate_SF, fan_from_cones
-from .toric import _cartier_index, class_group, cartier_index, full_report, is_pws
+from .fans import DEFAULT_CAP, _select_fan, enumerate_SF
+from .toric import _cartier_index, class_group, full_report, is_pws
 
 
 def _json_matrix(A: Mat):
@@ -111,21 +111,6 @@ def _read_fan_file(path: str) -> list[list[int]]:
     if not cones:
         raise ParseError(f"no cones in {path}")
     return cones
-
-
-def _select_fan(V: Mat, args) -> Fan:
-    if getattr(args, "fan_file", None):
-        return fan_from_cones(V, _read_fan_file(args.fan_file))
-    fans = enumerate_SF(V, cap=_cap(args))
-    k = getattr(args, "fan", None)
-    if k is None:
-        if len(fans) != 1:
-            raise DomainError(f"{len(fans)} fans available; choose one with "
-                              "--fan K (1-based) or --fan-file")
-        return fans[0]
-    if not 1 <= k <= len(fans):
-        raise DomainError(f"--fan {k} out of range 1..{len(fans)}")
-    return fans[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +330,10 @@ def _cmd_pws(args) -> None:
 
 def _cmd_report(args) -> None:
     A = _read_matrix(args.matrix)
-    kwargs = {"cap": _cap(args)}
-    if args.fan_file:
-        kwargs["fan"] = _read_fan_file(args.fan_file)
-    elif args.fan is not None:
-        kwargs["fan_index"] = args.fan
-    rep = full_report(Q=A, **kwargs) if args.kind == "weight" else \
-        full_report(V=A, **kwargs)
+    cap = _cap(args)  # a bad cap is refused even beside a fan file
+    cones = _read_fan_file(args.fan_file) if args.fan_file else None
+    given = {"Q" if args.kind == "weight" else "V": A}
+    rep = full_report(**given, fan=cones, fan_index=args.fan, cap=cap)
     if args.json:
         _emit_json({
             "n": str(rep.n), "r": str(rep.r),
@@ -382,10 +364,10 @@ def _cmd_cartier_index(args) -> None:
         divisor = [int(tok) for tok in args.divisor.split(",")]
     except ValueError:
         raise ParseError(f"bad --divisor value {args.divisor!r}") from None
-    fan = _select_fan(V, args)
-    # an enumerated fan is valid by construction; a fan file is checked
-    index = cartier_index if args.fan_file else _cartier_index
-    value = index(V, fan, divisor)
+    cap = _cap(args)
+    cones = _read_fan_file(args.fan_file) if args.fan_file else None
+    # the selector has checked the fan
+    value = _cartier_index(V, _select_fan(V, cones, args.fan, cap), divisor)
     if args.json:
         _emit_json({"cartier_index": str(value)})
         return
@@ -397,6 +379,15 @@ def _cmd_cartier_index(args) -> None:
 def _add_matrix_arg(p) -> None:
     p.add_argument("matrix", nargs="?", default="-",
                    help="matrix file (default: stdin)")
+
+
+def _add_fan_args(p) -> None:
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--fan", type=int, default=None,
+                        help="1-based fan index among the enumerated fans")
+    choice.add_argument("--fan-file", default=None,
+                        help="file with one maximal cone (1-based indices) per line")
+    p.add_argument("--cap", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,20 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(p)
     p.add_argument("--kind", choices=["weight", "fan"], default="weight",
                    help="interpret the input as a weight or fan matrix")
-    p.add_argument("--fan", type=int, default=None,
-                   help="1-based fan index among the enumerated fans")
-    p.add_argument("--fan-file", default=None,
-                   help="file with one maximal cone (1-based indices) per line")
-    p.add_argument("--cap", type=int, default=None)
+    _add_fan_args(p)
 
     p = add("cartier-index", _cmd_cartier_index,
             "least multiple of a divisor that is Cartier")
     _add_matrix_arg(p)
     p.add_argument("--divisor", required=True,
                    help="comma-separated ray coefficients a1,...,a_{n+r}")
-    p.add_argument("--fan", type=int, default=None)
-    p.add_argument("--fan-file", default=None)
-    p.add_argument("--cap", type=int, default=None)
+    _add_fan_args(p)
 
     return parser
 

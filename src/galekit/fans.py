@@ -71,6 +71,7 @@ from .matrix import (
     _norm_rows,
     check_index_set,
 )
+from .lattices import Lattice
 
 
 @dataclass(frozen=True, order=True)
@@ -344,8 +345,11 @@ def is_support_complete(V: Mat, fan: Fan) -> bool:
 
 def _check_fan(V: Mat, fan: Fan) -> None:
     """Raise a DomainError naming the first defect of a fan given for V, if
-    it is not a complete simplicial fan on every column of V."""
-    if fan.V != V:
+    it is not a complete simplicial fan on every column of V.  The fan
+    belongs to V when ``fan.V`` has the row lattice of V: its cones are
+    index sets, so they do not change when V is replaced by gV, g in
+    GL_n(Z).  A fan built on V itself is accepted without a lattice."""
+    if fan.V != V and Lattice.from_matrix(fan.V) != Lattice.from_matrix(V):
         raise DomainError("fan does not belong to the given matrix")
     if not fan.maximal_cones:
         raise DomainError("fan has no maximal cones")
@@ -471,6 +475,29 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
     cones = [Cone(gens=tuple(j + 1 for j in _bits(m))) for m in cands]
     return [Fan(V=V, maximal_cones=tuple(map(cones.__getitem__, fset)))
             for fset in sorted(results)]
+
+
+def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",
+                index: "int | None", cap: int) -> Fan:
+    """The fan chosen for V, checked: ``fan`` (a Fan or cone index sets),
+    checked once, or else the 1-based ``index``-th fan of ``enumerate_SF``,
+    or its only fan when there is one.  An enumerated fan is valid by
+    construction and is taken as it is."""
+    if fan is not None:
+        if index is not None:
+            raise DomainError("give a fan or a fan index, not both")
+        fan = fan if isinstance(fan, Fan) else fan_from_cones(V, fan)
+        _check_fan(V, fan)
+        return fan
+    fans = enumerate_SF(V, cap=cap)
+    if index is None:
+        if len(fans) != 1:
+            raise DomainError(f"{len(fans)} fans available; select one "
+                              "with a 1-based fan index")
+        return fans[0]
+    if not 1 <= index <= len(fans):
+        raise DomainError(f"fan index {index} out of range 1..{len(fans)}")
+    return fans[index - 1]
 
 
 def is_divisorially_detected(V: Mat, cap: int = DEFAULT_CAP) -> bool:

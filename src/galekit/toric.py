@@ -39,8 +39,8 @@ from .lattices import (
     quotient_structure,
 )
 from .gale import gale_dual
-from .fw import _classify_f, _classify_w, _is_w_reduced, classify_w
-from .fans import DEFAULT_CAP, Fan, _check_fan, enumerate_SF, fan_from_cones
+from .fw import _classify_f, _classify_w, _is_w_reduced
+from .fans import DEFAULT_CAP, Fan, _check_fan, _select_fan
 
 
 @dataclass(frozen=True)
@@ -226,57 +226,43 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     """Aggregate report for a poly weighted space given either a reduced
     weight matrix Q or a torsion-free fan matrix V, plus a fan choice.
 
-    The fan may be passed explicitly (Fan or cone index sets) or selected by
-    1-based ``fan_index`` among the enumerated fans; when the configuration
-    admits a single fan it is chosen automatically.
+    The fan may be passed explicitly (Fan or cone index sets, on any fan
+    matrix with the row lattice of V) or selected by 1-based ``fan_index``
+    among the enumerated fans, not both; a configuration with a single fan
+    needs neither (``fans._select_fan``).
 
     Validation and every derivation happen once.  A torsion-free V has a
-    saturated row lattice, so it serves as the Gale dual of its own Q.  An
-    enumerated fan is valid by construction; a fan passed in is checked.  The
-    Cartier index of e_j is the order of Q_j in Z^r / Pic: the lcm of the
-    denominators of its Picard coordinates (one r x r solve for all j).
+    saturated row lattice, so it serves as the Gale dual of its own Q.  Both
+    inputs share one W-matrix check of Q: a DomainError from Q, an internal
+    invariant from V.  An enumerated fan is valid by construction; a fan
+    passed in is checked.  The Cartier index of e_j is the order of Q_j in
+    Z^r / Pic: the lcm of the denominators of its Picard coordinates (one
+    r x r solve for all j).
     """
     if (Q is None) == (V is None):
         raise DomainError("provide exactly one of Q or V")
-    if Q is not None:
-        wrep, kernel = _classify_w(Q)
-        if not wrep.is_w_matrix:
-            raise DomainError("input is not a W-matrix "
-                              f"(violated clauses: {','.join(wrep.violated)})")
-        V = Mat(kernel)  # the Gale dual of Q, read off clause c's kernel
-        if not _is_w_reduced(Q, V):
-            raise DomainError("weight matrix is not reduced; "
-                              "run reduce-w and retry")
-        if not _columns_span(V):
-            raise GaleKitError("Gale dual of a W-matrix has class-group "
-                               "torsion (internal invariant)")
-    else:
+    derived = Q is None
+    if derived:
         if not is_pws(V)[0]:
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")
         Q = gale_dual(V)
-        if not classify_w(Q).is_w_matrix:
+    wrep, kernel = _classify_w(Q)
+    if not wrep.is_w_matrix:
+        if derived:
             raise GaleKitError("Gale dual of an F-matrix is not a W-matrix "
                                "(internal invariant)")
-        if not _is_w_reduced(Q, V):
-            raise DomainError("derived weight matrix is not reduced; "
-                              "run reduce-w and retry")
-
-    if fan is None:
-        fans = enumerate_SF(V, cap=cap)
-        if fan_index is None:
-            if len(fans) != 1:
-                raise DomainError(f"{len(fans)} fans available; select one "
-                                  "with a 1-based fan index")
-            chosen = fans[0]
-        else:
-            if not 1 <= fan_index <= len(fans):
-                raise DomainError(f"fan index {fan_index} out of range "
-                                  f"1..{len(fans)}")
-            chosen = fans[fan_index - 1]
-    else:
-        chosen = fan if isinstance(fan, Fan) else fan_from_cones(V, fan)
-        _check_fan(V, chosen)
+        raise DomainError("input is not a W-matrix "
+                          f"(violated clauses: {','.join(wrep.violated)})")
+    if not derived:
+        V = Mat(kernel)  # the Gale dual of Q, read off clause c's kernel
+        if not _columns_span(V):
+            raise GaleKitError("Gale dual of a W-matrix has class-group "
+                               "torsion (internal invariant)")
+    if not _is_w_reduced(Q, V):
+        raise DomainError(("derived " if derived else "") + "weight matrix "
+                          "is not reduced; run reduce-w and retry")
+    chosen = _select_fan(V, fan, fan_index, cap)
 
     n, r = V.rows, Q.rows
     cl = QuotientStructure(r)  # Cl is torsion-free, so Cl = Z^r

@@ -431,6 +431,49 @@ def test_cartier_index_builds_one_circuit_table(monkeypatch, capsys, vfile, tmp_
         assert calls["_Circuits"] == 1, extra
 
 
+FAN_VERBS = [("report", "--kind", "fan"),
+             ("cartier-index", "--divisor", "1,0,0,0,0,0")]
+
+
+@pytest.mark.parametrize("verb", FAN_VERBS, ids=lambda v: v[0])
+def test_fan_selection_errors_read_alike(capsys, noproj_file, verb):
+    # both verbs choose their fan through one selector, with one wording
+    code, out, err = run_cli(capsys, verb[0], noproj_file, *verb[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: 8 fans available; select one with a 1-based fan index\n"
+    code, out, err = run_cli(capsys, verb[0], noproj_file, *verb[1:], "--fan", "9")
+    assert (code, out) == (1, "")
+    assert err == "error: fan index 9 out of range 1..8\n"
+
+
+@pytest.mark.parametrize("verb", FAN_VERBS, ids=lambda v: v[0])
+def test_fan_and_fan_file_are_exclusive(capsys, noproj_file, tmp_path, verb):
+    ff = tmp_path / "fan.txt"
+    ff.write_text("1 2 3\n")
+    code, out, err = run_cli(capsys, verb[0], noproj_file, *verb[1:],
+                             "--fan", "7", "--fan-file", str(ff))
+    assert (code, out) == (2, "")
+    assert "not allowed with argument --fan" in err
+
+
+@pytest.mark.parametrize("verb", FAN_VERBS, ids=lambda v: v[0])
+def test_bad_cap_beside_a_fan_file_is_usage_error(capsys, noproj_file, tmp_path,
+                                                  monkeypatch, verb):
+    # the cap is read before the fan is chosen, so a bad one is refused on
+    # both verbs even when a fan file makes it moot
+    ff = tmp_path / "fan.txt"
+    ff.write_text("1 2 3\n")
+    for env, flag in [("x", ()), ("-1", ()), (None, ("--cap", "-1"))]:
+        if env is None:
+            monkeypatch.delenv("GALEKIT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("GALEKIT_CAP", env)
+        code, out, err = run_cli(capsys, verb[0], noproj_file, *verb[1:],
+                                 "--fan-file", str(ff), *flag)
+        assert (code, out) == (2, ""), (env, flag)
+        assert "GALEKIT_CAP" in err or "--cap" in err
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1 2\n2 4\n")  # rank deficient

@@ -3,8 +3,9 @@
 Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 ``python -O`` strips), and the library imports only itself and the
 standard library (the empty dependency list of ``pyproject.toml``),
-keeps no results in a ``functools`` cache and runs the Euclid scan of
-``hnf`` nowhere else.
+keeps no results in a ``functools`` cache, runs the Euclid scan of
+``hnf`` nowhere else and enumerates the fan of a toric call only in the
+fan selector.
 """
 
 import ast
@@ -119,3 +120,21 @@ def test_euclid_scan_serves_hnf_alone():
                 if name == "_hnf_int":
                     uses.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert uses == ["normal_forms.py:hnf"], uses
+
+
+def test_fans_are_enumerated_by_the_selector():
+    """Every toric call chooses its fan through ``fans._select_fan``: the
+    only other callers of ``enumerate_SF`` are the predicate that counts
+    fans and the CLI verb that lists them."""
+    calls = []
+    for path in SOURCES:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name) else
+                            func.attr if isinstance(func, ast.Attribute) else None)
+                    if name == "enumerate_SF":
+                        calls.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert sorted(calls) == ["cli.py:_cmd_fans", "fans.py:_select_fan",
+                             "fans.py:is_divisorially_detected"], calls

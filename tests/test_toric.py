@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -339,6 +340,59 @@ def test_full_report_builds_one_circuit_table(monkeypatch):
         calls.clear()
         assert full_report(**kwargs).picard_basis == Mat([[2, 0], [0, 2]])
         assert calls["_Circuits"] == 1, kwargs
+
+
+def test_check_fan_builds_no_lattice_on_its_own_matrix(monkeypatch):
+    # a fan built on V itself is owned by Mat equality alone; a fan on
+    # another basis of the same row lattice costs one Hermite basis each
+    built = Counter()
+    init = Lattice.__init__
+
+    def counted(self, *args):
+        built["Lattice"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Lattice, "__init__", counted)
+    fan = _worked_fan()
+    fans_module._check_fan(WORKED_V, fan)
+    fans_module._check_fan(WORKED_V, fan_from_cones(WORKED_V, fan.cone_sets()))
+    assert built["Lattice"] == 0
+    fans_module._check_fan(Mat([WORKED_V.row(1), WORKED_V.row(0)]), fan)
+    assert built["Lattice"] == 2
+
+
+def test_fan_on_another_basis_of_the_row_lattice():
+    # enumerate_SF(V) with V not in Hermite form gives fans on V, while the
+    # Q-side calls check them against gale_dual(Q): same row lattice, so
+    # the same fan, and the same answers as the cone-list route
+    V = Mat([[0, 1, 1, -1], [1, 0, -1, 0]])
+    Q = gale_dual(V)
+    dual = gale_dual(Q)
+    assert dual != V
+    for fan in enumerate_SF(V):
+        same = fan_from_cones(dual, fan.cone_sets())
+        assert picard_basis(Q, fan) == picard_basis(Q, same)
+        assert delta_sigma(Q, fan) == delta_sigma(Q, same)
+        assert full_report(Q=Q, fan=fan) == full_report(Q=Q, fan=fan.cone_sets())
+        for a in Mat.identity(4).row_tuples():
+            assert cartier_index(dual, fan, a) == cartier_index(V, fan, a)
+        # a different row lattice (second row tripled) still owns no fan
+        foreign = fan_from_cones(Mat([[0, 1, 1, -1], [3, 0, -3, 0]]),
+                                 fan.cone_sets())
+        for call in (lambda: picard_basis(Q, foreign),
+                     lambda: delta_sigma(Q, foreign),
+                     lambda: cartier_index(V, foreign, (1, 0, 0, 0)),
+                     lambda: full_report(Q=Q, fan=foreign)):
+            with pytest.raises(DomainError, match="^fan does not belong to "
+                               "the given matrix$"):
+                call()
+
+
+def test_full_report_refuses_a_fan_and_a_fan_index():
+    cones = _worked_fan().cone_sets()
+    for index in (1, 99):
+        with pytest.raises(DomainError, match="not both"):
+            full_report(Q=WORKED_Q, fan=cones, fan_index=index)
 
 
 def test_full_report_reads_free_class_group(monkeypatch):
