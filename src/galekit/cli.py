@@ -331,7 +331,7 @@ def _cmd_pws(args) -> None:
 def _cmd_report(args) -> None:
     A = _read_matrix(args.matrix)
     cap = _cap(args)  # a bad cap is refused even beside a fan file
-    cones = _read_fan_file(args.fan_file) if args.fan_file else None
+    cones = None if args.fan_file is None else _read_fan_file(args.fan_file)
     given = {"Q" if args.kind == "weight" else "V": A}
     rep = full_report(**given, fan=cones, fan_index=args.fan, cap=cap)
     if args.json:
@@ -365,7 +365,7 @@ def _cmd_cartier_index(args) -> None:
     except ValueError:
         raise ParseError(f"bad --divisor value {args.divisor!r}") from None
     cap = _cap(args)
-    cones = _read_fan_file(args.fan_file) if args.fan_file else None
+    cones = None if args.fan_file is None else _read_fan_file(args.fan_file)
     # the selector has checked the fan
     value = _cartier_index(V, _select_fan(V, cones, args.fan, cap), divisor)
     if args.json:

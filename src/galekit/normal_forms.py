@@ -16,24 +16,24 @@ the block at the end.  The same Smith loop, ``_smith``, runs on [A | I_d]
 alone when only alpha is read (the i-reduction of ``fw``) and on the bare
 rows of A when only the invariant factors are (``quotient_structure``).
 
-Every Hermite basis that carries no transform comes from one column fold,
-``_hermite_fold`` (Cohen, *A Course in Computational Algebraic Number
-Theory*, §2.4; Kannan and Bachem, SIAM J. Comput. 1979): each column is
-folded into its row of least |entry|, by one subtraction per row whose
-entry that divides and one extended-gcd step per other row.  ``Lattice``
-bases, the maximal-minor gcd and, with a modulus D, the saturation of the
-left kernels all use it.  ``hnf`` alone keeps the Euclid scan ``_hnf_int``
-on [A | I]: H is unique, but for a tall A the first rank(A) rows of U
-depend on the order of the row operations, and the scan's order is the one
-whose rows ``toric.cl_generators`` returns as the class-group generators of
-the paper's worked example.
+Every Hermite basis that carries no transform comes from row insertion,
+``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979; Cohen, *A
+Course in Computational Algebraic Number Theory*, §2.4): each row is
+reduced against a basis kept reduced, by one subtraction where one of its
+entry and the pivot divides the other and one extended-gcd step otherwise.
+``Lattice`` bases and the maximal-minor gcd use it, and so does ``hnf`` of
+a full-row-rank A, on [A | I]: such an A has one U with U A = H.  For a tall or
+rank-deficient A the first rank(A) rows of U depend on the order of the
+row operations, and ``hnf`` keeps the Euclid scan ``_hnf_int``, whose
+order is the one whose rows ``toric.cl_generators`` returns as the
+class-group generators of the paper's worked example.
 
 Left kernels take no Euclid pass.  ``left_kernel_rows`` reads an integer
 kernel basis off one forward Bareiss elimination of A^T and a back
-substitution on its non-pivot columns, saturates it with the fold taken
-modulo the last pivot, and puts it in Hermite form with one reducing
-substitution; ``hnf`` takes the rows of U past the rank from the same
-routine.
+substitution on its non-pivot columns, saturates it with a column fold
+taken modulo the last pivot (``_hermite_mod``), and puts it in Hermite form
+with one reducing substitution; ``hnf`` takes the rows of U past the rank
+from the same routine.
 """
 
 from __future__ import annotations
@@ -105,12 +105,14 @@ def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     """Row HNF of the first n columns of an integer matrix, in place,
     carrying the later columns; returns the pivot columns.
 
-    The Euclid scan behind ``hnf``, and nothing else.  Scan order is fixed:
-    leftmost column first, smallest nonzero pivot, floor quotients below
-    it, smallest nonnegative remainders above.  H does not depend on it, but
-    the first rank rows of U do (the class-group generators of
-    ``toric.cl_generators``), so ``hnf`` keeps it; a basis that carries no
-    transform comes from ``_hermite_fold``.
+    The Euclid scan behind ``hnf`` of a tall or rank-deficient matrix, and
+    nothing else.  Scan order is fixed: leftmost column first, smallest
+    nonzero pivot, floor quotients below it, smallest nonnegative
+    remainders above.  H does not depend on it, but for such a matrix the
+    first rank rows of U do (the class-group generators of
+    ``toric.cl_generators``), so ``hnf`` keeps it there; a full-row-rank
+    matrix, and a basis that carries no transform, come from
+    ``_hermite_insert``.
     """
     m = len(rows)
     p = 0
@@ -151,31 +153,107 @@ def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     return pivots
 
 
-def _hermite_fold(rows: Sequence[Sequence[int]], n: int, D: int = 0,
-                  ) -> tuple[list, list[int]]:
+def _hermite_insert(rows: Sequence[Sequence[int]], n: int, whole: bool = False,
+                    ) -> "tuple[list, list[int]] | None":
     """(Hermite basis, 0-based pivot columns) of the lattice spanned by the
-    integer rows of width n; with D > 0, (upper triangular basis, every
-    column) of the lattice spanned by the rows and D Z^n (Cohen, Alg. 2.4.8,
-    with the modulus fixed at D).
+    integer rows, reduced on their first n columns and carrying any later
+    ones; with ``whole`` set, None at the first row that vanishes on the
+    first n columns.
 
-    Column j folds every row r that is nonzero there (and then D e_j) into
+    Each row r is inserted into a basis kept reduced (Kannan and Bachem).
+    It meets the pivot rows p in pivot order, at its leading column j, with
+    pivot a and entry b: where a divides b, r loses b/a times p; where b
+    divides a, r becomes the pivot row (made positive) and p, less a/b
+    times r, goes on in its place; otherwise one unimodular 2 x 2 step with
+    g = u a + v b makes p the row u p + v r and r the row (a/g) r - (b/g) p,
+    zero at j.  A row that reaches a column with no pivot becomes a pivot
+    row there, made positive.  A pivot row that is new or changed is
+    reduced against the later pivots; the rows above the pivots are reduced
+    into [0, pivot) in one top-down pass at the end, which at the sizes
+    galekit builds costs less than reducing them after every step.  The
+    input rows are never changed.
+    """
+    basis: list = []
+    pivots = [n]  # the pivot columns, ending in n as a sentinel
+    for r in rows:
+        k = start = 0  # r is zero before column start; pivots[k] >= start
+        while True:
+            c = pivots[k]
+            if c > start and any(r[start:c]):
+                j = start
+                while not r[j]:
+                    j += 1
+                p = r if r[j] > 0 else [-x for x in r]
+                basis.insert(k, p)
+                pivots.insert(k, j)
+                r = None
+            elif c == n:
+                if whole:
+                    return None
+                break
+            else:
+                start = c + 1
+                b = r[c]
+                if not b:
+                    k += 1
+                    continue
+                p = basis[k]
+                a = p[c]
+                q, rem = divmod(b, a)
+                if not rem:
+                    r = [y - q * x for x, y in zip(p, r)]
+                    k += 1
+                    continue
+                q, rem = divmod(a, b)
+                if not rem:
+                    p, r = (r if b > 0 else [-x for x in r],
+                            [x - q * y for x, y in zip(p, r)])
+                else:
+                    g, u, v = xgcd(a, b)
+                    s, t = a // g, b // g
+                    p, r = ([u * x + v * y for x, y in zip(p, r)],
+                            [s * y - t * x for x, y in zip(p, r)])
+            for l in range(k + 1, len(basis)):
+                h = basis[l]
+                col = pivots[l]
+                q = p[col] // h[col]
+                if q:
+                    p = [x - q * y for x, y in zip(p, h)]
+            basis[k] = p
+            if r is None:
+                break
+            k += 1
+    pivots.pop()
+    for k in range(1, len(pivots)):
+        p = basis[k]
+        col = pivots[k]
+        a = p[col]
+        for i in range(k):
+            q = basis[i][col] // a
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], p)]
+    return basis, pivots
+
+
+def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
+    """An upper triangular basis of the lattice spanned by ``gens`` (rows of
+    length k) and D Z^k (Cohen, Alg. 2.4.8, with the modulus fixed at D).
+
+    Column j folds every row that is nonzero there, and then D e_j, into
     the row p with the least nonzero |entry| a.  A row whose entry b is a
     multiple of a loses b/a times p; any other takes one unimodular 2 x 2
     step with g = u a + v b: p becomes u p + v r and r becomes
-    (a/g) r - (b/g) p, zero in column j.  Zero rows are dropped.  Without a
-    modulus p is made positive and the rows above it are reduced into
-    [0, a); with one every entry is reduced mod D, which is exact because
-    D e_l stays in the lattice for every l, and the rows above are left as
-    they are.  The input rows are never changed.
+    (a/g) r - (b/g) p, zero in column j.  Zero rows are dropped.  Every
+    entry is kept mod D, which is exact because D e_l stays in the lattice
+    for every l, so the growth of the carried rows is bounded.  Every
+    column has a pivot, a divisor of D, and every other entry lies in
+    [0, D); the rows above a pivot are not reduced, since ``_left_kernel``
+    reduces the rows it finds as it back-substitutes.
     """
-    if D:
-        rows = [[x % D for x in r] for r in rows]
-    rows = [r for r in rows if any(r)]
-    basis: list = []
-    pivots: list[int] = []
-    for j in range(n):
+    rows = [r for r in ([x % D for x in g] for g in gens) if any(r)]
+    basis = []
+    for j in range(k):
         piv = None
-        a = 0
         others = []
         rest = []
         for r in rows:
@@ -183,61 +261,35 @@ def _hermite_fold(rows: Sequence[Sequence[int]], n: int, D: int = 0,
             if not b:
                 rest.append(r)
             elif piv is None:
-                piv, a = r, abs(b)
-            elif abs(b) < a:
+                piv, a = r, b
+            elif b < a:
                 others.append(piv)
-                piv, a = r, abs(b)
+                piv, a = r, b
             else:
                 others.append(r)
-        if D:
-            e = [0] * n
-            e[j] = D
-            if piv is None:
-                piv = e
-            else:
-                others.append(e)
-        elif piv is None:
-            continue
+        e = [0] * k
+        e[j] = D
+        if piv is None:
+            piv = e
+        else:
+            others.append(e)
         a = piv[j]
         for r in others:
             b = r[j]
             if not b % a:
                 q = b // a
-                r = ([(y - q * x) % D for x, y in zip(piv, r)] if D
-                     else [y - q * x for x, y in zip(piv, r)])
+                r = [(y - q * x) % D for x, y in zip(piv, r)]
             else:
                 g, u, v = xgcd(a, b)
                 s, t = a // g, b // g
-                if D:
-                    r, piv = ([(s * y - t * x) % D for x, y in zip(piv, r)],
-                              [(u * x + v * y) % D for x, y in zip(piv, r)])
-                else:
-                    r, piv = ([s * y - t * x for x, y in zip(piv, r)],
-                              [u * x + v * y for x, y in zip(piv, r)])
+                r, piv = ([(s * y - t * x) % D for x, y in zip(piv, r)],
+                          [(u * x + v * y) % D for x, y in zip(piv, r)])
                 a = g
             if any(r):
                 rest.append(r)
-        if not D:
-            if a < 0:
-                piv = [-x for x in piv]
-                a = -a
-            for i, h in enumerate(basis):
-                q = h[j] // a
-                if q:
-                    basis[i] = [x - q * y for x, y in zip(h, piv)]
         basis.append(piv)
-        pivots.append(j)
         rows = rest
-    return basis, pivots
-
-
-def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
-    """An upper triangular basis of the lattice spanned by ``gens`` (rows of
-    length k) and D Z^k: ``_hermite_fold`` with the modulus D.  Every
-    column has a pivot, a divisor of D, and every other entry lies in
-    [0, D); the rows above a pivot are not reduced, since ``_left_kernel``
-    reduces the rows it finds as it back-substitutes."""
-    return _hermite_fold(gens, k, D)[0]
+    return basis
 
 
 def _left_kernel(rows: list[list[int]]) -> list[tuple]:
@@ -302,14 +354,24 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
 def hnf(A: Mat) -> HnfResult:
     """Hermite normal form H = U @ A (row style, pivots top-left); the rows
     of U past the rank are the Hermite basis of the left kernel, which
-    makes U deterministic."""
+    makes U deterministic.
+
+    An A with no more rows than columns goes through row insertion on
+    [A | I]; if every row becomes a pivot, A has full row rank and U is the
+    only matrix with U A = H.  At the first row that vanishes, and for a
+    tall A, the Euclid scan ``_hnf_int`` reduces [A | I] instead, and the
+    rows past the rank come from ``_left_kernel``."""
     m, n = A.shape
     d, work = A.int_scaled()
     aug = _with_identity(work)
-    pivots = _hnf_int(aug, n)
-    p = len(pivots)
-    if p < m:
-        aug[p:] = [[0] * n + list(row) for row in _left_kernel(work)]
+    full = _hermite_insert(aug, n, whole=True) if m <= n else None
+    if full:
+        aug, pivots = full
+    else:
+        pivots = _hnf_int(aug, n)
+        p = len(pivots)
+        if p < m:
+            aug[p:] = [[0] * n + list(row) for row in _left_kernel(work)]
     if d == 1:
         h = Mat([row[:n] for row in aug])
     else:
@@ -320,9 +382,9 @@ def hnf(A: Mat) -> HnfResult:
 
 def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
     """The nonzero rows of ``hnf(A).H`` and their 0-based pivot columns,
-    from one fold without a transform."""
+    from row insertion without a transform."""
     d, work = A.int_scaled()
-    rows, pivots = _hermite_fold(work, A.cols)
+    rows, pivots = _hermite_insert(work, A.cols)
     if d > 1:
         rows = [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
     return tuple(map(tuple, rows)), tuple(pivots)

@@ -684,6 +684,91 @@ def hnf_int_oracle(mat):
 
 
 # ---------------------------------------------------------------------------
+# The column fold that computed every transform-free Hermite basis before
+# ``normal_forms._hermite_insert`` (row insertion) replaced it, kept as it
+# was; its modular branch lives on as ``normal_forms._hermite_mod``.
+
+def hermite_fold_oracle(rows: Sequence[Sequence[int]], n: int, D: int = 0,
+                        ) -> tuple[list, list[int]]:
+    """(Hermite basis, 0-based pivot columns) of the lattice spanned by the
+    integer rows of width n; with D > 0, (upper triangular basis, every
+    column) of the lattice spanned by the rows and D Z^n (Cohen, Alg. 2.4.8,
+    with the modulus fixed at D).
+
+    Column j folds every row r that is nonzero there (and then D e_j) into
+    the row p with the least nonzero |entry| a.  A row whose entry b is a
+    multiple of a loses b/a times p; any other takes one unimodular 2 x 2
+    step with g = u a + v b: p becomes u p + v r and r becomes
+    (a/g) r - (b/g) p, zero in column j.  Zero rows are dropped.  Without a
+    modulus p is made positive and the rows above it are reduced into
+    [0, a); with one every entry is reduced mod D, which is exact because
+    D e_l stays in the lattice for every l, and the rows above are left as
+    they are.  The input rows are never changed.
+    """
+    if D:
+        rows = [[x % D for x in r] for r in rows]
+    rows = [r for r in rows if any(r)]
+    basis: list = []
+    pivots: list[int] = []
+    for j in range(n):
+        piv = None
+        a = 0
+        others = []
+        rest = []
+        for r in rows:
+            b = r[j]
+            if not b:
+                rest.append(r)
+            elif piv is None:
+                piv, a = r, abs(b)
+            elif abs(b) < a:
+                others.append(piv)
+                piv, a = r, abs(b)
+            else:
+                others.append(r)
+        if D:
+            e = [0] * n
+            e[j] = D
+            if piv is None:
+                piv = e
+            else:
+                others.append(e)
+        elif piv is None:
+            continue
+        a = piv[j]
+        for r in others:
+            b = r[j]
+            if not b % a:
+                q = b // a
+                r = ([(y - q * x) % D for x, y in zip(piv, r)] if D
+                     else [y - q * x for x, y in zip(piv, r)])
+            else:
+                g, u, v = xgcd(a, b)
+                s, t = a // g, b // g
+                if D:
+                    r, piv = ([(s * y - t * x) % D for x, y in zip(piv, r)],
+                              [(u * x + v * y) % D for x, y in zip(piv, r)])
+                else:
+                    r, piv = ([s * y - t * x for x, y in zip(piv, r)],
+                              [u * x + v * y for x, y in zip(piv, r)])
+                a = g
+            if any(r):
+                rest.append(r)
+        if not D:
+            if a < 0:
+                piv = [-x for x in piv]
+                a = -a
+            for i, h in enumerate(basis):
+                q = h[j] // a
+                if q:
+                    basis[i] = [x - q * y for x, y in zip(h, piv)]
+        basis.append(piv)
+        pivots.append(j)
+        rows = rest
+    return basis, pivots
+
+
+# ---------------------------------------------------------------------------
 # Smith form and positive row echelon form with the transforms kept in
 # separate lists of rows, every row and column step applied to the matrix
 # and to its transform in turn: the two-list versions of

@@ -391,6 +391,18 @@ def test_report_missing_fan_file(capsys, vfile, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("verb, extra", [
+    ("report", ["--kind", "fan"]),
+    ("cartier-index", ["--divisor", "1,0,0,0"]),
+])
+def test_empty_fan_file_path_cannot_be_read(capsys, vfile, verb, extra):
+    # an empty path names no file; it is not taken as "no fan file"
+    code, out, err = run_cli(capsys, verb, vfile, *extra, "--fan-file", "")
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err
+
+
 def test_cartier_index_cli(capsys, vfile):
     code, out, _ = run_cli(capsys, "cartier-index", vfile, "--divisor", "1,0,0,0")
     assert code == 0

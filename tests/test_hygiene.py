@@ -108,8 +108,9 @@ def test_no_hidden_caches(path):
 
 def test_euclid_scan_serves_hnf_alone():
     """``_hnf_int`` is named only inside ``hnf``, whose first rank rows of
-    U depend on its scan order; every transform-free Hermite basis comes
-    from the fold.  Calls, aliases and imports all count as uses."""
+    U depend on its scan order for a tall or rank-deficient matrix; every
+    transform-free Hermite basis comes from row insertion.  Calls, aliases
+    and imports all count as uses."""
     uses = []
     for path in SOURCES:
         for top in _tree(path).body:

@@ -20,6 +20,7 @@ from galekit.normal_forms import _hermite_basis
 from conftest import (
     check_hnf_result,
     count_calls,
+    hermite_fold_oracle,
     hnf_int_oracle,
     minors_gcd_oracle,
     positive_row_echelon_oracle,
@@ -184,9 +185,10 @@ def _fold_fuzz_case(rng):
 
 
 def test_hermite_fold_matches_scan_oracle():
-    # the fold behind every transform-free Hermite basis against the scan
-    # of hnf_int_oracle: the same rows and pivots, on integer and rational
-    # input, since a Hermite basis is unique
+    # row insertion, behind every transform-free Hermite basis, against the
+    # column fold it replaced and the scan of hnf_int_oracle: the same rows
+    # and pivots, on integer and rational input, since a Hermite basis is
+    # unique
     rng = random.Random(211)
     seen = {"rational": 0, "deficient": 0, "zero_row": 0, "tall": 0, "wide": 0,
             "large": 0, "zero_matrix": 0}
@@ -195,8 +197,10 @@ def test_hermite_fold_matches_scan_oracle():
         r, c = len(rows), len(rows[0])
         h, _, piv = hnf_int_oracle(rows)
         expected = [tuple(row) for row in h[:len(piv)]]
-        basis, pivots = normal_forms._hermite_fold([tuple(row) for row in rows], c)
+        basis, pivots = normal_forms._hermite_insert([tuple(row) for row in rows], c)
         assert ([tuple(row) for row in basis], pivots) == (expected, piv)
+        fold, fold_pivots = hermite_fold_oracle([tuple(row) for row in rows], c)
+        assert ([tuple(row) for row in fold], fold_pivots) == (expected, piv)
         A = Mat([[Fraction(x, den) for x in row] for row in rows])
         assert _hermite_basis(A) == (
             tuple(tuple(Fraction(x, den) for x in row) for row in expected), tuple(piv))
@@ -208,6 +212,65 @@ def test_hermite_fold_matches_scan_oracle():
         seen["large"] += max(abs(x) for row in rows for x in row) > 10 ** 5
         seen["zero_matrix"] += not piv
     assert min(seen.values()) >= 50, seen
+    # many rows meeting many columns, where the fold's carried rows grew
+    for r, c in [(14, 20), (20, 24), (24, 30), (24, 30)]:
+        rows = [[rng.randint(-1000, 1000) for _ in range(c)] for _ in range(r)]
+        h, _, piv = hnf_int_oracle(rows)
+        basis, pivots = normal_forms._hermite_insert(rows, c)
+        assert (basis, pivots) == (h[:len(piv)], piv)
+
+
+def _full_row_rank_case(rng):
+    """A full-row-rank integer m x n matrix, 1 x n up to 24 x 30: random,
+    a random one scaled by an integer (a lattice of large index), or a
+    random one with a unimodular matrix applied on the left (larger
+    entries, the same lattice); with a denominator for rational input."""
+    m = rng.choice([1, 1, rng.randint(2, 8), rng.randint(9, 24)])
+    n = rng.randint(m, min(30, m + 8))
+    bound = rng.choice([9, 1000])
+    kind = rng.choice(["random", "scaled", "unimodular"])
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if kind == "scaled":
+            k = rng.choice([2, 6, 35])
+            rows = [[k * x for x in row] for row in rows]
+        elif kind == "unimodular":
+            rows = (rand_unimodular(rng, m) @ Mat(rows)).to_lists()
+        if Mat(rows).rank() == m:
+            return rows, rng.choice([1, 1, 2, 6, 35])
+
+
+def test_full_row_rank_hnf_matches_scan_oracle():
+    # row insertion on [A | I] against the scan of hnf_int_oracle: a
+    # full-row-rank A has one U with U A = H, so H, U and the pivots all
+    # agree, on integer, scaled and rational input
+    rng = random.Random(213)
+    seen = {"one_row": 0, "square": 0, "rational": 0, "large": 0}
+    for _ in range(300):
+        rows, den = _full_row_rank_case(rng)
+        h, u, piv = hnf_int_oracle(rows)
+        res = hnf(Mat([[Fraction(x, den) for x in row] for row in rows]))
+        assert res.H.to_lists() == [[Fraction(x, den) for x in row] for row in h]
+        assert (res.U.to_lists(), [j - 1 for j in res.pivot_map]) == (u, piv)
+        seen["one_row"] += len(rows) == 1
+        seen["square"] += len(rows) == len(rows[0])
+        seen["rational"] += den > 1
+        seen["large"] += len(rows) >= 14
+    assert min(seen.values()) >= 20, seen
+
+
+def test_only_rank_deficient_or_tall_hnf_takes_the_scan(monkeypatch):
+    # a full-row-rank A is Hermite-reduced by row insertion alone; a tall A,
+    # or a wide one whose rows are dependent, takes one Euclid scan
+    calls = count_calls(monkeypatch, normal_forms, "_hnf_int")
+    rng = random.Random(214)
+    for _ in range(20):
+        hnf(Mat(_full_row_rank_case(rng)[0]))
+    assert calls["_hnf_int"] == 0
+    hnf(WORKED_Q.transpose())
+    assert calls["_hnf_int"] == 1
+    hnf(Mat([[2, 4, 6, 1], [1, 2, 3, 5], [3, 6, 9, 6]]))
+    assert calls["_hnf_int"] == 2
 
 
 def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
@@ -222,6 +285,7 @@ def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
         gens = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(k)]
                 for _ in range(rng.randint(0, 7))]
         basis = normal_forms._hermite_mod(gens, D, k)
+        assert basis == hermite_fold_oracle(gens, k, D)[0]
         h, _, piv = hnf_int_oracle(gens + [[D * int(i == j) for j in range(k)]
                                            for i in range(k)])
         assert piv == list(range(k))
