@@ -12,9 +12,13 @@ the rows it reads.  For ``snf`` a d x m matrix A is held as one block
 [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha with A,
 and a column step on the left m columns, applied to every row, updates beta
 with A.  The reduced matrix alpha @ A @ beta, alpha and beta are sliced off
-the block at the end.  The same Smith loop, ``_smith``, runs on [A | I_d]
-alone when only alpha is read (the i-reduction of ``fw``) and on the bare
-rows of A when only the invariant factors are (``quotient_structure``).
+the block at the end.  The Smith form, ``_smith``, is Kannan and Bachem's
+alternation of Hermite passes by row insertion: one over the top rows, one
+over the transposed left m columns (whose carried part is beta^T), until the
+block is diagonal, then one 2 x 2 gcd step per pair of diagonal entries
+that breaks the divisibility chain.  It runs on [A | I_d] alone when only
+alpha is read (the i-reduction of ``fw``) and on the bare rows of A when
+only the invariant factors are (``quotient_structure``).
 
 Every Hermite basis that carries no transform comes from row insertion,
 ``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979; Cohen, *A
@@ -153,12 +157,13 @@ def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
     return pivots
 
 
-def _hermite_insert(rows: Sequence[Sequence[int]], n: int, whole: bool = False,
-                    ) -> "tuple[list, list[int]] | None":
+def _hermite_insert(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int]]:
     """(Hermite basis, 0-based pivot columns) of the lattice spanned by the
     integer rows, reduced on their first n columns and carrying any later
-    ones; with ``whole`` set, None at the first row that vanishes on the
-    first n columns.
+    ones.  A row that vanishes on the first n columns but not on the later
+    ones follows the basis, in the order met, so every row given is
+    accounted for and the rows returned are a unimodular image of them;
+    all-zero rows are dropped.
 
     Each row r is inserted into a basis kept reduced (Kannan and Bachem).
     It meets the pivot rows p in pivot order, at its leading column j, with
@@ -174,6 +179,7 @@ def _hermite_insert(rows: Sequence[Sequence[int]], n: int, whole: bool = False,
     input rows are never changed.
     """
     basis: list = []
+    rest: list = []
     pivots = [n]  # the pivot columns, ending in n as a sentinel
     for r in rows:
         k = start = 0  # r is zero before column start; pivots[k] >= start
@@ -188,8 +194,8 @@ def _hermite_insert(rows: Sequence[Sequence[int]], n: int, whole: bool = False,
                 pivots.insert(k, j)
                 r = None
             elif c == n:
-                if whole:
-                    return None
+                if any(r):
+                    rest.append(r)
                 break
             else:
                 start = c + 1
@@ -232,7 +238,7 @@ def _hermite_insert(rows: Sequence[Sequence[int]], n: int, whole: bool = False,
             q = basis[i][col] // a
             if q:
                 basis[i] = [x - q * y for x, y in zip(basis[i], p)]
-    return basis, pivots
+    return basis + rest, pivots
 
 
 def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
@@ -358,15 +364,15 @@ def hnf(A: Mat) -> HnfResult:
 
     An A with no more rows than columns goes through row insertion on
     [A | I]; if every row becomes a pivot, A has full row rank and U is the
-    only matrix with U A = H.  At the first row that vanishes, and for a
-    tall A, the Euclid scan ``_hnf_int`` reduces [A | I] instead, and the
-    rows past the rank come from ``_left_kernel``."""
+    only matrix with U A = H.  If a row vanishes, and for a tall A, the
+    Euclid scan ``_hnf_int`` reduces [A | I] instead, and the rows past the
+    rank come from ``_left_kernel``."""
     m, n = A.shape
     d, work = A.int_scaled()
     aug = _with_identity(work)
-    full = _hermite_insert(aug, n, whole=True) if m <= n else None
-    if full:
-        aug, pivots = full
+    rows, pivots = _hermite_insert(aug, n) if m <= n else (aug, [])
+    if len(pivots) == m:
+        aug = rows
     else:
         pivots = _hnf_int(aug, n)
         p = len(pivots)
@@ -399,20 +405,6 @@ def left_kernel_rows(A: Mat) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _col_sub(m, j, k, q):
-    # column j -= q * column k
-    if q:
-        for row in m:
-            x = row[k]
-            if x:
-                row[j] -= q * x
-
-
 def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
     """Smith-reduce the top-left d x m block of ``rows`` in place and return
     its invariant factors.
@@ -422,76 +414,50 @@ def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
     right of column m (alpha, in [A | I_d]) and the rows below carry the
     column steps (beta, in the block of ``_block``); a caller passes only
     the rows it reads.  Each step is decided by the top-left block alone.
+
+    Kannan and Bachem's alternation: a row Hermite pass of the top rows and
+    a row Hermite pass of the transposed left m columns, both by
+    ``_hermite_insert``, repeat until the block is diagonal (each pair of
+    passes leaves the leading pivot a proper divisor of the last one, or its
+    row and column clear).  Then each pair of diagonal entries a, b with
+    a before b and a not dividing b takes one 2 x 2 step: column a += column
+    b, one unimodular row step to g = gcd(a, b), one column step to clear
+    the rest, which leaves g and lcm(a, b) on the diagonal.
     """
-    def fix_sign(i: int) -> None:
-        if rows[i][i] < 0:
-            rows[i] = [-x for x in rows[i]]
-
-    def clear_at(t: int) -> None:
-        # assumes rows[t][t] != 0; clears row t and column t
-        while True:
-            fix_sign(t)
-            a = rows[t][t]
-            restart = False
-            for i in range(d):
-                if i != t and rows[i][t]:
-                    q = rows[i][t] // a
-                    if q:
-                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
-                    if rows[i][t]:
-                        rows[i], rows[t] = rows[t], rows[i]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(m):
-                if j != t and rows[t][j]:
-                    _col_sub(rows, j, t, rows[t][j] // a)
-                    if rows[t][j]:
-                        _swap_cols(rows, j, t)
-                        restart = True
-                        break
-            if not restart:
-                break
-
-    t = 0
-    limit = min(d, m)
-    while t < limit:
-        # the smallest nonzero |entry|, first in row-major order
-        best = None
-        for i in range(t, d):
-            for j, v in enumerate(rows[i][t:m], t):
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
+    width = len(rows[0])
+    while True:
+        top, pivots = _hermite_insert(rows[:d], m)
+        rows[:d] = top + [[0] * width for _ in range(d - len(top))]
+        if all(not any(row[i + 1:m]) for i, row in enumerate(top[:len(pivots)])):
             break
-        _, i, j = best
-        if i != t:
-            rows[i], rows[t] = rows[t], rows[i]
-        if j != t:
-            _swap_cols(rows, j, t)
-        clear_at(t)
-        t += 1
-
+        cols, pivots = _hermite_insert(list(zip(*rows))[:m], d)
+        cols += [[0] * len(rows) for _ in range(m - len(cols))]
+        for row, col in zip(rows, zip(*cols)):
+            row[:m] = col
+        if all(not any(col[i + 1:d]) for i, col in enumerate(cols[:len(pivots)])):
+            break
+    t = len(pivots)
     for i in range(t):
-        fix_sign(i)
-    # enforce the divisibility chain c_i | c_{i+1}
-    i = 0
-    while i + 1 < t:
-        a, b = rows[i][i], rows[i + 1][i + 1]
-        if b % a:
-            for row in rows:
-                row[i] += row[i + 1]
-            clear_at(i)
-            fix_sign(i)
-            fix_sign(i + 1)
-            i = max(i - 1, 0)
-        else:
-            i += 1
+        for j in range(i + 1, t):
+            a, b = rows[i][i], rows[j][j]
+            if b % a:
+                g, u, v = xgcd(a, b)
+                for row in rows:
+                    row[i] += row[j]
+                p, r = rows[i], rows[j]
+                rows[i] = [u * x + v * y for x, y in zip(p, r)]
+                rows[j] = [a // g * y - b // g * x for x, y in zip(p, r)]
+                q = v * b // g
+                for row in rows:
+                    row[j] -= q * row[i]
     return tuple(rows[i][i] for i in range(t))
 
 
 def snf(A: Mat) -> SnfResult:
+    """Smith normal form S = alpha @ A @ beta of an integer matrix, with
+    alpha and beta unimodular.  S and its invariant factors are unique;
+    alpha and beta are one unimodular pair that reaches S, not a canonical
+    one."""
     if not A.is_integral:
         raise DomainError("snf requires an integer matrix")
     d, m = A.shape

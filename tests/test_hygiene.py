@@ -4,8 +4,8 @@ Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 ``python -O`` strips), and the library imports only itself and the
 standard library (the empty dependency list of ``pyproject.toml``),
 keeps no results in a ``functools`` cache, runs the Euclid scan of
-``hnf`` nowhere else and enumerates the fan of a toric call only in the
-fan selector.
+``hnf`` nowhere else, reaches Smith forms only through row insertion and
+enumerates the fan of a toric call only in the fan selector.
 """
 
 import ast
@@ -121,6 +121,28 @@ def test_euclid_scan_serves_hnf_alone():
                 if name == "_hnf_int":
                     uses.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert uses == ["normal_forms.py:hnf"], uses
+
+
+def test_smith_form_eliminates_by_row_insertion():
+    """``_smith`` reduces through ``_hermite_insert`` (row passes over the
+    rows and over the transposed columns), and no module keeps the column
+    steps of a second Smith elimination: nothing defines or names
+    ``_col_sub``, ``_swap_cols`` or ``clear_at``."""
+    banned = {"_col_sub", "_swap_cols", "clear_at"}
+    found = []
+    smith_calls = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.FunctionDef) and node.name == "_smith":
+                smith_calls |= {sub.func.id for sub in ast.walk(node)
+                                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+    assert not found, found
+    assert "_hermite_insert" in smith_calls, sorted(smith_calls)
 
 
 def test_fans_are_enumerated_by_the_selector():

@@ -13,6 +13,7 @@ from galekit import (
     is_row_echelon,
     left_kernel_rows,
     positive_row_echelon,
+    quotient_structure,
     snf,
 )
 from galekit import normal_forms
@@ -390,14 +391,27 @@ def _outcome(fn, A):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _snf_outcome(fn, A):
+    """repr of S and the factors, or the error type and message."""
+    try:
+        res = fn(A)
+    except GaleKitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((res.S, res.factors))
+
+
 def test_block_snf_matches_two_list_oracle():
-    # S, alpha, beta and factors, repr for repr; the kinds cycle through
-    # generic, rank-deficient (a product through a narrower inner
-    # dimension), all-zero or scaled, and entries up to 10^6
+    # S and the factors, or the error, repr for repr; alpha and beta are one
+    # unimodular pair, not a canonical one, so they are checked by
+    # alpha A beta = S and |det| = 1.  The kinds cycle through generic,
+    # rank-deficient (a product through a narrower inner dimension),
+    # all-zero or scaled, and entries up to 10^6; then the shapes of the
+    # lattice workload, 6 x 10 to 12 x 20 with entries up to +-1000
     rng = random.Random(208)
     kinds = {"deficient": 0, "zero_or_scaled": 0, "large": 0}
-    for it in range(2000):
-        kind = it % 4
+    lattice_shapes = 0
+    for it in range(2120):
+        kind = it % 4 if it < 2000 else 4
         d, m = rng.randint(1, 8), rng.randint(1, 10)
         if kind == 1:
             d, m = rng.randint(2, 8), rng.randint(2, 10)
@@ -405,16 +419,55 @@ def test_block_snf_matches_two_list_oracle():
             A = rand_mat(rng, d, k) @ rand_mat(rng, k, m)
         elif kind == 2:
             A = rand_mat(rng, d, m).scale(rng.randint(0, 12) if it % 8 == 2 else 0)
+        elif kind == 4:
+            d, m = rng.randint(6, 12), rng.randint(10, 20)
+            A = rand_mat(rng, d, m, -1000, 1000)
         else:
             hi = 10**6 if kind == 3 else 9
             A = rand_mat(rng, d, m, -hi, hi)
-        expected = _outcome(snf_oracle, A)
-        assert _outcome(snf, A) == expected
-        res = snf_oracle(A)
+        res = snf(A)
+        assert repr((res.S, res.factors)) == _snf_outcome(snf_oracle, A)
+        assert res.alpha @ A @ res.beta == res.S
+        assert abs(det_exact(res.alpha)) == 1 and abs(det_exact(res.beta)) == 1
         kinds["deficient"] += len(res.factors) < min(d, m)
         kinds["zero_or_scaled"] += kind == 2
         kinds["large"] += max(abs(x) for row in A.row_tuples() for x in row) > 10**5
+        lattice_shapes += kind == 4
     assert min(kinds.values()) >= 200, kinds
+    assert lattice_shapes >= 100
+    R = Mat([[Fraction(1, 2), 3]])
+    assert _snf_outcome(snf, R) == _snf_outcome(snf_oracle, R) == (
+        "DomainError: snf requires an integer matrix")
+
+
+def test_snf_repairs_the_divisibility_chain():
+    # a diagonal input is left diagonal by the first Hermite pass, so only
+    # the 2 x 2 gcd steps turn it into the Smith form
+    for diag, factors in [((2, 3), (1, 6)), ((4, 6, 10), (2, 2, 60))]:
+        A = Mat([[x if i == j else 0 for j in range(len(diag))]
+                 for i, x in enumerate(diag)])
+        res = snf(A)
+        assert res.factors == factors
+        assert res.S == Mat([[x if i == j else 0 for j in range(len(diag))]
+                             for i, x in enumerate(factors)])
+        assert res.alpha @ A @ res.beta == res.S
+        assert abs(det_exact(res.alpha)) == 1 and abs(det_exact(res.beta)) == 1
+
+
+def test_smith_forms_take_row_insertion_alone(monkeypatch):
+    # snf and quotient_structure eliminate only through _hermite_insert
+    calls = count_calls(monkeypatch, normal_forms, "_hermite_insert", "_hnf_int")
+    rng = random.Random(215)
+    for _ in range(10):
+        A = rand_mat(rng, rng.randint(2, 6), rng.randint(2, 8), -50, 50)
+        snf(A)
+    assert calls["_hermite_insert"] >= 10
+    assert calls["_hnf_int"] == 0
+    L = Lattice.from_matrix(Mat([[2, 0, 0], [0, 3, 5]]))
+    calls.clear()
+    assert quotient_structure(3, L).torsion_factors == (2,)
+    assert calls["_hermite_insert"] >= 2
+    assert calls["_hnf_int"] == 0
 
 
 def test_smith_factors_on_bare_rows_match_snf():
