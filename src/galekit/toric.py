@@ -7,8 +7,9 @@ read off the Hermite transform of Q^T.  In that identification the Picard
 subgroup is the intersection of the column lattices of the complementary
 weight submatrices over all maximal cones, Cartier divisors are spanned by
 an explicit block product, and the Cartier index of a divisor a is the order
-of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  delta_Sigma
-is read off the same column lattices: |det| is the product of Hermite pivots.
+of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  A table of
+d = det and d times the inverse of each block gives delta_Sigma, the lcm of the
+|d|, and Pic, the dual of the sum of the inverses modulo delta_Sigma.
 ``full_report`` validates its input once and derives each object once (from
 Q, the dual V is ``classify_w``'s kernel and V's class group is read off its
 column lattice; only a fan passed in is checked); the public per-object
@@ -19,25 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
+    _back_substitute,
+    _eliminate,
     block_diag,
     det_exact,
     mat_vec,
     solve,
     submatrix_cols,
 )
-from .normal_forms import hnf
-from .lattices import (
-    Lattice,
-    QuotientStructure,
-    lattice_intersection,
-    quotient_structure,
-)
+from .normal_forms import _hermite_insert, _hermite_mod, hnf
+from .lattices import Lattice, QuotientStructure, quotient_structure
 from .gale import gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
 from .fans import DEFAULT_CAP, Fan, _check_fan, _select_fan
@@ -136,30 +135,49 @@ def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
 
 
 def picard_basis(Q: Mat, fan: Fan) -> Mat:
-    """Basis (rows) of the Picard subgroup inside Z^r: intersection of the
-    column lattices of the complementary weight submatrices."""
+    """Basis (rows) of the Picard subgroup inside Z^r, the intersection of
+    the complementary blocks' column lattices, read off their inverses."""
     _check_fan(gale_dual(Q), fan)
     return _picard_basis(Q, fan)[0]
 
 
-def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
-    """(Picard basis, delta_sigma).  Once the intersection has full rank r,
-    so has every block lattice L_c(Q^I): its Hermite basis is upper
-    triangular, and |det Q^I| = [Z^r : L_c(Q^I)] is its diagonal product."""
-    lattices = []
+def _cone_table(Q: Mat, fan: Fan) -> list[tuple[int, list[list[int]]]]:
+    """Per maximal cone, (d = +-det Q^I, d (Q^I)^-1) for the complementary
+    block Q^I, from one Bareiss elimination of [Q^I | I_r]."""
+    r = Q.rows
+    table = []
     for cone in fan.maximal_cones:
         qi = submatrix_cols(Q, cone.gens, complement=True)
-        lattices.append(Lattice.from_rows(qi.col_tuples(), Q.rows))
-    inter = lattice_intersection(lattices)
-    basis = inter.basis_matrix()
-    if basis is None or inter.rank != Q.rows:
-        raise GaleKitError("Picard lattice is not of full rank (unreachable "
-                           "for simplicial complete fans)")
-    if not basis.is_integral:
-        raise GaleKitError("Picard basis is not integral (internal invariant)")
-    delta = math.lcm(*(math.prod(row[i] for i, row in enumerate(lat.basis))
-                       for lat in lattices))
-    return basis, delta
+        m = [list(row) + [int(i == j) for j in range(r)]
+             for i, row in enumerate(qi.row_tuples())]
+        pivots, d = _eliminate(m, qi.cols)
+        if len(pivots) < r or qi.cols != r:
+            raise GaleKitError("Picard lattice is not of full rank (unreachable "
+                               "for simplicial complete fans)")
+        table.append((d, _back_substitute(m, pivots, d, range(r, 2 * r))))
+    return table
+
+
+def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
+    """(Picard basis, delta_sigma = lcm |det Q^I|).  delta Pic* contains
+    delta Z^r and is the sum of the row lattices of delta (Q^I)^-1: one
+    Hermite fold modulo delta, with an upper triangular basis H.  Pic is
+    spanned by the integral columns of delta H^-1 (exact back substitution)."""
+    r = Q.rows
+    table = _cone_table(Q, fan)
+    delta = math.lcm(*(d for d, _ in table))
+    herm = _hermite_mod([[delta // d * x for x in row] for d, adj in table
+                         for row in adj], delta, r)
+    cols = []  # column s of delta H^-1 solves H y = delta e_s
+    for s in range(r):
+        y = [delta * (t == s) for t in range(r)]
+        for l in range(s, -1, -1):
+            h = herm[l]
+            y[l], rem = divmod(y[l] - sum(map(mul, h[l + 1:s + 1], y[l + 1:s + 1])), h[l])
+            if rem:
+                raise GaleKitError("Picard substitution is inexact (internal invariant)")
+        cols.append(y)
+    return Mat(_hermite_insert(cols, r)[0]), delta
 
 
 def cartier_basis(B: Mat, U_Q: Mat) -> Mat:

@@ -1052,3 +1052,28 @@ def cartier_indices_oracle(V: Mat, fan: Fan, divisors: Sequence) -> tuple[int, .
         for row in sol.row_tuples():
             ks = [math.lcm(k, Fraction(x).denominator) for k, x in zip(ks, row)]
     return tuple(ks)
+
+
+def picard_basis_oracle(Q: Mat, fan: Fan) -> tuple[Mat, int]:
+    """(Picard basis, delta_sigma) by the pairwise intersection fold that
+    ``toric._picard_basis`` used before it read the lattice modulo delta:
+    one ``Lattice`` per complementary weight block, |Sigma| - 1 calls of
+    ``lattice_intersection``'s pairwise step, and delta as the lcm of the
+    products of the blocks' Hermite pivots."""
+    from galekit import Lattice, lattice_intersection
+    from galekit.matrix import submatrix_cols
+
+    lattices = []
+    for cone in fan.maximal_cones:
+        qi = submatrix_cols(Q, cone.gens, complement=True)
+        lattices.append(Lattice.from_rows(qi.col_tuples(), Q.rows))
+    inter = lattice_intersection(lattices)
+    basis = inter.basis_matrix()
+    if basis is None or inter.rank != Q.rows:
+        raise GaleKitError("Picard lattice is not of full rank (unreachable "
+                           "for simplicial complete fans)")
+    if not basis.is_integral:
+        raise GaleKitError("Picard basis is not integral (internal invariant)")
+    delta = math.lcm(*(math.prod(row[i] for i, row in enumerate(lat.basis))
+                       for lat in lattices))
+    return basis, delta

@@ -4,8 +4,9 @@ Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 ``python -O`` strips), and the library imports only itself and the
 standard library (the empty dependency list of ``pyproject.toml``),
 keeps no results in a ``functools`` cache, runs the Euclid scan of
-``hnf`` nowhere else, reaches Smith forms only through row insertion and
-enumerates the fan of a toric call only in the fan selector.
+``hnf`` nowhere else, reaches Smith forms only through row insertion,
+enumerates the fan of a toric call only in the fan selector and derives
+the Picard lattice without intersecting lattices.
 """
 
 import ast
@@ -161,3 +162,19 @@ def test_fans_are_enumerated_by_the_selector():
                         calls.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert sorted(calls) == ["cli.py:_cmd_fans", "fans.py:_select_fan",
                              "fans.py:is_divisorially_detected"], calls
+
+
+def test_toric_takes_no_lattice_intersection():
+    """The Picard lattice has one derivation, the per-cone table and one
+    fold modulo delta_Sigma: ``toric.py`` names ``lattice_intersection``
+    nowhere, not in an import, a call, an attribute or a string."""
+    path = next(p for p in SOURCES if p.name == "toric.py")
+    found = []
+    for node in ast.walk(_tree(path)):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(name, str) and "lattice_intersection" in name:
+            found.append(node.lineno)
+    assert not found, f"toric.py names lattice_intersection at lines {found}"

@@ -33,14 +33,16 @@ from galekit import (
     w_reduce,
     weil_class,
 )
-from galekit import fw, gale, matrix, normal_forms, toric
+from galekit import fw, gale, lattices, matrix, normal_forms, toric
 from galekit import fans as fans_module
 from conftest import (
     box_vectors,
     cartier_indices_oracle,
     count_calls,
     count_rank_calls,
+    picard_basis_oracle,
     rand_full_row_rank,
+    solve_oracle,
 )
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
@@ -227,8 +229,9 @@ def test_delta_divides_picard_index_noproj():
 
 
 def test_delta_sigma_is_lcm_of_complementary_dets():
-    # delta_Sigma comes off the Hermite pivots of the block lattices; the
-    # definition takes |det| of each complementary weight submatrix
+    # delta_Sigma is the lcm of the last Bareiss pivots of the per-cone
+    # table; the definition takes |det| of each complementary weight
+    # submatrix
     V = gale_dual(NOPROJ_Q)
     for fan in enumerate_SF(V):
         dets = [abs(det_exact(NOPROJ_Q.take_cols(
@@ -244,6 +247,97 @@ def test_picard_basis_refuses_a_singular_block():
                        "rank") as info:
         toric._picard_basis(WORKED_Q, fan)
     assert not isinstance(info.value, DomainError)
+
+
+def test_picard_substitution_remainder_is_an_invariant(monkeypatch):
+    # delta H^-1 is integral for the H the fold returns; a pivot that does
+    # not divide delta (3 against delta = 2) leaves a remainder
+    monkeypatch.setattr(toric, "_hermite_mod", lambda gens, D, k: [[3, 0], [0, 1]])
+    with pytest.raises(GaleKitError, match=r"inexact \(internal invariant\)$") as info:
+        toric._picard_basis(WORKED_Q, _worked_fan())
+    assert not isinstance(info.value, DomainError)
+
+
+def _picard_cases():
+    """(family, Q, fan) over every fan that ``enumerate_SF`` finds on 60
+    seeded configurations (n = 2..4, n+2 to n+4 columns, entries in
+    [-3, 3]; V may have class-group torsion, since the Picard pass reads
+    only Q and the cones), then seeded WPS and products of two WPS with
+    their known fans."""
+    rng = random.Random(2207)
+    configs = 0
+    while configs < 60:
+        n = rng.randint(2, 4)
+        m = n + rng.randint(2, 4)
+        V = Mat([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)])
+        if V.rank() < n:
+            continue
+        try:
+            fans = enumerate_SF(V)
+        except DomainError:
+            continue
+        if not fans:
+            continue
+        configs += 1
+        Q = gale_dual(V)
+        family = "enumerated" if toric._columns_span(V) else "torsion"
+        for fan in fans:
+            yield family, Q, fan
+    for _ in range(30):
+        Q = _wps_q(rng, rng.randint(3, 7))
+        yield "wps", Q, fan_from_cones(gale_dual(Q), _wps_cones(range(1, Q.cols + 1)))
+    for _ in range(30):
+        q1, q2 = _wps_q(rng, rng.randint(2, 4)), _wps_q(rng, rng.randint(2, 4))
+        a, b = q1.cols, q2.cols
+        Q = Mat([q1.row(0) + (0,) * b, (0,) * a + q2.row(0)])
+        yield "product", Q, fan_from_cones(gale_dual(Q), _product_cones(a, b))
+
+
+def test_picard_basis_matches_the_intersection_fold():
+    # the table-and-fold route against the pairwise intersection fold it
+    # replaced: the same Hermite basis and the same delta, entry for entry
+    seen = Counter()
+    for family, Q, fan in _picard_cases():
+        basis, delta = toric._picard_basis(Q, fan)
+        want_basis, want_delta = picard_basis_oracle(Q, fan)
+        assert basis == want_basis and delta == want_delta, (Q, fan)
+        assert type(delta) is int
+        assert all(type(x) is int for row in basis.row_tuples() for x in row)
+        seen[family] += 1
+    assert seen["enumerated"] + seen["torsion"] >= 1000, seen
+    assert seen["torsion"] >= 100 and seen["wps"] == seen["product"] == 30, seen
+
+
+def test_picard_rows_lie_in_every_block_and_contain_delta_multiples():
+    # checks of the definition that use no intersection: every Picard row
+    # is in the column lattice of each complementary block, and delta e_i
+    # has integral Picard coordinates for every i (on every third case, to
+    # keep the run of the rational solves short)
+    for count, (_, Q, fan) in enumerate(_picard_cases()):
+        if count % 3:
+            continue
+        basis, delta = toric._picard_basis(Q, fan)
+        r = Q.rows
+        for cone in fan.maximal_cones:
+            block = Q.take_cols([j for j in range(Q.cols) if j + 1 not in cone.gens])
+            coords = solve_oracle(block, basis.transpose())
+            assert coords is not None and coords.is_integral, (Q, fan)
+        coords = solve_oracle(basis.transpose(), Mat.identity(r).scale(delta))
+        assert coords is not None and coords.is_integral, (Q, fan)
+
+
+def test_picard_pass_takes_no_lattice_intersection(monkeypatch):
+    # full_report, picard_basis and delta_sigma read Pic off the per-cone
+    # table and one fold modulo delta: no pairwise intersection is taken
+    calls = count_calls(monkeypatch, lattices, "lattice_intersection",
+                        "_intersect_pair")
+    fan = _worked_fan()
+    assert full_report(Q=WORKED_Q).picard_basis == Mat([[2, 0], [0, 2]])
+    assert picard_basis(WORKED_Q, fan) == Mat([[2, 0], [0, 2]])
+    assert delta_sigma(WORKED_Q, fan) == 2
+    for fan in enumerate_SF(gale_dual(NOPROJ_Q)):
+        full_report(Q=NOPROJ_Q, fan=fan)
+    assert not calls, calls
 
 
 def test_cartier_index_worked():
