@@ -115,7 +115,7 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
     gens = check_index_set(sorted(gens), V.cols)
     if len(x) != V.rows:
         raise DomainError("point dimension mismatch")
-    (x,) = _norm_rows([x])
+    (x,), _ = _norm_rows([x])
     if not gens:
         return not any(x)  # the zero cone; it is its own relative interior
     rows = [[row[g - 1] for g in gens] for row in V.row_tuples()]

@@ -131,9 +131,12 @@ def classify_w(Q: Mat) -> WMatrixReport:
     return _classify_w(Q)[0]
 
 
-def _classify_w(Q: Mat) -> tuple[WMatrixReport, list[tuple]]:
+def _classify_w(Q: Mat, kernel: "list[tuple] | None" = None
+                ) -> tuple[WMatrixReport, list[tuple]]:
     """``classify_w(Q)`` and the kernel it was read off: the Hermite basis
-    of {x in Z^m : Q x = 0}, which for a W-matrix is ``gale_dual(Q)``."""
+    of {x in Z^m : Q x = 0}, which for a W-matrix is ``gale_dual(Q)``.  A
+    caller that holds that basis (the rows of ``hnf(Q^T).U`` past the rank)
+    passes it as ``kernel``."""
     if not Q.is_integral:
         raise DomainError("classify_w requires an integer matrix")
     r, m = Q.shape
@@ -144,7 +147,8 @@ def _classify_w(Q: Mat) -> tuple[WMatrixReport, list[tuple]]:
     if has_cotorsion(m, lat):
         violated.append("b")
 
-    kernel = left_kernel_rows(Q.transpose())
+    if kernel is None:
+        kernel = left_kernel_rows(Q.transpose())
     witness = None
     if lat.rank:  # rank 0: the empty basis is vacuously positive
         y = _positive_span_vector(lat.basis, kernel)
@@ -304,10 +308,10 @@ def _is_w_reduced(Q: Mat, V: Mat) -> bool:
     ker(Q) (column gcds do not depend on the basis chosen).  Each Q^i has
     rank r (else some c e_i, c != 0, and so e_i lie in L_r(Q), against
     clause e), so L_r(Q^i) is saturated iff its maximal minors are coprime."""
-    m = Q.cols
+    m, cols = Q.cols, Q.col_tuples()
     try:
-        direct = all(_gcd_maximal_minors(submatrix_cols(Q, (i,), complement=True)) == 1
-                     for i in range(1, m + 1))
+        direct = all(_gcd_maximal_minors(cols[:i] + cols[i + 1:], Q.rows) == 1
+                     for i in range(m))
     except DomainError:
         raise GaleKitError("column-deleted weight matrix is rank-deficient "
                            "(internal invariant)") from None

@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_rows
 # ``hnf`` stays bound here: perfbench/selftest.py checks its traced binding.
-from .normal_forms import _hermite_basis, _smith, hnf, left_kernel_rows  # noqa: F401
+from .normal_forms import (  # noqa: F401
+    _hermite_basis, _hermite_insert, _smith, hnf, left_kernel_rows)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class Lattice:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], ambient_dim: "int | None" = None) -> "Lattice":
-        rows = _norm_rows(rows)
+        rows = _norm_rows(rows)[0]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -219,12 +220,12 @@ def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:
     return QuotientStructure(ambient_dim - len(factors), torsion)
 
 
-def _gcd_maximal_minors(B: Mat) -> int:
-    """gcd of all maximal minors of a full-row-rank matrix: |det| of the
-    upper block of the Hermite form of the transpose, which is triangular
-    with positive diagonal, so the product of its pivots."""
-    top, _ = _hermite_basis(B.transpose())
-    if len(top) < B.rows:
+def _gcd_maximal_minors(cols: Iterable[Sequence[int]], n: int) -> int:
+    """gcd of all maximal minors of a full-row-rank integer matrix with n
+    rows, given by its columns: |det| of the Hermite basis of the columns,
+    which is triangular with positive diagonal, so the product of its pivots."""
+    top = _hermite_insert(cols, n)[0]
+    if len(top) < n:
         raise DomainError("rank-deficient input")
     return math.prod(row[i] for i, row in enumerate(top))
 
@@ -233,7 +234,7 @@ def gcd_max_minors(A: Mat) -> int:
     """gcd of the n x n minors of an integer n x (n+r) matrix of rank n."""
     if not A.is_integral:
         raise DomainError("gcd_max_minors requires an integer matrix")
-    return _gcd_maximal_minors(A)
+    return _gcd_maximal_minors(A.col_tuples(), A.rows)
 
 
 def has_cotorsion(ambient_dim: int, L: Lattice) -> bool:
@@ -244,4 +245,4 @@ def has_cotorsion(ambient_dim: int, L: Lattice) -> bool:
         raise DomainError("has_cotorsion requires an integer lattice")
     if L.rank == 0:
         return False
-    return _gcd_maximal_minors(L.basis_matrix()) != 1
+    return _gcd_maximal_minors(zip(*L.basis), L.rank) != 1

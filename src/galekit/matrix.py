@@ -3,8 +3,11 @@
 Entries are Python ints or ``fractions.Fraction`` values (lowest terms,
 positive denominator), so arithmetic never overflows and no floating point
 appears anywhere.  Matrices are immutable values: every transform returns a
-new matrix.  Construction scans the entry types once and sends the entries
-through ``_norm_entry`` only when one of them is not a plain ``int``.
+new matrix.  Construction scans the entry types once, sends the entries
+through ``_norm_entry`` only when one of them is not a plain ``int``, and
+stores the lcm of their denominators, which integrality and integer scaling
+read.  A matrix taken from another with no new entries (a transpose, integer
+columns, a product of integer matrices) keeps its value and skips the scan.
 
 Rank, ``solve`` and ``inverse`` share one fraction-free (Bareiss) forward
 elimination on integer rows; the rank reads only its pivots, and ``solve``
@@ -25,6 +28,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -50,12 +54,14 @@ def _norm_entry(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-def _norm_rows(rows: Iterable[Iterable]) -> tuple:
-    """The rows as tuples of ``_norm_entry`` values, after one type scan."""
+def _norm_rows(rows: Iterable[Iterable]) -> tuple[tuple, int]:
+    """The rows as tuples of ``_norm_entry`` values and the lcm of their
+    denominators, after one type scan."""
     data = tuple(map(tuple, rows))
-    if not {int}.issuperset(map(type, chain.from_iterable(data))):
-        data = tuple(tuple(map(_norm_entry, row)) for row in data)
-    return data
+    if {int}.issuperset(map(type, chain.from_iterable(data))):
+        return data, 1
+    data = tuple(tuple(map(_norm_entry, row)) for row in data)
+    return data, math.lcm(*(x.denominator for x in chain.from_iterable(data)))
 
 
 def _as_int(x):
@@ -81,18 +87,28 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class Mat:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries.  It keeps the lcm of its
+    entries' denominators, found by the scan that builds it, so integrality
+    and the integer scaling read a stored value."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = _norm_rows(rows)
+        data, self._den = _norm_rows(rows)
         if not data or not data[0]:
             raise DomainError("matrix must have at least one row and one column")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise DomainError("ragged rows in matrix")
         self._rows = data
+
+    @classmethod
+    def _unscanned(cls, rows: tuple, den: int) -> "Mat":
+        """A Mat on nonempty rectangular rows of normalized entries whose
+        denominators have lcm den, taken from another Mat: no scan."""
+        out = object.__new__(cls)
+        out._rows, out._den = rows, den
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -134,15 +150,17 @@ class Mat:
         return [list(r) for r in self._rows]
 
     def transpose(self) -> "Mat":
-        return Mat(zip(*self._rows))
+        return Mat._unscanned(tuple(zip(*self._rows)), self._den)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DomainError(
                 f"shape mismatch in product: {self.shape} @ {other.shape}")
         bt = other.col_tuples()
-        return Mat([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                    for row in self._rows])
+        prod = tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in self._rows)
+        if self._den == other._den == 1:
+            return Mat._unscanned(prod, 1)
+        return Mat(prod)
 
     def scale(self, k) -> "Mat":
         return Mat([[k * x for x in row] for row in self._rows])
@@ -164,20 +182,20 @@ class Mat:
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self._rows for x in row)
-
-    def denominator_lcm(self) -> int:
-        return math.lcm(*(x.denominator for row in self._rows for x in row))
+        return self._den == 1
 
     def int_scaled(self) -> tuple[int, list[list[int]]]:
         """(D, D*self as int lists); D is the lcm of all denominators."""
-        d = self.denominator_lcm()
+        d = self._den
         if d == 1:
             return 1, [list(r) for r in self._rows]
         return d, [[_as_int(x * d) for x in row] for row in self._rows]
 
     def take_cols(self, idx0: Sequence[int]) -> "Mat":
-        return Mat([[row[j] for j in idx0] for row in self._rows])
+        rows = tuple(tuple([row[j] for j in idx0]) for row in self._rows)
+        if self._den == 1 and idx0:  # rational columns set their own denominator
+            return Mat._unscanned(rows, 1)
+        return Mat(rows)
 
     def det(self):
         if self.rows != self.cols:
@@ -409,15 +427,14 @@ def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
 
 
 def block_diag(*mats: Mat) -> Mat:
-    total_r = sum(m.rows for m in mats)
     total_c = sum(m.cols for m in mats)
-    out = [[0] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m[i, j]
-        r0 += m.rows
+        for row in m.row_tuples():
+            line = [0] * total_c
+            line[c0:c0 + m.cols] = row
+            out.append(line)
         c0 += m.cols
     return Mat(out)
 

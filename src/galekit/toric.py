@@ -10,10 +10,10 @@ an explicit block product, and the Cartier index of a divisor a is the order
 of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  A table of
 d = det and d times the inverse of each block gives delta_Sigma, the lcm of the
 |d|, and Pic, the dual of the sum of the inverses modulo delta_Sigma.
-``full_report`` validates its input once and derives each object once (from
-Q, the dual V is ``classify_w``'s kernel and V's class group is read off its
-column lattice; only a fan passed in is checked); the public per-object
-functions validate the fan, then call the same cores.
+``full_report`` validates its input once and derives each object once (one
+``hnf(Q^T)`` gives U_Q and ``classify_w``'s kernel, from Q the dual V, whose
+class group is read off its column lattice; only a fan passed in is checked);
+the public per-object functions validate the fan, then call the same cores.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .matrix import (
     det_exact,
     mat_vec,
     solve,
-    submatrix_cols,
 )
-from .normal_forms import _hermite_insert, _hermite_mod, hnf
+from .normal_forms import HnfResult, _hermite_insert, _hermite_mod, hnf
 from .lattices import Lattice, QuotientStructure, quotient_structure
 from .gale import gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
@@ -113,9 +112,13 @@ def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
 def cl_generators_full(Q: Mat) -> Mat:
     """The whole Hermite transform U_Q (class-group generators on top, a fan
     matrix below)."""
-    r = Q.rows
-    res = hnf(Q.transpose())
-    expected = Mat([[int(i == j) for j in range(r)] for i in range(Q.cols)])
+    return _pws_transform(hnf(Q.transpose()), Q.rows)
+
+
+def _pws_transform(res: HnfResult, r: int) -> Mat:
+    """U_Q from res = ``hnf(Q^T)`` for a Q with r rows, whose H must be
+    (I | 0)^T."""
+    expected = Mat([[int(i == j) for j in range(r)] for i in range(res.H.rows)])
     if res.H != expected:
         raise DomainError("weight matrix is not of PWS type: "
                           "HNF(Q^T) is not (I | 0)")
@@ -147,11 +150,12 @@ def _cone_table(Q: Mat, fan: Fan) -> list[tuple[int, list[list[int]]]]:
     r = Q.rows
     table = []
     for cone in fan.maximal_cones:
-        qi = submatrix_cols(Q, cone.gens, complement=True)
-        m = [list(row) + [int(i == j) for j in range(r)]
-             for i, row in enumerate(qi.row_tuples())]
-        pivots, d = _eliminate(m, qi.cols)
-        if len(pivots) < r or qi.cols != r:
+        gens = set(cone.gens)
+        rest = [j for j in range(Q.cols) if j + 1 not in gens]
+        m = [[row[j] for j in rest] + [int(i == j) for j in range(r)]
+             for i, row in enumerate(Q.row_tuples())]
+        pivots, d = _eliminate(m, len(rest))
+        if len(pivots) < r or len(rest) != r:
             raise GaleKitError("Picard lattice is not of full rank (unreachable "
                                "for simplicial complete fans)")
         table.append((d, _back_substitute(m, pivots, d, range(r, 2 * r))))
@@ -265,7 +269,8 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")
         Q = gale_dual(V)
-    wrep, kernel = _classify_w(Q)
+    qt = hnf(Q.transpose())  # its rows of U past the rank are ker(Q)
+    wrep, kernel = _classify_w(Q, list(qt.U.row_tuples()[qt.rank:]))
     if not wrep.is_w_matrix:
         if derived:
             raise GaleKitError("Gale dual of an F-matrix is not a W-matrix "
@@ -284,7 +289,7 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
 
     n, r = V.rows, Q.rows
     cl = QuotientStructure(r)  # Cl is torsion-free, so Cl = Z^r
-    u_full = cl_generators_full(Q)
+    u_full = _pws_transform(qt, r)
     gens = Mat([u_full.row(i) for i in range(r)])
     b, delta = _picard_basis(Q, chosen)
     c = cartier_basis(b, u_full)

@@ -337,9 +337,9 @@ def test_is_w_reduced_examples():
 def test_is_w_reduced_one_hnf_per_column(monkeypatch):
     # one transform-free Hermite pass per column-deleted Q^i, for its
     # maximal minors, and no hnf with its transform
-    calls = count_calls(monkeypatch, normal_forms, "hnf", "_hermite_basis")
+    calls = count_calls(monkeypatch, normal_forms, "hnf", "_hermite_insert")
     assert fw._is_w_reduced(WORKED_Q, WORKED_V)
-    assert calls["_hermite_basis"] == WORKED_Q.cols
+    assert calls["_hermite_insert"] == WORKED_Q.cols
     assert calls["hnf"] == 0
 
 

@@ -5,8 +5,9 @@ Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 standard library (the empty dependency list of ``pyproject.toml``),
 keeps no results in a ``functools`` cache, runs the Euclid scan of
 ``hnf`` nowhere else, reaches Smith forms only through row insertion,
-enumerates the fan of a toric call only in the fan selector and derives
-the Picard lattice without intersecting lattices.
+enumerates the fan of a toric call only in the fan selector, derives
+the Picard lattice without intersecting lattices and builds a ``Mat``
+without its construction scan only inside ``matrix.py``.
 """
 
 import ast
@@ -178,3 +179,20 @@ def test_toric_takes_no_lattice_intersection():
         if isinstance(name, str) and "lattice_intersection" in name:
             found.append(node.lineno)
     assert not found, f"toric.py names lattice_intersection at lines {found}"
+
+
+def test_unscanned_matrices_stay_in_matrix():
+    """``Mat._unscanned`` trusts rows and a denominator taken from another
+    Mat, so it is named only inside ``matrix.py``: no rows from another
+    module enter a Mat without the scan.  Names, attributes, imports and
+    strings all count as uses."""
+    uses = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(name, str) and "_unscanned" in name:
+                uses.append(path.name)
+    assert uses and set(uses) == {"matrix.py"}, uses

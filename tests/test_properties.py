@@ -1,4 +1,5 @@
-"""Property tests of the fraction-free linear algebra kernel (``solve``,
+"""Property tests of the stored denominator of ``Mat``, of the
+fraction-free linear algebra kernel (``solve``,
 ``Mat.rank`` and ``Mat.inverse`` on small rational matrices), of integer
 left kernels (``left_kernel_rows``), of the integer normal forms ``snf``
 and ``positive_row_echelon``, and of lattice membership
@@ -35,7 +36,14 @@ from galekit import (  # noqa: E402
     snf,
 )
 from galekit.lattices import _gcd_maximal_minors  # noqa: E402
-from galekit.matrix import dot, solve  # noqa: E402
+from galekit.matrix import (  # noqa: E402
+    block_diag,
+    dot,
+    format_matrix,
+    parse_matrix,
+    solve,
+    submatrix_cols,
+)
 from conftest import hnf_clauses_hold, solve_oracle  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
@@ -109,6 +117,65 @@ def test_inverse_when_nonsingular(A):
         assert A.inverse() @ A == Mat.identity(n)
 
 
+def _made_from(A, B, Z, k):
+    """Every way of making a Mat, from a rational 3 x 4 A, a rational 4 x 2
+    B, an integer 3 x 2 Z and a scalar k.  W = [A | Z] is rational with its
+    last two columns integral, so a selection of them has denominator 1."""
+    W = _hstack(A, Z)
+    return {
+        "int rows": Mat(Z.to_lists()),
+        "Fraction rows": Mat([[Fraction(x) for x in row] for row in A.row_tuples()]),
+        "mixed rows": W,
+        "transpose": A.transpose(),
+        "int transpose": Z.transpose(),
+        "take_cols of int columns": W.take_cols([4, 5]),
+        "take_cols": W.take_cols([0, 5]),
+        "submatrix_cols of int columns": submatrix_cols(W, (5, 6)),
+        "complement": submatrix_cols(W, (5, 6), complement=True),
+        "product": A @ B,
+        "int product": Z.transpose() @ Z,
+        "rational by int": Z.transpose() @ A,
+        "scale": A.scale(k),
+        "int scale": Z.scale(k),
+        "negation": -A,
+        "block_diag": block_diag(Z, A, Z),
+        "int block_diag": block_diag(Z, Mat.identity(2)),
+        "from_cols": Mat.from_cols(A.col_tuples()),
+        "identity": Mat.identity(A.rows),
+        "parse_matrix": parse_matrix(format_matrix(W)),
+    }
+
+
+def _check_stored_denominators(made):
+    for how, M in made.items():
+        entries = [x for row in M.row_tuples() for x in row]
+        den = math.lcm(*(Fraction(x).denominator for x in entries))
+        d, scaled = M.int_scaled()
+        assert d == den, how
+        assert scaled == [[x * d for x in row] for row in M.row_tuples()], how
+        assert M.is_integral == (den == 1) == all(type(x) is int for x in entries), how
+
+
+def test_stored_denominator_on_integral_results_of_rational_matrices():
+    # each result is integral, or has a smaller denominator than its parent
+    h = Fraction(1, 2)
+    A = Mat([[h, 1, Fraction(1, 3), 2], [1, 1, 1, 1], [0, h, 1, 0]])
+    B = Mat([[2, 0], [0, 1], [0, 3], [1, 1]])
+    Z = Mat([[1, 2], [3, 4], [5, 6]])
+    made = _made_from(A, B, Z, 6)
+    _check_stored_denominators(made)
+    assert made["take_cols of int columns"].is_integral
+    assert made["scale"].is_integral and made["product"].int_scaled()[0] == 2
+    assert (Mat([[h, Fraction(1, 3)]]) @ Mat([[2], [3]])).is_integral
+
+
+@PROFILE
+@given(matrices(3, 4), matrices(4, 2), matrices(3, 2, st.integers(-6, 6)),
+       entries)
+def test_stored_denominator_is_a_fresh_scan(A, B, Z, k):
+    _check_stored_denominators(_made_from(A, B, Z, k))
+
+
 @st.composite
 def kernel_inputs(draw):
     """m x n matrices, half of them a product X Y through r <= n columns,
@@ -128,7 +195,7 @@ def test_left_kernel_is_the_saturated_kernel_in_hermite_form(A):
     assert all(dot(row, col) == 0 for row in rows for col in A.col_tuples())
     if rows:
         K = Mat(rows)
-        assert _gcd_maximal_minors(K) == 1
+        assert _gcd_maximal_minors(K.col_tuples(), K.rows) == 1
         pivots = [next(j for j, x in enumerate(row) if x) + 1 for row in rows]
         assert hnf_clauses_hold(K, pivots)
 

@@ -340,6 +340,28 @@ def test_picard_pass_takes_no_lattice_intersection(monkeypatch):
     assert not calls, calls
 
 
+def test_report_path_selects_no_columns(monkeypatch):
+    # the per-cone blocks and the column-deleted Q^i of the reducedness
+    # test are read off the rows and columns of Q, not built by
+    # submatrix_cols (on P2 x P2, 9 cones and 6 columns, that made 33
+    # calls here, 15 of them in full_report)
+    Q = Mat([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]])
+    fan = fan_from_cones(gale_dual(Q), _product_cones(3, 3))
+    calls = count_calls(monkeypatch, matrix, "submatrix_cols")
+    rep = full_report(Q=Q, fan=fan)
+    assert picard_basis(Q, fan) == rep.picard_basis == Mat.identity(2)
+    assert delta_sigma(Q, fan) == rep.delta_sigma == 1
+    assert calls["submatrix_cols"] == 0
+
+
+def test_full_report_takes_one_left_kernel(monkeypatch):
+    # classify_w reads ker(Q) off the rows of hnf(Q^T).U past the rank
+    calls = count_calls(monkeypatch, normal_forms, "_left_kernel", "hnf")
+    assert full_report(Q=WORKED_Q).picard_basis == Mat([[2, 0], [0, 2]])
+    assert calls["_left_kernel"] == 1
+    assert calls["hnf"] == 1
+
+
 def test_cartier_index_worked():
     fan = _worked_fan()
     values = [cartier_index(WORKED_V, fan, tuple(int(t == j) for t in range(4)))
@@ -405,7 +427,7 @@ def test_full_report_derives_each_object_once(monkeypatch, source):
     # input check and classify_w(Q) the invariant, one LP each
     gale_calls = count_calls(monkeypatch, gale, "gale_dual")
     fw_calls = count_calls(monkeypatch, fw, "_classify_w")
-    toric_calls = count_calls(monkeypatch, toric, "is_pws", "cl_generators_full")
+    toric_calls = count_calls(monkeypatch, toric, "is_pws", "_pws_transform")
     lp_calls = count_calls(monkeypatch, matrix, "_nonneg_solve")
     smith_calls = count_calls(monkeypatch, normal_forms, "_smith")
     table_calls = count_calls(monkeypatch, fans_module, "_Circuits")
@@ -417,7 +439,7 @@ def test_full_report_derives_each_object_once(monkeypatch, source):
     assert gale_calls["gale_dual"] == (source == "V")
     assert fw_calls["_classify_w"] == 1
     assert toric_calls["is_pws"] == (source == "V")
-    assert toric_calls["cl_generators_full"] == 1
+    assert toric_calls["_pws_transform"] == 1
     assert lp_calls["_nonneg_solve"] == (1 if source == "Q" else 2)
     assert smith_calls["_smith"] == (source == "V")
     assert table_calls["_Circuits"] == 1
