@@ -4,8 +4,9 @@ with a prescribed ray set and support.
 Cones are index sets (1-based) into the columns of an ambient matrix V.
 Every combinatorial question about cones on V is answered from one table of
 V's oriented matroid, built once per call and passed on, never cached: the
-signs of the maximal minors of V restricted to a row basis (the chirotope)
-and the oriented circuits, the sign patterns of the minimal linear
+signs of the maximal minors of V restricted to a row basis (the chirotope,
+from one Laplace sweep down that basis, each minor from those one row
+smaller) and the oriented circuits, the sign patterns of the minimal linear
 dependences among the columns.  Each circuit Z is stored in both
 orientations as a pair (Z+, Z-) of bitmasks, bit j-1 standing for column j.
 Rank-deficient V and cones of any dimension are covered, since a row basis
@@ -30,8 +31,9 @@ v_k would meet cone(B) in a face of dimension >= 2 and not in a common face
 (dimension 1 is a repeated ray, refused).  Conversely a collection of
 candidates whose support is the cone on all columns holds each v_k in some
 cone, hence as a generator, so every complete fan the search reaches uses
-every ray.  One pass over the circuits gives every candidate the bitmask of
-the candidates it conflicts with.
+every ray.  Candidates stay indices into the bases, so the filter and the
+one pass over the circuits that gives every candidate the bitmask of the
+candidates it conflicts with share one table of the bases holding each column.
 
 Validation (``is_fan``, ``is_support_complete``, ``_check_fan``) makes the
 same pass over the cones given and one count of their facets; each returns
@@ -46,7 +48,7 @@ branch at once.  The rule depends only on the cones chosen, and exactly one
 cone of a fan meets each of its demands, so each fan is found once, from
 its least cone.  A candidate is admitted unless the node's ban mask holds
 it: the cones chosen, the cones they conflict with, and every candidate up
-to the root.  A complete fan is read off the candidates on the search path.
+to the root.  The cone that closes the last open demand completes a fan.
 Support coverage is certified combinatorially: every facet of the final
 collection is either shared by exactly two maximal cones or spans a
 supporting hyperplane of the whole configuration.
@@ -57,6 +59,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .matrix import (
@@ -64,7 +67,6 @@ from .matrix import (
     GaleKitError,
     Mat,
     _back_substitute,
-    _bareiss_det,
     _eliminate,
     _int_row,
     _nonneg_solve,
@@ -154,7 +156,10 @@ class _Circuits:
     """Chirotope and oriented circuits of the columns of V.
 
     ``chi`` maps the bitmask of each basis (rank-many independent columns),
-    in lexicographic order, to the sign of its minor on a fixed row basis;
+    in lexicographic order, to the sign of its minor on a fixed row basis
+    v_0, v_1, ...; one Laplace sweep finds the minor of rows 0..k on S =
+    (s_0 < ... < s_k) as sum_pos (-1)^(k + pos) v_k[s_pos] M(S - s_pos), M
+    the nonzero minors of rows 0..k-1.
     ``circuits`` holds every oriented circuit in both orientations as sorted
     (positive, negative) bitmask pairs.  The circuit of a rank+1 subset S = (s_0 < ... < s_rank)
     of rank ``rank`` is the sign vector of its kernel, (-1)^i chi(S - s_i).
@@ -165,26 +170,33 @@ class _Circuits:
         _, rows = V.int_scaled()
         # pivot columns of V^T: each row of V independent of those before it
         pivots, _ = _eliminate([list(c) for c in zip(*rows)], len(rows))
-        basis = [rows[i] for i in pivots]
-        s, rho = V.cols, len(basis)
+        s, rho = V.cols, len(pivots)
         self.rank = rho
         self.cols = s
-        chi: dict[int, int] = {}
-        for sub in combinations(range(s), rho):
-            d = _bareiss_det([[row[j] for j in sub] for row in basis]) if rho else 1
-            if d:
-                chi[_mask(sub)] = 1 if d > 0 else -1
+        bits = [1 << j for j in range(s)]
+        minors = {0: 1}  # the nonzero minors of the basis rows so far
+        for k, i in enumerate(pivots):
+            get, minors, row = minors.get, {}, dict(zip(bits, rows[i]))
+            for sub in combinations(bits, k + 1):
+                m = sum(sub)
+                d = 0  # ends as the alternating Laplace sum over S = sub
+                for b in sub:
+                    d = row[b] * get(m ^ b, 0) - d
+                if d:
+                    minors[m] = d
+        chi = {m: 1 if d > 0 else -1 for m, d in minors.items()}
         found = set()
-        for sub in combinations(range(s), rho + 1):
-            m = _mask(sub)
-            pos = neg = 0
-            for i, j in enumerate(sub):
-                sign = chi.get(m ^ 1 << j, 0)
+        for sub in combinations(bits, rho + 1):
+            m = sum(sub)
+            pos = neg = 0  # swapped after each column: s_i goes by (-1)^i chi(S - s_i)
+            for b in sub:
+                sign = chi.get(m ^ b)
                 if sign:
-                    if (sign > 0) == (i % 2 == 0):
-                        pos |= 1 << j
+                    if sign > 0:
+                        pos |= b
                     else:
-                        neg |= 1 << j
+                        neg |= b
+                pos, neg = neg, pos
             if pos | neg:
                 found.add((pos, neg))
                 found.add((neg, pos))
@@ -218,14 +230,13 @@ def _holders(masks: Sequence[int], cols: int) -> list[int]:
     return holders
 
 
-def _conflicts(table: _Circuits, masks: Sequence[int]) -> list[int]:
-    """conflicts[i]: bitmask of the simplicial cones in ``masks`` that do not
-    meet cone i in a common face, i.e. hold Z- of a circuit whose Z+ cone i
-    holds.  One pass over the circuits: with the cones holding each column
-    as a bitmask, a circuit costs one AND per column."""
-    holders = _holders(masks, table.cols)
-    every = (1 << len(masks)) - 1
-    conflicts = [0] * len(masks)
+def _conflicts(table: _Circuits, holders: Sequence[int], every: int) -> list[int]:
+    """conflicts[i], i in the bitmask ``every`` of simplicial cones: bitmask
+    of the cones in ``every`` that do not meet cone i in a common face, i.e.
+    hold Z- of a circuit whose Z+ cone i holds.  One pass over the circuits:
+    with the cones holding each column as a bitmask (``_holders``), a
+    circuit costs one AND per column."""
+    conflicts = [0] * every.bit_length()
     for p, q in table.circuits:
         first = every
         for j in _bits(p):
@@ -280,7 +291,8 @@ def _conflict(table: _Circuits, used: Sequence[int], masks: Sequence[int]
     faces; else the error naming the first pair, in the order given, that
     does not, and the circuit behind it, with Z+ in the first cone and Z- in
     the second."""
-    for i, other in enumerate(_conflicts(table, masks)):
+    every = (1 << len(masks)) - 1
+    for i, other in enumerate(_conflicts(table, _holders(masks, table.cols), every)):
         if other:
             a, b = masks[i], masks[(other & -other).bit_length() - 1]
             for p, q in table.circuits:
@@ -399,29 +411,31 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
                           f"{i} and {j} span the same ray")
     if table.rank < n:
         raise DomainError("degenerate configuration: rank-deficient matrix")
+    if s == n:  # one basis, and its cone is the only fan
+        return [Fan(V, (Cone(tuple(range(1, s + 1))),))]
 
     bases = list(table.chi)  # V has full rank: chi's keys, in lexicographic order
-    # a circuit (Z+, {k}) puts v_k in the relative interior of cone(Z+), so
-    # no basis holding Z+ is a cone of a fan on every ray
+    # candidates, a bitmask of indices into bases: a circuit (Z+, {k}) puts
+    # v_k in the relative interior of cone(Z+), so no basis holding Z+ is a
+    # cone of a fan on every ray
     holders = _holders(bases, s)
-    blocked = 0
+    cands = (1 << len(bases)) - 1
     for p, q in table.circuits:
         if not q & q - 1:
-            held = -1
+            held = cands
             for j in _bits(p):
                 held &= holders[j]
-            blocked |= held
-    cands = [m for i, m in enumerate(bases) if not blocked >> i & 1]
-    conflicts = _conflicts(table, cands)
+            cands ^= held
+    conflicts = _conflicts(table, holders, cands)
 
     # a demand (F, t): an unmatched interior facet F and the side t its
     # neighbour must lie on.  A candidate on side t of its facet F meets
     # (F, t) and opens (F, -t); demands are indexed by rank, fewest
     # candidates first
-    inner = []
+    inner: list[list[tuple[int, int]]] = [[] for _ in bases]
     meets: dict[tuple[int, int], list[int]] = {}
-    for i, m in enumerate(cands):
-        facets = []
+    for i in _bits(cands):
+        m, facets = bases[i], inner[i]
         for j in _bits(m):
             facet = m ^ 1 << j
             if not table.is_boundary(facet):
@@ -429,7 +443,6 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
                 facets.append((facet, side))
                 meets.setdefault((facet, side), []).append(i)
                 meets.setdefault((facet, -side), [])
-        inner.append(facets)
     order = sorted(meets, key=lambda d: (len(meets[d]), *d))
     rank = {d: r for r, d in enumerate(order)}
     by_rank = [meets[d] for d in order]
@@ -440,15 +453,12 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
     pairs = [[(1 << rank[facet, side], 1 << rank[facet, -side])
               for facet, side in facets] for facets in inner]
 
+    banned = [c | 1 << i for i, c in enumerate(conflicts)]
     path: list[int] = []  # the candidates chosen, in the order pushed
-    results: list[tuple[int, ...]] = []
+    results: list[list[int]] = []
 
     def dfs(open_: int, ban: int) -> None:
-        if not open_:
-            results.append(tuple(sorted(path)))
-            return
-        need = (open_ & -open_).bit_length() - 1
-        for i in by_rank[need]:
+        for i in by_rank[(open_ & -open_).bit_length() - 1]:
             if ban >> i & 1:
                 continue
             child = open_
@@ -458,23 +468,27 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
                 else:
                     child |= opens
             path.append(i)
-            dfs(child, ban | conflicts[i] | 1 << i)
+            if child:
+                dfs(child, ban | banned[i])
+            else:
+                results.append(sorted(path))
             path.pop()
 
-    for root, m in enumerate(cands):
-        if not m & 1:
+    for root in _bits(cands):
+        if not bases[root] & 1:
             # a fan on every ray is found from its least cone, which holds
             # column 1; the candidates holding it come first
             break
+        # s > n: no candidate's cone holds every column, so each root opens a demand
         path.append(root)
-        dfs(sum(opens for _, opens in pairs[root]),
-            conflicts[root] | (2 << root) - 1)
+        dfs(sum(opens for _, opens in pairs[root]), banned[root] | (1 << root) - 1)
         path.pop()
 
-    # candidates are in lexicographic order, so index tuples sort like fans
-    cones = [Cone(gens=tuple(j + 1 for j in _bits(m))) for m in cands]
-    return [Fan(V=V, maximal_cones=tuple(map(cones.__getitem__, fset)))
-            for fset in sorted(results)]
+    # bases are in lexicographic order, so index lists sort like fans; with
+    # s > n a fan has two cones or more, so itemgetter returns a tuple
+    cones = [Cone(tuple(j + 1 for j in _bits(m))) if cands >> i & 1 else None
+             for i, m in enumerate(bases)]
+    return [Fan(V, itemgetter(*fset)(cones)) for fset in sorted(results)]
 
 
 def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",

@@ -25,9 +25,15 @@ from .normal_forms import left_kernel_rows
 def gale_dual(A: Mat) -> Mat:
     """Canonical Gale dual: Hermite basis of ker(A) as rows.  The rank of A
     is read off the same elimination: cols minus the kernel's dimension."""
+    return _gale_dual(A)
+
+
+def _gale_dual(A: Mat, kernel: "list[tuple] | None" = None) -> Mat:
+    """``gale_dual(A)``.  A caller that holds the Hermite basis of ker(A)
+    (the rows of ``hnf(A^T).U`` past the rank) passes it as ``kernel``."""
     if not A.is_integral:
         raise DomainError("gale_dual requires an integer matrix")
-    kern = left_kernel_rows(A.transpose())
+    kern = left_kernel_rows(A.transpose()) if kernel is None else kernel
     if A.cols - len(kern) < A.rows:
         raise DomainError("gale_dual requires full row rank")
     if A.cols <= A.rows:

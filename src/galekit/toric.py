@@ -36,7 +36,7 @@ from .matrix import (
 )
 from .normal_forms import HnfResult, _hermite_insert, _hermite_mod, hnf
 from .lattices import Lattice, QuotientStructure, quotient_structure
-from .gale import gale_dual
+from .gale import _gale_dual, gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
 from .fans import DEFAULT_CAP, Fan, _check_fan, _select_fan
 
@@ -199,9 +199,10 @@ def cartier_basis(B: Mat, U_Q: Mat) -> Mat:
 def delta_sigma(Q: Mat, fan: Fan) -> int:
     """lcm of |det| of the complementary weight submatrices over all maximal
     cones; multiplies every ray divisor into a Cartier divisor."""
-    _check_fan(gale_dual(Q), fan)
+    qt = hnf(Q.transpose())  # its rows of U past the rank are ker(Q)
+    _check_fan(_gale_dual(Q, list(qt.U.row_tuples()[qt.rank:])), fan)
     b, delta = _picard_basis(Q, fan)
-    _check_delta_sigma(delta, cartier_basis(b, cl_generators_full(Q)))
+    _check_delta_sigma(delta, cartier_basis(b, _pws_transform(qt, Q.rows)))
     return delta
 
 

@@ -20,8 +20,17 @@ import sys
 from typing import Sequence
 
 from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
-from galekit.fans import Cone, Fan, _Circuits, _bits, _conflicts, _mask
-from galekit.matrix import _nonneg_solve, _norm_entry, _pivot, block_diag, solve, xgcd
+from galekit.fans import Cone, Fan, _Circuits, _bits, _conflicts, _holders, _mask
+from galekit.matrix import (
+    _bareiss_det,
+    _eliminate,
+    _nonneg_solve,
+    _norm_entry,
+    _pivot,
+    block_diag,
+    solve,
+    xgcd,
+)
 from galekit.normal_forms import _lift_into_rows, _positive_span_vector
 
 
@@ -350,6 +359,40 @@ def support_complete_oracle(V: Mat, cones) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the circuit table that the Laplace sweep replaced: one Bareiss determinant
+# per basis
+
+def chirotope_oracle(V: Mat) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
+    """(chi, circuits) of ``_Circuits(V)``, chi in lexicographic order, with
+    the maximal minors on the row basis taken one ``_bareiss_det`` each."""
+    _, rows = V.int_scaled()
+    # pivot columns of V^T: each row of V independent of those before it
+    pivots, _ = _eliminate([list(c) for c in zip(*rows)], len(rows))
+    basis = [rows[i] for i in pivots]
+    s, rho = V.cols, len(basis)
+    chi: dict[int, int] = {}
+    for sub in combinations(range(s), rho):
+        d = _bareiss_det([[row[j] for j in sub] for row in basis]) if rho else 1
+        if d:
+            chi[_mask(sub)] = 1 if d > 0 else -1
+    found = set()
+    for sub in combinations(range(s), rho + 1):
+        m = _mask(sub)
+        pos = neg = 0
+        for i, j in enumerate(sub):
+            sign = chi.get(m ^ 1 << j, 0)
+            if sign:
+                if (sign > 0) == (i % 2 == 0):
+                    pos |= 1 << j
+                else:
+                    neg |= 1 << j
+        if pos | neg:
+            found.add((pos, neg))
+            found.add((neg, pos))
+    return chi, tuple(sorted(found))
+
+
+# ---------------------------------------------------------------------------
 # the fan search that the all-rays candidate rule and the demand order replaced:
 # candidates drop only bases with a ray strictly inside, the search always
 # extends the least open facet, and complete leaves that miss a ray are
@@ -385,7 +428,7 @@ def enumerate_SF_oracle(V: Mat, cap: int = 10) -> list[Fan]:
     cands = [m for m in (_mask(pick) for pick in combinations(range(s), n))
              if m in table.chi and m not in blocked]
 
-    conflicts = _conflicts(table, cands)
+    conflicts = _conflicts(table, _holders(cands, s), (1 << len(cands)) - 1)
 
     # interior facets of each candidate, with the side of the dropped ray
     inner: list[list[tuple[int, int]]] = []

@@ -21,10 +21,12 @@ from galekit import (
     is_fan,
     is_support_complete,
 )
+from galekit import fans as fans_module
 from galekit import matrix
 from galekit.fans import _Circuits, _check_fan
 from conftest import (
     ConeGeom,
+    chirotope_oracle,
     count_calls,
     count_rank_calls,
     enumerate_SF_oracle,
@@ -605,3 +607,60 @@ def test_enumerate_matches_oracle_fuzz():
         face_drops += _face_ray_drops(V) > 0
     assert errors >= 500 and fans >= 4000, (errors, fans)
     assert face_drops >= 100, face_drops
+
+
+def _table_fuzz_case(rng, trial):
+    """Ranks 0 to 5 on 1 to 10 columns: zero and rank-one matrices, a row
+    that is the sum of two others, rational entries, and plain draws."""
+    n, s = rng.randint(1, 5), rng.randint(1, 10)
+    rows = rand_mat(rng, n, s, -3, 3).to_lists()
+    kind = trial % 5
+    if kind == 1:
+        rows = [[0] * s for _ in range(n)]
+    elif kind == 2:
+        rows = [[rng.randint(-2, 2) * x for x in rows[0]] for _ in range(n)]
+    elif kind == 3 and n > 2:
+        rows[rng.randrange(n)] = [a + b for a, b in zip(rows[0], rows[1])]
+    elif kind == 4:
+        rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+    return Mat(rows)
+
+
+def test_circuit_table_matches_bareiss_oracle_fuzz():
+    """The Laplace sweep gives the chirotope, in the same order, and the
+    circuits of one Bareiss determinant per basis: 600 seeded matrices and
+    a 5 x 18 configuration."""
+    rng = random.Random(2406)
+    cases = [_table_fuzz_case(rng, trial) for trial in range(600)]
+    cases.append(rand_mat(rng, 5, 18, -2, 2))
+    ranks = []
+    rational = deficient = 0
+    for V in cases:
+        table = _Circuits(V)
+        chi, circuits = chirotope_oracle(V)
+        assert list(table.chi.items()) == list(chi.items()), V
+        assert table.circuits == circuits, V
+        assert table.rank == gauss_rank(V), V
+        ranks.append(table.rank)
+        rational += not V.is_integral
+        deficient += 0 < table.rank < V.rows
+    assert ranks.count(0) >= 100 and ranks.count(1) >= 100, ranks
+    assert rational >= 100 and deficient >= 100, (rational, deficient)
+    assert cases[-1].shape == (5, 18) and ranks[-1] == 5
+
+
+def test_circuit_table_takes_no_bareiss_determinant(monkeypatch):
+    calls = count_calls(monkeypatch, matrix, "_bareiss_det")
+    for V in (WORKED_V, NOPROJ_V, Mat([[Fraction(1, 2), 0, -1]]),
+              Mat([[0, 0, 0], [0, 0, 0]])):
+        _Circuits(V)
+    assert calls["_bareiss_det"] == 0
+
+
+def test_enumerate_builds_column_holders_once(monkeypatch):
+    # the candidate filter and the conflict pass share one holders table
+    calls = count_calls(monkeypatch, fans_module, "_holders")
+    for V, count in ((NOPROJ_V, 8), (P2_V, 1), (RAY4_V, 2)):
+        calls.clear()
+        assert len(enumerate_SF(V)) == count
+        assert calls["_holders"] == 1

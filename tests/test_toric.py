@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -211,6 +212,34 @@ def test_cartier_basis_smooth_is_transform():
 
 def test_delta_sigma_worked():
     assert delta_sigma(WORKED_Q, _worked_fan()) == 2
+
+
+def test_delta_sigma_takes_one_left_kernel(monkeypatch):
+    # one hnf(Q^T): its rows of U past the rank are the Gale dual that the
+    # fan is checked against, and U itself is U_Q
+    calls = count_calls(monkeypatch, normal_forms, "_left_kernel", "hnf")
+    assert delta_sigma(WORKED_Q, _worked_fan()) == 2
+    assert calls["_left_kernel"] == 1
+    assert calls["hnf"] == 1
+
+
+@pytest.mark.parametrize("Q, fan, message", [
+    # the Gale dual's checks first, then the fan's, then the PWS check
+    (Mat([[Fraction(1, 2), 1, 0, 0], [0, 1, 1, 2]]), Fan(WORKED_V, (Cone((1,)),)),
+     "gale_dual requires an integer matrix"),
+    (Mat([[1, 1, 0, 0], [2, 2, 0, 0]]), Fan(WORKED_V, (Cone((1,)),)),
+     "gale_dual requires full row rank"),
+    (Mat([[1, 0], [0, 1]]), Fan(WORKED_V, (Cone((1,)),)),
+     "gale_dual requires more columns than rows"),
+    (Mat([[2, 2, 4]]), Fan(Mat([[1, 1, -1], [0, 2, -1]]), (Cone((1,)),)),
+     "maximal cones must have exactly n generators"),
+    (Mat([[2, 2, 4]]), fan_from_cones(Mat([[1, 1, -1], [0, 2, -1]]),
+                                      [[1, 2], [1, 3], [2, 3]]),
+     "weight matrix is not of PWS type: HNF(Q^T) is not (I | 0)"),
+])
+def test_delta_sigma_errors_in_order(Q, fan, message):
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        delta_sigma(Q, fan)
 
 
 def test_delta_sigma_smooth():
