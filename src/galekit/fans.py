@@ -5,10 +5,11 @@ Cones are index sets (1-based) into the columns of an ambient matrix V.
 Every combinatorial question about cones on V is answered from one table of
 V's oriented matroid, built once per call and passed on, never cached: the
 signs of the maximal minors of V restricted to a row basis (the chirotope,
-from one Laplace sweep down that basis, each minor from those one row
-smaller) and the oriented circuits, the sign patterns of the minimal linear
-dependences among the columns.  Each circuit Z is stored in both
-orientations as a pair (Z+, Z-) of bitmasks, bit j-1 standing for column j.
+from one Laplace sweep, each minor from those one row smaller, down that
+basis or down a kernel basis when that is shorter) and the oriented
+circuits, the sign patterns of the minimal linear dependences among the
+columns.  Each circuit Z is stored in both orientations as a pair (Z+, Z-)
+of bitmasks, bit j-1 standing for column j.
 Rank-deficient V and cones of any dimension are covered, since a row basis
 has the same dependences as V.  Only point membership is asked outside the
 table (``cone_contains``).
@@ -59,6 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -67,6 +69,7 @@ from .matrix import (
     GaleKitError,
     Mat,
     _back_substitute,
+    _bareiss_det,
     _eliminate,
     _int_row,
     _nonneg_solve,
@@ -152,17 +155,39 @@ def _bits(m: int) -> list[int]:
     return out
 
 
+def _minors(rows: Sequence[Sequence[int]], bits: Sequence[int]) -> dict[int, int]:
+    """The nonzero maximal minors of the integer rows v_0, v_1, ... on the
+    columns ``bits`` (one bit each), keyed by column bitmask in lexicographic
+    order, from one Laplace sweep down the rows: the minor of rows 0..k on
+    S = (s_0 < ... < s_k) is sum_pos (-1)^(k + pos) v_k[s_pos] M(S - s_pos),
+    M the nonzero minors of rows 0..k-1.  About k C(s, k) steps per row."""
+    minors = {0: 1}
+    for k, r in enumerate(rows):
+        get, minors, row = minors.get, {}, dict(zip(bits, r))
+        for sub in combinations(bits, k + 1):
+            m = sum(sub)
+            d = 0  # ends as the alternating Laplace sum over S = sub
+            for b in sub:
+                d = row[b] * get(m ^ b, 0) - d
+            if d:
+                minors[m] = d
+    return minors
+
+
 class _Circuits:
     """Chirotope and oriented circuits of the columns of V.
 
     ``chi`` maps the bitmask of each basis (rank-many independent columns),
-    in lexicographic order, to the sign of its minor on a fixed row basis
-    v_0, v_1, ...; one Laplace sweep finds the minor of rows 0..k on S =
-    (s_0 < ... < s_k) as sum_pos (-1)^(k + pos) v_k[s_pos] M(S - s_pos), M
-    the nonzero minors of rows 0..k-1.
+    in lexicographic order, to the sign of its minor on a fixed row basis,
+    all minors from one sweep (``_minors``): down the rank rows of the
+    basis, or down the s - rank rows of a kernel basis K when that takes
+    fewer steps, set-up included; then chi(S) = c (-1)^(sum of S) sgn K(S^c)
+    with one sign c (Björner et al., *Oriented Matroids*, §3.4) fixed by one
+    determinant.
     ``circuits`` holds every oriented circuit in both orientations as sorted
-    (positive, negative) bitmask pairs.  The circuit of a rank+1 subset S = (s_0 < ... < s_rank)
-    of rank ``rank`` is the sign vector of its kernel, (-1)^i chi(S - s_i).
+    (positive, negative) bitmask pairs.  The circuit of a rank+1 subset
+    S = (s_0 < ... < s_rank) of rank ``rank`` is the sign vector of its
+    kernel, (-1)^i chi(S - s_i).
     ``_conflicts`` pair-tests many cones in one pass over ``circuits``.
     """
 
@@ -170,21 +195,37 @@ class _Circuits:
         _, rows = V.int_scaled()
         # pivot columns of V^T: each row of V independent of those before it
         pivots, _ = _eliminate([list(c) for c in zip(*rows)], len(rows))
-        s, rho = V.cols, len(pivots)
+        basis = [rows[i] for i in pivots]
+        s, rho = V.cols, len(basis)
         self.rank = rho
         self.cols = s
         bits = [1 << j for j in range(s)]
-        minors = {0: 1}  # the nonzero minors of the basis rows so far
-        for k, i in enumerate(pivots):
-            get, minors, row = minors.get, {}, dict(zip(bits, rows[i]))
-            for sub in combinations(bits, k + 1):
-                m = sum(sub)
-                d = 0  # ends as the alternating Laplace sum over S = sub
-                for b in sub:
-                    d = row[b] * get(m ^ b, 0) - d
-                if d:
-                    minors[m] = d
-        chi = {m: 1 if d > 0 else -1 for m, d in minors.items()}
+        # the sweep takes k C(s, k) steps on row k; the kernel's is shorter
+        # when 2 rho > s, but its set-up (an elimination, a determinant) weighs
+        # about 2 rho^2 s steps: timed, the two routes break even near s = 8
+        steps = [k * comb(s, k) for k in range(s + 1)]
+        if sum(steps[:rho + 1]) <= sum(steps[:s - rho + 1]) + 2 * rho * rho * s:
+            chi = {m: 1 if d > 0 else -1 for m, d in _minors(basis, bits).items()}
+        else:
+            # the kernel basis K: per free column f of the echelon form, -d
+            # at f and d times the reduced rows' entries at the pivot columns
+            e = [list(r) for r in basis]
+            piv, d = _eliminate(e, s)
+            free = [j for j in range(s) if j not in piv]
+            K = [[0] * s for _ in free]
+            for x, f, col in zip(K, free, zip(*_back_substitute(e, piv, d, free))):
+                x[f] = -d
+                for p, y in zip(piv, col):
+                    x[p] = y
+            # the complements of K's subsets, in reverse, are in lexicographic order
+            full, odd, chi = (1 << s) - 1, _mask(range(1, s, 2)), {}
+            for m, d in reversed(_minors(K, bits).items()):
+                m ^= full
+                chi[m] = 1 if (d > 0) == ((m & odd).bit_count() % 2 == 0) else -1
+            # one sign c for the whole table, from the minor on the pivot columns
+            det = _bareiss_det([[r[p] for p in piv] for r in basis])
+            if (det > 0) != (chi[_mask(piv)] > 0):
+                chi = {m: -sign for m, sign in chi.items()}
         found = set()
         for sub in combinations(bits, rho + 1):
             m = sum(sub)
@@ -411,8 +452,6 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
                           f"{i} and {j} span the same ray")
     if table.rank < n:
         raise DomainError("degenerate configuration: rank-deficient matrix")
-    if s == n:  # one basis, and its cone is the only fan
-        return [Fan(V, (Cone(tuple(range(1, s + 1))),))]
 
     bases = list(table.chi)  # V has full rank: chi's keys, in lexicographic order
     # candidates, a bitmask of indices into bases: a circuit (Z+, {k}) puts
@@ -479,16 +518,19 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
             # a fan on every ray is found from its least cone, which holds
             # column 1; the candidates holding it come first
             break
-        # s > n: no candidate's cone holds every column, so each root opens a demand
         path.append(root)
-        dfs(sum(opens for _, opens in pairs[root]), banned[root] | (1 << root) - 1)
+        open_ = sum(opens for _, opens in pairs[root])
+        if open_:
+            dfs(open_, banned[root] | (1 << root) - 1)
+        else:
+            results.append([root])  # its cone is the cone on all columns
         path.pop()
 
-    # bases are in lexicographic order, so index lists sort like fans; with
-    # s > n a fan has two cones or more, so itemgetter returns a tuple
-    cones = [Cone(tuple(j + 1 for j in _bits(m))) if cands >> i & 1 else None
-             for i, m in enumerate(bases)]
-    return [Fan(V, itemgetter(*fset)(cones)) for fset in sorted(results)]
+    # bases are in lexicographic order, so index lists sort like fans;
+    # itemgetter builds each tuple at its size, but gives one index bare
+    cones = {i: Cone(tuple(j + 1 for j in _bits(bases[i]))) for i in _bits(cands)}
+    return [Fan(V, itemgetter(*fset)(cones) if len(fset) > 1 else (cones[fset[0]],))
+            for fset in sorted(results)]
 
 
 def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -609,10 +610,14 @@ def test_enumerate_matches_oracle_fuzz():
     assert face_drops >= 100, face_drops
 
 
-def _table_fuzz_case(rng, trial):
-    """Ranks 0 to 5 on 1 to 10 columns: zero and rank-one matrices, a row
-    that is the sum of two others, rational entries, and plain draws."""
+def _table_fuzz_case(rng, trial, tall=False):
+    """Ranks 0 to 5 on 1 to 10 columns, or (tall) more rows than half the 6
+    to 10 columns: zero and rank-one matrices, a row that is the sum of two
+    others, rational entries, and plain draws."""
     n, s = rng.randint(1, 5), rng.randint(1, 10)
+    if tall:
+        s = rng.randint(6, 10)
+        n = rng.randint(s // 2 + 1, s + 1)
     rows = rand_mat(rng, n, s, -3, 3).to_lists()
     kind = trial % 5
     if kind == 1:
@@ -626,35 +631,60 @@ def _table_fuzz_case(rng, trial):
     return Mat(rows)
 
 
-def test_circuit_table_matches_bareiss_oracle_fuzz():
-    """The Laplace sweep gives the chirotope, in the same order, and the
-    circuits of one Bareiss determinant per basis: 600 seeded matrices and
-    a 5 x 18 configuration."""
+P9_P9_V = gale_dual(Mat([[1] * 10 + [0] * 10, [0] * 10 + [1] * 10]))  # 18 x 20
+
+
+def test_circuit_table_matches_bareiss_oracle_fuzz(monkeypatch):
+    """The sweep gives the chirotope, in the same order, and the circuits of
+    one Bareiss determinant per basis: 600 seeded matrices, 300 tall ones,
+    5 x 18 and 12 x 16 configurations and the V of P^9 x P^9.  A table swept
+    down the kernel takes one determinant, for its sign."""
+    calls = count_calls(monkeypatch, matrix, "_bareiss_det")
     rng = random.Random(2406)
     cases = [_table_fuzz_case(rng, trial) for trial in range(600)]
     cases.append(rand_mat(rng, 5, 18, -2, 2))
+    cases += [_table_fuzz_case(rng, trial, tall=True) for trial in range(300)]
+    cases += [rand_mat(rng, 12, 16, -2, 2), P9_P9_V]
     ranks = []
     rational = deficient = 0
+    kernel = Counter()
     for V in cases:
+        calls.clear()
         table = _Circuits(V)
         chi, circuits = chirotope_oracle(V)
         assert list(table.chi.items()) == list(chi.items()), V
         assert table.circuits == circuits, V
         assert table.rank == gauss_rank(V), V
+        assert calls["_bareiss_det"] <= 1
         ranks.append(table.rank)
         rational += not V.is_integral
         deficient += 0 < table.rank < V.rows
+        if calls["_bareiss_det"]:
+            kernel.update(cases=1, rational=not V.is_integral,
+                          deficient=table.rank < V.rows)
     assert ranks.count(0) >= 100 and ranks.count(1) >= 100, ranks
     assert rational >= 100 and deficient >= 100, (rational, deficient)
-    assert cases[-1].shape == (5, 18) and ranks[-1] == 5
+    assert cases[600].shape == (5, 18) and ranks[600] == 5
+    assert ranks[-2:] == [12, 18]
+    assert kernel["cases"] >= 100, kernel
+    assert kernel["rational"] >= 20 and kernel["deficient"] >= 20, kernel
 
 
-def test_circuit_table_takes_no_bareiss_determinant(monkeypatch):
+def test_circuit_table_sweeps_the_shorter_side(monkeypatch):
+    # short V: the sweep runs down its row basis and takes no determinant;
+    # the 18 x 20 V of P^9 x P^9: down the 2 rows of its kernel
     calls = count_calls(monkeypatch, matrix, "_bareiss_det")
+    swept = []
+    minors = fans_module._minors
+    monkeypatch.setattr(fans_module, "_minors",
+                        lambda rows, bits: swept.append(len(rows)) or minors(rows, bits))
     for V in (WORKED_V, NOPROJ_V, Mat([[Fraction(1, 2), 0, -1]]),
               Mat([[0, 0, 0], [0, 0, 0]])):
         _Circuits(V)
-    assert calls["_bareiss_det"] == 0
+    assert swept == [2, 3, 1, 0] and calls["_bareiss_det"] == 0
+    swept.clear()
+    _Circuits(P9_P9_V)
+    assert swept == [2] and calls["_bareiss_det"] == 1
 
 
 def test_enumerate_builds_column_holders_once(monkeypatch):

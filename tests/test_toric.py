@@ -661,6 +661,20 @@ def test_full_report_indices_match_fan_side_oracle():
             V, fan, Mat.identity(Q.cols).row_tuples())
 
 
+def test_full_report_tall_fan_check_sweeps_the_kernel(monkeypatch):
+    # P^9 x P^9 with its fan: V is 18 x 20, so the fan check sweeps the 2
+    # rows of V's kernel for the circuit table, not its 18 rows
+    swept = []
+    minors = fans_module._minors
+    monkeypatch.setattr(fans_module, "_minors",
+                        lambda rows, bits: swept.append(len(rows)) or minors(rows, bits))
+    Q = Mat([[1] * 10 + [0] * 10, [0] * 10 + [1] * 10])
+    rep = full_report(Q=Q, fan=_product_cones(10, 10))
+    assert swept == [2]
+    assert (rep.n, rep.r, rep.delta_sigma) == (18, 2, 1)
+    assert rep.cartier_indices == (1,) * 20
+
+
 def test_full_report_q_path_torsion_is_an_invariant(monkeypatch):
     # the Gale dual of a W-matrix spans a saturated lattice, so its columns
     # span Z^n and its class group has no torsion; a failure there is an
