@@ -17,32 +17,37 @@ Witnesses are one valid choice, not canonical ones.  ``classify_w`` reads
 clauses c, e and f off one kernel K = {x : Q x = 0} (for a W-matrix the
 Gale dual, which the reductions and ``full_report`` reuse; an i-reduction
 that rescales column i by d divides column i of the dual by d, so
-``w_reduce`` carries it).  Clause c is decided on the Gale-dual side
-(Stiemke/Gordan): L holds a vector > 0 on its support S iff the columns of
-K on S have a strictly positive relation, the LP of ``is_f_complete``; with
-cotorsion the vector is lifted from the saturation into L by one ``solve``
+``w_reduce`` carries it).  Clause c is decided on the shorter side of the
+Gale pair: L holds a vector > 0 on its support S iff (Stiemke) the columns
+of K on S have a strictly positive relation, the LP of ``is_f_complete``,
+iff (Gordan) no x >= 0 with sum 1 has B_S x = 0 for the Hermite basis B
+of L, whose Farkas certificate gives the vector; the LP with fewer rows
+runs (``normal_forms._positive_span_vector``).  With cotorsion the vector
+is lifted from the saturation into L by one ``solve``
 (``_lift_into_rows``).  ``positivize`` lifts the witness the same way, to
 its coefficients over the rows of Q, and rebases on them as
 ``positive_row_basis`` does.
 e_j can lie in L only if column j of K is zero; clause f fails exactly when
 two columns of K have the same primitive vector.  Repeated ray directions
-(F clause d) are equal primitive columns.
+(F clause d) are equal primitive columns.  F clause b takes the rank of V
+off the column lattice that clauses a and e read, then one Stiemke LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
-    _nonneg_solve,
     submatrix_cols,
     vec_gcd,
 )
 from .normal_forms import (
     _lift_into_rows,
+    _positive_relation,
     _positive_span_vector,
     _smith,
     _with_identity,
@@ -74,10 +79,13 @@ def is_f_complete(A: Mat) -> bool:
     """
     if not A.is_integral:
         raise DomainError("is_f_complete requires an integer matrix")
-    if A.rank() < A.rows:
-        return False
-    rows = A.row_tuples()
-    return _nonneg_solve(rows, [-sum(row) for row in rows])[0] is not None
+    return _is_f_complete(A.row_tuples(), A.rank())
+
+
+def _is_f_complete(rows: Sequence[Sequence[int]], rank: int) -> bool:
+    """``is_f_complete`` for the integer ``rows`` of a matrix of the given
+    rank: full row rank, then one Stiemke LP."""
+    return rank == len(rows) and _positive_relation(rows) is not None
 
 
 def is_w_positive(A: Mat) -> tuple[bool, "tuple[int, ...] | None"]:
@@ -110,7 +118,7 @@ def _classify_f(V: Mat) -> tuple[FMatrixReport, Lattice]:
     violated = []
     if col_lat.rank != n:  # the column lattice has the rank of V
         violated.append("a")
-    if not is_f_complete(V):
+    if not _is_f_complete(V.row_tuples(), col_lat.rank):
         violated.append("b")
     if any(not any(c) for c in cols):
         violated.append("c")

@@ -336,7 +336,7 @@ def solve(A: Mat, B: Mat) -> "Mat | None":
 # ---------------------------------------------------------------------------
 # exact feasibility of A x = b, x >= 0
 
-def _phase1(a: list[list[int]], b: list[int]) -> tuple:
+def _phase1(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
     """Phase-1 simplex on an integer system, with Bland's rule.
 
     Minimises the sum of one artificial variable per row over
@@ -395,18 +395,22 @@ def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
     """Exact feasibility of {x : A x = b, x >= 0} for rational A (given as
     rows) and b.
 
+    One type scan over A and b: all-integer input goes to the simplex as it
+    is; otherwise each row of [A | b] is scaled to integers by the lcm of
+    its denominators (``_int_row``) and the certificate scaled back.
     Returns (x, None) with x >= 0 and A x = b, or (None, w) with a Farkas
     certificate w A >= 0, w b < 0 that no such x exists.  Either answer is
     re-checked exactly before it is returned; a failed check raises
     GaleKitError.  The x found is one basic solution, not a canonical one.
     """
-    mult, rows, rhs = [], [], []
-    for row, bi in zip(A, b):
-        k, ints = _int_row((*row, bi))
-        mult.append(k)
-        rows.append(ints[:-1])
-        rhs.append(ints[-1])
-    x, w = _phase1(rows, rhs)
+    if {int}.issuperset(map(type, chain(chain.from_iterable(A), b))):
+        x, w = _phase1(A, b)
+    else:
+        scaled = [_int_row((*row, bi)) for row, bi in zip(A, b)]
+        x, w = _phase1([ints[:-1] for _, ints in scaled],
+                       [ints[-1] for _, ints in scaled])
+        if w is not None:
+            w = [wi * k for wi, (k, _) in zip(w, scaled)]
     if w is None:
         # A (D x) = D b on the integers D x, D the common denominator of x
         D = math.lcm(*(v.denominator for v in x))
@@ -416,7 +420,6 @@ def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
             raise GaleKitError("simplex point fails A x = b, x >= 0 "
                                "(internal invariant)")
         return x, None
-    w = [wi * k for wi, k in zip(w, mult)]
     g = vec_gcd(w)
     if g:
         w = [wi // g for wi in w]

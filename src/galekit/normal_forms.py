@@ -57,6 +57,7 @@ from .matrix import (
     _nonneg_solve,
     block_diag,
     solve,
+    vec_gcd,
     xgcd,
 )
 
@@ -472,25 +473,63 @@ def snf(A: Mat) -> SnfResult:
 
 def _positive_span_vector(basis: Sequence[Sequence[int]],
                           kernel: Sequence[Sequence[int]]) -> "list[int] | None":
-    """An integer y in the rational row space of ``basis``, > 0 on the
-    support S of its rows and 0 off it, or None.  ``kernel`` spans the
-    orthogonal complement (the Gale dual), so by Stiemke's theorem this is
-    one exact simplex on S: K_S u = -K_S 1, u >= 0, y = 1 + u scaled by the
-    lcm of its denominators.  Rows vanishing on S are dropped.  y lies in
-    the saturation of the row lattice, not necessarily in the lattice."""
+    """A primitive integer y in the rational row space of ``basis``, > 0 on
+    the support S of its rows and 0 off it, or None.  ``kernel`` spans the
+    orthogonal complement (the Gale dual), so by Stiemke and Gordan this is
+    one exact simplex on either side of the pair, run on the shorter one:
+    Gordan's LP on the rho rows of ``basis`` plus a row of ones when
+    rho + 1 is fewer than the k rows of ``kernel`` nonzero on S, Stiemke's
+    LP on those k rows otherwise.  y lies in the saturation of the row
+    lattice, not necessarily in the lattice."""
     m = len(basis[0])
     support = [j for j in range(m) if any(row[j] for row in basis)]
     rows = [sub for sub in ([row[j] for j in support] for row in kernel) if any(sub)]
-    u = [0] * len(support)
-    if rows:
-        u, _ = _nonneg_solve(rows, [-sum(row) for row in rows])
-        if u is None:
-            return None
-    denom = math.lcm(*(x.denominator for x in u))
+    if len(basis) + 1 < len(rows):
+        return _weight_side_vector(basis, support)
+    return _kernel_side_vector(rows, support, m)
+
+
+def _weight_side_vector(basis: Sequence[Sequence[int]],
+                        support: Sequence[int]) -> "list[int] | None":
+    """Gordan's LP on the rows of ``basis``: [B_S; 1 ... 1] x = (0, ..., 0, 1)
+    has a solution x >= 0 iff no vector of the row space is > 0 on S.
+    Otherwise its checked Farkas certificate (lam, t) has t < 0, so
+    lam @ B_S >= -t > 0, and y = lam @ B over its gcd (0 off S)."""
+    rows = [[row[j] for j in support] for row in basis]
+    rows.append([1] * len(support))
+    w = _nonneg_solve(rows, [0] * len(basis) + [1])[1]
+    if w is None:
+        return None
+    y = [sum(map(mul, w, col)) for col in zip(*basis)]  # zip drops t
+    g = vec_gcd(y)
+    return [v // g for v in y]
+
+
+def _kernel_side_vector(rows: Sequence[Sequence[int]], support: Sequence[int],
+                        m: int) -> "list[int] | None":
+    """Stiemke's LP on the kernel rows restricted to S (``rows``, the
+    nonzero ones): y is their positive relation on S, 0 off it; with no
+    such rows, y = 1 on S."""
+    z = _positive_relation(rows) if rows else [1] * len(support)
+    if z is None:
+        return None
     y = [0] * m
-    for j, x in zip(support, u):
-        y[j] = int((1 + x) * denom)
+    for j, v in zip(support, z):
+        y[j] = v
     return y
+
+
+def _positive_relation(rows: Sequence[Sequence[int]]) -> "list[int] | None":
+    """A primitive integer z > 0 with ``rows`` z = 0, or None: one exact
+    simplex for u >= 0 with rows u = -rows 1, z = 1 + u scaled by the lcm D
+    of its denominators.  The basic u is 0 somewhere (the columns it uses
+    are independent, those of ``rows`` are not), so D is an entry of z, and
+    an entry whose denominator holds a prime power of D is prime to it."""
+    u = _nonneg_solve(rows, [-sum(row) for row in rows])[0]
+    if u is None:
+        return None
+    denom = math.lcm(*(x.denominator for x in u))
+    return [(x.numerator + x.denominator) * (denom // x.denominator) for x in u]
 
 
 def _lift_into_rows(basis: Sequence[Sequence[int]], y: Sequence[int],

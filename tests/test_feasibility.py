@@ -1,6 +1,7 @@
 """The exact feasibility kernel (``matrix._nonneg_solve``) and the fw
 routines built on it, against the square-subsystem scans it replaced."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from galekit import (
     is_f_complete,
 )
 from galekit import fw, matrix, normal_forms
+from galekit.lattices import has_cotorsion
 from galekit.matrix import _nonneg_solve
 from conftest import (
+    count_calls,
     gauss_rank,
     is_f_complete_oracle,
     mixed_sign_plane_oracle,
@@ -95,6 +98,96 @@ def test_nonneg_solve_edge_systems():
     assert x == [Fraction(1, 3), Fraction(1, 6)] and w is None
 
 
+def test_nonneg_solve_takes_integer_rows_as_they_are(monkeypatch):
+    # integer rows skip the per-row scaling; the same rows as Fractions, one
+    # of them halved, give the same point and the same certificate up to the
+    # factor 2 on that row
+    rng = random.Random(2512)
+    scalings = count_calls(monkeypatch, matrix, "_int_row")
+    verdicts = [0, 0]
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        A = rand_mat(rng, m, n, -3, 3).to_lists()
+        b = [rng.randint(-4, 4) for _ in range(m)]
+        i = rng.randrange(m)
+        A[i][0] = 2 * A[i][0] + 1  # an odd entry: the halved row scales back to itself
+        half = [[Fraction(x, 2 if k == i else 1) for x in row] for k, row in enumerate(A)]
+        half_b = [Fraction(x, 2 if k == i else 1) for k, x in enumerate(b)]
+        scalings.clear()
+        x, w = _nonneg_solve(A, b)
+        assert scalings["_int_row"] == 0
+        _check_answer(A, b, x, w)
+        xf, wf = _nonneg_solve(half, half_b)
+        assert scalings["_int_row"] == m
+        _check_answer(half, half_b, xf, wf)
+        assert xf == x
+        if w is not None:
+            doubled = [2 * v if k == i else v for k, v in enumerate(w)]
+            g = math.gcd(*doubled)
+            assert wf == [v // g for v in doubled]
+        verdicts[x is not None] += 1
+    assert min(verdicts) >= 75
+
+
+def _rand_q_sides(rng):
+    """Weight-matrix candidates for the two clause-c LPs: r = 1-5, m <= 12,
+    with cotorsion, zero columns, a dependent row, or a column that is the
+    negative sum of the others (often infeasible)."""
+    r, m = rng.randint(1, 5), rng.randint(2, 12)
+    rows = rand_mat(rng, r, m, -2, 4).to_lists()
+    shape = rng.randrange(5)
+    if shape == 0:
+        i = rng.randrange(r)
+        rows[i] = [rng.choice((2, 3)) * x for x in rows[i]]
+    elif shape == 1:
+        for j in rng.sample(range(m), rng.randint(1, min(3, m - 1))):
+            for row in rows:
+                row[j] = 0
+    elif shape == 2 and r > 1:
+        rows[-1] = [x - y for x, y in zip(rows[0], rows[1 % (r - 1)])]
+    elif shape == 3:
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = -sum(row) + row[j]
+    return Mat(rows)
+
+
+def test_both_sides_of_clause_c_agree():
+    """Gordan's LP on the weight side and Stiemke's on the kernel side give
+    the same verdict as the old LP, and primitive witnesses > 0 exactly on
+    the support that lift into L."""
+    rng = random.Random(2513)
+    seen = {"positive": 0, "infeasible": 0, "cotorsion": 0, "zero": 0,
+            "deficient": 0, "weight_side": 0, "kernel_side": 0}
+    for _ in range(320):
+        Q = _rand_q_sides(rng)
+        lat = Lattice.from_matrix(Q)
+        if not lat.rank:
+            continue
+        basis = lat.basis
+        support = [j for j in range(Q.cols) if any(row[j] for row in basis)]
+        kernel = fw._classify_w(Q)[1]
+        rows = [sub for sub in ([row[j] for j in support] for row in kernel) if any(sub)]
+        weight = normal_forms._weight_side_vector(basis, support)
+        kernel_side = normal_forms._kernel_side_vector(rows, support, Q.cols)
+        ref = strictly_positive_row_vector([list(row) for row in basis], support)
+        assert (weight is None) == (kernel_side is None) == (ref is None)
+        for y in (weight, kernel_side):
+            if y is None:
+                continue
+            assert all(type(v) is int for v in y) and math.gcd(*y) == 1
+            assert [j for j, v in enumerate(y) if v > 0] == support
+            assert all(v == 0 for j, v in enumerate(y) if j not in support)
+            c, lam = normal_forms._lift_into_rows(basis, y)
+            assert c in lat and c == tuple(_dot(lam, col) for col in zip(*basis))
+        seen["positive" if ref else "infeasible"] += 1
+        seen["cotorsion"] += has_cotorsion(Q.cols, lat)
+        seen["zero"] += len(support) < Q.cols
+        seen["deficient"] += lat.rank < Q.rows
+        seen["weight_side" if len(basis) + 1 < len(rows) else "kernel_side"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def _rand_q(rng):
     r, m = rng.randint(1, 4), rng.randint(2, 7)
     Q = rand_mat(rng, r, m, -2, 3)
@@ -119,7 +212,8 @@ def _classify_by_oracles(monkeypatch, Q, positive):
         return None if found is None else list(found[0])
 
     with monkeypatch.context() as mp:
-        mp.setattr(fw, "is_f_complete", is_f_complete_oracle)
+        mp.setattr(fw, "_is_f_complete",
+                   lambda rows, rank: is_f_complete_oracle(Mat(rows)))
         mp.setattr(fw, "_positive_span_vector", span_vector)
         mp.setattr(fw, "_has_mixed_sign_plane_vector",
                    lambda cols: mixed_sign_plane_oracle(lat))

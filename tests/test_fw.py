@@ -101,11 +101,11 @@ def test_classify_f_examples():
 
 
 def test_classify_f_reads_rank_off_column_lattice(monkeypatch):
-    # clause a from the column lattice that clause e builds; the one rank
-    # left is the Stiemke test of clause b
+    # clauses a and b read the rank off the column lattice that clause e
+    # builds; clause b adds only the Stiemke LP
     rank_calls = count_rank_calls(monkeypatch)
     assert classify_f(WORKED_V).is_cf_matrix
-    assert rank_calls["rank"] == 1
+    assert rank_calls["rank"] == 0
     assert classify_f(Mat([[1, -1], [2, -2]])).violated == ("a", "b", "e")
 
 
@@ -212,6 +212,26 @@ def test_classify_w_solves_one_lp_on_one_kernel(monkeypatch):
         assert kernel_calls["left_kernel_rows"] == 1
         if "c" not in violated:
             assert rep.positive_witness in Lattice.from_matrix(Q)
+
+
+def test_clause_c_lp_runs_on_the_shorter_side(monkeypatch):
+    # Gordan's LP on Q (rho + 1 rows) when the kernel is longer, Stiemke's on
+    # K otherwise; either way one LP and one kernel per call
+    sizes = []
+    solve = normal_forms._nonneg_solve
+
+    def sized(A, b):
+        sizes.append(len(A))
+        return solve(A, b)
+
+    monkeypatch.setattr(normal_forms, "_nonneg_solve", sized)
+    wps = Mat([[1, 1, 2, 3, 5, 7]])
+    assert classify_w(wps).positive_witness == (1, 1, 2, 3, 5, 7)
+    assert sizes == [2]
+    V = rand_f_matrix(random.Random(2511), 3, 8)
+    sizes.clear()
+    rep = classify_w(gale_dual(V))
+    assert rep.is_w_matrix and sizes == [3]
 
 
 def test_positivize_rejects_non_w():
