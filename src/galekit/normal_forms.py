@@ -20,19 +20,19 @@ that breaks the divisibility chain.  It runs on [A | I_d] alone when only
 alpha is read (the i-reduction of ``fw``) and on the bare rows of A when
 only the invariant factors are (``quotient_structure``).
 
-Every Hermite basis that carries no transform comes from row insertion,
-``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979; Cohen, *A
-Course in Computational Algebraic Number Theory*, §2.4): each row is
-reduced against a basis kept reduced, by one subtraction where one of its
-entry and the pivot divides the other and one extended-gcd step otherwise.
-``Lattice`` bases and the maximal-minor gcd use it, and so does ``hnf`` of
-a full-row-rank A, on [A | I]: such an A has one U with U A = H.  For a tall or
-rank-deficient A the first rank(A) rows of U depend on the order of the
-row operations, and ``hnf`` keeps the Euclid scan ``_hnf_int``, whose
-order is the one whose rows ``toric.cl_generators`` returns as the
-class-group generators of the paper's worked example.
+Every Hermite basis of the lattice spanned by given rows comes from row
+insertion, ``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979;
+Cohen, *A Course in Computational Algebraic Number Theory*, §2.4): each
+row is reduced against a basis kept reduced, by one subtraction where one
+of its entry and the pivot divides the other and one extended-gcd step
+otherwise.  ``Lattice`` bases, the
+maximal-minor gcd and the Smith loop use it on bare rows, and ``hnf`` uses
+it on [A | I] for every shape of A.  H and its pivots are unique, and a
+full-row-rank A has one U with U A = H; for a tall or rank-deficient A the
+first rank(A) rows of U are the unimodular choice the insertion order
+makes, not a canonical one.
 
-Left kernels take no Euclid pass.  ``left_kernel_rows`` reads an integer
+Left kernels take no row insertion.  ``left_kernel_rows`` reads an integer
 kernel basis off one forward Bareiss elimination of A^T and a back
 substitution on its non-pivot columns, saturates it with a column fold
 taken modulo the last pivot (``_hermite_mod``), and puts it in Hermite form
@@ -106,65 +106,15 @@ def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
             Mat(blk[d:]))
 
 
-def _hnf_int(rows: list[list[int]], n: int) -> list[int]:
-    """Row HNF of the first n columns of an integer matrix, in place,
-    carrying the later columns; returns the pivot columns.
-
-    The Euclid scan behind ``hnf`` of a tall or rank-deficient matrix, and
-    nothing else.  Scan order is fixed: leftmost column first, smallest
-    nonzero pivot, floor quotients below it, smallest nonnegative
-    remainders above.  H does not depend on it, but for such a matrix the
-    first rank rows of U do (the class-group generators of
-    ``toric.cl_generators``), so ``hnf`` keeps it there; a full-row-rank
-    matrix, and a basis that carries no transform, come from
-    ``_hermite_insert``.
-    """
-    m = len(rows)
-    p = 0
-    pivots: list[int] = []
-    for j in range(n):
-        if p == m:
-            break
-        while True:
-            nz = [i for i in range(p, m) if rows[i][j]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][j]), i))
-            if i0 != p:
-                rows[p], rows[i0] = rows[i0], rows[p]
-            if rows[p][j] < 0:
-                rows[p] = [-x for x in rows[p]]
-            top = rows[p]
-            a = top[j]
-            clean = True
-            for i in range(p + 1, m):
-                b = rows[i][j]
-                if b:
-                    q = b // a  # nonzero: a is the smallest |entry|
-                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
-                    if rows[i][j]:
-                        clean = False
-            if clean:
-                break
-        top = rows[p]
-        a = top[j]
-        if a:
-            for i in range(p):
-                q = rows[i][j] // a
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
-            pivots.append(j)
-            p += 1
-    return pivots
-
-
 def _hermite_insert(rows: Sequence[Sequence[int]], n: int) -> tuple[list, list[int]]:
     """(Hermite basis, 0-based pivot columns) of the lattice spanned by the
     integer rows, reduced on their first n columns and carrying any later
     ones.  A row that vanishes on the first n columns but not on the later
     ones follows the basis, in the order met, so every row given is
     accounted for and the rows returned are a unimodular image of them;
-    all-zero rows are dropped.
+    all-zero rows are dropped.  It is galekit's one Hermite reduction:
+    ``hnf`` runs it on [A | I], and every other Hermite basis, the Smith
+    loop's passes included, on bare rows.
 
     Each row r is inserted into a basis kept reduced (Kannan and Bachem).
     It meets the pivot rows p in pivot order, at its leading column j, with
@@ -359,26 +309,19 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
 
 
 def hnf(A: Mat) -> HnfResult:
-    """Hermite normal form H = U @ A (row style, pivots top-left); the rows
-    of U past the rank are the Hermite basis of the left kernel, which
-    makes U deterministic.
+    """Hermite normal form H = U @ A (row style, pivots top-left), by row
+    insertion on [A | I] for every shape of A.
 
-    An A with no more rows than columns goes through row insertion on
-    [A | I]; if every row becomes a pivot, A has full row rank and U is the
-    only matrix with U A = H.  If a row vanishes, and for a tall A, the
-    Euclid scan ``_hnf_int`` reduces [A | I] instead, and the rows past the
-    rank come from ``_left_kernel``."""
+    If every row becomes a pivot, A has full row rank and U is the only
+    matrix with U A = H.  Otherwise the first rank rows of U are one
+    unimodular choice, not a canonical one, and the rows past the rank are
+    the Hermite basis of the left kernel, from ``_left_kernel``."""
     m, n = A.shape
     d, work = A.int_scaled()
-    aug = _with_identity(work)
-    rows, pivots = _hermite_insert(aug, n) if m <= n else (aug, [])
-    if len(pivots) == m:
-        aug = rows
-    else:
-        pivots = _hnf_int(aug, n)
-        p = len(pivots)
-        if p < m:
-            aug[p:] = [[0] * n + list(row) for row in _left_kernel(work)]
+    aug, pivots = _hermite_insert(_with_identity(work), n)
+    p = len(pivots)
+    if p < m:
+        aug[p:] = [[0] * n + list(row) for row in _left_kernel(work)]
     if d == 1:
         h = Mat([row[:n] for row in aug])
     else:

@@ -676,8 +676,11 @@ def intersection_oracle(lattices):
 
 def hnf_int_oracle(mat):
     """Row HNF with transform kept in a second list of rows, each row
-    operation applied to the matrix and to the transform in turn: the same
-    scan order as ``normal_forms._hnf_int``."""
+    operation applied to the matrix and to the transform in turn, by the
+    Euclid scan ``hnf`` used for a tall or rank-deficient matrix before row
+    insertion replaced it.  Kept as the oracle of H, the pivots and the
+    rows of U past the rank (the Hermite basis of the left kernel); the
+    first rank rows of U are canonical only for a full-row-rank matrix."""
     mat = [list(r) for r in mat]
     m, n = len(mat), len(mat[0])
     u = [[int(i == j) for j in range(m)] for i in range(m)]

@@ -3,8 +3,8 @@
 Internal invariants are ``GaleKitError`` raises, never ``assert`` (which
 ``python -O`` strips), and the library imports only itself and the
 standard library (the empty dependency list of ``pyproject.toml``),
-keeps no results in a ``functools`` cache, runs the Euclid scan of
-``hnf`` nowhere else, reaches Smith forms only through row insertion,
+keeps no results in a ``functools`` cache, keeps no Euclid scan beside
+row insertion, reaches Smith forms only through row insertion,
 enumerates the fan of a toric call only in the fan selector, derives
 the Picard lattice without intersecting lattices and builds a ``Mat``
 without its construction scan only inside ``matrix.py``.
@@ -108,21 +108,20 @@ def test_no_hidden_caches(path):
     assert not found, f"{path.name}: uses {found}; pass values to the callers"
 
 
-def test_euclid_scan_serves_hnf_alone():
-    """``_hnf_int`` is named only inside ``hnf``, whose first rank rows of
-    U depend on its scan order for a tall or rank-deficient matrix; every
-    transform-free Hermite basis comes from row insertion.  Calls, aliases
-    and imports all count as uses."""
-    uses = []
+def test_no_module_keeps_the_euclid_scan():
+    """Every Hermite basis, ``hnf``'s included, comes from row insertion:
+    nothing defines or names ``_hnf_int``, the Euclid scan that once
+    reduced a tall or rank-deficient matrix for ``hnf``.  Definitions,
+    calls, aliases and imports all count as uses."""
+    found = []
     for path in SOURCES:
-        for top in _tree(path).body:
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else
-                        node.name if isinstance(node, ast.alias) else None)
-                if name == "_hnf_int":
-                    uses.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
-    assert uses == ["normal_forms.py:hnf"], uses
+        for node in ast.walk(_tree(path)):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            if name == "_hnf_int":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 def test_smith_form_eliminates_by_row_insertion():

@@ -87,7 +87,25 @@ def test_left_kernel_rows():
     assert left_kernel_rows(Mat.identity(3)) == []
 
 
-def test_fused_hnf_int_matches_two_list_oracle():
+def _hnf_against_scan_oracle(A: Mat) -> bool:
+    """Check ``hnf(A)`` against the scan of ``hnf_int_oracle``: H, the
+    pivots and the rows of U past the rank are canonical, so they are equal;
+    the first rank rows of U are one unimodular choice, so U A = H and
+    |det U| = 1 are checked instead.  Returns whether A has fewer pivots
+    than rows."""
+    d, rows = A.int_scaled()
+    h, u, piv = hnf_int_oracle(rows)
+    res = hnf(A)
+    p = len(piv)
+    assert res.H.to_lists() == [[Fraction(x, d) for x in row] for row in h]
+    assert [j - 1 for j in res.pivot_map] == piv
+    assert res.U.to_lists()[p:] == u[p:]
+    assert res.U @ A == res.H
+    assert abs(det_exact(res.U)) == 1
+    return p < A.rows
+
+
+def test_hnf_matches_scan_oracle_on_canonical_parts():
     rng = random.Random(206)
     deficient = 0
     for _ in range(400):
@@ -97,12 +115,24 @@ def test_fused_hnf_int_matches_two_list_oracle():
             A[-1] = [x - 2 * y for x, y in zip(A[0], A[1])]
         if rng.random() < 0.1:
             A[rng.randrange(r)] = [0] * c
-        expected = hnf_int_oracle(A)
-        deficient += len(expected[2]) < r
-        res = hnf(Mat(A))
-        assert (res.H.to_lists(), res.U.to_lists(),
-                [j - 1 for j in res.pivot_map]) == expected
+        deficient += _hnf_against_scan_oracle(Mat(A))
     assert deficient >= 100
+    # a second corpus, seeded apart: rational Q^T, the tall shape whose
+    # first rank rows of U give the class-group generators
+    rng = random.Random(216)
+    seen = {"rational": 0, "deficient": 0}
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        m = rng.randint(r + 1, 10)
+        den = rng.choice([1, 2, 6])
+        Q = [[Fraction(rng.randint(0, 5), rng.randint(1, den)) for _ in range(m)]
+             for _ in range(r)]
+        if r >= 2 and rng.random() < 0.2:
+            Q[-1] = [2 * x for x in Q[0]]
+        _hnf_against_scan_oracle(Mat(Q).transpose())
+        seen["rational"] += den > 1
+        seen["deficient"] += Mat(Q).rank() < r
+    assert min(seen.values()) >= 30, seen
 
 
 def _fuzz_matrix(rng):
@@ -260,18 +290,20 @@ def test_full_row_rank_hnf_matches_scan_oracle():
     assert min(seen.values()) >= 20, seen
 
 
-def test_only_rank_deficient_or_tall_hnf_takes_the_scan(monkeypatch):
-    # a full-row-rank A is Hermite-reduced by row insertion alone; a tall A,
-    # or a wide one whose rows are dependent, takes one Euclid scan
-    calls = count_calls(monkeypatch, normal_forms, "_hnf_int")
+def test_every_hnf_takes_one_row_insertion(monkeypatch):
+    # every shape is Hermite-reduced by one row insertion on [A | I]; only
+    # a tall A, or a wide one whose rows are dependent, also takes the left
+    # kernel, for the rows of U past the rank
     rng = random.Random(214)
-    for _ in range(20):
-        hnf(Mat(_full_row_rank_case(rng)[0]))
-    assert calls["_hnf_int"] == 0
+    cases = [Mat(_full_row_rank_case(rng)[0]) for _ in range(20)]
+    calls = count_calls(monkeypatch, normal_forms, "_hermite_insert", "_left_kernel")
+    for A in cases:
+        hnf(A)
+    assert calls == {"_hermite_insert": 20}
     hnf(WORKED_Q.transpose())
-    assert calls["_hnf_int"] == 1
+    assert calls == {"_hermite_insert": 21, "_left_kernel": 1}
     hnf(Mat([[2, 4, 6, 1], [1, 2, 3, 5], [3, 6, 9, 6]]))
-    assert calls["_hnf_int"] == 2
+    assert calls == {"_hermite_insert": 22, "_left_kernel": 2}
 
 
 def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
@@ -298,13 +330,14 @@ def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
 
 
 def test_left_kernel_runs_no_euclid_pass(monkeypatch):
-    # every [A | I] reduction goes through _hnf_int; the kernel needs none
-    calls = count_calls(monkeypatch, normal_forms, "_hnf_int")
+    # every [A | I] reduction goes through _hermite_insert; the kernel
+    # needs none
+    calls = count_calls(monkeypatch, normal_forms, "_hermite_insert")
     rng = random.Random(209)
     for t in range(8):
         left_kernel_rows(Mat(_lattice_scale_matrix(rng, ["stacked", "unit"][t % 2])))
     left_kernel_rows(_fuzz_matrix(rng))
-    assert calls["_hnf_int"] == 0
+    assert calls["_hermite_insert"] == 0
 
 
 @pytest.mark.parametrize("diagonal, message", [
@@ -456,18 +489,16 @@ def test_snf_repairs_the_divisibility_chain():
 
 def test_smith_forms_take_row_insertion_alone(monkeypatch):
     # snf and quotient_structure eliminate only through _hermite_insert
-    calls = count_calls(monkeypatch, normal_forms, "_hermite_insert", "_hnf_int")
+    calls = count_calls(monkeypatch, normal_forms, "_hermite_insert")
     rng = random.Random(215)
     for _ in range(10):
         A = rand_mat(rng, rng.randint(2, 6), rng.randint(2, 8), -50, 50)
         snf(A)
     assert calls["_hermite_insert"] >= 10
-    assert calls["_hnf_int"] == 0
     L = Lattice.from_matrix(Mat([[2, 0, 0], [0, 3, 5]]))
     calls.clear()
     assert quotient_structure(3, L).torsion_factors == (2,)
     assert calls["_hermite_insert"] >= 2
-    assert calls["_hnf_int"] == 0
 
 
 def test_smith_factors_on_bare_rows_match_snf():
