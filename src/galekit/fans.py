@@ -296,17 +296,20 @@ def _conflicts(table: _Circuits, holders: Sequence[int], every: int) -> list[int
 # ---------------------------------------------------------------------------
 # fan validity and support
 
-def _cone_masks(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"],
-                every_column: bool = False
+def _index_sets(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]
+                ) -> list[tuple[int, ...]]:
+    """The cones' generators as index sets, each checked against V."""
+    return [check_index_set(c.gens if isinstance(c, Cone) else tuple(sorted(c)),
+                            V.cols, allow_empty=False) for c in maximal_cones]
+
+
+def _cone_masks(V: Mat, cones: Sequence[Sequence[int]], every_column: bool = False
                 ) -> tuple["_Circuits | None", Sequence[int], list[int]]:
-    """The circuit table on the columns the cones use (on every column of V
-    with ``every_column``), those columns (0-based, ascending) and the
-    distinct cones as bitmasks over them, in the order given.  A circuit of
-    V supported on those columns is a circuit of V restricted to them."""
-    cones = []
-    for c in maximal_cones:
-        gens = c.gens if isinstance(c, Cone) else tuple(sorted(c))
-        cones.append(check_index_set(gens, V.cols, allow_empty=False))
+    """The circuit table on the columns the cones (checked index sets) use
+    (on every column of V with ``every_column``), those columns (0-based,
+    ascending) and the distinct cones as bitmasks over them, in the order
+    given.  A circuit of V supported on those columns is a circuit of V
+    restricted to them."""
     used = range(V.cols) if every_column else sorted(
         {g - 1 for gens in cones for g in gens})
     if not used:
@@ -373,7 +376,7 @@ def _unmatched_facet(table: _Circuits, masks: Sequence[int]
 
 def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
     """Do the given simplicial cones pairwise intersect in common faces?"""
-    table, used, masks = _cone_masks(V, maximal_cones)
+    table, used, masks = _cone_masks(V, _index_sets(V, maximal_cones))
     return not masks or _conflict(table, used, masks) is None
 
 
@@ -387,7 +390,7 @@ def is_support_complete(V: Mat, fan: Fan) -> bool:
     cones = fan.cone_sets()
     if not cones:
         return False
-    table, used, masks = _cone_masks(V, cones, every_column=True)
+    table, used, masks = _cone_masks(V, _index_sets(V, cones), every_column=True)
     error = _conflict(table, used, masks)
     if error:
         raise error
@@ -408,10 +411,14 @@ def _check_fan(V: Mat, fan: Fan) -> None:
         raise DomainError("fan has no maximal cones")
     if any(len(c.gens) != V.rows for c in fan.maximal_cones):
         raise DomainError("maximal cones must have exactly n generators")
-    rays = {g for c in fan.maximal_cones for g in c.gens}
-    if rays != set(range(1, V.cols + 1)):
+    gens = [g for c in fan.maximal_cones for g in c.gens]
+    if set(gens) != set(range(1, V.cols + 1)):
         raise DomainError("invalid fan: not every ray is used by a maximal cone")
-    table, used, masks = _cone_masks(V, fan.maximal_cones)
+    # past the ray check only a generator's type can fail check_index_set,
+    # and fan_from_cones has checked every cone it built
+    cones = (fan.cone_sets() if {int}.issuperset(map(type, gens))
+             else _index_sets(V, fan.maximal_cones))
+    table, used, masks = _cone_masks(V, cones)
     error = _conflict(table, used, masks) or _unmatched_facet(table, masks)
     if error:
         raise error

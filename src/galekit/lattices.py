@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_rows
@@ -178,8 +179,8 @@ def _intersect_pair(L1: Lattice, L2: Lattice) -> Lattice:
     """
     b1 = L1.basis
     kern = left_kernel_rows(Mat(list(b1) + [tuple(-x for x in r) for r in L2.basis]))
-    rows = [tuple(sum(c * row[j] for c, row in zip(k, b1) if c)
-                  for j in range(L1.ambient_dim)) for k in kern]
+    cols = tuple(zip(*b1))  # map(mul, u, col) stops at the end of u's B1 part
+    rows = [[sum(map(mul, u, col)) for col in cols] for u in kern]
     return Lattice.from_rows(rows, L1.ambient_dim)
 
 

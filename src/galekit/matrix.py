@@ -74,7 +74,21 @@ def _as_int(x):
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y: the
+    cofactors of Euclid's loop with floor quotients, pinned as the worked
+    example's U is, since every transform that is not canonical (U's first
+    rows for a tall A, Smith's alpha and beta, positive echelon forms) is
+    built from them.  For m = |b|/g > 2 the loop's x is the one of least
+    |x| with a x = g mod |b|: the inverse of a/g mod m (``pow``), less m
+    when 2 x > m, and y = (g - a x) / b.  A zero or m <= 2 keeps the loop."""
+    if a and b:
+        g = math.gcd(a, b)
+        m = abs(b) // g
+        if m > 2:
+            x = pow(a // g, -1, m)
+            if 2 * x > m:
+                x -= m
+            return g, x, (g - x * a) // b
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
         q = a // b
@@ -257,13 +271,16 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free forward elimination (Bareiss) on the first ncols
     columns, in place.
 
-    Each pivot updates only the rows below it, as (p * row - row[j] * prow)
-    // d with p the new pivot and d the previous one.  Returns (pivots, d),
-    the pivot columns and the last pivot.  Rows 0..len(pivots)-1 are then
-    echelon rows, each led by a nonzero minor of the input, and the other
-    rows vanish on the first ncols columns.  Pivots, d and the vanishing
-    rows are those of a Gauss-Jordan pass; ``_back_substitute`` reads the
-    columns of d times the reduced row echelon form that a caller needs."""
+    Each pivot p at column j updates the rows below it in place, on the
+    live columns j + 1 on, as (p * row - row[j] * prow) // d with d the
+    previous pivot; row[j] becomes 0 (the columns before j already are),
+    and a row with row[j] = 0 is only rescaled by p / d, if p != d.
+    Returns (pivots, d), the pivot columns and the last pivot.  Rows
+    0..len(pivots)-1 are then echelon rows, each led by a nonzero minor of
+    the input, and the other rows vanish on the first ncols columns.
+    Pivots, d and the vanishing rows are those of a Gauss-Jordan pass;
+    ``_back_substitute`` reads the columns of d times the reduced row
+    echelon form that a caller needs."""
     pivots: list[int] = []
     d = 1
     nrows = len(m)
@@ -277,10 +294,14 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
         m[r], m[piv] = m[piv], m[r]
         prow = m[r]
         p = prow[j]
-        for i in range(r + 1, nrows):
-            row = m[i]
+        live = prow[j + 1:]
+        for row in m[r + 1:]:
             q = row[j]
-            m[i] = [(p * x - q * y) // d for x, y in zip(row, prow)]
+            if q:
+                row[j] = 0
+                row[j + 1:] = [(p * x - q * y) // d for x, y in zip(row[j + 1:], live)]
+            elif p != d:
+                row[j + 1:] = [p * x // d for x in row[j + 1:]]
         d = p
         pivots.append(j)
     return pivots, d

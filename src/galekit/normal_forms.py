@@ -204,8 +204,8 @@ def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
     entry is kept mod D, which is exact because D e_l stays in the lattice
     for every l, so the growth of the carried rows is bounded.  Every
     column has a pivot, a divisor of D, and every other entry lies in
-    [0, D); the rows above a pivot are not reduced, since ``_left_kernel``
-    reduces the rows it finds as it back-substitutes.
+    [0, D); the rows above a pivot are not reduced, since
+    ``_inverse_columns`` reduces the columns it finds as it back-substitutes.
     """
     rows = [r for r in ([x % D for x in g] for g in gens) if any(r)]
     basis = []
@@ -249,6 +249,27 @@ def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
     return basis
 
 
+def _inverse_columns(herm: list[list[int]], D: int) -> list[list[int]]:
+    """The columns of D H^-1, H = ``herm`` the upper triangular basis that
+    ``_hermite_mod`` gives of a lattice holding D Z^k.  Column s solves
+    H z = D e_s from row s up and is zero past s; each z[l] above the
+    diagonal is reduced modulo column l's diagonal entry, which subtracts a
+    multiple of column l.  Every division is exact."""
+    ys: list[list[int]] = []
+    for s in range(len(herm)):
+        z = [0] * len(herm)
+        z[s] = D
+        for l in range(s, -1, -1):
+            h = herm[l]
+            q, r = divmod(z[l] - sum(map(mul, h[l + 1:s + 1], z[l + 1:s + 1])), h[l])
+            if r:
+                raise GaleKitError("back substitution left a remainder "
+                                   "(internal invariant)")
+            z[l] = q % ys[l][l] if l < s else q
+        ys.append(z)
+    return ys
+
+
 def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     """The Hermite basis of {x in Z^m : x A = 0} for the integer m x n
     matrix A = ``rows``.
@@ -259,14 +280,13 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     row echelon form there, dp the last pivot.  Each c in C names the
     kernel vector dp e_c - sum_i T[i][c] e_{R_i}.  A kernel vector x
     is fixed by y = x_C, and is integral exactly when G y = 0 mod D, with
-    G = (T[i][c]) over c in C and D = |dp|.  Those y are spanned by the rows
-    of D H^-T, H an upper triangular basis of the row lattice of G plus
-    D Z^k (``_hermite_mod``).  C is the leftmost basis of the kernel's
+    G = (T[i][c]) over c in C and D = |dp|.  Those y are spanned by the
+    columns of D H^-1, H an upper triangular basis of the row lattice of G
+    plus D Z^k (``_hermite_mod``).  C is the leftmost basis of the kernel's
     matroid, the dual of the row matroid of A, so in A's own order C holds
-    the kernel's Hermite pivots, and D H^-T, lower triangular here, is in
-    echelon form over them.  Back substitution finds each row of D H^-T and
-    reduces every entry into [0, pivot) as soon as it is found; then
-    x_R = -G y / dp.  Both divisions are exact.
+    the kernel's Hermite pivots, and those columns, reduced into
+    [0, pivot) by ``_inverse_columns``, are in echelon form over them;
+    then x_R = -G y / dp, an exact division.
     """
     m = len(rows)
     work = [list(col) for col in zip(*reversed(rows))]
@@ -279,21 +299,7 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     if D == 1:
         ys = [[int(t == s) for t in range(k)] for s in range(k)]
     else:
-        herm = _hermite_mod(gmat, D, k)
-        ys = []
-        for s in range(k):
-            z = [0] * k
-            z[s] = D
-            for l in range(s, -1, -1):
-                h = herm[l]
-                q, r = divmod(z[l] - sum(map(mul, h[l + 1:s + 1], z[l + 1:s + 1])), h[l])
-                if r:
-                    raise GaleKitError("kernel substitution left a remainder "
-                                       "(internal invariant)")
-                # taking q mod the pivot of row l subtracts a multiple of row
-                # l, which changes the right-hand side at l only
-                z[l] = q % ys[l][l] if l < s else q
-            ys.append(z)
+        ys = _inverse_columns(_hermite_mod(gmat, D, k), D)
     out = []
     for z in reversed(ys):
         x = [0] * m

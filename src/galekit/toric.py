@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
 from .matrix import (
@@ -34,7 +33,8 @@ from .matrix import (
     mat_vec,
     solve,
 )
-from .normal_forms import HnfResult, _hermite_insert, _hermite_mod, hnf
+from .normal_forms import (
+    HnfResult, _hermite_insert, _hermite_mod, _inverse_columns, hnf)
 from .lattices import Lattice, QuotientStructure, quotient_structure
 from .gale import _gale_dual, gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
@@ -166,22 +166,13 @@ def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
     """(Picard basis, delta_sigma = lcm |det Q^I|).  delta Pic* contains
     delta Z^r and is the sum of the row lattices of delta (Q^I)^-1: one
     Hermite fold modulo delta, with an upper triangular basis H.  Pic is
-    spanned by the integral columns of delta H^-1 (exact back substitution)."""
+    spanned by the integral columns of delta H^-1 (``_inverse_columns``)."""
     r = Q.rows
     table = _cone_table(Q, fan)
     delta = math.lcm(*(d for d, _ in table))
     herm = _hermite_mod([[delta // d * x for x in row] for d, adj in table
                          for row in adj], delta, r)
-    cols = []  # column s of delta H^-1 solves H y = delta e_s
-    for s in range(r):
-        y = [delta * (t == s) for t in range(r)]
-        for l in range(s, -1, -1):
-            h = herm[l]
-            y[l], rem = divmod(y[l] - sum(map(mul, h[l + 1:s + 1], y[l + 1:s + 1])), h[l])
-            if rem:
-                raise GaleKitError("Picard substitution is inexact (internal invariant)")
-        cols.append(y)
-    return Mat(_hermite_insert(cols, r)[0]), delta
+    return Mat(_hermite_insert(_inverse_columns(herm, delta), r)[0]), delta
 
 
 def cartier_basis(B: Mat, U_Q: Mat) -> Mat:

@@ -5,7 +5,8 @@ by cofactor expansion, ranks by naive rational elimination, minor gcds by
 direct enumeration, feasibility by scanning square subsystems (and
 W-positivity also by the row-space LP the library used before it moved to
 the Gale dual), linear systems by a ``Fraction`` Gauss-Jordan tableau,
-fraction-free elimination by a full Gauss-Jordan pass, normal forms with
+fraction-free elimination by a full Gauss-Jordan pass and by full-width
+Bareiss rows, extended gcds by Euclid's loop, normal forms with
 their transforms in separate lists, Cartier indices by one linear system
 per maximal cone on the fan side.  They are the reference implementations
 the production code is checked against.
@@ -29,7 +30,6 @@ from galekit.matrix import (
     _pivot,
     block_diag,
     solve,
-    xgcd,
 )
 from galekit.normal_forms import _lift_into_rows, _positive_span_vector
 
@@ -134,6 +134,48 @@ def gauss_rank(A: Mat) -> int:
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def xgcd_oracle(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y: Euclid's loop
+    with floor quotients, as ``matrix.xgcd`` ran it on every pair before it
+    read the cofactors off ``math.gcd`` and ``pow``."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def forward_elimination_oracle(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free forward elimination (Bareiss) on the first ncols
+    columns, as ``matrix._eliminate`` ran it before it updated rows in
+    place on the live columns only: every row below a pivot is rebuilt
+    over its full width as (p * row - row[j] * prow) // d."""
+    pivots: list[int] = []
+    d = 1
+    nrows = len(m)
+    for j in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[j]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            q = row[j]
+            m[i] = [(p * x - q * y) // d for x, y in zip(row, prow)]
+        d = p
+        pivots.append(j)
+    return pivots, d
 
 
 def eliminate_oracle(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -789,7 +831,7 @@ def hermite_fold_oracle(rows: Sequence[Sequence[int]], n: int, D: int = 0,
                 r = ([(y - q * x) % D for x, y in zip(piv, r)] if D
                      else [y - q * x for x, y in zip(piv, r)])
             else:
-                g, u, v = xgcd(a, b)
+                g, u, v = xgcd_oracle(a, b)
                 s, t = a // g, b // g
                 if D:
                     r, piv = ([(s * y - t * x) % D for x, y in zip(piv, r)],
@@ -1013,7 +1055,7 @@ def _clear_first_column(mat, left, right, r0, c0, d, m) -> None:
 
     if mat[last][c0] != 0:
         a, b = mat[last - 1][c0], mat[last][c0]
-        g, x, y = xgcd(a, b)
+        g, x, y = xgcd_oracle(a, b)
         row_hi = [x * u + y * v for u, v in zip(mat[last - 1], mat[last])]
         row_lo = [(-b // g) * u + (a // g) * v
                   for u, v in zip(mat[last - 1], mat[last])]

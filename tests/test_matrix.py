@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +21,11 @@ from conftest import (
     cofactor_det,
     count_calls,
     eliminate_oracle,
+    forward_elimination_oracle,
     gauss_rank,
     rand_mat,
     solve_oracle,
+    xgcd_oracle,
 )
 
 
@@ -265,10 +269,63 @@ def test_fraction_free_kernel_large_entries():
     assert singular >= 50
 
 
+def _xgcd_pair(rng: random.Random, kind: int) -> tuple[int, int]:
+    """A seeded pair of one of seven kinds, every value of at most 300 bits."""
+    def value(bits: int) -> int:
+        return rng.getrandbits(rng.randint(1, bits)) * rng.choice((1, -1))
+    if kind == 0:  # anything
+        return value(300), value(300)
+    if kind == 6:  # small
+        return value(16), value(16)
+    if kind == 1:  # a zero on one side or both
+        return rng.choice([(0, value(300)), (value(300), 0), (0, 0)])
+    if kind == 2:  # a | b
+        a = value(290)
+        return a, a * rng.randint(-40, 40)
+    if kind == 3:  # b | a
+        b = value(290)
+        return b * rng.randint(-40, 40), b
+    if kind == 4:  # |b| / g in {1, 2}, Euclid's loop kept
+        g, c = value(280) or 1, rng.choice((1, 2, -1, -2))
+        return g * (value(16) | 1), g * c
+    g = value(200)  # a common factor
+    return g * value(90), g * value(90)
+
+
+def test_xgcd_matches_euclid_oracle():
+    # the cofactors read off math.gcd and pow are Euclid's, verbatim: an
+    # exhaustive small grid and 120,000 seeded pairs of 1 to 300 bits, with
+    # a tally of every class of input
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            assert matrix.xgcd(a, b) == xgcd_oracle(a, b), (a, b)
+    rng = random.Random(270)
+    tally = Counter()
+    for it in range(120_000):
+        a, b = _xgcd_pair(rng, it % 7)
+        g, x, y = matrix.xgcd(a, b)
+        assert (g, x, y) == xgcd_oracle(a, b), (a, b)
+        assert g == math.gcd(a, b) == a * x + b * y
+        bits = max(a.bit_length(), b.bit_length())
+        assert bits <= 300
+        if not (a and b):
+            tally["zero"] += 1
+            continue
+        tally["mixed_signs"] += (a < 0) != (b < 0)
+        tally["a_divides_b"] += b % a == 0
+        tally["b_divides_a"] += a % b == 0
+        tally["m_le_2" if abs(b) // g <= 2 else "m_gt_2"] += 1
+        tally["bits_1_16"] += bits <= 16
+        tally["bits_200_300"] += bits >= 200
+    assert len(tally) == 8 and min(tally.values()) >= 10_000, tally
+
+
 def test_forward_elimination_matches_gauss_jordan_oracle():
     # 2,000 integer matrices up to 12 x 24, the last 0-4 columns carried:
     # pivots, the last pivot, every vanishing row, and d * RREF on every
-    # column (pivot columns included) from the back substitution
+    # column (pivot columns included) from the back substitution; the whole
+    # matrix left in place is the full-width Bareiss loop's, with the same
+    # row objects
     rng = random.Random(108)
     tally = {"zero_row": 0, "deficient": 0, "carried": 0, "large": 0}
     for it in range(2000):
@@ -285,8 +342,12 @@ def test_forward_elimination_matches_gauss_jordan_oracle():
             cols = rng.sample(range(ncols), rng.randint(0, ncols))
             rows = [[0 if j in cols else x for j, x in enumerate(r)] for r in rows]
         expected = [r[:] for r in rows]
+        bareiss = [r[:] for r in rows]
+        ids = set(map(id, rows))
         pivots, d = matrix._eliminate(rows, ncols)
         assert (pivots, d) == eliminate_oracle(expected, ncols)
+        assert (pivots, d) == forward_elimination_oracle(bareiss, ncols)
+        assert rows == bareiss and set(map(id, rows)) == ids
         rank = len(pivots)
         assert rows[rank:] == expected[rank:]
         assert matrix._back_substitute(rows, pivots, d, range(width)) == expected[:rank]

@@ -28,6 +28,7 @@ from conftest import (
     rand_mat,
     rand_unimodular,
     snf_oracle,
+    solve_oracle,
 )
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
@@ -327,6 +328,28 @@ def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
         assert [row[i] for i, row in enumerate(basis)] == [h[i][i] for i in range(k)]
         assert all(D % row[i] == 0 for i, row in enumerate(basis))
         assert hnf_int_oracle(basis)[0] == h[:k]
+
+
+def test_inverse_columns_span_the_scaled_dual():
+    # the one back substitution of the kernels and the Picard bases: column
+    # s is D H^-1's column s less multiples of the columns before it, zero
+    # past s, with D / H[s][s] on the diagonal and every entry above it
+    # reduced below its row's diagonal entry; the columns span what D H^-1
+    # spans (Fraction Gauss-Jordan inverse)
+    rng = random.Random(271)
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        D = rng.choice([1, 2, 6, 12, 210, rng.randint(2, 10 ** 6)])
+        gens = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(k)]
+                for _ in range(rng.randint(0, 7))]
+        herm = normal_forms._hermite_mod(gens, D, k)
+        cols = normal_forms._inverse_columns(herm, D)
+        inverse = solve_oracle(Mat(herm), Mat.identity(k)).scale(D)
+        assert inverse.is_integral
+        for s, col in enumerate(cols):
+            assert col[s] == D // herm[s][s] and not any(col[s + 1:])
+            assert all(0 <= col[l] < cols[l][l] for l in range(s))
+        assert hnf_int_oracle(cols)[0] == hnf_int_oracle(inverse.col_tuples())[0]
 
 
 def test_left_kernel_runs_no_euclid_pass(monkeypatch):

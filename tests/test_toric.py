@@ -27,7 +27,9 @@ from galekit import (
     full_report,
     gale_dual,
     gcd_max_minors,
+    is_fan,
     is_pws,
+    is_support_complete,
     is_w_reduced,
     picard_basis,
     torsion_via_Tn,
@@ -282,7 +284,8 @@ def test_picard_substitution_remainder_is_an_invariant(monkeypatch):
     # delta H^-1 is integral for the H the fold returns; a pivot that does
     # not divide delta (3 against delta = 2) leaves a remainder
     monkeypatch.setattr(toric, "_hermite_mod", lambda gens, D, k: [[3, 0], [0, 1]])
-    with pytest.raises(GaleKitError, match=r"inexact \(internal invariant\)$") as info:
+    with pytest.raises(GaleKitError, match=r"substitution left a remainder "
+                       r"\(internal invariant\)$") as info:
         toric._picard_basis(WORKED_Q, _worked_fan())
     assert not isinstance(info.value, DomainError)
 
@@ -389,6 +392,65 @@ def test_full_report_takes_one_left_kernel(monkeypatch):
     assert full_report(Q=WORKED_Q).picard_basis == Mat([[2, 0], [0, 2]])
     assert calls["_left_kernel"] == 1
     assert calls["hnf"] == 1
+
+
+WORKED_CONES = [(1, 3), (1, 4), (2, 3), (2, 4)]
+
+
+def _hand_fan(*cones):
+    """A Fan on WORKED_V built by hand, past ``fan_from_cones``."""
+    return Fan(WORKED_V, tuple(Cone(c) for c in cones))
+
+
+def test_full_report_checks_each_given_cone_once(monkeypatch):
+    # fan_from_cones checks the index sets it is given and _check_fan does
+    # not check them again; a Fan of int generators takes no check at all,
+    # and is_fan and is_support_complete check each cone they are given once
+    fan = _worked_fan()
+    calls = count_calls(monkeypatch, matrix, "check_index_set")
+    assert full_report(Q=WORKED_Q, fan=WORKED_CONES).picard_basis == Mat([[2, 0], [0, 2]])
+    assert calls["check_index_set"] == 4
+    full_report(Q=WORKED_Q, fan=fan)
+    picard_basis(WORKED_Q, fan)
+    assert calls["check_index_set"] == 4
+    assert is_fan(WORKED_V, WORKED_CONES) and is_support_complete(WORKED_V, fan)
+    assert calls["check_index_set"] == 12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: full_report(Q=WORKED_Q, fan=[(1, 3), (1, 5), (2, 3), (2, 4)]),
+     "index 5 out of range 1..4"),
+    (lambda: full_report(Q=WORKED_Q, fan=[(0, 3), (1, 4), (2, 3), (2, 4)]),
+     "index 0 out of range 1..4"),
+    (lambda: full_report(Q=WORKED_Q, fan=[(1, 3), (), (2, 3), (2, 4)]),
+     "index set must not be empty"),
+    (lambda: full_report(Q=WORKED_Q, fan=[(True, 3), (1, 4), (2, 3), (2, 4)]),
+     "index True is not an integer"),
+    (lambda: full_report(Q=WORKED_Q, fan=_hand_fan((1.0, 3), (1, 4), (2, 3), (2, 4))),
+     "index 1.0 is not an integer"),
+    (lambda: full_report(Q=WORKED_Q, fan=_hand_fan((1, 3), (1, 5), (2, 3), (2, 4))),
+     "invalid fan: not every ray is used by a maximal cone"),
+    (lambda: full_report(Q=WORKED_Q, fan=_hand_fan((1, 3), (), (2, 3), (2, 4))),
+     "maximal cones must have exactly n generators"),
+    (lambda: picard_basis(WORKED_Q, _hand_fan((1, 3), (1, 4), (True, 3), (2, 4))),
+     "index True is not an integer"),
+    (lambda: delta_sigma(WORKED_Q, _hand_fan((1, 3), (1, 4), (2, 3), (0, 4))),
+     "invalid fan: not every ray is used by a maximal cone"),
+    (lambda: cartier_index(WORKED_V, _hand_fan((1, 3), (1, 4), (2, 3), (2, 4.0)),
+                           (1, 0, 0, 0)),
+     "index 4.0 is not an integer"),
+    (lambda: is_fan(WORKED_V, [(1, 3), (1, 5)]), "index 5 out of range 1..4"),
+    (lambda: is_fan(WORKED_V, [(1, 3), ()]), "index set must not be empty"),
+    (lambda: is_fan(WORKED_V, [(3, 1.0)]), "index 1.0 is not an integer"),
+    (lambda: is_support_complete(WORKED_V, _hand_fan((1, 3), (0, 4))),
+     "index 0 out of range 1..4"),
+    (lambda: is_support_complete(WORKED_V, _hand_fan((1, 3), (False, 4))),
+     "index False is not an integer"),
+    (lambda: fan_from_cones(WORKED_V, [(1, 3), (4, 5)]), "index 5 out of range 1..4"),
+])
+def test_every_entry_refuses_a_malformed_index_set(call, message):
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        call()
 
 
 def test_cartier_index_worked():
