@@ -45,14 +45,17 @@ def _json_vector(v):
     return [str(x) for x in v]
 
 
-def _read_matrix(path: str) -> Mat:
-    if path == "-":
-        return parse_matrix(sys.stdin.read())
+def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_matrix(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _read_matrix(path: str) -> Mat:
+    """The matrix in a file, or on stdin for ``-``."""
+    return parse_matrix(sys.stdin.read() if path == "-" else _read_file(path))
 
 
 def _emit_json(obj) -> None:
@@ -93,14 +96,10 @@ def _json_quotient(q):
 
 
 def _read_fan_file(path: str) -> list[list[int]]:
-    """The cone index sets of a fan file, one cone per line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    """The cone index sets of a fan file, one cone per line (``-`` is a file
+    name here, not stdin)."""
     cones = []
-    for raw in text.splitlines():
+    for raw in _read_file(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -376,11 +375,6 @@ def _cmd_cartier_index(args) -> None:
 
 # ---------------------------------------------------------------------------
 
-def _add_matrix_arg(p) -> None:
-    p.add_argument("matrix", nargs="?", default="-",
-                   help="matrix file (default: stdin)")
-
-
 def _add_fan_args(p) -> None:
     choice = p.add_mutually_exclusive_group()
     choice.add_argument("--fan", type=int, default=None,
@@ -400,62 +394,48 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="emit a single JSON object")
+        if name != "intersect":
+            p.add_argument("matrix", nargs="?", default="-",
+                           help="matrix file (default: stdin)")
         p.set_defaults(func=func)
         return p
 
-    p = add("hnf", _cmd_hnf, "Hermite normal form with transform")
-    _add_matrix_arg(p)
-    p = add("snf", _cmd_snf, "Smith normal form with transforms")
-    _add_matrix_arg(p)
-    p = add("echelon", _cmd_echelon, "positive row echelon form")
-    _add_matrix_arg(p)
+    add("hnf", _cmd_hnf, "Hermite normal form with transform")
+    add("snf", _cmd_snf, "Smith normal form with transforms")
+    add("echelon", _cmd_echelon, "positive row echelon form")
 
     p = add("gale", _cmd_gale, "Gale dual matrix")
-    _add_matrix_arg(p)
     p.add_argument("--check", action="store_true",
                    help="verify quotient/determinant identities over subsets")
     p.add_argument("--check-size-cap", type=int, default=12,
                    help="largest subset size for --check")
 
-    p = add("dual", _cmd_dual, "dual lattice basis")
-    _add_matrix_arg(p)
+    add("dual", _cmd_dual, "dual lattice basis")
     p = add("intersect", _cmd_intersect, "intersection of row lattices")
     p.add_argument("matrices", nargs="+", help="matrix files")
-    p = add("quotient", _cmd_quotient, "structure of Z^m modulo the row lattice")
-    _add_matrix_arg(p)
-    p = add("minors-gcd", _cmd_minors_gcd, "gcd of the maximal minors")
-    _add_matrix_arg(p)
+    add("quotient", _cmd_quotient, "structure of Z^m modulo the row lattice")
+    add("minors-gcd", _cmd_minors_gcd, "gcd of the maximal minors")
 
-    p = add("check-f", _cmd_check_f, "F-matrix / CF-matrix classification")
-    _add_matrix_arg(p)
-    p = add("check-w", _cmd_check_w, "W-matrix classification")
-    _add_matrix_arg(p)
-    p = add("positivize", _cmd_positivize, "equivalent nonnegative weight matrix")
-    _add_matrix_arg(p)
-    p = add("reduce-f", _cmd_reduce_f, "divide fan-matrix columns by gcds")
-    _add_matrix_arg(p)
-    p = add("reduce-w", _cmd_reduce_w, "weight-matrix reduction")
-    _add_matrix_arg(p)
+    add("check-f", _cmd_check_f, "F-matrix / CF-matrix classification")
+    add("check-w", _cmd_check_w, "W-matrix classification")
+    add("positivize", _cmd_positivize, "equivalent nonnegative weight matrix")
+    add("reduce-f", _cmd_reduce_f, "divide fan-matrix columns by gcds")
+    add("reduce-w", _cmd_reduce_w, "weight-matrix reduction")
 
     p = add("fans", _cmd_fans, "enumerate simplicial fans on the columns")
-    _add_matrix_arg(p)
     p.add_argument("--cap", type=int, default=None,
                    help=f"ray-count guard (default {DEFAULT_CAP}; env GALEKIT_CAP)")
 
-    p = add("class-group", _cmd_class_group, "class group of the fan matrix")
-    _add_matrix_arg(p)
-    p = add("pws", _cmd_pws, "poly-weighted-space detection")
-    _add_matrix_arg(p)
+    add("class-group", _cmd_class_group, "class group of the fan matrix")
+    add("pws", _cmd_pws, "poly-weighted-space detection")
 
     p = add("report", _cmd_report, "full toric report")
-    _add_matrix_arg(p)
     p.add_argument("--kind", choices=["weight", "fan"], default="weight",
                    help="interpret the input as a weight or fan matrix")
     _add_fan_args(p)
 
     p = add("cartier-index", _cmd_cartier_index,
             "least multiple of a divisor that is Cartier")
-    _add_matrix_arg(p)
     p.add_argument("--divisor", required=True,
                    help="comma-separated ray coefficients a1,...,a_{n+r}")
     _add_fan_args(p)

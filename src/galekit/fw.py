@@ -29,7 +29,8 @@ its coefficients over the rows of Q, and rebases on them as
 ``positive_row_basis`` does.
 e_j can lie in L only if column j of K is zero; clause f fails exactly when
 two columns of K have the same primitive vector.  Repeated ray directions
-(F clause d) are equal primitive columns.  F clause b takes the rank of V
+(F clause d) are equal primitive columns among the nonzero ones; one
+repeated-direction test answers both clauses.  F clause b takes the rank of V
 off the column lattice that clauses a and e read, then one Stiemke LP.
 """
 
@@ -122,7 +123,7 @@ def _classify_f(V: Mat) -> tuple[FMatrixReport, Lattice]:
         violated.append("b")
     if any(not any(c) for c in cols):
         violated.append("c")
-    if _has_proportional_columns(cols):
+    if _has_repeated_direction([c for c in cols if any(c)]):
         violated.append("d")
     if col_lat.basis != Mat.identity(n).row_tuples():
         violated.append("e")
@@ -180,7 +181,10 @@ def _classify_w(Q: Mat, kernel: "list[tuple] | None" = None
            for j, col in enumerate(cols)):
         violated.append("e")
 
-    if _has_mixed_sign_plane_vector(cols):
+    # clause f: L meets the plane span(e_i, e_j) in {(a, b) : a K_i + b K_j
+    # = 0}, which holds a vector with a * b < 0 iff the columns K_i and K_j
+    # of the kernel are both zero or positively proportional
+    if _has_repeated_direction(cols):
         violated.append("f")
 
     is_w = not violated
@@ -194,19 +198,10 @@ def _primitive(c: tuple) -> tuple:
     return tuple(x // g for x in c) if g else tuple(c)
 
 
-def _has_proportional_columns(cols: list[tuple]) -> bool:
-    """Clause d: two nonzero integer columns with the same primitive vector
-    (positively proportional)."""
-    prim = [_primitive(c) for c in cols if any(c)]
-    return len(set(prim)) < len(prim)
-
-
-def _has_mixed_sign_plane_vector(kernel_cols: list[tuple]) -> bool:
-    """Clause f, read off the columns of the kernel K of L (the Gale dual):
-    L meets the plane span(e_i, e_j) in {(a, b) : a K_i + b K_j = 0}, which
-    holds a vector with a * b < 0 iff K_i and K_j are both zero or
-    positively proportional, i.e. have the same primitive vector."""
-    prim = [_primitive(c) for c in kernel_cols]
+def _has_repeated_direction(cols: list[tuple]) -> bool:
+    """Two of the integer columns have the same primitive vector: both zero
+    or positively proportional."""
+    prim = [_primitive(c) for c in cols]
     return len(set(prim)) < len(prim)
 
 

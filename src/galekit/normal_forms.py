@@ -35,9 +35,11 @@ makes, not a canonical one.
 Left kernels take no row insertion.  ``left_kernel_rows`` reads an integer
 kernel basis off one forward Bareiss elimination of A^T and a back
 substitution on its non-pivot columns, saturates it with a column fold
-taken modulo the last pivot (``_hermite_mod``), and puts it in Hermite form
-with one reducing substitution; ``hnf`` takes the rows of U past the rank
-from the same routine.
+taken modulo the last pivot, and puts it in Hermite form with one reducing
+substitution; ``hnf`` takes the rows of U past the rank from the same
+routine.  The fold and the substitution are one routine,
+``_inverse_columns``: a basis of {y : G y = 0 mod D}, which ``toric``'s
+Picard basis calls too.
 """
 
 from __future__ import annotations
@@ -249,15 +251,19 @@ def _hermite_mod(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
     return basis
 
 
-def _inverse_columns(herm: list[list[int]], D: int) -> list[list[int]]:
-    """The columns of D H^-1, H = ``herm`` the upper triangular basis that
-    ``_hermite_mod`` gives of a lattice holding D Z^k.  Column s solves
-    H z = D e_s from row s up and is zero past s; each z[l] above the
+def _inverse_columns(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
+    """A basis of {y in Z^k : G y = 0 mod D}, G = ``gens`` (rows of length
+    k): the columns of D H^-1, H the upper triangular basis of G Z^k + D Z^k
+    that ``_hermite_mod`` gives, or the identity when D = 1.  Column s
+    solves H z = D e_s from row s up and is zero past s; each z[l] above the
     diagonal is reduced modulo column l's diagonal entry, which subtracts a
     multiple of column l.  Every division is exact."""
+    if D == 1:
+        return [[int(t == s) for t in range(k)] for s in range(k)]
+    herm = _hermite_mod(gens, D, k)
     ys: list[list[int]] = []
-    for s in range(len(herm)):
-        z = [0] * len(herm)
+    for s in range(k):
+        z = [0] * k
         z[s] = D
         for l in range(s, -1, -1):
             h = herm[l]
@@ -280,9 +286,8 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     row echelon form there, dp the last pivot.  Each c in C names the
     kernel vector dp e_c - sum_i T[i][c] e_{R_i}.  A kernel vector x
     is fixed by y = x_C, and is integral exactly when G y = 0 mod D, with
-    G = (T[i][c]) over c in C and D = |dp|.  Those y are spanned by the
-    columns of D H^-1, H an upper triangular basis of the row lattice of G
-    plus D Z^k (``_hermite_mod``).  C is the leftmost basis of the kernel's
+    G = (T[i][c]) over c in C and D = |dp|; ``_inverse_columns`` gives
+    a basis of those y.  C is the leftmost basis of the kernel's
     matroid, the dual of the row matroid of A, so in A's own order C holds
     the kernel's Hermite pivots, and those columns, reduced into
     [0, pivot) by ``_inverse_columns``, are in echelon form over them;
@@ -293,15 +298,9 @@ def _left_kernel(rows: list[list[int]]) -> list[tuple]:
     pivots, dp = _eliminate(work, m)
     chosen = set(pivots)
     free = [c for c in range(m) if c not in chosen]
-    k = len(free)
     gmat = _back_substitute(work, pivots, dp, free)
-    D = abs(dp)
-    if D == 1:
-        ys = [[int(t == s) for t in range(k)] for s in range(k)]
-    else:
-        ys = _inverse_columns(_hermite_mod(gmat, D, k), D)
     out = []
-    for z in reversed(ys):
+    for z in reversed(_inverse_columns(gmat, abs(dp), len(free))):
         x = [0] * m
         for c, y in zip(free, z):
             x[c] = y
@@ -421,20 +420,26 @@ def snf(A: Mat) -> SnfResult:
 # positivity helpers on row lattices
 
 def _positive_span_vector(basis: Sequence[Sequence[int]],
-                          kernel: Sequence[Sequence[int]]) -> "list[int] | None":
+                          kernel: "Sequence[Sequence[int]] | None" = None,
+                          ) -> "list[int] | None":
     """A primitive integer y in the rational row space of ``basis``, > 0 on
-    the support S of its rows and 0 off it, or None.  ``kernel`` spans the
-    orthogonal complement (the Gale dual), so by Stiemke and Gordan this is
-    one exact simplex on either side of the pair, run on the shorter one:
-    Gordan's LP on the rho rows of ``basis`` plus a row of ones when
-    rho + 1 is fewer than the k rows of ``kernel`` nonzero on S, Stiemke's
-    LP on those k rows otherwise.  y lies in the saturation of the row
-    lattice, not necessarily in the lattice."""
+    the support S of its rows and 0 off it, or None.  The Hermite basis of
+    the orthogonal complement (the Gale dual; ``kernel`` when the caller
+    holds it) has |S| - rho rows nonzero on S for rho independent rows of
+    ``basis``, since each j off S is a pivot whose row is e_j.  By Stiemke
+    and Gordan this is one exact simplex on either side of the pair, run on
+    the shorter one: Gordan's LP on the rows of ``basis`` plus a row of ones
+    when rho + 1 < |S| - rho, Stiemke's LP on those kernel rows otherwise,
+    so the kernel is computed only on that side.  y lies in the saturation
+    of the row lattice, not necessarily in the lattice."""
     m = len(basis[0])
     support = [j for j in range(m) if any(row[j] for row in basis)]
-    rows = [sub for sub in ([row[j] for j in support] for row in kernel) if any(sub)]
-    if len(basis) + 1 < len(rows):
+    rho = len(basis)
+    if rho + 1 < len(support) - rho:
         return _weight_side_vector(basis, support)
+    if kernel is None:
+        kernel = left_kernel_rows(Mat(basis).transpose())
+    rows = [sub for sub in ([row[j] for j in support] for row in kernel) if any(sub)]
     return _kernel_side_vector(rows, support, m)
 
 
@@ -532,7 +537,7 @@ def positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     Raises DomainError when the lattice admits no such basis (i.e. the input
     is not W-positive).
     """
-    y = _positive_span_vector(basis, left_kernel_rows(Mat(basis).transpose()))
+    y = _positive_span_vector(basis)
     if y is None:
         raise DomainError("row lattice has no strictly positive vector: "
                           "matrix is not W-positive")

@@ -7,9 +7,12 @@ read off the Hermite transform of Q^T.  In that identification the Picard
 subgroup is the intersection of the column lattices of the complementary
 weight submatrices over all maximal cones, Cartier divisors are spanned by
 an explicit block product, and the Cartier index of a divisor a is the order
-of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  A table of
-d = det and d times the inverse of each block gives delta_Sigma, the lcm of the
-|d|, and Pic, the dual of the sum of the inverses modulo delta_Sigma.
+of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  One
+per-cone table, d = det and d times the inverse of each square block, serves
+both sides of the Gale pair: on the weight blocks Q^I it gives delta_Sigma,
+the lcm of the |d|, and Pic, the dual of the sum of the inverses modulo
+delta_Sigma; on the fan blocks V_sigma it gives ``cartier_index``, which also
+serves V with class-group torsion.
 ``full_report`` validates its input once and derives each object once (one
 ``hnf(Q^T)`` gives U_Q and ``classify_w``'s kernel, from Q the dual V, whose
 class group is read off its column lattice; only a fan passed in is checked);
@@ -28,13 +31,13 @@ from .matrix import (
     Mat,
     _back_substitute,
     _eliminate,
+    _int_row,
     block_diag,
     det_exact,
     mat_vec,
     solve,
 )
-from .normal_forms import (
-    HnfResult, _hermite_insert, _hermite_mod, _inverse_columns, hnf)
+from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
 from .lattices import Lattice, QuotientStructure, quotient_structure
 from .gale import _gale_dual, gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
@@ -144,18 +147,20 @@ def picard_basis(Q: Mat, fan: Fan) -> Mat:
     return _picard_basis(Q, fan)[0]
 
 
-def _cone_table(Q: Mat, fan: Fan) -> list[tuple[int, list[list[int]]]]:
-    """Per maximal cone, (d = +-det Q^I, d (Q^I)^-1) for the complementary
-    block Q^I, from one Bareiss elimination of [Q^I | I_r]."""
-    r = Q.rows
+def _cone_table(rows: Sequence[Sequence[int]], blocks: Sequence[Sequence[int]],
+                ) -> list[tuple[int, list[list[int]]]]:
+    """Per block of 0-based columns, (d = +-det M, d M^-1) for the square
+    integer matrix M = ``rows`` on those columns, from one Bareiss
+    elimination of [M | I].  The weight side passes Q and each cone's
+    complement, the fan side V and each cone; by Gale duality a block is
+    singular on one side exactly when it is on the other."""
+    r = len(rows)
     table = []
-    for cone in fan.maximal_cones:
-        gens = set(cone.gens)
-        rest = [j for j in range(Q.cols) if j + 1 not in gens]
-        m = [[row[j] for j in rest] + [int(i == j) for j in range(r)]
-             for i, row in enumerate(Q.row_tuples())]
-        pivots, d = _eliminate(m, len(rest))
-        if len(pivots) < r or len(rest) != r:
+    for block in blocks:
+        m = [[row[j] for j in block] + [int(i == j) for j in range(r)]
+             for i, row in enumerate(rows)]
+        pivots, d = _eliminate(m, len(block))
+        if len(pivots) < r or len(block) != r:
             raise GaleKitError("Picard lattice is not of full rank (unreachable "
                                "for simplicial complete fans)")
         table.append((d, _back_substitute(m, pivots, d, range(r, 2 * r))))
@@ -164,15 +169,17 @@ def _cone_table(Q: Mat, fan: Fan) -> list[tuple[int, list[list[int]]]]:
 
 def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
     """(Picard basis, delta_sigma = lcm |det Q^I|).  delta Pic* contains
-    delta Z^r and is the sum of the row lattices of delta (Q^I)^-1: one
-    Hermite fold modulo delta, with an upper triangular basis H.  Pic is
-    spanned by the integral columns of delta H^-1 (``_inverse_columns``)."""
+    delta Z^r and is the sum of the row lattices of delta (Q^I)^-1, so Pic
+    is spanned by the integral vectors y with delta (Q^I)^-1 y = 0 mod
+    delta for every cone (``_inverse_columns``)."""
     r = Q.rows
-    table = _cone_table(Q, fan)
+    table = _cone_table(Q.row_tuples(), [
+        [j for j in range(Q.cols) if j + 1 not in cone.gens]
+        for cone in fan.maximal_cones])
     delta = math.lcm(*(d for d, _ in table))
-    herm = _hermite_mod([[delta // d * x for x in row] for d, adj in table
-                         for row in adj], delta, r)
-    return Mat(_hermite_insert(_inverse_columns(herm, delta), r)[0]), delta
+    ys = _inverse_columns([[delta // d * x for x in row] for d, adj in table
+                           for row in adj], delta, r)
+    return Mat(_hermite_insert(ys, r)[0]), delta
 
 
 def cartier_basis(B: Mat, U_Q: Mat) -> Mat:
@@ -220,16 +227,21 @@ def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
 
 def _cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
     """``cartier_index`` on a fan known to be valid, such as one that
-    ``enumerate_SF`` returned."""
+    ``enumerate_SF`` returned.  Per cone the solution is
+    m = a_sigma V_sigma^-1.  The table runs on the integer rows D V, D the
+    lcm of V's denominators, and gives (d, d (D V_sigma)^-1), so
+    d m = D sum_i a_(g_i) (d (D V_sigma)^-1)_i and the denominators of m
+    have lcm |d| / gcd(d, d m); a rational a is scaled to integers by the
+    lcm e of its denominators, which multiplies d."""
     if len(a) != V.cols:
         raise DomainError("divisor coefficient length mismatch")
+    scale, rows = V.int_scaled()
+    e, a = _int_row(a)
+    cones = [[g - 1 for g in cone.gens] for cone in fan.maximal_cones]
     k = 1
-    for cone in fan.maximal_cones:
-        sub = V.take_cols([g - 1 for g in cone.gens])
-        sol = solve(sub.transpose(), Mat([[a[g - 1]] for g in cone.gens]))
-        if sol is None:
-            raise DomainError("degenerate cone in cartier_index")
-        k = math.lcm(k, *(x.denominator for x in sol.col(0)))
+    for cone, (d, adj) in zip(cones, _cone_table(rows, cones)):
+        dm = [scale * sum(a[j] * x for j, x in zip(cone, col)) for col in zip(*adj)]
+        k = math.lcm(k, abs(d * e) // math.gcd(d * e, *dm))
     return k
 
 

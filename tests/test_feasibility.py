@@ -215,10 +215,13 @@ def _classify_by_oracles(monkeypatch, Q, positive):
         mp.setattr(fw, "_is_f_complete",
                    lambda rows, rank: is_f_complete_oracle(Mat(rows)))
         mp.setattr(fw, "_positive_span_vector", span_vector)
-        mp.setattr(fw, "_has_mixed_sign_plane_vector",
+        # the repeated-direction test answers clause d in classify_f and
+        # clause f in classify_w
+        mp.setattr(fw, "_has_repeated_direction", proportional_columns_oracle)
+        rep_f = classify_f(Q)
+        mp.setattr(fw, "_has_repeated_direction",
                    lambda cols: mixed_sign_plane_oracle(lat))
-        mp.setattr(fw, "_has_proportional_columns", proportional_columns_oracle)
-        return classify_f(Q), classify_w(Q)
+        return rep_f, classify_w(Q)
 
 
 def _check_w_report(Q, rep):
@@ -242,7 +245,7 @@ def test_fw_kernels_match_subset_scans(monkeypatch):
         deficient += Q.rank() < Q.rows
         assert is_f_complete(Q) == is_f_complete_oracle(Q)
         cols = list(Q.col_tuples())
-        prop = fw._has_proportional_columns(cols)
+        prop = fw._has_repeated_direction([c for c in cols if any(c)])
         assert prop == proportional_columns_oracle(cols)
         proportional += prop
 
@@ -263,7 +266,7 @@ def test_fw_kernels_match_subset_scans(monkeypatch):
                 vec, lam = lp
                 assert all(vec[j] > 0 for j in support)
                 assert vec == tuple(_dot(lam, col) for col in zip(*basis))
-        assert (fw._has_mixed_sign_plane_vector(kernel_cols)
+        assert (fw._has_repeated_direction(kernel_cols)
                 == mixed_sign_plane_oracle(lat))
 
         got_f = classify_f(Q)

@@ -6,8 +6,9 @@ standard library (the empty dependency list of ``pyproject.toml``),
 keeps no results in a ``functools`` cache, keeps no Euclid scan beside
 row insertion, reaches Smith forms only through row insertion,
 enumerates the fan of a toric call only in the fan selector, derives
-the Picard lattice without intersecting lattices and builds a ``Mat``
-without its construction scan only inside ``matrix.py``.
+the Picard lattice without intersecting lattices, reads both sides of
+the Gale pair off one per-cone table and builds a ``Mat`` without its
+construction scan only inside ``matrix.py``.
 """
 
 import ast
@@ -195,3 +196,23 @@ def test_unscanned_matrices_stay_in_matrix():
             if isinstance(name, str) and "_unscanned" in name:
                 uses.append(path.name)
     assert uses and set(uses) == {"matrix.py"}, uses
+
+
+def test_toric_eliminates_only_in_the_cone_table():
+    """Both sides of the Gale pair read their per-cone blocks off one table:
+    in ``toric.py`` only ``_cone_table`` calls ``_eliminate``, and
+    ``_cartier_index`` names neither ``solve`` nor ``Mat``."""
+    tree = _tree(next(p for p in SOURCES if p.name == "toric.py"))
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_eliminate"):
+                callers.add(getattr(top, "name", top.lineno))
+    assert callers == {"_cone_table"}, callers
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_cartier_index")
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for stmt in func.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"solve", "Mat"}, sorted(names & {"solve", "Mat"})

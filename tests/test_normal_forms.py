@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -330,26 +331,63 @@ def test_hermite_mod_is_the_hermite_basis_with_the_modulus():
         assert hnf_int_oracle(basis)[0] == h[:k]
 
 
-def test_inverse_columns_span_the_scaled_dual():
+def test_inverse_columns_span_the_scaled_dual(monkeypatch):
     # the one back substitution of the kernels and the Picard bases: column
     # s is D H^-1's column s less multiples of the columns before it, zero
     # past s, with D / H[s][s] on the diagonal and every entry above it
     # reduced below its row's diagonal entry; the columns span what D H^-1
     # spans (Fraction Gauss-Jordan inverse)
+    fold, folds = normal_forms._hermite_mod, []
+    monkeypatch.setattr(normal_forms, "_hermite_mod",
+                        lambda *args: folds.append(fold(*args)) or folds[-1])
     rng = random.Random(271)
     for _ in range(400):
         k = rng.randint(1, 6)
         D = rng.choice([1, 2, 6, 12, 210, rng.randint(2, 10 ** 6)])
         gens = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(k)]
                 for _ in range(rng.randint(0, 7))]
-        herm = normal_forms._hermite_mod(gens, D, k)
-        cols = normal_forms._inverse_columns(herm, D)
+        cols = normal_forms._inverse_columns(gens, D, k)
+        # the fold it ran, skipped for D = 1, where H is the identity
+        herm = folds.pop() if D > 1 else fold(gens, D, k)
+        assert not folds
         inverse = solve_oracle(Mat(herm), Mat.identity(k)).scale(D)
         assert inverse.is_integral
         for s, col in enumerate(cols):
             assert col[s] == D // herm[s][s] and not any(col[s + 1:])
             assert all(0 <= col[l] < cols[l][l] for l in range(s))
         assert hnf_int_oracle(cols)[0] == hnf_int_oracle(inverse.col_tuples())[0]
+
+
+def test_positive_span_vector_counts_the_kernel_side_without_it(monkeypatch):
+    # for rho independent rows with support S, the Hermite basis of the
+    # kernel has |S| - rho rows nonzero on S (each j off S is a pivot whose
+    # row is e_j), so the side of the Gale pair is chosen without the
+    # kernel and the kernel is built only for Stiemke's LP
+    calls = count_calls(monkeypatch, normal_forms, "left_kernel_rows")
+    rng = random.Random(2808)
+    sides = Counter()
+    for _ in range(600):
+        m = rng.randint(1, 10)
+        A = [[rng.randint(-2, 5) for _ in range(m)] for _ in range(rng.randint(1, 5))]
+        for j in rng.sample(range(m), rng.randint(0, m // 2)):
+            for row in A:
+                row[j] = 0
+        if rng.random() < 0.3:  # cotorsion
+            A[0] = [2 * x for x in A[0]]
+        basis = [list(row) for row in Lattice.from_matrix(Mat(A)).basis]
+        if not basis:
+            continue
+        rho = len(basis)
+        support = [j for j in range(m) if any(row[j] for row in basis)]
+        kernel = left_kernel_rows(Mat(basis).transpose())
+        assert sum(any(row[j] for j in support) for row in kernel) == len(support) - rho
+        kernel_side = rho + 1 >= len(support) - rho
+        sides[kernel_side] += 1
+        calls.clear()
+        y = normal_forms._positive_span_vector(basis)
+        assert calls["left_kernel_rows"] == kernel_side
+        assert y == normal_forms._positive_span_vector(basis, kernel)
+    assert sides[True] >= 100 and sides[False] >= 100
 
 
 def test_left_kernel_runs_no_euclid_pass(monkeypatch):

@@ -283,7 +283,7 @@ def test_picard_basis_refuses_a_singular_block():
 def test_picard_substitution_remainder_is_an_invariant(monkeypatch):
     # delta H^-1 is integral for the H the fold returns; a pivot that does
     # not divide delta (3 against delta = 2) leaves a remainder
-    monkeypatch.setattr(toric, "_hermite_mod", lambda gens, D, k: [[3, 0], [0, 1]])
+    monkeypatch.setattr(normal_forms, "_hermite_mod", lambda gens, D, k: [[3, 0], [0, 1]])
     with pytest.raises(GaleKitError, match=r"substitution left a remainder "
                        r"\(internal invariant\)$") as info:
         toric._picard_basis(WORKED_Q, _worked_fan())
@@ -490,6 +490,56 @@ def test_cartier_index_scaling_law():
     for k in range(1, 7):
         scaled = tuple(k * x for x in a)
         assert cartier_index(WORKED_V, fan, scaled) == c // math.gcd(k, c)
+
+
+def test_cartier_index_of_a_rational_fan_matrix():
+    # V/2 has the cones of V and half its rays: the table runs on the integer
+    # rows 2 (V/2) = V and multiplies the scale back into d m, so every ray
+    # divisor is Cartier (dropping the scale would give V's (2, 2, 2, 1))
+    half = Mat([[Fraction(x, 2) for x in row] for row in WORKED_V.row_tuples()])
+    fan = fan_from_cones(half, [cone.gens for cone in _worked_fan().maximal_cones])
+    values = [cartier_index(half, fan, tuple(int(t == j) for t in range(4)))
+              for j in range(4)]
+    assert values == [1, 1, 1, 1]
+
+
+def test_cartier_index_on_p2_mod_mu3():
+    # P^2 / mu_3: three cones of index 3, no ray divisor Cartier below 3
+    V = Mat([[1, 1, -2], [0, 3, -3]])
+    fans = enumerate_SF(V)
+    assert len(fans) == 1
+    assert [cartier_index(V, fans[0], tuple(int(t == j) for t in range(3)))
+            for j in range(3)] == [3, 3, 3]
+
+
+def test_cartier_index_matches_one_solve_per_cone():
+    # every fan enumerated on 60 seeded V (torsion V included), each ray
+    # divisor, three seeded integer divisors and one rational divisor,
+    # against one Fraction solve per cone
+    rng = random.Random(2811)
+    configs = torsion = 0
+    while configs < 60:
+        n = rng.randint(2, 4)
+        m = n + rng.randint(1, 3)
+        V = Mat([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)])
+        if V.rank() < n:
+            continue
+        try:
+            fans = enumerate_SF(V)
+        except DomainError:
+            continue
+        if not fans:
+            continue
+        configs += 1
+        torsion += not toric._columns_span(V)
+        divisors = [tuple(int(t == j) for t in range(m)) for j in range(m)]
+        divisors += [tuple(rng.randint(-6, 6) for _ in range(m)) for _ in range(3)]
+        divisors.append(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                              for _ in range(m)))
+        for fan in fans:
+            assert (tuple(cartier_index(V, fan, a) for a in divisors)
+                    == cartier_indices_oracle(V, fan, divisors))
+    assert torsion >= 10
 
 
 def test_full_report_worked_example():
