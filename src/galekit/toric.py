@@ -32,6 +32,7 @@ from .matrix import (
     _back_substitute,
     _eliminate,
     _int_row,
+    _norm_rows,
     block_diag,
     det_exact,
     mat_vec,
@@ -136,8 +137,9 @@ def cl_generators(Q: Mat) -> Mat:
 
 
 def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
-    """Class of the divisor with ray coefficients a, in the fixed basis."""
-    return mat_vec(Q, a)
+    """Class of the divisor with ray coefficients a, in the fixed basis; the
+    coefficients are checked as ``Mat``'s entries are."""
+    return mat_vec(Q, _norm_rows([a])[0][0])
 
 
 def picard_basis(Q: Mat, fan: Fan) -> Mat:
@@ -210,7 +212,7 @@ def _check_delta_sigma(delta: int, cb: Mat) -> None:
     lat = Lattice.from_matrix(cb)
     for j in range(cb.cols):
         vec = tuple(delta * int(t == j) for t in range(cb.cols))
-        if vec not in lat:
+        if lat._coordinates(vec) is None:
             raise GaleKitError("delta_sigma multiple is not Cartier "
                                "(internal invariant)")
 
@@ -220,9 +222,10 @@ def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
     on the fan side (V may have class-group torsion): for each maximal cone
     the square system m . v_j = a_j (j in the cone) has a unique rational
     solution; k is the lcm over cones of the denominators in those solutions.
+    The coefficients are checked as ``Mat``'s entries are.
     """
     _check_fan(V, fan)
-    return _cartier_index(V, fan, a)
+    return _cartier_index(V, fan, _norm_rows([a])[0][0])
 
 
 def _cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:

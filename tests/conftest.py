@@ -8,7 +8,8 @@ the Gale dual), linear systems by a ``Fraction`` Gauss-Jordan tableau,
 fraction-free elimination by a full Gauss-Jordan pass and by full-width
 Bareiss rows, extended gcds by Euclid's loop, normal forms with
 their transforms in separate lists, Cartier indices by one linear system
-per maximal cone on the fan side.  They are the reference implementations
+per maximal cone on the fan side, pairwise lattice intersections by the
+kernel of the stack [B1; -B2] in operand order.  They are the reference implementations
 the production code is checked against.
 """
 
@@ -16,11 +17,13 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 import math
+from operator import mul
 import random
 import sys
 from typing import Sequence
 
-from galekit import DomainError, GaleKitError, Mat, SnfResult, hnf, left_kernel_rows
+from galekit import (
+    DomainError, GaleKitError, Lattice, Mat, SnfResult, hnf, left_kernel_rows)
 from galekit.fans import Cone, Fan, _Circuits, _bits, _conflicts, _holders, _mask
 from galekit.matrix import (
     _bareiss_det,
@@ -685,7 +688,7 @@ def intersection_oracle(lattices):
     intersect the rational spans, restrict every lattice to the common
     span, stack the transverse duals, Hermite-reduce once and dualize
     back."""
-    from galekit import Lattice, transverse
+    from galekit import transverse
 
     ambient = lattices[0].ambient_dim
     if len(lattices) == 1:
@@ -714,6 +717,23 @@ def intersection_oracle(lattices):
     res = hnf(Mat([row for D in duals for row in D.row_tuples()]))
     sum_basis = Mat([res.H.row(i) for i in range(res.rank)])
     return Lattice.from_matrix(transverse(sum_basis))
+
+
+def intersect_pair_oracle(L1: Lattice, L2: Lattice) -> Lattice:
+    """L1 ∩ L2 from one integer left kernel of the stacked bases.
+
+    Canonical bases have independent rows, so the integer rows (u, v) of
+    the kernel of [B1; -B2] are exactly the pairs with u B1 = v B2, and
+    (u, v) -> u B1 maps them onto L1 ∩ L2.
+
+    The route ``lattices._intersect_pair`` took before it stacked the
+    larger-rank operand's basis last, reversed.
+    """
+    b1 = L1.basis
+    kern = left_kernel_rows(Mat(list(b1) + [tuple(-x for x in r) for r in L2.basis]))
+    cols = tuple(zip(*b1))  # map(mul, u, col) stops at the end of u's B1 part
+    rows = [[sum(map(mul, u, col)) for col in cols] for u in kern]
+    return Lattice.from_rows(rows, L1.ambient_dim)
 
 
 def hnf_int_oracle(mat):
@@ -1148,7 +1168,7 @@ def picard_basis_oracle(Q: Mat, fan: Fan) -> tuple[Mat, int]:
     one ``Lattice`` per complementary weight block, |Sigma| - 1 calls of
     ``lattice_intersection``'s pairwise step, and delta as the lcm of the
     products of the blocks' Hermite pivots."""
-    from galekit import Lattice, lattice_intersection
+    from galekit import lattice_intersection
     from galekit.matrix import submatrix_cols
 
     lattices = []

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from galekit import lattices, matrix, normal_forms
 from conftest import (
     box_vectors,
     count_calls,
+    intersect_pair_oracle,
     intersection_oracle,
     minors_gcd_oracle,
     rand_mat,
@@ -177,16 +179,120 @@ def test_intersection_matches_dual_sum_oracle():
 
 
 def test_intersection_is_one_kernel_per_pair(monkeypatch):
+    # the kernel meets the larger-rank operand's basis first: it is stacked
+    # last, reversed, below the other's negated basis, in either order
     L1 = Lattice.from_matrix(Mat([[1, 2, 3, 4], [0, 5, 6, 7]]))
     L2 = Lattice.from_matrix(Mat([[2, 0, 2, 0], [0, 3, 1, 4], [1, 1, 1, 1]]))
+    assert (L1.rank, L2.rank) == (2, 3)
     expected = intersection_oracle([L1, L2])
     kernels = count_calls(monkeypatch, normal_forms, "left_kernel_rows")
     others = count_calls(monkeypatch, lattices, "transverse")
     solves = count_calls(monkeypatch, matrix, "solve")
-    assert lattice_intersection([L1, L2]) == expected
-    assert kernels["left_kernel_rows"] == 1
-    assert others["transverse"] == 0
-    assert solves["solve"] == 0
+    stacks = []
+    counted = lattices.left_kernel_rows
+
+    def capture(A):
+        stacks.append(A.row_tuples())
+        return counted(A)
+
+    monkeypatch.setattr(lattices, "left_kernel_rows", capture)
+    stacked = tuple(tuple(-x for x in r) for r in L1.basis) + L2.basis[::-1]
+    for n, pair in enumerate(([L1, L2], [L2, L1]), 1):
+        assert lattice_intersection(pair) == expected
+        assert kernels["left_kernel_rows"] == n
+        assert others["transverse"] == 0
+        assert solves["solve"] == 0
+        assert stacks[-1] == stacked
+
+
+def _oracle_fold(lats):
+    """``lattice_intersection`` by ``intersect_pair_oracle``."""
+    out = lats[0]
+    for L in lats[1:]:
+        if out.rank == 0 or L.rank == 0:
+            return Lattice.zero(out.ambient_dim)
+        out = intersect_pair_oracle(out, L)
+    return out
+
+
+def _int_rows(rng, k, m, bound=1000, scale=1):
+    return [[scale * rng.randint(-bound, bound) for _ in range(m)] for _ in range(k)]
+
+
+def test_intersection_matches_operand_order_oracle():
+    """The stack [-B_small; reversed(B_large)] gives the canonical basis the
+    stack [B1; -B2] gives, on a corpus seeded apart from the dual-sum one:
+    benchmark-sized pairs, scaled operands (pivots above 1), rational
+    bases, unequal ranks in both orders, disjoint spans, full-rank pairs
+    and 3- and 4-lattice folds."""
+    rng = random.Random(2917)
+    seen = Counter()
+
+    def check(lats):
+        got = lattice_intersection(lats)
+        assert got.basis == _oracle_fold(lats).basis
+        return got
+
+    for a, b in [(6, 10), (8, 12), (9, 14), (10, 16), (12, 20)]:
+        for _ in range(3):
+            lats = [Lattice.from_rows(_int_rows(rng, a, b), b) for _ in range(2)]
+            if check(lats).rank == 2 * a - b:
+                seen["benchmark"] += 1
+    for _ in range(12):
+        a, b = rng.choice([(6, 10), (8, 12), (12, 20)])
+        lats = [Lattice.from_rows(_int_rows(rng, a, b, scale=rng.randint(2, 6)), b)
+                for _ in range(2)]
+        if all(any(row[p] > 1 for row, p in zip(L.basis, L._pivots)) for L in lats):
+            check(lats)
+            seen["scaled"] += 1
+    for _ in range(20):
+        m = rng.randint(3, 7)
+        lats = [Lattice.from_rows([[Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+                                    for _ in range(m)]
+                                   for _ in range(rng.randint(m // 2 + 1, m))], m)
+                for _ in range(2)]
+        if any(not L.is_integral for L in lats) and check(lats).rank:
+            seen["rational"] += 1
+    for _ in range(25):
+        m = rng.randint(3, 12)
+        k1 = rng.randint(2, m)  # k1 + k2 > m: the spans meet
+        k2 = rng.choice([k for k in range(m - k1 + 1, m + 1) if k != k1])
+        bound = rng.choice([9, 1000])
+        L1 = Lattice.from_rows(_int_rows(rng, k1, m, bound), m)
+        L2 = Lattice.from_rows(_int_rows(rng, k2, m, bound), m)
+        if L1.rank != L2.rank and check([L1, L2]).rank:
+            assert check([L2, L1]).rank
+            seen["unequal"] += 2
+    for _ in range(20):
+        m = rng.randint(2, 12)
+        k1 = rng.randint(1, m - 1)
+        k2 = rng.randint(1, m - k1)
+        if rng.random() < 0.5:  # generic spans of complementary dimension
+            rows1, rows2 = _int_rows(rng, k1, m), _int_rows(rng, k2, m)
+        else:  # spans supported on disjoint blocks of coordinates
+            rows1 = [r[:k1] + [0] * (m - k1) for r in _int_rows(rng, k1, m, 9)]
+            rows2 = [[0] * k1 + r[k1:] for r in _int_rows(rng, k2, m, 9)]
+        lats = [Lattice.from_rows(rows1, m), Lattice.from_rows(rows2, m)]
+        if all(L.rank for L in lats) and check(lats).rank == 0:
+            seen["zero"] += 1
+    for _ in range(20):
+        m = rng.randint(1, 10)
+        lats = [Lattice.from_rows(_int_rows(rng, m + rng.randint(0, 2), m,
+                                            rng.choice([9, 1000])), m)
+                for _ in range(2)]
+        if all(L.rank == m for L in lats) and check(lats).rank == m:
+            seen["full"] += 1
+    for count in (3, 4):
+        for _ in range(15):
+            m = rng.randint(4, 10)
+            lats = [Lattice.from_rows(_int_rows(rng, rng.randint(m - 1, m), m,
+                                                rng.choice([9, 1000])), m)
+                    for _ in range(count)]
+            if check(lats).rank:
+                seen[f"fold{count}"] += 1
+    minimum = {"benchmark": 15, "scaled": 10, "rational": 15, "unequal": 30,
+               "zero": 15, "full": 15, "fold3": 10, "fold4": 10}
+    assert all(seen[case] >= n for case, n in minimum.items()), seen
 
 
 def test_intersection_requires_nonempty():
@@ -285,6 +391,24 @@ def test_lattice_canonical_form_and_membership():
     assert (2, 4) in L
     assert (1, 2) not in L
     assert L.coordinates((6, 6)) is not None
+
+
+@pytest.mark.parametrize("entry", [1.5, "x", True], ids=["float", "str", "bool"])
+def test_lattice_vectors_take_mat_entries_only(entry):
+    # coordinates and membership check a vector's entries as Mat does, and
+    # still take Fractions
+    with pytest.raises(TypeError) as expected:
+        Mat([[entry]])
+    L = Lattice.from_rows([(2, 0), (0, 3)])
+    with pytest.raises(TypeError) as err:
+        L.coordinates((entry, 0))
+    assert str(err.value) == str(expected.value)
+    with pytest.raises(TypeError) as err:
+        (entry, 0) in L
+    assert str(err.value) == str(expected.value)
+    assert L.coordinates((Fraction(4, 2), Fraction(-3))) == (1, -1)
+    assert (Fraction(1, 2), 0) not in L
+    assert (Fraction(4, 2), 3) in L
 
 
 def test_lattice_zero_and_errors():

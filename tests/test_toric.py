@@ -168,6 +168,35 @@ def test_weil_class_examples():
     assert weil_class(WORKED_Q, (0, 0, 0, 1)) == (0, 2)
 
 
+@pytest.mark.parametrize("entry", [1.5, "x", True], ids=["float", "str", "bool"])
+def test_divisor_coefficients_take_mat_entries_only(entry):
+    # weil_class and cartier_index check a divisor's coefficients as Mat
+    # checks entries, and still take Fractions
+    with pytest.raises(TypeError) as expected:
+        Mat([[entry]])
+    fan = _worked_fan()
+    for call in (lambda a: weil_class(WORKED_Q, a),
+                 lambda a: cartier_index(WORKED_V, fan, a)):
+        with pytest.raises(TypeError) as err:
+            call((entry, 0, 0, 0))
+        assert str(err.value) == str(expected.value)
+    half = (Fraction(1, 2), 0, 0, 0)
+    assert weil_class(WORKED_Q, half) == (Fraction(1, 2), 0)
+    assert weil_class(WORKED_Q, (Fraction(4, 2), 0, 0, 0)) == (2, 0)
+    assert cartier_index(WORKED_V, fan, half) == 4
+
+
+def test_full_report_scans_no_more_rows_than_before(monkeypatch):
+    # the membership tests of _classify_w and _check_delta_sigma take the
+    # unchecked core, so the public vectors' checks add no scan: 18 calls of
+    # _norm_rows on each of these reports before those checks existed
+    calls = count_calls(monkeypatch, matrix, "_norm_rows")
+    for kwargs in (dict(Q=WORKED_Q, fan_index=1), dict(Q=Mat([[1, 2, 3, 5]]))):
+        calls.clear()
+        full_report(**kwargs)
+        assert calls["_norm_rows"] <= 18, kwargs
+
+
 def test_picard_basis_worked():
     assert picard_basis(WORKED_Q, _worked_fan()) == Mat([[2, 0], [0, 2]])
 
