@@ -167,8 +167,8 @@ def _classify_w(Q: Mat, kernel: "list[tuple] | None" = None
             if "b" in violated:  # y lies in the saturation of L: lift it
                 y = _lift_into_rows(lat.basis, y)[0]
             witness = tuple(y)
-            if lat._coordinates(witness) is None or any(
-                    (v > 0) != any(col) for v, col in zip(witness, zip(*lat.basis))):
+            if witness not in lat or any((v > 0) != any(col) for v, col
+                                         in zip(witness, zip(*lat.basis))):
                 raise GaleKitError("positive witness is not > 0 exactly on the "
                                    "support of L, or not in L (internal invariant)")
     cols = list(zip(*kernel)) if kernel else [()] * m
@@ -177,8 +177,7 @@ def _classify_w(Q: Mat, kernel: "list[tuple] | None" = None
         violated.append("d")
 
     # e_j lies in the rational span of L exactly when column j of K is zero
-    if any(not any(col)
-           and lat._coordinates([int(t == j) for t in range(m)]) is not None
+    if any(not any(col) and tuple(int(t == j) for t in range(m)) in lat
            for j, col in enumerate(cols)):
         violated.append("e")
 

@@ -112,7 +112,7 @@ def quotient_iso_check(pair: GaleDualPair, I,
     else:
         coord_rows = []
         for i in idx:
-            coords = col_lattice._coordinates(V.col(i - 1))
+            coords = col_lattice.coordinates(V.col(i - 1))
             if coords is None:
                 raise DomainError("column not in its own column lattice (unreachable)")
             coord_rows.append(coords)

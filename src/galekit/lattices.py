@@ -6,10 +6,10 @@ any generating set with zero rows dropped.  Equal lattices therefore have
 identical representations, so equality is plain structural equality.
 Intersections come from integer left kernels: the kernel of two stacked
 bases is the set of pairs of coordinates that name the same vector.  The
-stack is [-B_small; reversed(B_large)], B_large the basis of the operand of
-larger rank: ``left_kernel_rows`` eliminates the rows last first, so its
-first Bareiss steps meet B_large's Hermite rows in pivot order, whose pivots
-are mostly 1.
+stack is [-B2; reversed(B1)]: ``left_kernel_rows`` eliminates the rows last
+first, so its first Bareiss steps meet B1's Hermite rows in pivot order.
+Their pivots are mostly 1, and a column with pivot 1 has zeros above it, so
+those steps keep d = 1 and skip most rows.
 """
 
 from __future__ import annotations
@@ -114,17 +114,13 @@ class Lattice:
         return all(isinstance(x, int) for row in self._basis for x in row)
 
     def coordinates(self, vec: Sequence) -> "tuple | None":
-        """Integer coefficients of vec in the canonical basis, or None.  The
-        entries of vec are checked as ``Mat``'s are: ints and Fractions only."""
+        """Integer coefficients of vec in the canonical basis, or None: the
+        entries of vec are checked as ``Mat``'s are (ints and Fractions only);
+        with d the lcm of the basis denominators, d * vec must be integral and
+        is back-substituted against the integer rows d * basis by ``divmod``."""
         if len(vec) != self._ambient:
             raise DomainError("vector length does not match ambient dimension")
-        return self._coordinates(_norm_rows([vec])[0][0])
-
-    def _coordinates(self, vec: Sequence) -> "tuple | None":
-        """``coordinates`` of a vector of the ambient length whose entries
-        are ints or Fractions, unchecked, for galekit's own callers: with d
-        the lcm of the basis denominators, d * vec must be integral and is
-        back-substituted against the integer rows d * basis by ``divmod``."""
+        vec = _norm_rows([vec])[0][0]
         if self._scaled is None:
             d = math.lcm(*(x.denominator for row in self._basis for x in row))
             self._scaled = d, [[x.numerator * (d // x.denominator) for x in row]
@@ -183,24 +179,20 @@ def dual_lattice(L: Lattice) -> Lattice:
 def _intersect_pair(L1: Lattice, L2: Lattice) -> Lattice:
     """L1 ∩ L2 from one integer left kernel of the stacked bases.
 
-    With B_large the canonical basis of the operand of larger rank (L1 on
-    a tie) and B_small the other's, the stack is [-B_small;
-    reversed(B_large)].  Canonical bases have independent rows, so the
-    integer rows (u, v) of its kernel are exactly the pairs with
-    u B_small = v reversed(B_large), and (u, v) -> u B_small maps them onto
-    L1 ∩ L2; the canonical basis of the image does not depend on the order.
-    ``_left_kernel`` eliminates A's rows last first, so it meets B_large's
-    Hermite rows in pivot order: their pivots are mostly 1 and their pivot
-    block is the identity, so the first Bareiss steps keep d = 1 and skip
-    most rows.  Met from its last row, a basis would make its last and
-    largest pivot the first d, which multiplies every later step.  The
-    larger basis goes last because it holds more of those cheap steps.
+    The stack is [-B2; reversed(B1)], B1 and B2 the canonical bases.  They
+    have independent rows, so the integer rows (u, v) of its kernel are
+    exactly the pairs with u B2 = v reversed(B1), and (u, v) -> u B2 maps
+    them onto L1 ∩ L2; the canonical basis of the image does not depend on
+    the order.  ``_left_kernel`` eliminates A's rows last first, so it meets
+    B1's Hermite rows in pivot order: their pivots are mostly 1, and a
+    column with pivot 1 has zeros above it, so the first Bareiss steps keep
+    d = 1 and skip most rows.  Met from its last row, a basis would make its
+    last and largest pivot the first d, which multiplies every later step.
     """
-    small, large = (L2, L1) if L1.rank >= L2.rank else (L1, L2)
-    b_small = small.basis
-    kern = left_kernel_rows(Mat([tuple(-x for x in r) for r in b_small]
-                                + list(reversed(large.basis))))
-    cols = tuple(zip(*b_small))  # map(mul, u, col) stops at the end of u's B_small part
+    b2 = L2.basis
+    kern = left_kernel_rows(Mat([tuple(-x for x in r) for r in b2]
+                                + list(reversed(L1.basis))))
+    cols = tuple(zip(*b2))  # map(mul, u, col) stops at the end of u's B2 part
     rows = [[sum(map(mul, u, col)) for col in cols] for u in kern]
     return Lattice.from_rows(rows, L1.ambient_dim)
 
@@ -211,7 +203,7 @@ def lattice_intersection(lattices: Sequence[Lattice]) -> Lattice:
     A pairwise fold: each step intersects the running result with the next
     lattice through one integer left kernel of their stacked canonical
     bases (Cohen, *A Course in Computational Algebraic Number Theory*,
-    §2.4), the larger-rank basis stacked last, reversed, so that the
+    §2.4), the running result's basis stacked last, reversed, so that the
     kernel's elimination, which runs last first, meets its Hermite pivots
     first (``_intersect_pair``).  Rational bases need no special care, since
     the Hermite passes clear denominators.  The result is zero as soon as an

@@ -212,7 +212,7 @@ def _check_delta_sigma(delta: int, cb: Mat) -> None:
     lat = Lattice.from_matrix(cb)
     for j in range(cb.cols):
         vec = tuple(delta * int(t == j) for t in range(cb.cols))
-        if lat._coordinates(vec) is None:
+        if vec not in lat:
             raise GaleKitError("delta_sigma multiple is not Cartier "
                                "(internal invariant)")
 

@@ -727,7 +727,7 @@ def intersect_pair_oracle(L1: Lattice, L2: Lattice) -> Lattice:
     (u, v) -> u B1 maps them onto L1 ∩ L2.
 
     The route ``lattices._intersect_pair`` took before it stacked the
-    larger-rank operand's basis last, reversed.
+    first operand's basis last, reversed.
     """
     b1 = L1.basis
     kern = left_kernel_rows(Mat(list(b1) + [tuple(-x for x in r) for r in L2.basis]))

@@ -179,8 +179,8 @@ def test_intersection_matches_dual_sum_oracle():
 
 
 def test_intersection_is_one_kernel_per_pair(monkeypatch):
-    # the kernel meets the larger-rank operand's basis first: it is stacked
-    # last, reversed, below the other's negated basis, in either order
+    # the kernel meets the first operand's basis first: it is stacked last,
+    # reversed, below the second's negated basis, whichever rank is larger
     L1 = Lattice.from_matrix(Mat([[1, 2, 3, 4], [0, 5, 6, 7]]))
     L2 = Lattice.from_matrix(Mat([[2, 0, 2, 0], [0, 3, 1, 4], [1, 1, 1, 1]]))
     assert (L1.rank, L2.rank) == (2, 3)
@@ -196,13 +196,13 @@ def test_intersection_is_one_kernel_per_pair(monkeypatch):
         return counted(A)
 
     monkeypatch.setattr(lattices, "left_kernel_rows", capture)
-    stacked = tuple(tuple(-x for x in r) for r in L1.basis) + L2.basis[::-1]
-    for n, pair in enumerate(([L1, L2], [L2, L1]), 1):
-        assert lattice_intersection(pair) == expected
+    for n, (first, second) in enumerate(((L1, L2), (L2, L1)), 1):
+        assert lattice_intersection([first, second]) == expected
         assert kernels["left_kernel_rows"] == n
         assert others["transverse"] == 0
         assert solves["solve"] == 0
-        assert stacks[-1] == stacked
+        assert stacks[-1] == (tuple(tuple(-x for x in r) for r in second.basis)
+                              + first.basis[::-1])
 
 
 def _oracle_fold(lats):
@@ -220,8 +220,8 @@ def _int_rows(rng, k, m, bound=1000, scale=1):
 
 
 def test_intersection_matches_operand_order_oracle():
-    """The stack [-B_small; reversed(B_large)] gives the canonical basis the
-    stack [B1; -B2] gives, on a corpus seeded apart from the dual-sum one:
+    """The stack [-B2; reversed(B1)] gives the canonical basis the stack
+    [B1; -B2] gives, on a corpus seeded apart from the dual-sum one:
     benchmark-sized pairs, scaled operands (pivots above 1), rational
     bases, unequal ranks in both orders, disjoint spans, full-rank pairs
     and 3- and 4-lattice folds."""
