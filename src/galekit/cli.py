@@ -181,12 +181,12 @@ def _run_gale_checks(pair: GaleDualPair, size_cap: int) -> int:
             left, right, equal = quotient_iso_check(pair, idx)
             if not equal:
                 raise GaleKitError(f"quotient mismatch at I={idx}: "
-                                   f"{left} vs {right}")
+                                   f"{left} vs {right} (internal invariant)")
             if size == pair.n:
                 lhs, rhs, ok = det_duality_check(pair, idx)
                 if not ok:
                     raise GaleKitError(f"determinant mismatch at I={idx}: "
-                                       f"{lhs} vs {rhs}")
+                                       f"{lhs} vs {rhs} (internal invariant)")
             count += 1
     return count
 

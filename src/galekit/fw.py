@@ -15,9 +15,10 @@ x, an infeasible one with a Farkas certificate w (w A >= 0, w b < 0), and
 both are re-checked exactly; no floating point and no tolerance anywhere.
 Witnesses are one valid choice, not canonical ones.  ``classify_w`` reads
 clauses c, e and f off one kernel K = {x : Q x = 0} (for a W-matrix the
-Gale dual, which the reductions and ``full_report`` reuse; an i-reduction
-that rescales column i by d divides column i of the dual by d, so
-``w_reduce`` carries it).  Clause c is decided on the shorter side of the
+Gale dual, which the reductions and ``full_report`` reuse: Q is reduced
+exactly when its dual has primitive columns, so ``w_reduce`` divides every
+column of the dual by its gcd and takes the Gale dual back, and
+``i_reduce`` column i alone).  Clause c is decided on the shorter side of the
 Gale pair: L holds a vector > 0 on its support S iff (Stiemke) the columns
 of K on S have a strictly positive relation, the LP of ``is_f_complete``,
 iff (Gordan) no x >= 0 with sum 1 has B_S x = 0 for the Hermite basis B
@@ -37,21 +38,20 @@ off the column lattice that clauses a and e read, then one Stiemke LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
-    submatrix_cols,
+    check_index_set,
     vec_gcd,
 )
 from .normal_forms import (
     _lift_into_rows,
     _positive_relation,
     _positive_span_vector,
-    _smith,
-    _with_identity,
     basis_with_positive_first_row,
     left_kernel_rows,
 )
@@ -229,8 +229,8 @@ def positivize(Q: Mat) -> Mat:
     rows = Q.to_lists()
     c, lam = _lift_into_rows(rows, witness)
     if c != witness:
-        raise GaleKitError("positive witness does not lift into the "
-                           "row lattice (no-cotorsion violation)")
+        raise GaleKitError("positive witness does not lift into the row "
+                           "lattice: no-cotorsion violation (internal invariant)")
     return Mat(basis_with_positive_first_row(rows, c, lam)[0])
 
 
@@ -250,51 +250,47 @@ def f_reduce(V: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def i_reduce(Q: Mat, i: int) -> Mat:
-    """One reduction step at 1-based column i of a W-matrix.
-
-    Removes the column-i gcd of the Gale dual: diagonalize Q with the i-th
-    column deleted, then rescale the i-th column up and the last row down by
-    that gcd.  A no-op when the gcd is already 1.
-    """
-    if not 1 <= i <= Q.cols:
-        raise DomainError(f"column index {i} out of range")
-    kernel = _require_w_matrix(Q, "i_reduce")[1]
-    d = vec_gcd([row[i - 1] for row in kernel])
-    return Q if d == 1 else _rescale(Q, kernel, i, d)[0]
-
-
-def _rescale(Q: Mat, V: list[tuple], i: int, d: int) -> tuple[Mat, list[tuple]]:
-    """The i-reduction of a W-matrix Q whose Gale dual V (Hermite basis rows)
-    has gcd d > 1 in column i, and the Gale dual of the result: V with
-    column i divided by d, still in Hermite form."""
-    # alpha of the Smith form of Q with column i deleted: [A | I] carries it
-    A = submatrix_cols(Q, (i,), complement=True)
-    top = _with_identity(A.to_lists())
-    _smith(top, A.rows, A.cols)
-    alpha = Mat([row[A.cols:] for row in top])
-    rows = (alpha @ Q).to_lists()
-    for row in rows:
-        row[i - 1] *= d
-    if any(x % d for x in rows[-1]):
-        raise GaleKitError("last row not divisible in i-reduction "
-                           "(cyclic-quotient theorem violation)")
-    rows[-1] = [x // d for x in rows[-1]]
-    dual = [(*row[:i - 1], row[i - 1] // d, *row[i:]) for row in V]
-    return Mat(rows), dual
+    """One reduction step at 1-based column i of a W-matrix: the W-matrix
+    whose Gale dual is that of Q with column i divided by its gcd, as the
+    Hermite basis of its row lattice.  Q itself when the gcd is already 1."""
+    check_index_set((i,), Q.cols)
+    return _gale_reduce(Q, _require_w_matrix(Q, "i_reduce")[1], (i - 1,))
 
 
 def w_reduce(Q: Mat) -> Mat:
-    """Full weight-matrix reduction: i-reductions for i = 1..n+r in order,
-    reading each column gcd off the current Gale dual.  Q is validated once
-    (each step maps a W-matrix to a W-matrix) and its dual is computed once:
-    a step that rescales column i by d divides column i of the dual by d,
-    and the other steps leave both unchanged."""
-    cur, V = Q, _require_w_matrix(Q, "w_reduce")[1]
-    for i in range(1, Q.cols + 1):
-        d = vec_gcd([row[i - 1] for row in V])
-        if d > 1:
-            cur, V = _rescale(cur, V, i, d)
-    return cur
+    """Full weight-matrix reduction: the W-matrix whose Gale dual is that of
+    Q with every column divided by its gcd (primitive columns), as the
+    Hermite basis of its row lattice.  Q itself when Q is already reduced."""
+    return _gale_reduce(Q, _require_w_matrix(Q, "w_reduce")[1], range(Q.cols))
+
+
+def _gale_reduce(Q: Mat, V: list[tuple], cols: Sequence[int]) -> Mat:
+    """The reduction of the W-matrix Q at the 0-based columns ``cols``,
+    given its Gale dual V (Hermite basis rows): divide each of those
+    columns of V by its gcd d_j and take the Gale dual back, the Hermite
+    basis of {x : V' x = 0}.  Q itself when every d_j is 1.
+
+    V q = 0 for each row q of Q, so q with column j multiplied by d_j lies
+    in that kernel; the check reduces it to zero against the pivots of the
+    echelon basis (a pivot it does not divide leaves a remainder that no
+    later row clears)."""
+    dual_cols = list(zip(*V))
+    gcds = [1] * Q.cols
+    for j in cols:
+        gcds[j] = vec_gcd(dual_cols[j])
+    if all(d == 1 for d in gcds):
+        return Q
+    rows = left_kernel_rows(Mat([[x // d for x in col]
+                                 for col, d in zip(dual_cols, gcds)]))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    for q in Q.row_tuples():
+        x = list(map(mul, q, gcds))
+        for row, p in zip(rows, pivots):
+            x = [a - x[p] // row[p] * b for a, b in zip(x, row)]
+        if any(x) or len(rows) != Q.rows:
+            raise GaleKitError("rescaled rows of Q do not lie in the reduced "
+                               "row lattice (internal invariant)")
+    return Mat(rows)
 
 
 def is_w_reduced(Q: Mat) -> bool:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import DomainError, Mat, check_index_set, det_exact, solve, submatrix_cols
+from .matrix import (
+    DomainError, GaleKitError, Mat, check_index_set, det_exact, solve, submatrix_cols)
 from .lattices import (
     Lattice,
     QuotientStructure,
@@ -114,7 +115,8 @@ def quotient_iso_check(pair: GaleDualPair, I,
         for i in idx:
             coords = col_lattice.coordinates(V.col(i - 1))
             if coords is None:
-                raise DomainError("column not in its own column lattice (unreachable)")
+                raise GaleKitError("column not in its own column lattice "
+                                   "(internal invariant)")
             coord_rows.append(coords)
         right = quotient_structure(rho, Lattice.from_rows(coord_rows, rho))
 

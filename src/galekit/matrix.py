@@ -469,13 +469,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def mat_vec(A: Mat, v: Sequence) -> tuple:
-    """A applied to a column vector."""
-    if len(v) != A.cols:
-        raise DomainError("vector length mismatch")
-    return tuple(dot(row, v) for row in A.row_tuples())
-
-
 def vec_gcd(v: Sequence[int]) -> int:
     g = 0
     for x in v:

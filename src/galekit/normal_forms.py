@@ -16,9 +16,8 @@ the block at the end.  The Smith form, ``_smith``, is Kannan and Bachem's
 alternation of Hermite passes by row insertion: one over the top rows, one
 over the transposed left m columns (whose carried part is beta^T), until the
 block is diagonal, then one 2 x 2 gcd step per pair of diagonal entries
-that breaks the divisibility chain.  It runs on [A | I_d] alone when only
-alpha is read (the i-reduction of ``fw``) and on the bare rows of A when
-only the invariant factors are (``quotient_structure``).
+that breaks the divisibility chain.  It runs on the bare rows of A when
+only the invariant factors are read (``quotient_structure``).
 
 Every Hermite basis of the lattice spanned by given rows comes from row
 insertion, ``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979;
@@ -360,9 +359,10 @@ def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
 
     Row steps act on the top d rows, whole rows; column steps act on the
     first m columns of every row given.  So the top rows carry whatever sits
-    right of column m (alpha, in [A | I_d]) and the rows below carry the
-    column steps (beta, in the block of ``_block``); a caller passes only
-    the rows it reads.  Each step is decided by the top-left block alone.
+    right of column m (alpha, in the block of ``_block``) and the rows below
+    carry the column steps (beta); a caller passes only the rows it reads:
+    the whole block for ``snf``, the bare rows for the invariant factors.
+    Each step is decided by the top-left block alone.
 
     Kannan and Bachem's alternation: a row Hermite pass of the top rows and
     a row Hermite pass of the transposed left m columns, both by
@@ -515,13 +515,15 @@ def basis_with_positive_first_row(basis: Sequence[Sequence[int]],
     alpha = res.U
     t_mat = alpha.inverse().transpose()
     if not t_mat.is_integral:
-        raise GaleKitError("unimodular inverse produced non-integer entries")
+        raise GaleKitError("unimodular inverse produced non-integer entries "
+                           "(internal invariant)")
     # T @ [basis | I_k] = [T @ basis | T]: each row carries its row of T
     rows = [row + list(t) for row, t in zip((t_mat @ Mat(basis)).to_lists(),
                                              t_mat.row_tuples())]
     first = rows[0]
     if any(first[j] <= 0 for j in support):
-        raise GaleKitError("rebased first row is not strictly positive on support")
+        raise GaleKitError("rebased first row is not strictly positive on "
+                           "support (internal invariant)")
     for i in range(1, k):
         # smallest integer multiple of the first row making this row >= 0
         mult = math.ceil(max((Fraction(-rows[i][j], first[j]) for j in support),

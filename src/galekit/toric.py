@@ -32,10 +32,11 @@ from .matrix import (
     _back_substitute,
     _eliminate,
     _int_row,
+    _norm_entry,
     _norm_rows,
     block_diag,
     det_exact,
-    mat_vec,
+    dot,
     solve,
 )
 from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
@@ -79,7 +80,7 @@ def _upper_block(col_lat: Lattice) -> tuple:
     lattice of a V of full row rank n."""
     q = quotient_structure(col_lat.ambient_dim, col_lat)
     if q.free_rank:
-        raise GaleKitError("upper HNF block of V^T is singular (unreachable)")
+        raise GaleKitError("upper HNF block of V^T is singular (internal invariant)")
     return col_lat.basis_matrix(), q
 
 
@@ -138,8 +139,12 @@ def cl_generators(Q: Mat) -> Mat:
 
 def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
     """Class of the divisor with ray coefficients a, in the fixed basis; the
-    coefficients are checked as ``Mat``'s entries are."""
-    return mat_vec(Q, _norm_rows([a])[0][0])
+    coefficients are checked, and the class entries stored, as ``Mat``'s
+    entries are (an integral entry is an int)."""
+    a = _norm_rows([a])[0][0]
+    if len(a) != Q.cols:
+        raise DomainError("vector length mismatch")
+    return tuple(_norm_entry(dot(row, a)) for row in Q.row_tuples())
 
 
 def picard_basis(Q: Mat, fan: Fan) -> Mat:
@@ -163,8 +168,8 @@ def _cone_table(rows: Sequence[Sequence[int]], blocks: Sequence[Sequence[int]],
              for i, row in enumerate(rows)]
         pivots, d = _eliminate(m, len(block))
         if len(pivots) < r or len(block) != r:
-            raise GaleKitError("Picard lattice is not of full rank (unreachable "
-                               "for simplicial complete fans)")
+            raise GaleKitError("Picard lattice is not of full rank on a "
+                               "simplicial complete fan (internal invariant)")
         table.append((d, _back_substitute(m, pivots, d, range(r, 2 * r))))
     return table
 

@@ -9,8 +9,9 @@ fraction-free elimination by a full Gauss-Jordan pass and by full-width
 Bareiss rows, extended gcds by Euclid's loop, normal forms with
 their transforms in separate lists, Cartier indices by one linear system
 per maximal cone on the fan side, pairwise lattice intersections by the
-kernel of the stack [B1; -B2] in operand order.  They are the reference implementations
-the production code is checked against.
+kernel of the stack [B1; -B2] in operand order, weight-matrix reductions by
+one Smith form of Q without column i per rescaled column.  They are the
+reference implementations the production code is checked against.
 """
 
 from collections import Counter
@@ -1185,3 +1186,55 @@ def picard_basis_oracle(Q: Mat, fan: Fan) -> tuple[Mat, int]:
     delta = math.lcm(*(math.prod(row[i] for i, row in enumerate(lat.basis))
                        for lat in lattices))
     return basis, delta
+
+
+def i_reduce_oracle(Q: Mat, i: int) -> Mat:
+    """``fw.i_reduce`` by the Smith route it used before the reductions took
+    the Gale dual of the rescaled kernel: one Smith form of Q with column i
+    deleted (``_rescale``)."""
+    from galekit.fw import _require_w_matrix
+    from galekit.matrix import vec_gcd
+
+    if not 1 <= i <= Q.cols:
+        raise DomainError(f"column index {i} out of range")
+    kernel = _require_w_matrix(Q, "i_reduce")[1]
+    d = vec_gcd([row[i - 1] for row in kernel])
+    return Q if d == 1 else _rescale(Q, kernel, i, d)[0]
+
+
+def _rescale(Q: Mat, V: list[tuple], i: int, d: int) -> tuple[Mat, list[tuple]]:
+    """The i-reduction of a W-matrix Q whose Gale dual V (Hermite basis rows)
+    has gcd d > 1 in column i, and the Gale dual of the result: V with
+    column i divided by d, still in Hermite form."""
+    from galekit.matrix import submatrix_cols
+    from galekit.normal_forms import _smith, _with_identity
+
+    # alpha of the Smith form of Q with column i deleted: [A | I] carries it
+    A = submatrix_cols(Q, (i,), complement=True)
+    top = _with_identity(A.to_lists())
+    _smith(top, A.rows, A.cols)
+    alpha = Mat([row[A.cols:] for row in top])
+    rows = (alpha @ Q).to_lists()
+    for row in rows:
+        row[i - 1] *= d
+    if any(x % d for x in rows[-1]):
+        raise GaleKitError("last row not divisible in i-reduction "
+                           "(cyclic-quotient theorem violation)")
+    rows[-1] = [x // d for x in rows[-1]]
+    dual = [(*row[:i - 1], row[i - 1] // d, *row[i:]) for row in V]
+    return Mat(rows), dual
+
+
+def w_reduce_oracle(Q: Mat) -> Mat:
+    """``fw.w_reduce`` by the Smith route: i-reductions for i = 1..n+r in
+    order, reading each column gcd off the Gale dual carried through the
+    rescalings."""
+    from galekit.fw import _require_w_matrix
+    from galekit.matrix import vec_gcd
+
+    cur, V = Q, _require_w_matrix(Q, "w_reduce")[1]
+    for i in range(1, Q.cols + 1):
+        d = vec_gcd([row[i - 1] for row in V])
+        if d > 1:
+            cur, V = _rescale(cur, V, i, d)
+    return cur

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -25,8 +26,8 @@ from galekit import (
 )
 from galekit import fw, gale, matrix, normal_forms
 from galekit.matrix import vec_gcd
-from conftest import (count_calls, count_rank_calls, rand_f_matrix, rand_full_row_rank,
-                      rand_unimodular)
+from conftest import (_rescale, count_calls, count_rank_calls, i_reduce_oracle,
+                      rand_f_matrix, rand_full_row_rank, rand_unimodular, w_reduce_oracle)
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -312,7 +313,7 @@ def test_w_reduce_matches_definition_route():
 
 
 def _rescale_via_snf(Q, i, d):
-    """``fw._rescale`` with alpha read off the full ``snf``."""
+    """The oracle's ``_rescale`` with alpha read off the full ``snf``."""
     alpha = snf(submatrix_cols(Q, (i,), complement=True)).alpha
     rows = (alpha @ Q).to_lists()
     for row in rows:
@@ -325,8 +326,9 @@ def _rescale_via_snf(Q, i, d):
 
 
 def _rescaled_q(Q, i, d):
-    """The weight matrix ``fw._rescale`` returns (here with no dual rows)."""
-    return fw._rescale(Q, [], i, d)[0]
+    """The weight matrix the oracle's ``_rescale`` returns (here with no
+    dual rows)."""
+    return _rescale(Q, [], i, d)[0]
 
 
 def _outcome(fn, *args):
@@ -379,30 +381,23 @@ def test_w_reduce_recomputes_dual_only_after_rescaling(monkeypatch):
         steps.append(nxt != cur)
         cur = nxt
     assert [i + 1 for i, s in enumerate(steps) if s] == [2, 5, 8]
-    # the dual is the kernel of classify_w, carried through the rescalings
-    counts = count_calls(monkeypatch, gale, "gale_dual")
+    # one kernel for classify_w and one for the Gale dual of the rescaled
+    # kernel; no Smith form and no gale_dual call
+    counts = count_calls(monkeypatch, normal_forms, "_left_kernel", "_smith")
+    counts.update(count_calls(monkeypatch, gale, "gale_dual"))
     assert w_reduce(WIDE_Q) == cur
-    assert counts["gale_dual"] == 0
+    assert (counts["_left_kernel"], counts["_smith"], counts["gale_dual"]) == (2, 0, 0)
     counts.clear()
-    assert w_reduce(cur) == cur
-    assert counts["gale_dual"] == 0
+    assert w_reduce(cur) is cur
+    assert (counts["_left_kernel"], counts["_smith"], counts["gale_dual"]) == (1, 0, 0)
 
 
-def test_w_reduce_carries_the_gale_dual(monkeypatch):
-    """Seeded Gale duals of random F-matrices with scaled columns: after
-    every rescaling, the dual ``w_reduce`` carries (the old dual with one
-    column divided) is ``gale_dual`` of the new weight matrix."""
-    rescale, seen = fw._rescale, []
-
-    def checked(Q, V, i, d):
-        out, dual = rescale(Q, V, i, d)
-        assert Mat(dual) == gale_dual(out), (Q, i, d)
-        seen.append(i)
-        return out, dual
-
-    monkeypatch.setattr(fw, "_rescale", checked)
+def test_w_reduce_carries_the_gale_dual():
+    """Seeded Gale duals of random F-matrices with scaled columns: the Gale
+    dual of ``w_reduce(Q)`` is that of Q with every column divided by its
+    gcd."""
     rng = random.Random(1601)
-    done = 0
+    done = rescaled = 0
     while done < 200:
         n, s = rng.randint(2, 3), rng.randint(4, 6)
         V = rand_f_matrix(rng, n, s)
@@ -413,10 +408,15 @@ def test_w_reduce_carries_the_gale_dual(monkeypatch):
                            for row in V.row_tuples()]))
         if not classify_w(Q).is_w_matrix:
             continue
-        before = len(seen)
-        assert is_w_reduced(w_reduce(Q))
-        done += len(seen) > before
-    assert len(seen) >= 500, len(seen)
+        dual = gale_dual(Q)
+        gcds = [vec_gcd(dual.col(j)) for j in range(s)]
+        out = w_reduce(Q)
+        assert gale_dual(out) == Mat([[x // d for x, d in zip(row, gcds)]
+                                      for row in dual.row_tuples()]), Q
+        assert is_w_reduced(out)
+        rescaled += sum(d > 1 for d in gcds)
+        done += any(d > 1 for d in gcds)
+    assert rescaled >= 500, rescaled
 
 
 def test_w_reduce_idempotent_up_to_lattice():
@@ -424,6 +424,89 @@ def test_w_reduce_idempotent_up_to_lattice():
     again = w_reduce(out)
     assert _row_lattice_equal(out, again)
     assert is_w_reduced(out)
+
+
+def _nonreduced_w(rng, r, m):
+    """A candidate r x m weight matrix shaped like perfbench's non-reduced
+    family: the last row is congruent modulo p to a combination of the others
+    on every column but one."""
+    p, skip = rng.choice((2, 3)), rng.randrange(m)
+    rows = [[rng.randint(0, 4) for _ in range(m)] for _ in range(r - 1)]
+    ks = [rng.randrange(1, p) for _ in range(r - 1)]
+    last = [sum(k * row[j] for k, row in zip(ks, rows)) % p + p * rng.randint(0, 1)
+            for j in range(m)]
+    last[skip] = rng.randint(0, 4)
+    return Mat(rows + [last])
+
+
+def _scaled_gale_dual(rng, top):
+    """The Gale dual of a random reduced F-matrix with column multipliers
+    1..top; with top = 1 a reduced W-matrix."""
+    n = rng.randint(2, 4)
+    V = rand_f_matrix(rng, n, rng.randint(n + 2, n + 4))
+    if V is None:
+        return None
+    mults = [rng.randint(1, top) for _ in range(V.cols)]
+    return gale_dual(Mat([[x * k for x, k in zip(row, mults)]
+                          for row in f_reduce(V)[0].row_tuples()]))
+
+
+def test_reductions_match_the_smith_oracle():
+    """On a seeded corpus, ``w_reduce`` and every ``i_reduce`` give the row
+    lattices of the Smith route they replaced, the Gale dual of ``w_reduce(Q)``
+    is that of Q with primitive columns, and a reduced Q (or a column of gcd
+    1) comes back as the same object."""
+    rng = random.Random(3011)
+    makers = {"nonreduced": lambda: _nonreduced_w(rng, rng.randint(2, 3),
+                                                  rng.randint(6, 9)),
+              "scaled": lambda: _scaled_gale_dual(rng, 6),
+              "reduced": lambda: _scaled_gale_dual(rng, 1),
+              "r1": lambda: Mat([[rng.randint(1, 12)
+                                  for _ in range(rng.randint(3, 5))]])}
+    need = {"nonreduced": 40, "scaled": 40, "reduced": 15, "r1": 30}
+    tally = dict.fromkeys([*makers, "multi", "fixed"], 0)
+    for _ in range(1000):
+        short = [kind for kind in makers if tally[kind] < need[kind]]
+        if not short:
+            break
+        kind = rng.choice(short)
+        Q = makers[kind]()
+        if Q is None or not classify_w(Q).is_w_matrix:
+            continue
+        dual = gale_dual(Q)
+        gcds = [vec_gcd(dual.col(j)) for j in range(Q.cols)]
+        out = w_reduce(Q)
+        assert _row_lattice_equal(out, w_reduce_oracle(Q)), Q
+        assert gale_dual(out) == Mat([[x // d for x, d in zip(row, gcds)]
+                                      for row in dual.row_tuples()]), Q
+        assert is_w_reduced(out)
+        assert (out is Q) == all(d == 1 for d in gcds), Q
+        for i, d in enumerate(gcds, 1):
+            step = i_reduce(Q, i)
+            assert _row_lattice_equal(step, i_reduce_oracle(Q, i)), (Q, i)
+            assert (step is Q) == (d == 1), (Q, i)
+        tally[kind] += 1
+        tally["multi"] += sum(d > 1 for d in gcds) >= 2
+        tally["fixed"] += out is Q
+    assert all(tally[kind] >= need[kind] for kind in makers), tally
+    assert tally["multi"] >= 40 and tally["fixed"] >= 30, tally
+
+
+def test_gale_reduce_checks_the_rescaled_rows_of_q():
+    # a kernel that is not RED_Q's Gale dual: (2, 2, 0, 0), row 1 of RED_Q
+    # rescaled, is not in the row lattice of the kernel's reduction
+    assert gale_dual(RED_Q) == Mat([[2, -1, 0, 0], [0, 0, 5, -3]])
+    with pytest.raises(GaleKitError, match=r"reduced row lattice \(internal invariant\)"):
+        fw._gale_reduce(RED_Q, [(2, 1, 0, 0), (0, 0, 5, 3)], range(4))
+    assert fw._gale_reduce(RED_Q, gale_dual(RED_Q).row_tuples(), range(4)) == w_reduce(RED_Q)
+
+
+def test_i_reduce_checks_its_column_index_first():
+    for i, message in [(1.5, "index 1.5 is not an integer"),
+                       (True, "index True is not an integer"),
+                       (0, "index 0 out of range 1..4")]:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            i_reduce(RED_Q, i)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ keeps no results in a ``functools`` cache, keeps no Euclid scan beside
 row insertion, reaches Smith forms only through row insertion,
 enumerates the fan of a toric call only in the fan selector, derives
 the Picard lattice without intersecting lattices, reads both sides of
-the Gale pair off one per-cone table and builds a ``Mat`` without its
-construction scan only inside ``matrix.py``.
+the Gale pair off one per-cone table, builds a ``Mat`` without its
+construction scan only inside ``matrix.py``, and ends every internal
+invariant's message in "(internal invariant)".
 """
 
 import ast
@@ -216,3 +217,33 @@ def test_toric_eliminates_only_in_the_cone_table():
              for stmt in func.body for node in ast.walk(stmt)
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert not names & {"solve", "Mat"}, sorted(names & {"solve", "Mat"})
+
+
+def _raise_messages(tree, cls):
+    """(line, message text) of each ``raise cls(message)``; an f-string's
+    text is its literal parts, with each placeholder as "{}"."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name) and node.exc.func.id == cls
+                and node.exc.args):
+            continue
+        arg = node.exc.args[0]
+        parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+        found.append((node.lineno, "".join(
+            part.value if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            else "{}" for part in parts)))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_internal_invariants_have_one_shape(path):
+    """Every ``GaleKitError`` the library raises itself is an internal
+    invariant and says so at the end of its message; a bad input is a
+    ``DomainError``, which never calls itself unreachable."""
+    tree = _tree(path)
+    wrong = [f"{path.name}:{line} {text!r}" for line, text in _raise_messages(tree, "GaleKitError")
+             if not text.endswith("(internal invariant)")]
+    wrong += [f"{path.name}:{line} {text!r}" for line, text in _raise_messages(tree, "DomainError")
+              if "unreachable" in text]
+    assert not wrong, wrong

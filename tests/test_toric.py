@@ -168,6 +168,18 @@ def test_weil_class_examples():
     assert weil_class(WORKED_Q, (0, 0, 0, 1)) == (0, 2)
 
 
+def test_weil_class_stores_entries_as_mat_does():
+    # a class coordinate with denominator 1 is an int, as in a Mat, even when
+    # another coefficient is a proper Fraction
+    cls = weil_class(WORKED_Q, (Fraction(1, 2), 0, 0, 0))
+    assert cls == (Fraction(1, 2), 0)
+    assert type(cls[0]) is Fraction and type(cls[1]) is int
+    cls = weil_class(WORKED_Q, (Fraction(1, 2), Fraction(1, 2), 0, 0))
+    assert cls == (1, Fraction(1, 2)) and type(cls[0]) is int
+    assert cls == (Mat([[Fraction(1, 2), Fraction(1, 2), 0, 0]])
+                   @ WORKED_Q.transpose()).row_tuples()[0]
+
+
 @pytest.mark.parametrize("entry", [1.5, "x", True], ids=["float", "str", "bool"])
 def test_divisor_coefficients_take_mat_entries_only(entry):
     # weil_class and cartier_index check a divisor's coefficients as Mat
