@@ -111,11 +111,11 @@ def fan_from_cones(V: Mat, cones: Iterable[Sequence[int]]) -> Fan:
 
 def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
                   interior: bool = False) -> bool:
-    """Exact membership of x in the cone on the given columns of V, by one
-    feasibility test {c >= 0 : V_cone c = x}.  With interior=True, of the
-    relative interior (all c_i > 0) of a simplicial cone, by one elimination
-    of [V_cone | x], which gives its rank, and a back substitution on the x
-    column alone, which gives the coefficients of x."""
+    """Exact membership of x in the cone on the given columns of V, on the
+    rows of [V_cone | x] cleared of denominators once: by one feasibility
+    test {c >= 0 : V_cone c = x}, or with interior=True, of the relative
+    interior (all c_i > 0) of a simplicial cone, by one elimination, which
+    gives the rank, and a back substitution on the x column alone."""
     gens = cone.gens if isinstance(cone, Cone) else tuple(cone)
     gens = check_index_set(sorted(gens), V.cols)
     if len(x) != V.rows:
@@ -123,11 +123,11 @@ def cone_contains(V: Mat, cone: "Cone | Sequence[int]", x: Sequence,
     (x,), _ = _norm_rows([x])
     if not gens:
         return not any(x)  # the zero cone; it is its own relative interior
-    rows = [[row[g - 1] for g in gens] for row in V.row_tuples()]
-    if not interior:
-        return _nonneg_solve(rows, x)[0] is not None
     k = len(gens)
-    m = [_int_row((*row, xi))[1] for row, xi in zip(rows, x)]
+    m = [_int_row([*(row[g - 1] for g in gens), xi])[1]
+         for row, xi in zip(V.row_tuples(), x)]
+    if not interior:
+        return _nonneg_solve([row[:k] for row in m], [row[k] for row in m])[0] is not None
     pivots, d = _eliminate(m, k)
     if len(pivots) < k:
         raise DomainError("interior test requires a simplicial cone")

@@ -1,9 +1,10 @@
 """Discrete subgroups of Q^m: canonical bases, duality, intersections,
 quotient structures.
 
-A lattice is stored by its canonical basis: the (rational) Hermite form of
-any generating set with zero rows dropped.  Equal lattices therefore have
-identical representations, so equality is plain structural equality.
+A lattice L is stored as the least d >= 1 with d L integral and the
+integer Hermite rows of d L.  Its canonical basis, the (rational) Hermite
+form of any generating set with zero rows dropped, is those rows over d, so
+equal lattices have identical representations and equality is structural.
 Intersections come from integer left kernels: the kernel of two stacked
 bases is the set of pairs of coordinates that name the same vector.  The
 stack is [-B2; reversed(B1)]: ``left_kernel_rows`` eliminates the rows last
@@ -16,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_rows
 # ``hnf`` stays bound here: perfbench/selftest.py checks its traced binding.
-from .normal_forms import (  # noqa: F401
-    _hermite_basis, _hermite_insert, _smith, hnf, left_kernel_rows)
+from .normal_forms import _hermite_insert, _smith, hnf, left_kernel_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,24 @@ class QuotientStructure:
 
 
 class Lattice:
-    """A discrete subgroup of Q^m, held in canonical (Hermite) form."""
+    """A discrete subgroup L of Q^m: d, the integer Hermite rows of d L and
+    their pivots; the basis is the rows over d, the same tuples when d = 1."""
 
-    __slots__ = ("_ambient", "_basis", "_pivots", "_scaled")
+    __slots__ = ("_ambient", "_d", "_rows", "_pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, canonical_rows: tuple, pivots: tuple):
+    def __init__(self, ambient_dim: int, d: int, rows: tuple, pivots: tuple):
         self._ambient = ambient_dim
-        self._basis = canonical_rows
+        self._d = d
+        self._rows = rows
         self._pivots = pivots
-        self._scaled = None  # (d, d * basis as ints), built on first use
+        self._basis = rows if d == 1 else tuple(
+            tuple(Fraction(x, d) if x % d else x // d for x in row) for row in rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], ambient_dim: "int | None" = None) -> "Lattice":
-        rows = _norm_rows(rows)[0]
+        """One entry scan finds the lcm D of the denominators; the Hermite
+        rows of D L are divided by g = gcd(D, entries), which leaves d = D/g."""
+        rows, den = _norm_rows(rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -79,12 +86,16 @@ class Lattice:
                 raise DomainError("generator width does not match ambient dimension")
         elif ambient_dim is None:
             raise DomainError("ambient dimension required for an empty generator set")
+        _check_ambient(ambient_dim)
         if ambient_dim < 1:
             raise DomainError("ambient dimension must be positive")
-        nonzero = [r for r in rows if any(r)]
-        if not nonzero:
-            return cls(ambient_dim, (), ())
-        return cls(ambient_dim, *_hermite_basis(Mat(nonzero)))
+        if den > 1:
+            rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        hermite, pivots = _hermite_insert(rows, ambient_dim)
+        g = math.gcd(den, *chain.from_iterable(hermite))
+        if g > 1:
+            hermite = [[x // g for x in row] for row in hermite]
+        return cls(ambient_dim, den // g, tuple(map(tuple, hermite)), tuple(pivots))
 
     @classmethod
     def from_matrix(cls, A: Mat) -> "Lattice":
@@ -100,7 +111,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return len(self._rows)
 
     @property
     def basis(self) -> tuple:
@@ -111,26 +122,22 @@ class Lattice:
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self._basis for x in row)
+        return self._d == 1
 
     def coordinates(self, vec: Sequence) -> "tuple | None":
         """Integer coefficients of vec in the canonical basis, or None: the
         entries of vec are checked as ``Mat``'s are (ints and Fractions only);
-        with d the lcm of the basis denominators, d * vec must be integral and
-        is back-substituted against the integer rows d * basis by ``divmod``."""
+        d * vec must be integral and is back-substituted against the stored
+        integer rows of d L by ``divmod``."""
         if len(vec) != self._ambient:
             raise DomainError("vector length does not match ambient dimension")
         vec = _norm_rows([vec])[0][0]
-        if self._scaled is None:
-            d = math.lcm(*(x.denominator for row in self._basis for x in row))
-            self._scaled = d, [[x.numerator * (d // x.denominator) for x in row]
-                               for row in self._basis]
-        d, rows = self._scaled
+        d = self._d
         if any(d % v.denominator for v in vec):
             return None
         x = [v.numerator * (d // v.denominator) for v in vec]
         coeffs = []
-        for row, p in zip(rows, self._pivots):
+        for row, p in zip(self._rows, self._pivots):
             q, rem = divmod(x[p], row[p])
             if rem:
                 return None
@@ -223,15 +230,25 @@ def lattice_intersection(lattices: Sequence[Lattice]) -> Lattice:
     return out
 
 
-def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:
-    """Isomorphism type of Z^m / L for an integer lattice L in Z^m."""
+def _check_ambient(ambient_dim) -> None:
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
+        raise DomainError(f"ambient dimension {ambient_dim!r} is not an integer")
+
+
+def _check_quotient(ambient_dim: int, L: Lattice, caller: str) -> None:
+    _check_ambient(ambient_dim)
     if L.ambient_dim != ambient_dim:
         raise DomainError("ambient dimension mismatch")
     if not L.is_integral:
-        raise DomainError("quotient_structure requires an integer lattice")
+        raise DomainError(f"{caller} requires an integer lattice")
+
+
+def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:
+    """Isomorphism type of Z^m / L for an integer lattice L in Z^m."""
+    _check_quotient(ambient_dim, L, "quotient_structure")
     if L.rank == 0:
         return QuotientStructure(ambient_dim, ())
-    factors = _smith([list(row) for row in L.basis], L.rank, ambient_dim)
+    factors = _smith([list(row) for row in L._rows], L.rank, ambient_dim)
     torsion = tuple(c for c in factors if c > 1)
     return QuotientStructure(ambient_dim - len(factors), torsion)
 
@@ -255,10 +272,5 @@ def gcd_max_minors(A: Mat) -> int:
 
 def has_cotorsion(ambient_dim: int, L: Lattice) -> bool:
     """True iff Z^m / L has nontrivial torsion."""
-    if L.ambient_dim != ambient_dim:
-        raise DomainError("ambient dimension mismatch")
-    if not L.is_integral:
-        raise DomainError("has_cotorsion requires an integer lattice")
-    if L.rank == 0:
-        return False
-    return _gcd_maximal_minors(zip(*L.basis), L.rank) != 1
+    _check_quotient(ambient_dim, L, "has_cotorsion")
+    return _gcd_maximal_minors(zip(*L._rows), L.rank) != 1

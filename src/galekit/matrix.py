@@ -414,26 +414,16 @@ def _phase1(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
     return None, [sign[i] * (tab[m][n + i] - d) for i in range(m)]
 
 
-def _nonneg_solve(A: Sequence[Sequence], b: Sequence) -> tuple:
-    """Exact feasibility of {x : A x = b, x >= 0} for rational A (given as
-    rows) and b.
-
-    One type scan over A and b: all-integer input goes to the simplex as it
-    is; otherwise each row of [A | b] is scaled to integers by the lcm of
-    its denominators (``_int_row``) and the certificate scaled back.
+def _nonneg_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
+    """Exact feasibility of {x : A x = b, x >= 0} for integer A (given as
+    rows) and b, which go into the simplex as they are; a caller with
+    rational rows clears the denominators of each row of [A | b] first.
     Returns (x, None) with x >= 0 and A x = b, or (None, w) with a Farkas
     certificate w A >= 0, w b < 0 that no such x exists.  Either answer is
     re-checked exactly before it is returned; a failed check raises
     GaleKitError.  The x found is one basic solution, not a canonical one.
     """
-    if {int}.issuperset(map(type, chain(chain.from_iterable(A), b))):
-        x, w = _phase1(A, b)
-    else:
-        scaled = [_int_row((*row, bi)) for row, bi in zip(A, b)]
-        x, w = _phase1([ints[:-1] for _, ints in scaled],
-                       [ints[-1] for _, ints in scaled])
-        if w is not None:
-            w = [wi * k for wi, (k, _) in zip(w, scaled)]
+    x, w = _phase1(A, b)
     if w is None:
         # A (D x) = D b on the integers D x, D the common denominator of x
         D = math.lcm(*(v.denominator for v in x))

@@ -24,12 +24,12 @@ insertion, ``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979;
 Cohen, *A Course in Computational Algebraic Number Theory*, §2.4): each
 row is reduced against a basis kept reduced, by one subtraction where one
 of its entry and the pivot divides the other and one extended-gcd step
-otherwise.  ``Lattice`` bases, the
-maximal-minor gcd and the Smith loop use it on bare rows, and ``hnf`` uses
-it on [A | I] for every shape of A.  H and its pivots are unique, and a
-full-row-rank A has one U with U A = H; for a tall or rank-deficient A the
-first rank(A) rows of U are the unimodular choice the insertion order
-makes, not a canonical one.
+otherwise.  ``Lattice`` (on the integer rows D L, D the lcm of the
+denominators), the maximal-minor gcd and the Smith loop use it on bare
+rows, and ``hnf`` on [A | I] for every shape of A.  H and its pivots are
+unique, and a full-row-rank A has one U with U A = H; for a tall or
+rank-deficient A the first rank(A) rows of U are the unimodular choice the
+insertion order makes, not a canonical one.
 
 Left kernels take no row insertion.  ``left_kernel_rows`` reads an integer
 kernel basis off one forward Bareiss elimination of A^T and a back
@@ -332,16 +332,6 @@ def hnf(A: Mat) -> HnfResult:
         h = Mat([[Fraction(x, d) for x in row[:n]] for row in aug])
     return HnfResult(H=h, U=Mat([row[n:] for row in aug]),
                      pivot_map=tuple(j + 1 for j in pivots))
-
-
-def _hermite_basis(A: Mat) -> tuple[tuple, tuple[int, ...]]:
-    """The nonzero rows of ``hnf(A).H`` and their 0-based pivot columns,
-    from row insertion without a transform."""
-    d, work = A.int_scaled()
-    rows, pivots = _hermite_insert(work, A.cols)
-    if d > 1:
-        rows = [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
-    return tuple(map(tuple, rows)), tuple(pivots)
 
 
 def left_kernel_rows(A: Mat) -> list[tuple]:

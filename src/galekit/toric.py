@@ -40,7 +40,7 @@ from .matrix import (
     solve,
 )
 from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
-from .lattices import Lattice, QuotientStructure, quotient_structure
+from .lattices import Lattice, QuotientStructure, _gcd_maximal_minors, quotient_structure
 from .gale import _gale_dual, gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
 from .fans import DEFAULT_CAP, Fan, _check_fan, _select_fan
@@ -120,13 +120,15 @@ def cl_generators_full(Q: Mat) -> Mat:
     return _pws_transform(hnf(Q.transpose()), Q.rows)
 
 
+_NOT_PWS = "weight matrix is not of PWS type: HNF(Q^T) is not (I | 0)"
+
+
 def _pws_transform(res: HnfResult, r: int) -> Mat:
     """U_Q from res = ``hnf(Q^T)`` for a Q with r rows, whose H must be
     (I | 0)^T."""
     expected = Mat([[int(i == j) for j in range(r)] for i in range(res.H.rows)])
     if res.H != expected:
-        raise DomainError("weight matrix is not of PWS type: "
-                          "HNF(Q^T) is not (I | 0)")
+        raise DomainError(_NOT_PWS)
     return res.U
 
 
@@ -149,8 +151,11 @@ def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
 
 def picard_basis(Q: Mat, fan: Fan) -> Mat:
     """Basis (rows) of the Picard subgroup inside Z^r, the intersection of
-    the complementary blocks' column lattices, read off their inverses."""
+    the complementary blocks' column lattices, read off their inverses, for
+    a Q of PWS type (the Hermite pivots of its columns have product 1)."""
     _check_fan(gale_dual(Q), fan)
+    if _gcd_maximal_minors(Q.col_tuples(), Q.rows) != 1:
+        raise DomainError(_NOT_PWS)
     return _picard_basis(Q, fan)[0]
 
 

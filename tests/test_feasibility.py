@@ -3,11 +3,13 @@ routines built on it, against the square-subsystem scans it replaced."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from galekit import (
+    DomainError,
     GaleKitError,
     Lattice,
     Mat,
@@ -17,7 +19,7 @@ from galekit import (
     gale_dual,
     is_f_complete,
 )
-from galekit import fw, matrix, normal_forms
+from galekit import fans, fw, matrix, normal_forms
 from galekit.lattices import has_cotorsion
 from galekit.matrix import _nonneg_solve
 from conftest import (
@@ -68,18 +70,38 @@ def _rand_system(rng):
     return A, b
 
 
+def _check_cone_branches(A, b):
+    """``cone_contains`` on every column of A, in both branches, against
+    ``nonneg_combination_oracle``: b is in the cone iff the oracle finds
+    c >= 0, and on independent columns, where c is unique, in its relative
+    interior iff c > 0.  Returns c."""
+    V, gens = Mat(A), range(1, len(A[0]) + 1)
+    c = nonneg_combination_oracle(list(zip(*A)), tuple(b))
+    assert cone_contains(V, gens, b) == (c is not None)
+    if gauss_rank(V) == V.cols:
+        assert cone_contains(V, gens, b, interior=True) == (
+            c is not None and all(v > 0 for v in c))
+    else:
+        with pytest.raises(DomainError, match="simplicial"):
+            cone_contains(V, gens, b, interior=True)
+    return c
+
+
 def test_nonneg_solve_matches_subset_scan():
+    # integer systems go to the simplex; rational ones through cone_contains,
+    # which clears their rows
     rng = random.Random(701)
-    verdicts = [0, 0]
+    verdicts = Counter()
     for _ in range(600):
         A, b = _rand_system(rng)
-        x, w = _nonneg_solve(A, b)
-        _check_answer(A, b, x, w)
-        cols = list(zip(*A))
-        assert (x is not None) == (nonneg_combination_oracle(cols, tuple(b)) is not None)
-        assert (x is not None) == cone_contains(Mat(A), range(1, len(cols) + 1), b)
-        verdicts[x is not None] += 1
-    assert min(verdicts) >= 150
+        c = _check_cone_branches(A, b)
+        integral = all(type(v) is int for row in A for v in row)
+        if integral:
+            x, w = _nonneg_solve(A, b)
+            _check_answer(A, b, x, w)
+            assert (x is not None) == (c is not None)
+        verdicts[integral, c is not None] += 1
+    assert min(verdicts.values()) >= 40 and len(verdicts) == 4, verdicts
 
 
 def test_nonneg_solve_edge_systems():
@@ -93,17 +115,22 @@ def test_nonneg_solve_edge_systems():
     x, w = _nonneg_solve(A, b)
     assert x is None
     _check_answer(A, b, x, w)
-    # a rational point
-    x, w = _nonneg_solve([[3, 0], [0, 2]], [1, Fraction(1, 3)])
+    # a rational point, from integer rows and from rational ones
+    x, w = _nonneg_solve([[9, 0], [0, 6]], [3, 1])
     assert x == [Fraction(1, 3), Fraction(1, 6)] and w is None
+    assert _check_cone_branches([[3, 0], [0, 2]], [1, Fraction(1, 3)]) == x
 
 
 def test_nonneg_solve_takes_integer_rows_as_they_are(monkeypatch):
-    # integer rows skip the per-row scaling; the same rows as Fractions, one
-    # of them halved, give the same point and the same certificate up to the
-    # factor 2 on that row
+    # integer rows go to the simplex unscaled; the same rows as Fractions,
+    # one of them halved, go through cone_contains, which clears each row
+    # once and hands the simplex the integer system back
     rng = random.Random(2512)
     scalings = count_calls(monkeypatch, matrix, "_int_row")
+    systems = []
+    solve = matrix._nonneg_solve
+    monkeypatch.setattr(fans, "_nonneg_solve",
+                        lambda A, b: systems.append((A, b)) or solve(A, b))
     verdicts = [0, 0]
     for _ in range(300):
         m, n = rng.randint(1, 4), rng.randint(1, 7)
@@ -117,14 +144,15 @@ def test_nonneg_solve_takes_integer_rows_as_they_are(monkeypatch):
         x, w = _nonneg_solve(A, b)
         assert scalings["_int_row"] == 0
         _check_answer(A, b, x, w)
-        xf, wf = _nonneg_solve(half, half_b)
-        assert scalings["_int_row"] == m
-        _check_answer(half, half_b, xf, wf)
-        assert xf == x
-        if w is not None:
-            doubled = [2 * v if k == i else v for k, v in enumerate(w)]
-            g = math.gcd(*doubled)
-            assert wf == [v // g for v in doubled]
+        for interior in (False, True):
+            scalings.clear()
+            try:
+                cone_contains(Mat(half), range(1, n + 1), half_b, interior)
+            except DomainError:
+                assert interior and gauss_rank(Mat(A)) < n
+            assert scalings["_int_row"] == m
+        assert systems[-1] == (A, b)
+        assert (_check_cone_branches(half, half_b) is not None) == (x is not None)
         verdicts[x is not None] += 1
     assert min(verdicts) >= 75
 

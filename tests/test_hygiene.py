@@ -247,3 +247,28 @@ def test_internal_invariants_have_one_shape(path):
     wrong += [f"{path.name}:{line} {text!r}" for line, text in _raise_messages(tree, "DomainError")
               if "unreachable" in text]
     assert not wrong, wrong
+
+
+def test_lattices_keep_one_representation():
+    """A ``Lattice`` stores its integer rows once, and the simplex takes
+    integer rows only: nothing defines or names ``_hermite_basis`` (the
+    rational Hermite basis once built beside the integer one) or
+    ``_scaled`` (the lazy integer copy of a rational basis), and
+    ``matrix._nonneg_solve`` names neither ``_int_row`` nor ``Fraction``.
+    Definitions, calls, aliases, imports and strings all count as uses."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in ("_hermite_basis", "_scaled"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
+    tree = _tree(next(p for p in SOURCES if p.name == "matrix.py"))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_nonneg_solve")
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"_int_row", "Fraction"}, sorted(names & {"_int_row", "Fraction"})

@@ -416,3 +416,57 @@ def test_lattice_zero_and_errors():
     assert Z.rank == 0 and Z.basis_matrix() is None
     with pytest.raises(DomainError):
         Lattice.from_rows([(1, 2), (1, 2, 3)])
+
+
+@pytest.mark.parametrize("ambient", [2.5, 2.0, True, "2"],
+                         ids=["float", "integral_float", "bool", "str"])
+def test_ambient_dimension_is_an_int(ambient):
+    # a non-int ambient dimension, bools included, is a DomainError in the
+    # constructors and in the quotient questions, never a TypeError
+    # from deeper down
+    with pytest.raises(DomainError, match="is not an integer"):
+        Lattice.zero(ambient)
+    with pytest.raises(DomainError):
+        Lattice.from_rows([[1, 2]], ambient)
+    L = Lattice.from_rows([[1, 2]])
+    for question in (quotient_structure, has_cotorsion):
+        with pytest.raises(DomainError, match="is not an integer"):
+            question(ambient, L)
+    assert Lattice.zero(1).ambient_dim == 1
+    assert quotient_structure(2, L) == QuotientStructure(1, ())
+
+
+def test_from_rows_on_integer_rows_builds_no_mat(monkeypatch):
+    # integer rows take one entry scan and go into the row insertion as
+    # they are: no Mat is built on the way
+    scans = count_calls(monkeypatch, matrix, "_norm_rows")
+    built = Counter()
+    init = Mat.__init__
+
+    def counted(self, rows):
+        built["Mat"] += 1
+        init(self, rows)
+
+    monkeypatch.setattr(Mat, "__init__", counted)
+    L = Lattice.from_rows([(4, 2, 0), (6, 6, 3), (0, 0, 0)], 3)
+    assert scans["_norm_rows"] == 1 and built["Mat"] == 0
+    assert L.basis == ((2, 4, 3), (0, 6, 6)) and L.is_integral
+
+
+def test_lattice_stores_the_cleared_integer_rows():
+    # d is the least positive integer with d L integral, whatever
+    # denominators the generators carry; the basis is the stored rows over d
+    rng = random.Random(316)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        rows = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(rng.randint(1, 4))]
+        den, extra = rng.choice([1, 2, 6, 35]), rng.choice([1, 3, 4])
+        gens = [[Fraction(x * extra, den * extra) for x in row] for row in rows]
+        L = Lattice.from_rows(gens, m)
+        d = L._d
+        assert all(type(x) is int for row in L._rows for x in row)
+        assert L.basis == tuple(tuple(Fraction(x, d) for x in row) for row in L._rows)
+        assert L.is_integral == (d == 1)
+        assert all((d * x).denominator == 1 for row in L.basis for x in row)
+        assert all(any((d // p * x).denominator > 1 for row in L.basis for x in row)
+                   for p in (2, 3, 5, 7) if d % p == 0)

@@ -18,7 +18,6 @@ from galekit import (
     snf,
 )
 from galekit import normal_forms
-from galekit.normal_forms import _hermite_basis
 from conftest import (
     check_hnf_result,
     count_calls,
@@ -188,9 +187,9 @@ def test_left_kernels_and_hermite_bases_match_oracles():
         res = hnf(A)
         _, u, piv = hnf_int_oracle(A.int_scaled()[1])
         assert left_kernel_rows(A) == [tuple(row) for row in u[len(piv):]]
-        basis, pivots = _hermite_basis(A)
-        assert basis == tuple(res.H.row(i) for i in range(res.rank))
-        assert pivots == tuple(j - 1 for j in res.pivot_map)
+        L = Lattice.from_matrix(A)
+        assert L.basis == tuple(res.H.row(i) for i in range(res.rank))
+        assert L._pivots == tuple(j - 1 for j in res.pivot_map)
 
 
 def _fold_fuzz_case(rng):
@@ -235,7 +234,8 @@ def test_hermite_fold_matches_scan_oracle():
         fold, fold_pivots = hermite_fold_oracle([tuple(row) for row in rows], c)
         assert ([tuple(row) for row in fold], fold_pivots) == (expected, piv)
         A = Mat([[Fraction(x, den) for x in row] for row in rows])
-        assert _hermite_basis(A) == (
+        L = Lattice.from_matrix(A)
+        assert (L.basis, L._pivots) == (
             tuple(tuple(Fraction(x, den) for x in row) for row in expected), tuple(piv))
         seen["rational"] += den > 1
         seen["deficient"] += 0 < len(piv) < min(r, c)

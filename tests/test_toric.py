@@ -120,10 +120,23 @@ def test_is_pws_reads_one_hnf_of_v_transpose(monkeypatch):
 
 
 def test_is_pws_shares_the_column_lattice_of_classify_f(monkeypatch):
-    # T_n is the Hermite basis of the column lattice classify_f builds
-    calls = count_calls(monkeypatch, normal_forms, "_hermite_basis")
+    # T_n is the Hermite basis of the column lattice classify_f builds: one
+    # lattice, whose rows come from one row insertion
+    built = Counter()
+    from_rows, insert = Lattice.from_rows.__func__, lattices._hermite_insert
+
+    def counted(cls, *args):
+        built["from_rows"] += 1
+        return from_rows(cls, *args)
+
+    def inserted(*args):
+        built["_hermite_insert"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(Lattice, "from_rows", classmethod(counted))
+    monkeypatch.setattr(lattices, "_hermite_insert", inserted)
     assert is_pws(WORKED_V)[0]
-    assert calls["_hermite_basis"] == 1
+    assert built == {"from_rows": 1, "_hermite_insert": 1}
 
 
 def test_is_pws_requires_f_matrix():
@@ -200,6 +213,20 @@ def test_divisor_coefficients_take_mat_entries_only(entry):
 
 def test_picard_basis_worked():
     assert picard_basis(WORKED_Q, _worked_fan()) == Mat([[2, 0], [0, 2]])
+
+
+def test_picard_basis_refuses_a_weight_matrix_not_of_pws_type():
+    # Q = (2 2 2) has the Gale dual of P^2, but its columns span 2Z: the
+    # same refusal as delta_sigma and cl_generators
+    fan = fan_from_cones(Mat([[1, 0, -1], [0, 1, -1]]), [(1, 2), (1, 3), (2, 3)])
+    Q = Mat([[2, 2, 2]])
+    for call in (picard_basis, delta_sigma):
+        with pytest.raises(DomainError, match=re.escape(
+                "weight matrix is not of PWS type: HNF(Q^T) is not (I | 0)")):
+            call(Q, fan)
+    with pytest.raises(DomainError, match="not of PWS type"):
+        cl_generators(Q)
+    assert picard_basis(Mat([[1, 1, 1]]), fan) == Mat([[1]])
 
 
 def test_picard_basis_smooth():
