@@ -6,11 +6,11 @@ integer Hermite rows of d L.  Its canonical basis, the (rational) Hermite
 form of any generating set with zero rows dropped, is those rows over d, so
 equal lattices have identical representations and equality is structural.
 Intersections come from integer left kernels: the kernel of two stacked
-bases is the set of pairs of coordinates that name the same vector.  The
-stack is [-B2; reversed(B1)]: ``left_kernel_rows`` eliminates the rows last
-first, so its first Bareiss steps meet B1's Hermite rows in pivot order.
-Their pivots are mostly 1, and a column with pivot 1 has zeros above it, so
-those steps keep d = 1 and skip most rows.
+bases, met at the scale lcm(d1, d2), is the set of pairs of coordinates that
+name the same vector.  The stack is [-B2; reversed(B1)]: ``_left_kernel``
+eliminates the rows last first, so its first Bareiss steps meet B1's Hermite
+rows in pivot order.  Their pivots are mostly 1, and a column with pivot 1
+has zeros above it, so those steps keep d = 1 and skip most rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_rows
 # ``hnf`` stays bound here: perfbench/selftest.py checks its traced binding.
-from .normal_forms import _hermite_insert, _smith, hnf, left_kernel_rows  # noqa: F401
+from .normal_forms import _hermite_insert, _left_kernel, _smith, hnf  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,22 +59,26 @@ class QuotientStructure:
 
 class Lattice:
     """A discrete subgroup L of Q^m: d, the integer Hermite rows of d L and
-    their pivots; the basis is the rows over d, the same tuples when d = 1."""
+    their pivots, made only by ``Lattice(m, int rows of width m, den >= 1)``;
+    the basis is the rows over d, the same tuples when d = 1."""
 
     __slots__ = ("_ambient", "_d", "_rows", "_pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, d: int, rows: tuple, pivots: tuple):
-        self._ambient = ambient_dim
-        self._d = d
-        self._rows = rows
-        self._pivots = pivots
-        self._basis = rows if d == 1 else tuple(
-            tuple(Fraction(x, d) if x % d else x // d for x in row) for row in rows)
+    def __init__(self, ambient_dim: int, rows: Sequence[Sequence[int]], den: int):
+        hermite, pivots = _hermite_insert(rows, ambient_dim)
+        g = math.gcd(den, *chain.from_iterable(hermite))
+        if g > 1:
+            hermite = [[x // g for x in row] for row in hermite]
+        d = den // g  # the least d with d L integral
+        self._ambient, self._d, self._pivots = ambient_dim, d, tuple(pivots)
+        self._rows = tuple(map(tuple, hermite))
+        self._basis = self._rows if d == 1 else tuple(
+            tuple(Fraction(x, d) if x % d else x // d for x in row) for row in self._rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], ambient_dim: "int | None" = None) -> "Lattice":
-        """One entry scan finds the lcm D of the denominators; the Hermite
-        rows of D L are divided by g = gcd(D, entries), which leaves d = D/g."""
+        """One entry scan checks the generators and finds the lcm D of their
+        denominators; the integer rows of D L go to the constructor."""
         rows, den = _norm_rows(rows)
         if rows:
             width = len(rows[0])
@@ -91,15 +95,13 @@ class Lattice:
             raise DomainError("ambient dimension must be positive")
         if den > 1:
             rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-        hermite, pivots = _hermite_insert(rows, ambient_dim)
-        g = math.gcd(den, *chain.from_iterable(hermite))
-        if g > 1:
-            hermite = [[x // g for x in row] for row in hermite]
-        return cls(ambient_dim, den // g, tuple(map(tuple, hermite)), tuple(pivots))
+        return cls(ambient_dim, rows, den)
 
     @classmethod
     def from_matrix(cls, A: Mat) -> "Lattice":
-        return cls.from_rows(A.row_tuples(), A.cols)
+        """Reads the Mat's stored denominator: no second entry scan."""
+        den, rows = A.int_scaled()
+        return cls(A.cols, rows, den)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Lattice":
@@ -152,12 +154,11 @@ class Lattice:
         return self.coordinates(vec) is not None
 
     def __eq__(self, other):
-        return (isinstance(other, Lattice)
-                and self._ambient == other._ambient
-                and self._basis == other._basis)
+        return (isinstance(other, Lattice) and self._ambient == other._ambient
+                and self._d == other._d and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self._ambient, self._basis))
+        return hash((self._ambient, self._d, self._rows))
 
     def __repr__(self):
         return f"Lattice(ambient={self._ambient}, basis={[list(r) for r in self._basis]})"
@@ -186,34 +187,33 @@ def dual_lattice(L: Lattice) -> Lattice:
 def _intersect_pair(L1: Lattice, L2: Lattice) -> Lattice:
     """L1 ∩ L2 from one integer left kernel of the stacked bases.
 
-    The stack is [-B2; reversed(B1)], B1 and B2 the canonical bases.  They
-    have independent rows, so the integer rows (u, v) of its kernel are
-    exactly the pairs with u B2 = v reversed(B1), and (u, v) -> u B2 maps
-    them onto L1 ∩ L2; the canonical basis of the image does not depend on
-    the order.  ``_left_kernel`` eliminates A's rows last first, so it meets
-    B1's Hermite rows in pivot order: their pivots are mostly 1, and a
-    column with pivot 1 has zeros above it, so the first Bareiss steps keep
-    d = 1 and skip most rows.  Met from its last row, a basis would make its
-    last and largest pivot the first d, which multiplies every later step.
+    The operands meet at the scale D = lcm(d1, d2): the stored rows stack as
+    [-(D/d2) H2; reversed((D/d1) H1)], D [-B2; reversed(B1)] for the
+    canonical bases, whose rows are independent.  So the integer kernel rows
+    (u, v) are exactly the pairs with u B2 = v reversed(B1), and the rows
+    u H2 over d2 span L1 ∩ L2.  ``_left_kernel`` eliminates the rows last
+    first, so its first Bareiss steps meet H1's pivots, mostly 1, in order
+    and keep d = 1.  Met from its last row, a basis would make its last and
+    largest pivot the first d, which multiplies every later step.
     """
-    b2 = L2.basis
-    kern = left_kernel_rows(Mat([tuple(-x for x in r) for r in b2]
-                                + list(reversed(L1.basis))))
-    cols = tuple(zip(*b2))  # map(mul, u, col) stops at the end of u's B2 part
-    rows = [[sum(map(mul, u, col)) for col in cols] for u in kern]
-    return Lattice.from_rows(rows, L1.ambient_dim)
+    h2, scale = L2._rows, math.lcm(L1._d, L2._d)
+    s1, s2 = scale // L1._d, -(scale // L2._d)
+    kern = _left_kernel([[s2 * x for x in r] for r in h2]
+                        + [[s1 * x for x in r] for r in reversed(L1._rows)])
+    cols = tuple(zip(*h2))  # map(mul, u, col) stops at the end of u's H2 part
+    return Lattice(L1.ambient_dim, [[sum(map(mul, u, col)) for col in cols] for u in kern],
+                   L2._d)
 
 
 def lattice_intersection(lattices: Sequence[Lattice]) -> Lattice:
     """Intersection of finitely many lattices with a common ambient space.
 
     A pairwise fold: each step intersects the running result with the next
-    lattice through one integer left kernel of their stacked canonical
-    bases (Cohen, *A Course in Computational Algebraic Number Theory*,
-    §2.4), the running result's basis stacked last, reversed, so that the
-    kernel's elimination, which runs last first, meets its Hermite pivots
-    first (``_intersect_pair``).  Rational bases need no special care, since
-    the Hermite passes clear denominators.  The result is zero as soon as an
+    lattice through one integer left kernel of their stacked bases, met at
+    the scale lcm(d1, d2) (Cohen, *A Course in Computational Algebraic
+    Number Theory*, §2.4), the running result's stacked last, reversed, so
+    that the kernel's elimination, which runs last first, meets its Hermite
+    pivots first (``_intersect_pair``).  The result is zero as soon as an
     operand or a partial intersection is.
     """
     lattices = list(lattices)

@@ -8,8 +8,9 @@ row insertion, reaches Smith forms only through row insertion,
 enumerates the fan of a toric call only in the fan selector, derives
 the Picard lattice without intersecting lattices, reads both sides of
 the Gale pair off one per-cone table, builds a ``Mat`` without its
-construction scan only inside ``matrix.py``, and ends every internal
-invariant's message in "(internal invariant)".
+construction scan only inside ``matrix.py`` and a ``Lattice`` from integer
+rows only inside ``lattices.py``, and ends every internal invariant's
+message in "(internal invariant)".
 """
 
 import ast
@@ -23,6 +24,16 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "galekit").gl
 
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names_in(module, function):
+    """The names and attributes read in the body of a top-level function."""
+    tree = _tree(next(p for p in SOURCES if p.name == module))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for stmt in func.body for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def test_sources_found():
@@ -211,11 +222,7 @@ def test_toric_eliminates_only_in_the_cone_table():
                     and node.func.id == "_eliminate"):
                 callers.add(getattr(top, "name", top.lineno))
     assert callers == {"_cone_table"}, callers
-    func = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_cartier_index")
-    names = {node.id if isinstance(node, ast.Name) else node.attr
-             for stmt in func.body for node in ast.walk(stmt)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+    names = _names_in("toric.py", "_cartier_index")
     assert not names & {"solve", "Mat"}, sorted(names & {"solve", "Mat"})
 
 
@@ -255,8 +262,14 @@ def test_lattices_keep_one_representation():
     rational Hermite basis once built beside the integer one) or
     ``_scaled`` (the lazy integer copy of a rational basis), and
     ``matrix._nonneg_solve`` names neither ``_int_row`` nor ``Fraction``.
-    Definitions, calls, aliases, imports and strings all count as uses."""
+    Definitions, calls, aliases, imports and strings all count as uses.
+    The constructor trusts that its rows are ints, so ``Lattice(`` is
+    called only inside ``lattices.py``, as ``Mat._unscanned`` is named only
+    inside ``matrix.py``; and ``_intersect_pair`` stacks the stored integer
+    rows: it names none of ``Mat``, ``Fraction``, ``basis`` and
+    ``left_kernel_rows``."""
     found = []
+    callers = []
     for path in SOURCES:
         for node in ast.walk(_tree(path)):
             name = (node.id if isinstance(node, ast.Name) else
@@ -265,10 +278,14 @@ def test_lattices_keep_one_representation():
                     node.value if isinstance(node, ast.Constant) else None)
             if name in ("_hermite_basis", "_scaled"):
                 found.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.Call) and "Lattice" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.append(path.name)
     assert not found, found
-    tree = _tree(next(p for p in SOURCES if p.name == "matrix.py"))
-    func = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_nonneg_solve")
-    names = {node.id if isinstance(node, ast.Name) else node.attr
-             for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert callers and set(callers) == {"lattices.py"}, callers
+    names = _names_in("matrix.py", "_nonneg_solve")
     assert not names & {"_int_row", "Fraction"}, sorted(names & {"_int_row", "Fraction"})
+    names = _names_in("lattices.py", "_intersect_pair")
+    assert {"_left_kernel", "Lattice"} <= names, sorted(names)
+    banned = {"Mat", "Fraction", "basis", "left_kernel_rows"}
+    assert not names & banned, sorted(names & banned)

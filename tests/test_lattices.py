@@ -179,30 +179,41 @@ def test_intersection_matches_dual_sum_oracle():
 
 
 def test_intersection_is_one_kernel_per_pair(monkeypatch):
-    # the kernel meets the first operand's basis first: it is stacked last,
-    # reversed, below the second's negated basis, whichever rank is larger
+    # one integer kernel per pair, of the stored rows H at the scale
+    # D = lcm(d1, d2): the first operand's rows stacked last, reversed, below
+    # the second's negated rows, whichever rank is larger; that is D times
+    # the stack of canonical bases [-B2; reversed(B1)]
     L1 = Lattice.from_matrix(Mat([[1, 2, 3, 4], [0, 5, 6, 7]]))
     L2 = Lattice.from_matrix(Mat([[2, 0, 2, 0], [0, 3, 1, 4], [1, 1, 1, 1]]))
-    assert (L1.rank, L2.rank) == (2, 3)
-    expected = intersection_oracle([L1, L2])
-    kernels = count_calls(monkeypatch, normal_forms, "left_kernel_rows")
+    R1 = Lattice.from_rows([[Fraction(1, 2), 1, 0, 3], [0, Fraction(3, 2), 2, 1]])
+    R2 = Lattice.from_rows([[Fraction(1, 3), 0, 1, 1], [0, 1, Fraction(2, 3), 0],
+                            [1, 1, 1, 1]])
+    assert (L1.rank, L2.rank, R1.rank, R2.rank) == (2, 3, 2, 3)
+    assert (L1._d, L2._d, R1._d, R2._d) == (1, 1, 2, 3)
+    meet, rational_meet = intersection_oracle([L1, L2]), intersection_oracle([R1, R2])
     others = count_calls(monkeypatch, lattices, "transverse")
     solves = count_calls(monkeypatch, matrix, "solve")
     stacks = []
-    counted = lattices.left_kernel_rows
+    kernel = lattices._left_kernel
 
-    def capture(A):
-        stacks.append(A.row_tuples())
-        return counted(A)
+    def capture(rows):
+        stacks.append([list(r) for r in rows])
+        return kernel(rows)
 
-    monkeypatch.setattr(lattices, "left_kernel_rows", capture)
-    for n, (first, second) in enumerate(((L1, L2), (L2, L1)), 1):
+    monkeypatch.setattr(lattices, "_left_kernel", capture)
+    # (first, second, D/d1, D/d2, their intersection)
+    pairs = [(L1, L2, 1, 1, meet), (L2, L1, 1, 1, meet),
+             (R1, R2, 3, 2, rational_meet), (R2, R1, 2, 3, rational_meet)]
+    for n, (first, second, s1, s2, expected) in enumerate(pairs, 1):
         assert lattice_intersection([first, second]) == expected
-        assert kernels["left_kernel_rows"] == n
+        assert len(stacks) == n
         assert others["transverse"] == 0
         assert solves["solve"] == 0
-        assert stacks[-1] == (tuple(tuple(-x for x in r) for r in second.basis)
-                              + first.basis[::-1])
+        assert stacks[-1] == ([[-s2 * x for x in r] for r in second._rows]
+                              + [[s1 * x for x in r] for r in reversed(first._rows)])
+        assert all(type(x) is int for row in stacks[-1] for x in row)
+        negated = [tuple(-x for x in r) for r in second.basis]
+        assert stacks[-1] == Mat(negated + list(reversed(first.basis))).int_scaled()[1]
 
 
 def _oracle_fold(lats):
@@ -223,8 +234,8 @@ def test_intersection_matches_operand_order_oracle():
     """The stack [-B2; reversed(B1)] gives the canonical basis the stack
     [B1; -B2] gives, on a corpus seeded apart from the dual-sum one:
     benchmark-sized pairs, scaled operands (pivots above 1), rational
-    bases, unequal ranks in both orders, disjoint spans, full-rank pairs
-    and 3- and 4-lattice folds."""
+    bases, unequal ranks in both orders, disjoint spans, full-rank pairs,
+    3- and 4-lattice folds and rational pairs with d1 != d2 in both orders."""
     rng = random.Random(2917)
     seen = Counter()
 
@@ -290,8 +301,17 @@ def test_intersection_matches_operand_order_oracle():
                     for _ in range(count)]
             if check(lats).rank:
                 seen[f"fold{count}"] += 1
+    for _ in range(15):  # both operands rational, with d1 != d2
+        m = rng.randint(3, 8)
+        lats = [Lattice.from_rows([[Fraction(rng.randint(-60, 60), den) for _ in range(m)]
+                                   for _ in range(rng.randint(m // 2 + 1, m))], m)
+                for den in rng.sample([2, 3, 4, 6, 9, 35], 2)]
+        d1, d2 = (L._d for L in lats)
+        if min(d1, d2) > 1 and d1 != d2 and check(lats).rank:
+            assert check(lats[::-1]).rank
+            seen["mixed_d"] += 1
     minimum = {"benchmark": 15, "scaled": 10, "rational": 15, "unequal": 30,
-               "zero": 15, "full": 15, "fold3": 10, "fold4": 10}
+               "zero": 15, "full": 15, "fold3": 10, "fold4": 10, "mixed_d": 10}
     assert all(seen[case] >= n for case, n in minimum.items()), seen
 
 
@@ -451,6 +471,22 @@ def test_from_rows_on_integer_rows_builds_no_mat(monkeypatch):
     L = Lattice.from_rows([(4, 2, 0), (6, 6, 3), (0, 0, 0)], 3)
     assert scans["_norm_rows"] == 1 and built["Mat"] == 0
     assert L.basis == ((2, 4, 3), (0, 6, 6)) and L.is_integral
+
+
+def test_from_matrix_reads_the_stored_denominator(monkeypatch):
+    # a Mat's entries were scanned when it was built: from_matrix takes its
+    # integer scaling as it is, with no second scan, into one row insertion
+    integer = Mat([[4, 2, 0], [6, 6, 3], [0, 0, 0]])
+    rational = Mat([[Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 4]])
+    scans = count_calls(monkeypatch, matrix, "_norm_rows")
+    inserts = count_calls(monkeypatch, normal_forms, "_hermite_insert")
+    got = []
+    for n, A in enumerate((integer, rational), 1):
+        got.append(Lattice.from_matrix(A))
+        assert (scans["_norm_rows"], inserts["_hermite_insert"]) == (0, n)
+    assert got[0].basis == ((2, 4, 3), (0, 6, 6)) and got[0].is_integral
+    assert got[1].basis == ((Fraction(1, 2), Fraction(1, 3), -4), (0, Fraction(2, 3), 4))
+    assert got == [Lattice.from_rows(A.row_tuples()) for A in (integer, rational)]
 
 
 def test_lattice_stores_the_cleared_integer_rows():
