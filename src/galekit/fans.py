@@ -443,6 +443,8 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
     """
     if not V.is_integral:
         raise DomainError("enumerate_SF requires an integer matrix")
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise DomainError(f"cap {cap!r} is not an integer")
     n, s = V.shape
     if s > cap:
         raise DomainError(f"ray count {s} exceeds cap {cap}")
@@ -546,6 +548,8 @@ def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",
     checked once, or else the 1-based ``index``-th fan of ``enumerate_SF``,
     or its only fan when there is one.  An enumerated fan is valid by
     construction and is taken as it is."""
+    if index is not None and (not isinstance(index, int) or isinstance(index, bool)):
+        raise DomainError(f"fan index {index!r} is not an integer")
     if fan is not None:
         if index is not None:
             raise DomainError("give a fan or a fan index, not both")

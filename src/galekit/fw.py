@@ -24,10 +24,10 @@ of K on S have a strictly positive relation, the LP of ``is_f_complete``,
 iff (Gordan) no x >= 0 with sum 1 has B_S x = 0 for the Hermite basis B
 of L, whose Farkas certificate gives the vector; the LP with fewer rows
 runs (``normal_forms._positive_span_vector``).  With cotorsion the vector
-is lifted from the saturation into L by one ``solve``
+is lifted from the saturation into L by one integer elimination
 (``_lift_into_rows``).  ``positivize`` lifts the witness the same way, to
 its coefficients over the rows of Q, and rebases on them as
-``positive_row_basis`` does.
+``positive_row_echelon`` does.
 e_j can lie in L only if column j of K is zero; clause f fails exactly when
 two columns of K have the same primitive vector.  Repeated ray directions
 (F clause d) are equal primitive columns among the nonzero ones; one
@@ -217,7 +217,7 @@ def positivize(Q: Mat) -> Mat:
     """An entrywise nonnegative matrix with the same row lattice as the
     W-matrix Q and a strictly positive first row.
 
-    Procedure (the route of ``positive_row_basis``): the positive witness
+    Procedure (the rebase of ``positive_row_echelon``): the positive witness
     of ``classify_w`` is > 0 on every column and lies in the row lattice.
     Lift it to its coefficients lam over the rows of Q, move lam/gcd(lam)
     to the first row by a unimodular change of basis, then add multiples
@@ -231,7 +231,7 @@ def positivize(Q: Mat) -> Mat:
     if c != witness:
         raise GaleKitError("positive witness does not lift into the row "
                            "lattice: no-cotorsion violation (internal invariant)")
-    return Mat(basis_with_positive_first_row(rows, c, lam)[0])
+    return Mat(basis_with_positive_first_row(rows, c, lam))
 
 
 # ---------------------------------------------------------------------------

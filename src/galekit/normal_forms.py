@@ -56,8 +56,6 @@ from .matrix import (
     _back_substitute,
     _eliminate,
     _nonneg_solve,
-    block_diag,
-    solve,
     vec_gcd,
     xgcd,
 )
@@ -479,61 +477,51 @@ def _positive_relation(rows: Sequence[Sequence[int]]) -> "list[int] | None":
 def _lift_into_rows(basis: Sequence[Sequence[int]], y: Sequence[int],
                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(c, lam) with c = lam @ basis = d y and lam integral, for the least
-    d >= 1: one ``solve`` for the rational coefficients of y."""
-    lam = solve(Mat(basis).transpose(), Mat([[v] for v in y]))
-    if lam is None:
-        raise GaleKitError("positive vector is not in the row space "
-                           "(internal invariant)")
-    lam = lam.col(0)
-    d = math.lcm(*(x.denominator for x in lam))
-    return tuple(d * v for v in y), tuple(int(x * d) for x in lam)
+    d >= 1: one Bareiss elimination of [basis^T | y] and a back
+    substitution on y's column give D lam, D the last pivot, and d lam is
+    D lam divided by +-gcd(D, D lam).  The rows of ``basis`` are
+    independent, so lam is unique."""
+    k = len(basis)
+    work = [list(col) + [v] for col, v in zip(zip(*basis), y)]
+    pivots, dp = _eliminate(work, k)
+    if len(pivots) < k or any(row[k] for row in work[k:]):
+        raise GaleKitError("positive vector is not in the row space of "
+                           "independent rows (internal invariant)")
+    dlam = [row[0] for row in _back_substitute(work, pivots, dp, [k])]
+    g = math.gcd(dp, *dlam) * (1 if dp > 0 else -1)
+    return tuple(dp // g * v for v in y), tuple(x // g for x in dlam)
 
 
-def basis_with_positive_first_row(basis: Sequence[Sequence[int]],
+def basis_with_positive_first_row(rows: Sequence[Sequence[int]],
                                   c: Sequence[int], lam: Sequence[int],
-                                  ) -> tuple[list[list[int]], Mat]:
-    """Rebase so that the first row is c/gcd(lam) and all rows are >= 0 (on
-    the support of c, where c must be > 0; the rows vanish off it).
+                                  ) -> list[list[int]]:
+    """T @ rows for the unimodular T that makes the first row c/gcd(lam)
+    and every row >= 0 (on the support of c, where c must be > 0; the rows
+    vanish off it), for c = lam @ rows on the first len(c) columns; any
+    columns past those are carried.
 
-    c = lam @ basis must hold.  Returns (new_rows, T) with new_rows = T @ basis
-    and T unimodular.
-    """
-    k, n = len(basis), len(basis[0])
+    With U lam = (gcd(lam), 0, ..., 0) from ``hnf``, T = (U^-1)^T: the
+    Hermite form of [U^T | rows] is [I | T @ rows], since U is unimodular.
+    Then each later row gains the least multiple of the first row that
+    makes it >= 0."""
+    k = len(rows)
     support = [j for j, v in enumerate(c) if v]
-    lam_col = Mat([[x] for x in lam])
-    res = hnf(lam_col)
-    alpha = res.U
-    t_mat = alpha.inverse().transpose()
-    if not t_mat.is_integral:
-        raise GaleKitError("unimodular inverse produced non-integer entries "
-                           "(internal invariant)")
-    # T @ [basis | I_k] = [T @ basis | T]: each row carries its row of T
-    rows = [row + list(t) for row, t in zip((t_mat @ Mat(basis)).to_lists(),
-                                             t_mat.row_tuples())]
+    u_mat = hnf(Mat([[x] for x in lam])).U
+    herm = _hermite_insert([list(u) + list(row) for u, row
+                            in zip(u_mat.col_tuples(), rows)], k)[0]
+    if [row[:k] for row in herm] != [[int(i == j) for j in range(k)] for i in range(k)]:
+        raise GaleKitError("transform is not unimodular (internal invariant)")
+    rows = [row[k:] for row in herm]
     first = rows[0]
     if any(first[j] <= 0 for j in support):
         raise GaleKitError("rebased first row is not strictly positive on "
                            "support (internal invariant)")
     for i in range(1, k):
         # smallest integer multiple of the first row making this row >= 0
-        mult = math.ceil(max((Fraction(-rows[i][j], first[j]) for j in support),
-                             default=Fraction(0)))
+        mult = max((-(rows[i][j] // first[j]) for j in support), default=0)
         if mult:
             rows[i] = [x + mult * y for x, y in zip(rows[i], first)]
-    return [row[:n] for row in rows], Mat([row[n:] for row in rows])
-
-
-def positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]], Mat]:
-    """A nonnegative basis of the row lattice of ``basis`` plus its transform.
-
-    Raises DomainError when the lattice admits no such basis (i.e. the input
-    is not W-positive).
-    """
-    y = _positive_span_vector(basis)
-    if y is None:
-        raise DomainError("row lattice has no strictly positive vector: "
-                          "matrix is not W-positive")
-    return basis_with_positive_first_row(basis, *_lift_into_rows(basis, y))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +559,7 @@ def _clear_first_column(blk, r0, c0, d, m) -> None:
         mult = 0
         for j in range(c0, c0 + m):
             if blk[last][j] > 0 and blk[last - 1][j] < 0:
-                mult = max(mult, math.ceil(Fraction(-blk[last - 1][j], blk[last][j])))
+                mult = max(mult, -(blk[last - 1][j] // blk[last][j]))
         if mult:
             blk[last - 1] = [u + mult * v for u, v in zip(blk[last - 1], blk[last])]
 
@@ -590,7 +578,7 @@ def _clear_first_column(blk, r0, c0, d, m) -> None:
         mult = 0
         for j in range(c0 + j0, c0 + m):
             if blk[i][j] < 0:
-                mult = max(mult, math.ceil(Fraction(-blk[i][j], blk[last][j])))
+                mult = max(mult, -(blk[i][j] // blk[last][j]))
         if mult:
             blk[i] = [u + mult * v for u, v in zip(blk[i], blk[last])]
 
@@ -609,11 +597,13 @@ def positive_row_echelon(A: Mat) -> tuple[Mat, Mat, Mat]:
     if any(x < 0 for row in A.row_tuples() for x in row):
         res = hnf(A)
         r = res.rank
-        basis = [list(res.H.row(i)) for i in range(r)]
-        pos_rows, t_mat = positive_row_basis(basis)
-        trans = block_diag(t_mat, Mat.identity(d - r)) if r < d else t_mat
-        mat = pos_rows + [[0] * m for _ in range(d - r)]
-        blk[:d] = [row + list(u) for row, u in zip(mat, (trans @ res.U).row_tuples())]
+        basis = res.H.row_tuples()[:r]
+        y = _positive_span_vector(basis)
+        if y is None:
+            raise DomainError("row lattice has no strictly positive vector: "
+                              "matrix is not W-positive")
+        blk[:d] = [list(h) + list(u) for h, u in zip(res.H.row_tuples(), res.U.row_tuples())]
+        blk[:r] = basis_with_positive_first_row(blk[:r], *_lift_into_rows(basis, y))
 
     r0 = c0 = 0
     rows_left, cols_left = d, m

@@ -37,7 +37,6 @@ from .matrix import (
     block_diag,
     det_exact,
     dot,
-    solve,
 )
 from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
 from .lattices import Lattice, QuotientStructure, _gcd_maximal_minors, quotient_structure
@@ -275,8 +274,9 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     inputs share one W-matrix check of Q: a DomainError from Q, an internal
     invariant from V.  An enumerated fan is valid by construction; a fan
     passed in is checked.  The Cartier index of e_j is the order of Q_j in
-    Z^r / Pic: the lcm of the denominators of its Picard coordinates (one
-    r x r solve for all j).
+    Z^r / Pic: the lcm of the denominators of its Picard coordinates
+    x_j = (b^T)^-1 Q_j, which is |d| / gcd(d, d x_j) for the one-block
+    ``_cone_table`` entry (d, d (b^T)^-1) of the Picard basis b.
     """
     if (Q is None) == (V is None):
         raise DomainError("provide exactly one of Q or V")
@@ -311,12 +311,9 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     b, delta = _picard_basis(Q, chosen)
     c = cartier_basis(b, u_full)
     _check_delta_sigma(delta, c)
-    coords = solve(b.transpose(), Q)
-    if coords is None:
-        raise GaleKitError("Weil classes have no Picard coordinates "
-                           "(internal invariant)")
-    indices = tuple(math.lcm(*(x.denominator for x in col))
-                    for col in coords.col_tuples())
+    (d, adj), = _cone_table(b.col_tuples(), [range(r)])
+    indices = tuple(abs(d) // math.gcd(d, *(dot(row, q) for row in adj))
+                    for q in Q.col_tuples())
 
     _assert_report_invariants(Q, V, gens, b, c, delta)
     return ToricReport(n=n, r=r, cl=cl, is_pws=True, cl_generators=gens,

@@ -10,8 +10,10 @@ Bareiss rows, extended gcds by Euclid's loop, normal forms with
 their transforms in separate lists, Cartier indices by one linear system
 per maximal cone on the fan side, pairwise lattice intersections by the
 kernel of the stack [B1; -B2] in operand order, weight-matrix reductions by
-one Smith form of Q without column i per rescaled column.  They are the
-reference implementations the production code is checked against.
+one Smith form of Q without column i per rescaled column, the positivity
+rebase by one ``solve`` for its lift and the rational inverse of its
+unimodular transform.  They are the reference implementations the
+production code is checked against.
 """
 
 from collections import Counter
@@ -35,7 +37,7 @@ from galekit.matrix import (
     block_diag,
     solve,
 )
-from galekit.normal_forms import _lift_into_rows, _positive_span_vector
+from galekit.normal_forms import _positive_span_vector
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -995,6 +997,19 @@ def snf_oracle(A: Mat) -> SnfResult:
     return SnfResult(S=Mat(mat), alpha=Mat(left), beta=Mat(right), factors=factors)
 
 
+def lift_into_rows_oracle(basis: Sequence[Sequence[int]], y: Sequence[int],
+                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(c, lam) with c = lam @ basis = d y and lam integral, for the least
+    d >= 1: one ``solve`` for the rational coefficients of y, whose
+    denominators are then cleared."""
+    lam = solve(Mat(basis).transpose(), Mat([[v] for v in y]))
+    if lam is None:
+        raise GaleKitError("positive vector is not in the row space")
+    lam = lam.col(0)
+    d = math.lcm(*(x.denominator for x in lam))
+    return tuple(d * v for v in y), tuple(int(x * d) for x in lam)
+
+
 def _basis_with_positive_first_row(basis: Sequence[Sequence[int]],
                                    c: Sequence[int],
                                    lam: Sequence[int],
@@ -1038,7 +1053,7 @@ def _positive_row_basis(basis: Sequence[Sequence[int]]) -> tuple[list[list[int]]
     if y is None:
         raise DomainError("row lattice has no strictly positive vector: "
                           "matrix is not W-positive")
-    c, lam = _lift_into_rows(basis, y)
+    c, lam = lift_into_rows_oracle(basis, y)
     support = [j for j, v in enumerate(c) if v]
     return _basis_with_positive_first_row(basis, c, lam, support)
 

@@ -9,8 +9,9 @@ enumerates the fan of a toric call only in the fan selector, derives
 the Picard lattice without intersecting lattices, reads both sides of
 the Gale pair off one per-cone table, builds a ``Mat`` without its
 construction scan only inside ``matrix.py`` and a ``Lattice`` from integer
-rows only inside ``lattices.py``, and ends every internal invariant's
-message in "(internal invariant)".
+rows only inside ``lattices.py``, rebases a row lattice on a positive
+vector with no ``solve``, inverse or ``Fraction``, and ends every internal
+invariant's message in "(internal invariant)".
 """
 
 import ast
@@ -289,3 +290,36 @@ def test_lattices_keep_one_representation():
     assert {"_left_kernel", "Lattice"} <= names, sorted(names)
     banned = {"Mat", "Fraction", "basis", "left_kernel_rows"}
     assert not names & banned, sorted(names & banned)
+
+
+def test_positivity_rebase_stays_in_integers():
+    """The positivity rebase carries its transform in its rows, and the
+    Cartier indices of ``full_report`` read the cone table:
+    ``_lift_into_rows``, ``basis_with_positive_first_row`` and
+    ``positive_row_echelon`` name none of ``solve``, ``inverse``,
+    ``block_diag`` and ``Fraction``; ``full_report`` names no ``solve``;
+    ``normal_forms.py`` imports neither ``solve`` nor ``block_diag``, and
+    ``toric.py`` no ``solve``; and nothing defines or names
+    ``positive_row_basis``, the separate transform once multiplied in."""
+    banned = {"solve", "inverse", "block_diag", "Fraction"}
+    for function in ("_lift_into_rows", "basis_with_positive_first_row",
+                     "positive_row_echelon"):
+        names = _names_in("normal_forms.py", function)
+        assert not names & banned, (function, sorted(names & banned))
+    assert "solve" not in _names_in("toric.py", "full_report")
+    for module, names in (("normal_forms.py", {"solve", "block_diag"}),
+                          ("toric.py", {"solve"})):
+        tree = _tree(next(p for p in SOURCES if p.name == module))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & names, (module, sorted(imported & names))
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name == "positive_row_basis":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

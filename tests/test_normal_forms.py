@@ -19,10 +19,12 @@ from galekit import (
 )
 from galekit import normal_forms
 from conftest import (
+    _basis_with_positive_first_row,
     check_hnf_result,
     count_calls,
     hermite_fold_oracle,
     hnf_int_oracle,
+    lift_into_rows_oracle,
     minors_gcd_oracle,
     positive_row_echelon_oracle,
     rand_mat,
@@ -676,3 +678,46 @@ def test_block_echelon_matches_two_list_oracle():
         assert _outcome(positive_row_echelon, A) == expected
         raised += expected.startswith("DomainError")
     assert raised >= 200
+
+
+def test_positive_rebase_matches_solve_and_inverse_oracles():
+    # the integer lift and the rebase that carries its transform in its
+    # rows against the solve and the rational unimodular inverse they
+    # replace: bases M P of P >= 0 (M not always unimodular, so the lattice
+    # may have cotorsion and the lift a d > 1), y > 0 on the support of P,
+    # and random columns carried past the basis, which must come out as
+    # T @ X for the oracle's transform T
+    rng = random.Random(233)
+    seen = Counter()
+    for _ in range(1200):
+        k, n, t = rng.randint(1, 4), rng.randint(1, 7), rng.randint(0, 3)
+        n = max(n, k)
+        P = [[rng.randint(0, 4) for _ in range(n)] for _ in range(k)]
+        for row in P:
+            if rng.random() < 0.3:
+                row[rng.randrange(n)] = 0
+        if Mat(P).rank() < k:
+            continue
+        M = rand_unimodular(rng, k) if rng.random() < 0.5 else \
+            Mat([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+        if M.rank() < k:
+            continue
+        basis = (M @ Mat(P)).to_lists()
+        coef = [rng.randint(1, 3) for _ in P]
+        y = [sum(a * row[j] for a, row in zip(coef, P)) for j in range(n)]
+        if not any(y):
+            continue
+        c, lam = normal_forms._lift_into_rows(basis, y)
+        assert (c, lam) == lift_into_rows_oracle(basis, y)
+        support = [j for j, v in enumerate(c) if v]
+        rows, T = _basis_with_positive_first_row(basis, c, lam, support)
+        X = [[rng.randint(-5, 5) for _ in range(t)] for _ in range(k)]
+        expected = ([r + list(x) for r, x in zip(rows, (T @ Mat(X)).to_lists())]
+                    if t else rows)
+        carried = [row + x for row, x in zip(basis, X)]
+        assert normal_forms.basis_with_positive_first_row(carried, c, lam) == expected
+        seen["cotorsion"] += c != tuple(y)
+        seen["carried"] += t > 0
+        seen["zero_column"] += len(support) < n
+        seen["cases"] += 1
+    assert seen["cases"] >= 1000 and min(seen.values()) >= 100, seen

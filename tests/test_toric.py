@@ -504,6 +504,13 @@ def test_full_report_checks_each_given_cone_once(monkeypatch):
     (lambda: is_support_complete(WORKED_V, _hand_fan((1, 3), (False, 4))),
      "index False is not an integer"),
     (lambda: fan_from_cones(WORKED_V, [(1, 3), (4, 5)]), "index 5 out of range 1..4"),
+    # a fan index or a cap is an int too: 1.5 once reached list indexing as
+    # a TypeError, True took fan 1, and a cap of None a comparison
+    (lambda: full_report(V=gale_dual(NOPROJ_Q), fan_index=1.5),
+     "fan index 1.5 is not an integer"),
+    (lambda: full_report(Q=NOPROJ_Q, fan_index=True), "fan index True is not an integer"),
+    (lambda: enumerate_SF(WORKED_V, cap=None), "cap None is not an integer"),
+    (lambda: enumerate_SF(WORKED_V, cap=False), "cap False is not an integer"),
 ])
 def test_every_entry_refuses_a_malformed_index_set(call, message):
     with pytest.raises(DomainError, match=re.escape(message) + "$"):
@@ -738,21 +745,40 @@ def test_full_report_reads_delta_off_the_picard_pass(monkeypatch):
 
 
 def test_full_report_reads_indices_off_picard_basis(monkeypatch):
-    # one r x r solve in Picard coordinates serves every divisor, and the
-    # reducedness test takes one hnf per column-deleted weight matrix
+    # one table block of b^T, (d, d (b^T)^-1), serves every divisor with no
+    # solve, and the reducedness test takes one hnf per column-deleted
+    # weight matrix
     calls = count_calls(monkeypatch, matrix, "solve")
     nf_calls = count_calls(monkeypatch, normal_forms, "hnf")
+    blocks = []
+    table = toric._cone_table
+
+    def recorded(rows, cone_blocks):
+        blocks.append(len(cone_blocks))
+        return table(rows, cone_blocks)
+
+    monkeypatch.setattr(toric, "_cone_table", recorded)
     rep = full_report(Q=WORKED_Q)
     assert rep.cartier_indices == (2, 2, 2, 1)
-    assert calls["solve"] == 1
+    assert calls["solve"] == 0
+    # the Picard pass over the four maximal cones, then one block of b^T
+    assert blocks == [4, 1]
     assert nf_calls["hnf"] <= 24
 
 
 def test_full_report_picard_coordinates_are_an_invariant(monkeypatch):
-    # the Picard basis is square of full rank, so the solve always succeeds
-    monkeypatch.setattr(toric, "solve", lambda A, B: None)
-    with pytest.raises(GaleKitError, match="no Picard coordinates "
-                       r"\(internal invariant\)") as info:
+    # the Picard basis is square of full rank, so its table block is never
+    # singular; a singular one is an internal invariant, not a bad input
+    table = toric._cone_table
+
+    def singular_coordinates(rows, cone_blocks):
+        if len(cone_blocks) == 1:  # the worked fan has four maximal cones
+            rows = [[0] * len(row) for row in rows]
+        return table(rows, cone_blocks)
+
+    monkeypatch.setattr(toric, "_cone_table", singular_coordinates)
+    with pytest.raises(GaleKitError, match="Picard lattice is not of full rank "
+                       r".*\(internal invariant\)") as info:
         full_report(Q=WORKED_Q)
     assert not isinstance(info.value, DomainError)
 
