@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .matrix import DomainError, Mat, _norm_rows
 # ``hnf`` stays bound here: perfbench/selftest.py checks its traced binding.
-from .normal_forms import _hermite_insert, _left_kernel, _smith, hnf  # noqa: F401
+from .normal_forms import _hermite_insert, _left_kernel, _smith, _split_units, hnf  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -244,13 +244,17 @@ def _check_quotient(ambient_dim: int, L: Lattice, caller: str) -> None:
 
 
 def quotient_structure(ambient_dim: int, L: Lattice) -> QuotientStructure:
-    """Isomorphism type of Z^m / L for an integer lattice L in Z^m."""
+    """Isomorphism type of Z^m / L for an integer lattice L in Z^m.
+
+    The stored Hermite rows need no row pass.  Each pivot 1 is an invariant
+    factor 1, and its column is zero off its row (``_split_units``); the
+    torsion is that of the residual, the rows with a pivot above 1 on the
+    other columns, which alone goes to ``_smith``, bare."""
     _check_quotient(ambient_dim, L, "quotient_structure")
-    if L.rank == 0:
-        return QuotientStructure(ambient_dim, ())
-    factors = _smith([list(row) for row in L._rows], L.rank, ambient_dim)
-    torsion = tuple(c for c in factors if c > 1)
-    return QuotientStructure(ambient_dim - len(factors), torsion)
+    _, keep, rest = _split_units(L._rows, L._pivots, ambient_dim)
+    factors = (_smith([[row[j] for j in keep] for row in rest], len(rest), len(keep))
+               if rest else ())
+    return QuotientStructure(ambient_dim - L.rank, tuple(c for c in factors if c > 1))
 
 
 def _gcd_maximal_minors(cols: Iterable[Sequence[int]], n: int) -> int:

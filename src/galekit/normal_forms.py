@@ -12,12 +12,17 @@ the rows it reads.  For ``snf`` a d x m matrix A is held as one block
 [[A, I_d], [I_m, 0]]: a row step on the top d rows updates alpha with A,
 and a column step on the left m columns, applied to every row, updates beta
 with A.  The reduced matrix alpha @ A @ beta, alpha and beta are sliced off
-the block at the end.  The Smith form, ``_smith``, is Kannan and Bachem's
-alternation of Hermite passes by row insertion: one over the top rows, one
-over the transposed left m columns (whose carried part is beta^T), until the
-block is diagonal, then one 2 x 2 gcd step per pair of diagonal entries
-that breaks the divisibility chain.  It runs on the bare rows of A when
-only the invariant factors are read (``quotient_structure``).
+the block at the end.  The Smith form, ``_smith``, starts with one Hermite
+pass by row insertion over the top rows and splits off its unit pivots: a
+pivot 1 has the column e_i, so column steps clear its row i, changing only
+that row and beta's row at the pivot column.  Those rows and columns move to
+the front as invariant factors 1, and only the residual, the rows whose
+pivot exceeds 1 on the other columns, takes Kannan and Bachem's alternation
+of Hermite passes: one over the top rows, one over the transposed left
+columns (whose carried part is beta^T), until the block is diagonal, then
+one 2 x 2 gcd step per pair of diagonal entries that breaks the
+divisibility chain.  ``quotient_structure`` reads the unit pivots off a
+lattice's stored Hermite rows and hands ``_smith`` the bare residual alone.
 
 Every Hermite basis of the lattice spanned by given rows comes from row
 insertion, ``_hermite_insert`` (Kannan and Bachem, SIAM J. Comput. 1979;
@@ -86,17 +91,23 @@ class SnfResult:
     factors: tuple[int, ...]
 
 
+def _identity_rows(k: int) -> list[list[int]]:
+    """The rows of I_k, each one ``[0] * k`` list with a single 1."""
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def _with_identity(mat: list[list[int]]) -> list[list[int]]:
     """The rows [A | I_d] of the d x m matrix A = ``mat``."""
-    d = len(mat)
-    return [row + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
+    return [row + e for row, e in zip(mat, _identity_rows(len(mat)))]
 
 
 def _block(mat: list[list[int]]) -> list[list[int]]:
     """The block [[A, I_d], [I_m, 0]] of the d x m matrix A = ``mat``; the
     zero block is not stored."""
-    m = len(mat[0])
-    return _with_identity(mat) + [[int(i == j) for j in range(m)] for i in range(m)]
+    return _with_identity(mat) + _identity_rows(len(mat[0]))
 
 
 def _unblock(blk: list[list[int]], d: int, m: int) -> tuple[Mat, Mat, Mat]:
@@ -256,7 +267,7 @@ def _inverse_columns(gens: list[list[int]], D: int, k: int) -> list[list[int]]:
     diagonal is reduced modulo column l's diagonal entry, which subtracts a
     multiple of column l.  Every division is exact."""
     if D == 1:
-        return [[int(t == s) for t in range(k)] for s in range(k)]
+        return _identity_rows(k)
     herm = _hermite_mod(gens, D, k)
     ys: list[list[int]] = []
     for s in range(k):
@@ -341,6 +352,25 @@ def left_kernel_rows(A: Mat) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
+def _split_units(top: Sequence[Sequence[int]], pivots: Sequence[int], m: int,
+                 ) -> tuple[list, list[int], list]:
+    """(units, keep, rest) for a Hermite basis ``top`` on its first m columns
+    with its 0-based ``pivots``, followed by any rows that vanish there:
+    units pairs each pivot column whose pivot is 1 with its row, keep lists
+    the other columns of the first m, and rest holds the other rows, in
+    order.  Column c of a unit pivot is e_i of the basis (the entries above
+    the pivot are reduced into [0, 1)), so every rest row is 0 there."""
+    units, rest = [], []
+    for row, c in zip(top, pivots):
+        if row[c] == 1:
+            units.append((c, row))
+        else:
+            rest.append(row)
+    rest += top[len(pivots):]
+    taken = {c for c, _ in units}
+    return units, [j for j in range(m) if j not in taken], rest
+
+
 def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
     """Smith-reduce the top-left d x m block of ``rows`` in place and return
     its invariant factors.
@@ -349,21 +379,52 @@ def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
     first m columns of every row given.  So the top rows carry whatever sits
     right of column m (alpha, in the block of ``_block``) and the rows below
     carry the column steps (beta); a caller passes only the rows it reads:
-    the whole block for ``snf``, the bare rows for the invariant factors.
-    Each step is decided by the top-left block alone.
+    the whole block for ``snf``, the bare residual rows for
+    ``quotient_structure``.  Each step is decided by the top-left block alone.
 
-    Kannan and Bachem's alternation: a row Hermite pass of the top rows and
-    a row Hermite pass of the transposed left m columns, both by
-    ``_hermite_insert``, repeat until the block is diagonal (each pair of
-    passes leaves the leading pivot a proper divisor of the last one, or its
-    row and column clear).  Then each pair of diagonal entries a, b with
-    a before b and a not dividing b takes one 2 x 2 step: column a += column
-    b, one unimodular row step to g = gcd(a, b), one column step to clear
-    the rest, which leaves g and lcm(a, b) on the diagonal.
+    A first row Hermite pass, by ``_hermite_insert``, splits off the u unit
+    pivots (``_split_units``).  The column of a pivot 1 is e_i of the top
+    block, so the column steps col_j -= H[i][j] col_c that clear its row i
+    change no other top row, and of the rows below only those nonzero at c
+    (beta's row c alone, its column c still e_c).  The unit rows and their
+    columns move to the front, and the factors are (1,) * u followed by
+    those of the residual: the other top rows on the other columns, on which
+    ``_smith`` recurses, carrying the rest of every row.
+
+    With no unit pivot, Kannan and Bachem's alternation: a row Hermite pass
+    of the top rows and a row Hermite pass of the transposed left m columns,
+    both by ``_hermite_insert``, repeat until the block is diagonal (each
+    pair of passes leaves the leading pivot a proper divisor of the last
+    one, or its row and column clear).  Then each pair of diagonal entries
+    a, b with a before b and a not dividing b takes one 2 x 2 step: column
+    a += column b, one unimodular row step to g = gcd(a, b), one column step
+    to clear the rest, which leaves g and lcm(a, b) on the diagonal.
     """
     width = len(rows[0])
+    top, pivots = _hermite_insert(rows[:d], m)
+    units, keep, rest = _split_units(top, pivots, m)
+    if units:
+        u = len(units)
+        below = rows[d:]
+        for c, h in units:
+            for row in below:
+                x = row[c]
+                if x:
+                    row[:m] = [y - x * z for y, z in zip(row[:m], h)]
+                    row[c] = x
+        res = ([[row[j] for j in keep] + row[m:] for row in rest]
+               + [[0] * (width - u) for _ in range(d - u - len(rest))]
+               + [[row[j] for j in keep] + row[m:] for row in below])
+        factors = _smith(res, d - u, m - u) if u < min(d, m) else ()
+        lead = [[0] * m + h[m:] for _, h in units]
+        for i, row in enumerate(lead):
+            row[i] = 1
+        rows[:d] = lead + [[0] * u + row for row in res[:d - u]]
+        front = [c for c, _ in units]
+        for row, r in zip(below, res[d - u:]):
+            row[:] = [row[c] for c in front] + r
+        return (1,) * u + factors
     while True:
-        top, pivots = _hermite_insert(rows[:d], m)
         rows[:d] = top + [[0] * width for _ in range(d - len(top))]
         if all(not any(row[i + 1:m]) for i, row in enumerate(top[:len(pivots)])):
             break
@@ -373,6 +434,7 @@ def _smith(rows: list[list[int]], d: int, m: int) -> tuple[int, ...]:
             row[:m] = col
         if all(not any(col[i + 1:d]) for i, col in enumerate(cols[:len(pivots)])):
             break
+        top, pivots = _hermite_insert(rows[:d], m)
     t = len(pivots)
     for i in range(t):
         for j in range(i + 1, t):
@@ -509,7 +571,7 @@ def basis_with_positive_first_row(rows: Sequence[Sequence[int]],
     u_mat = hnf(Mat([[x] for x in lam])).U
     herm = _hermite_insert([list(u) + list(row) for u, row
                             in zip(u_mat.col_tuples(), rows)], k)[0]
-    if [row[:k] for row in herm] != [[int(i == j) for j in range(k)] for i in range(k)]:
+    if [row[:k] for row in herm] != _identity_rows(k):
         raise GaleKitError("transform is not unimodular (internal invariant)")
     rows = [row[k:] for row in herm]
     first = rows[0]

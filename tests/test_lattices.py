@@ -352,6 +352,30 @@ def test_quotient_structure_runs_no_snf(monkeypatch):
     assert calls["snf"] == 0
 
 
+def test_quotient_structure_smiths_only_a_residual(monkeypatch):
+    # every Hermite pivot 1 (a unimodular image of [I | B]): no Smith pass;
+    # one pivot above 1: one Smith pass, on that row alone
+    rng = random.Random(309)
+    calls = count_calls(monkeypatch, normal_forms, "_smith")
+    for _ in range(50):
+        k, m = rng.randint(1, 6), rng.randint(6, 9)
+        rows = [[int(i == j) for j in range(k)] + [rng.randint(-9, 9) for _ in range(m - k)]
+                for i in range(k)]
+        assert quotient_structure(m, Lattice.from_rows(rows, m)) == QuotientStructure(m - k, ())
+    assert calls["_smith"] == 0
+    smith = normal_forms._smith
+    seen = []
+
+    def residual(rows, d, m):
+        seen.append((d, m))
+        return smith(rows, d, m)
+
+    monkeypatch.setattr(lattices, "_smith", residual)
+    L = Lattice.from_rows([[1, 0, 3, 5], [0, 1, 2, 7], [0, 0, 4, 6]], 4)
+    assert quotient_structure(4, L) == QuotientStructure(1, (2,))
+    assert seen == [(1, 2)]
+
+
 def test_gcd_max_minors_examples():
     assert gcd_max_minors(Mat([[1, -1, 1, 0], [0, 0, 2, -1]])) == 1
     assert gcd_max_minors(Mat([[2, 0], [0, 2]])) == 4

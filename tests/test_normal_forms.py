@@ -9,6 +9,7 @@ from galekit import (
     GaleKitError,
     Lattice,
     Mat,
+    QuotientStructure,
     det_exact,
     hnf,
     is_row_echelon,
@@ -577,6 +578,95 @@ def test_smith_factors_on_bare_rows_match_snf():
             hi = 10**6 if it % 3 == 2 else 9
             A = rand_mat(rng, d, m, -hi, hi)
         assert normal_forms._smith(A.to_lists(), d, m) == snf(A).factors
+
+
+def _unit_split_case(rng, kind):
+    """A matrix for the unit-pivot split: kind 0 has every Hermite pivot
+    above 1 (2 A), kind 1 every pivot 1 (a unimodular image of [I | B]),
+    kind 2 small entries (mostly mixed), kind 3 a product through a narrower
+    inner dimension, kind 4 zero rows put in, kind 5 more rows than columns,
+    kind 6 a 1 x 1 matrix."""
+    d, m = rng.randint(1, 7), rng.randint(1, 9)
+    if kind == 0:
+        return rand_mat(rng, d, m, -9, 9).scale(2)
+    if kind == 1:
+        k = rng.randint(1, m)
+        rows = [[int(i == j) for j in range(k)] + [rng.randint(-9, 9) for _ in range(m - k)]
+                for i in range(k)]
+        return rand_unimodular(rng, k) @ Mat(rows)
+    if kind == 2:
+        return rand_mat(rng, d, m, -3, 3)
+    if kind == 3:
+        d, m = rng.randint(2, 7), rng.randint(2, 9)
+        k = rng.randint(1, min(d, m) - 1)
+        return rand_mat(rng, d, k) @ rand_mat(rng, k, m)
+    if kind == 4:
+        rows = rand_mat(rng, d, m, -9, 9).to_lists()
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randint(0, len(rows)), [0] * m)
+        return Mat(rows)
+    if kind == 5:
+        m = rng.randint(1, 5)
+        return rand_mat(rng, rng.randint(m + 1, 8), m, -9, 9)
+    return Mat([[rng.randint(-30, 30)]])
+
+
+def test_smith_split_of_unit_pivots_matches_oracle():
+    # snf splits the unit Hermite pivots off and Smith-reduces the residual:
+    # S and the factors against the oracle, alpha and beta by alpha A beta = S
+    # and |det| = 1, and quotient_structure of the same lattice against the
+    # factors; each case is counted by the pivots the matrix really has
+    rng = random.Random(216)
+    seen = Counter()
+    for it in range(700):
+        A = _unit_split_case(rng, it % 7)
+        d, m = A.shape
+        res = snf(A)
+        assert repr((res.S, res.factors)) == _snf_outcome(snf_oracle, A)
+        assert res.alpha @ A @ res.beta == res.S
+        assert abs(det_exact(res.alpha)) == 1 and abs(det_exact(res.beta)) == 1
+        torsion = tuple(c for c in res.factors if c > 1)
+        assert quotient_structure(m, Lattice.from_matrix(A)) == QuotientStructure(
+            m - len(res.factors), torsion)
+        top, pivots = normal_forms._hermite_insert(A.to_lists(), m)
+        rank, u = len(pivots), sum(top[k][c] == 1 for k, c in enumerate(pivots))
+        seen["u = 0"] += rank > 0 and u == 0
+        seen["all 1"] += rank > 0 and u == rank
+        seen["mixed"] += 0 < u < rank
+        seen["rank-deficient"] += rank < min(d, m)
+        seen["zero rows"] += any(not any(row) for row in A.row_tuples())
+        seen["d > m"] += d > m
+        seen["1 x 1"] += d == m == 1
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+
+def test_snf_transposed_pass_sees_only_the_residual(monkeypatch):
+    # on the lattice workload's largest shape, 12 x 20 with entries up to
+    # +-1000, the first row pass meets the whole block and every later pass
+    # the residual: d - u rows on the m - u columns left by the u unit
+    # pivots, or their transpose, which carries beta's m rows
+    calls = []
+    insert = normal_forms._hermite_insert
+
+    def recorded(rows, n):
+        rows = list(rows)
+        calls.append((len(rows), n, len(rows[0]) if rows else 0))
+        return insert(rows, n)
+
+    monkeypatch.setattr(normal_forms, "_hermite_insert", recorded)
+    rng = random.Random(217)
+    for _ in range(10):
+        d, m = 12, 20
+        A = rand_mat(rng, d, m, -1000, 1000)
+        top, pivots = insert(A.to_lists(), m)
+        u = sum(top[k][c] == 1 for k, c in enumerate(pivots))
+        assert 0 < u < d
+        calls.clear()
+        assert snf(A).factors == snf_oracle(A).factors
+        assert calls[0] == (d, m, m + d)
+        later = set(calls[1:])
+        assert (m - u, d - u, d - u + m) in later  # a transposed pass ran
+        assert later <= {(d - u, m - u, m - u + d), (m - u, d - u, d - u + m)}, later
 
 
 # ---------------------------------------------------------------------------
