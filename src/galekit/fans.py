@@ -4,12 +4,12 @@ with a prescribed ray set and support.
 Cones are index sets (1-based) into the columns of an ambient matrix V.
 Every combinatorial question about cones on V is answered from one table of
 V's oriented matroid, built once per call and passed on, never cached: the
-signs of the maximal minors of V restricted to a row basis (the chirotope,
-from one Laplace sweep, each minor from those one row smaller, down that
-basis or down a kernel basis when that is shorter) and the oriented
-circuits, the sign patterns of the minimal linear dependences among the
-columns.  Each circuit Z is stored in both orientations as a pair (Z+, Z-)
-of bitmasks, bit j-1 standing for column j.
+signs of the maximal minors of the echelon rows of one elimination of V
+(the chirotope, from one Laplace sweep, each minor from those one row
+smaller, down those rows or down the kernel basis read off them when that
+is shorter) and the oriented circuits, the sign patterns of the minimal
+linear dependences among the columns.  Each circuit Z is stored in both
+orientations as a pair (Z+, Z-) of bitmasks, bit j-1 standing for column j.
 Rank-deficient V and cones of any dimension are covered, since a row basis
 has the same dependences as V.  Only point membership is asked outside the
 table (``cone_contains``).
@@ -69,7 +69,6 @@ from .matrix import (
     GaleKitError,
     Mat,
     _back_substitute,
-    _bareiss_det,
     _eliminate,
     _int_row,
     _nonneg_solve,
@@ -178,12 +177,12 @@ class _Circuits:
     """Chirotope and oriented circuits of the columns of V.
 
     ``chi`` maps the bitmask of each basis (rank-many independent columns),
-    in lexicographic order, to the sign of its minor on a fixed row basis,
-    all minors from one sweep (``_minors``): down the rank rows of the
-    basis, or down the s - rank rows of a kernel basis K when that takes
-    fewer steps, set-up included; then chi(S) = c (-1)^(sum of S) sgn K(S^c)
-    with one sign c (Björner et al., *Oriented Matroids*, §3.4) fixed by one
-    determinant.
+    in lexicographic order, to the sign of its minor on the echelon rows E
+    of one ``_eliminate`` of V, all from one sweep (``_minors``): down E,
+    or down the s - rank rows of the kernel basis K that one back
+    substitution reads off E when that takes fewer steps, set-up included;
+    then chi(S) = c (-1)^(sum of S) sgn K(S^c) with one sign c (Björner et
+    al., *Oriented Matroids*, §3.4), read off E's triangular pivot block.
     ``circuits`` holds every oriented circuit in both orientations as sorted
     (positive, negative) bitmask pairs.  The circuit of a rank+1 subset
     S = (s_0 < ... < s_rank) of rank ``rank`` is the sign vector of its
@@ -193,39 +192,34 @@ class _Circuits:
 
     def __init__(self, V: Mat):
         _, rows = V.int_scaled()
-        # pivot columns of V^T: each row of V independent of those before it
-        pivots, _ = _eliminate([list(c) for c in zip(*rows)], len(rows))
-        basis = [rows[i] for i in pivots]
-        s, rho = V.cols, len(basis)
-        self.rank = rho
-        self.cols = s
+        piv, d = _eliminate(rows, V.cols)  # E = rows[:rho], with V's dependences
+        s, rho = V.cols, len(piv)
+        self.rank, self.cols = rho, s
         bits = [1 << j for j in range(s)]
-        # the sweep takes k C(s, k) steps on row k; the kernel's is shorter
-        # when 2 rho > s, but its set-up (an elimination, a determinant) weighs
-        # about 2 rho^2 s steps: timed, the two routes break even near s = 8
+        # the sweep takes k C(s, k) steps on row k; the kernel's is shorter when
+        # 2 rho > s, but its set-up weighs about 2 rho^2 s steps (timed when that
+        # was an elimination and a determinant, break-even near s = 8; not since)
         steps = [k * comb(s, k) for k in range(s + 1)]
         if sum(steps[:rho + 1]) <= sum(steps[:s - rho + 1]) + 2 * rho * rho * s:
-            chi = {m: 1 if d > 0 else -1 for m, d in _minors(basis, bits).items()}
+            chi = {m: 1 if d > 0 else -1 for m, d in _minors(rows[:rho], bits).items()}
         else:
-            # the kernel basis K: per free column f of the echelon form, -d
-            # at f and d times the reduced rows' entries at the pivot columns
-            e = [list(r) for r in basis]
-            piv, d = _eliminate(e, s)
+            # K: per free column f, -d at f and column f of d rref(E) at the pivots
             free = [j for j in range(s) if j not in piv]
             K = [[0] * s for _ in free]
-            for x, f, col in zip(K, free, zip(*_back_substitute(e, piv, d, free))):
+            for x, f, col in zip(K, free, zip(*_back_substitute(rows, piv, d, free))):
                 x[f] = -d
                 for p, y in zip(piv, col):
                     x[p] = y
+            minors = _minors(K, bits)
+            # c = sgn(E's minor on the pivot columns P, the product of its pivot
+            # entries) (-1)^(sum of P) sgn K(P^c): flip counts its negative factors
+            full, odd, pm, chi = (1 << s) - 1, _mask(range(1, s, 2)), _mask(piv), {}
+            flip = ((pm & odd).bit_count() + (minors[full ^ pm] < 0)
+                    + sum(r[p] < 0 for r, p in zip(rows, piv)))
             # the complements of K's subsets, in reverse, are in lexicographic order
-            full, odd, chi = (1 << s) - 1, _mask(range(1, s, 2)), {}
-            for m, d in reversed(_minors(K, bits).items()):
+            for m, d in reversed(minors.items()):
                 m ^= full
-                chi[m] = 1 if (d > 0) == ((m & odd).bit_count() % 2 == 0) else -1
-            # one sign c for the whole table, from the minor on the pivot columns
-            det = _bareiss_det([[r[p] for p in piv] for r in basis])
-            if (det > 0) != (chi[_mask(piv)] > 0):
-                chi = {m: -sign for m, sign in chi.items()}
+                chi[m] = -1 if ((m & odd).bit_count() + flip + (d < 0)) % 2 else 1
         found = set()
         for sub in combinations(bits, rho + 1):
             m = sum(sub)
@@ -380,14 +374,14 @@ def is_fan(V: Mat, maximal_cones: Iterable["Cone | Sequence[int]"]) -> bool:
     return not masks or _conflict(table, used, masks) is None
 
 
-def is_support_complete(V: Mat, fan: Fan) -> bool:
+def is_support_complete(V: Mat, fan: "Fan | Iterable[Sequence[int]]") -> bool:
     """Does the union of the maximal cones equal the cone on all columns?
 
     Certified combinatorially: every facet of a maximal cone is either
     shared by exactly two cones or lies on a supporting hyperplane of the
     whole column configuration.
     """
-    cones = fan.cone_sets()
+    cones = (fan if isinstance(fan, Fan) else fan_from_cones(V, fan)).cone_sets()
     if not cones:
         return False
     table, used, masks = _cone_masks(V, _index_sets(V, cones), every_column=True)
@@ -542,6 +536,13 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
             for fset in sorted(results)]
 
 
+def _given_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]]") -> Fan:
+    """A Fan or cone index sets given for V, as a Fan checked once."""
+    fan = fan if isinstance(fan, Fan) else fan_from_cones(V, fan)
+    _check_fan(V, fan)
+    return fan
+
+
 def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",
                 index: "int | None", cap: int) -> Fan:
     """The fan chosen for V, checked: ``fan`` (a Fan or cone index sets),
@@ -553,9 +554,7 @@ def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",
     if fan is not None:
         if index is not None:
             raise DomainError("give a fan or a fan index, not both")
-        fan = fan if isinstance(fan, Fan) else fan_from_cones(V, fan)
-        _check_fan(V, fan)
-        return fan
+        return _given_fan(V, fan)
     fans = enumerate_SF(V, cap=cap)
     if index is None:
         if len(fans) != 1:

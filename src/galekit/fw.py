@@ -49,6 +49,7 @@ from .matrix import (
     vec_gcd,
 )
 from .normal_forms import (
+    _left_kernel,
     _lift_into_rows,
     _positive_relation,
     _positive_span_vector,
@@ -280,8 +281,7 @@ def _gale_reduce(Q: Mat, V: list[tuple], cols: Sequence[int]) -> Mat:
         gcds[j] = vec_gcd(dual_cols[j])
     if all(d == 1 for d in gcds):
         return Q
-    rows = left_kernel_rows(Mat([[x // d for x in col]
-                                 for col, d in zip(dual_cols, gcds)]))
+    rows = _left_kernel([[x // d for x in col] for col, d in zip(dual_cols, gcds)])
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     for q in Q.row_tuples():
         x = list(map(mul, q, gcds))

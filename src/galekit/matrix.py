@@ -14,9 +14,7 @@ elimination on integer rows; the rank reads only its pivots, and ``solve``
 back-substitutes on the right-hand side alone and reads X off it over one
 common denominator.  The phase-1 simplex keeps a Gauss-Jordan step, since
 its tableau reads every row.  Determinants keep their own Bareiss loop,
-which serves ``Mat.det`` and the one sign the kernel route of the fan
-circuits takes; it is cheaper there than ``_eliminate`` plus the parity of
-its row swaps.
+which serves ``Mat.det`` alone.
 
 Text format shared by the CLI and tests: one row per line, entries
 whitespace-separated, rationals written ``p/q``, integers plain; blank lines

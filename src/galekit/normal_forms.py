@@ -488,7 +488,7 @@ def _positive_span_vector(basis: Sequence[Sequence[int]],
     if rho + 1 < len(support) - rho:
         return _weight_side_vector(basis, support)
     if kernel is None:
-        kernel = left_kernel_rows(Mat(basis).transpose())
+        kernel = _left_kernel(list(zip(*basis)))
     rows = [sub for sub in ([row[j] for j in support] for row in kernel) if any(sub)]
     return _kernel_side_vector(rows, support, m)
 
@@ -562,15 +562,16 @@ def basis_with_positive_first_row(rows: Sequence[Sequence[int]],
     vanish off it), for c = lam @ rows on the first len(c) columns; any
     columns past those are carried.
 
-    With U lam = (gcd(lam), 0, ..., 0) from ``hnf``, T = (U^-1)^T: the
-    Hermite form of [U^T | rows] is [I | T @ rows], since U is unimodular.
+    With U lam = (gcd lam, 0, ..., 0), U the first insertion row of [lam | I]
+    over lam's left kernel, [U^T | rows] has Hermite form [I | T @ rows].
     Then each later row gains the least multiple of the first row that
     makes it >= 0."""
     k = len(rows)
     support = [j for j, v in enumerate(c) if v]
-    u_mat = hnf(Mat([[x] for x in lam])).U
+    col = [[x] for x in lam]
+    u_rows = [_hermite_insert(_with_identity(col), 1)[0][0][1:], *_left_kernel(col)]
     herm = _hermite_insert([list(u) + list(row) for u, row
-                            in zip(u_mat.col_tuples(), rows)], k)[0]
+                            in zip(zip(*u_rows), rows)], k)[0]
     if [row[:k] for row in herm] != _identity_rows(k):
         raise GaleKitError("transform is not unimodular (internal invariant)")
     rows = [row[k:] for row in herm]

@@ -42,7 +42,7 @@ from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
 from .lattices import Lattice, QuotientStructure, _gcd_maximal_minors, quotient_structure
 from .gale import _gale_dual, gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
-from .fans import DEFAULT_CAP, Fan, _check_fan, _select_fan
+from .fans import DEFAULT_CAP, Fan, _given_fan, _select_fan
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,11 @@ def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
     return tuple(_norm_entry(dot(row, a)) for row in Q.row_tuples())
 
 
-def picard_basis(Q: Mat, fan: Fan) -> Mat:
+def picard_basis(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> Mat:
     """Basis (rows) of the Picard subgroup inside Z^r, the intersection of
     the complementary blocks' column lattices, read off their inverses, for
     a Q of PWS type (the Hermite pivots of its columns have product 1)."""
-    _check_fan(gale_dual(Q), fan)
+    fan = _given_fan(gale_dual(Q), fan)
     if _gcd_maximal_minors(Q.col_tuples(), Q.rows) != 1:
         raise DomainError(_NOT_PWS)
     return _picard_basis(Q, fan)[0]
@@ -205,11 +205,11 @@ def cartier_basis(B: Mat, U_Q: Mat) -> Mat:
     return block_diag(B, Mat.identity(total - r)) @ U_Q
 
 
-def delta_sigma(Q: Mat, fan: Fan) -> int:
+def delta_sigma(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> int:
     """lcm of |det| of the complementary weight submatrices over all maximal
     cones; multiplies every ray divisor into a Cartier divisor."""
     qt = hnf(Q.transpose())  # its rows of U past the rank are ker(Q)
-    _check_fan(_gale_dual(Q, list(qt.U.row_tuples()[qt.rank:])), fan)
+    fan = _given_fan(_gale_dual(Q, list(qt.U.row_tuples()[qt.rank:])), fan)
     b, delta = _picard_basis(Q, fan)
     _check_delta_sigma(delta, cartier_basis(b, _pws_transform(qt, Q.rows)))
     return delta
@@ -226,15 +226,15 @@ def _check_delta_sigma(delta: int, cb: Mat) -> None:
                                "(internal invariant)")
 
 
-def cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:
+def cartier_index(V: Mat, fan: "Fan | Sequence[Sequence[int]]",
+                  a: Sequence[int]) -> int:
     """Least k >= 1 such that k*a gives integral per-cone linear data, read
     on the fan side (V may have class-group torsion): for each maximal cone
     the square system m . v_j = a_j (j in the cone) has a unique rational
     solution; k is the lcm over cones of the denominators in those solutions.
     The coefficients are checked as ``Mat``'s entries are.
     """
-    _check_fan(V, fan)
-    return _cartier_index(V, fan, _norm_rows([a])[0][0])
+    return _cartier_index(V, _given_fan(V, fan), _norm_rows([a])[0][0])
 
 
 def _cartier_index(V: Mat, fan: Fan, a: Sequence[int]) -> int:

@@ -412,11 +412,12 @@ def support_complete_oracle(V: Mat, cones) -> bool:
 
 def chirotope_oracle(V: Mat) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
     """(chi, circuits) of ``_Circuits(V)``, chi in lexicographic order, with
-    the maximal minors on the row basis taken one ``_bareiss_det`` each."""
+    the maximal minors on the row basis taken one ``_bareiss_det`` each.
+    The row basis is the table's: the echelon rows of one ``_eliminate`` of
+    V's integer rows."""
     _, rows = V.int_scaled()
-    # pivot columns of V^T: each row of V independent of those before it
-    pivots, _ = _eliminate([list(c) for c in zip(*rows)], len(rows))
-    basis = [rows[i] for i in pivots]
+    pivots, _ = _eliminate(rows, V.cols)
+    basis = rows[:len(pivots)]
     s, rho = V.cols, len(basis)
     chi: dict[int, int] = {}
     for sub in combinations(range(s), rho):

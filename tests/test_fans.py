@@ -636,10 +636,11 @@ P9_P9_V = gale_dual(Mat([[1] * 10 + [0] * 10, [0] * 10 + [1] * 10]))  # 18 x 20
 
 def test_circuit_table_matches_bareiss_oracle_fuzz(monkeypatch):
     """The sweep gives the chirotope, in the same order, and the circuits of
-    one Bareiss determinant per basis: 600 seeded matrices, 300 tall ones,
-    5 x 18 and 12 x 16 configurations and the V of P^9 x P^9.  A table swept
-    down the kernel takes one determinant, for its sign."""
-    calls = count_calls(monkeypatch, matrix, "_bareiss_det")
+    one Bareiss determinant per basis of the table's echelon rows: 600
+    seeded matrices, 300 tall ones, 5 x 18 and 12 x 16 configurations and
+    the V of P^9 x P^9.  A table swept down the kernel builds it by one back
+    substitution."""
+    calls = count_calls(monkeypatch, matrix, "_back_substitute")
     rng = random.Random(2406)
     cases = [_table_fuzz_case(rng, trial) for trial in range(600)]
     cases.append(rand_mat(rng, 5, 18, -2, 2))
@@ -651,15 +652,16 @@ def test_circuit_table_matches_bareiss_oracle_fuzz(monkeypatch):
     for V in cases:
         calls.clear()
         table = _Circuits(V)
+        on_kernel = calls["_back_substitute"]
+        assert on_kernel <= 1
         chi, circuits = chirotope_oracle(V)
         assert list(table.chi.items()) == list(chi.items()), V
         assert table.circuits == circuits, V
         assert table.rank == gauss_rank(V), V
-        assert calls["_bareiss_det"] <= 1
         ranks.append(table.rank)
         rational += not V.is_integral
         deficient += 0 < table.rank < V.rows
-        if calls["_bareiss_det"]:
+        if on_kernel:
             kernel.update(cases=1, rational=not V.is_integral,
                           deficient=table.rank < V.rows)
     assert ranks.count(0) >= 100 and ranks.count(1) >= 100, ranks
@@ -671,8 +673,8 @@ def test_circuit_table_matches_bareiss_oracle_fuzz(monkeypatch):
 
 
 def test_circuit_table_sweeps_the_shorter_side(monkeypatch):
-    # short V: the sweep runs down its row basis and takes no determinant;
-    # the 18 x 20 V of P^9 x P^9: down the 2 rows of its kernel
+    # short V: the sweep runs down its echelon rows; the 18 x 20 V of
+    # P^9 x P^9: down the 2 rows of its kernel.  Neither takes a determinant
     calls = count_calls(monkeypatch, matrix, "_bareiss_det")
     swept = []
     minors = fans_module._minors
@@ -684,7 +686,23 @@ def test_circuit_table_sweeps_the_shorter_side(monkeypatch):
     assert swept == [2, 3, 1, 0] and calls["_bareiss_det"] == 0
     swept.clear()
     _Circuits(P9_P9_V)
-    assert swept == [2] and calls["_bareiss_det"] == 1
+    assert swept == [2] and calls["_bareiss_det"] == 0
+
+
+def test_circuit_table_eliminates_once_on_both_routes(monkeypatch):
+    """Every table runs one ``_eliminate`` of V's rows and reads the swept
+    rows, the kernel and the table's sign off it: the sweep route takes no
+    back substitution, the kernel route one, and neither a determinant."""
+    calls = count_calls(monkeypatch, matrix, "_eliminate", "_back_substitute",
+                        "_bareiss_det")
+    rng = random.Random(7)
+    kernel_side = rand_mat(rng, 7, 10, -2, 2).to_lists()
+    kernel_side.append([Fraction(x, 3) for x in kernel_side[0]])  # rank 7, rational
+    for V, routed in ((WORKED_V, 0), (NOPROJ_V, 0), (Mat([[0, 0, 0]]), 0),
+                      (P9_P9_V, 1), (Mat(kernel_side), 1), (Mat.identity(9), 1)):
+        calls.clear()
+        _Circuits(V)
+        assert calls == Counter(_eliminate=1, _back_substitute=routed), (V, calls)
 
 
 def test_enumerate_builds_column_holders_once(monkeypatch):

@@ -10,8 +10,9 @@ the Picard lattice without intersecting lattices, reads both sides of
 the Gale pair off one per-cone table, builds a ``Mat`` without its
 construction scan only inside ``matrix.py`` and a ``Lattice`` from integer
 rows only inside ``lattices.py``, rebases a row lattice on a positive
-vector with no ``solve``, inverse or ``Fraction``, and ends every internal
-invariant's message in "(internal invariant)".
+vector with no ``solve``, inverse or ``Fraction`` (nor ``hnf`` for its
+transform), and ends every internal invariant's message in "(internal
+invariant)".
 """
 
 import ast
@@ -297,15 +298,18 @@ def test_positivity_rebase_stays_in_integers():
     Cartier indices of ``full_report`` read the cone table:
     ``_lift_into_rows``, ``basis_with_positive_first_row`` and
     ``positive_row_echelon`` name none of ``solve``, ``inverse``,
-    ``block_diag`` and ``Fraction``; ``full_report`` names no ``solve``;
+    ``block_diag`` and ``Fraction``, and ``basis_with_positive_first_row``
+    builds its transform with neither ``hnf`` nor ``Mat``;
+    ``full_report`` names no ``solve``;
     ``normal_forms.py`` imports neither ``solve`` nor ``block_diag``, and
     ``toric.py`` no ``solve``; and nothing defines or names
     ``positive_row_basis``, the separate transform once multiplied in."""
     banned = {"solve", "inverse", "block_diag", "Fraction"}
-    for function in ("_lift_into_rows", "basis_with_positive_first_row",
-                     "positive_row_echelon"):
+    for function, more in (("_lift_into_rows", set()),
+                           ("basis_with_positive_first_row", {"hnf", "Mat"}),
+                           ("positive_row_echelon", set())):
         names = _names_in("normal_forms.py", function)
-        assert not names & banned, (function, sorted(names & banned))
+        assert not names & (banned | more), (function, sorted(names & (banned | more)))
     assert "solve" not in _names_in("toric.py", "full_report")
     for module, names in (("normal_forms.py", {"solve", "block_diag"}),
                           ("toric.py", {"solve"})):

@@ -366,7 +366,7 @@ def test_positive_span_vector_counts_the_kernel_side_without_it(monkeypatch):
     # kernel has |S| - rho rows nonzero on S (each j off S is a pivot whose
     # row is e_j), so the side of the Gale pair is chosen without the
     # kernel and the kernel is built only for Stiemke's LP
-    calls = count_calls(monkeypatch, normal_forms, "left_kernel_rows")
+    calls = count_calls(monkeypatch, normal_forms, "_left_kernel")
     rng = random.Random(2808)
     sides = Counter()
     for _ in range(600):
@@ -388,7 +388,7 @@ def test_positive_span_vector_counts_the_kernel_side_without_it(monkeypatch):
         sides[kernel_side] += 1
         calls.clear()
         y = normal_forms._positive_span_vector(basis)
-        assert calls["left_kernel_rows"] == kernel_side
+        assert calls["_left_kernel"] == kernel_side
         assert y == normal_forms._positive_span_vector(basis, kernel)
     assert sides[True] >= 100 and sides[False] >= 100
 

@@ -504,6 +504,17 @@ def test_full_report_checks_each_given_cone_once(monkeypatch):
     (lambda: is_support_complete(WORKED_V, _hand_fan((1, 3), (False, 4))),
      "index False is not an integer"),
     (lambda: fan_from_cones(WORKED_V, [(1, 3), (4, 5)]), "index 5 out of range 1..4"),
+    # cone index sets reach the per-object entries through fan_from_cones
+    (lambda: picard_basis(WORKED_Q, [(1, 3), (1, 5), (2, 3), (2, 4)]),
+     "index 5 out of range 1..4"),
+    (lambda: delta_sigma(WORKED_Q, [(1, 3), (1, 4), (2, 3), (0, 4)]),
+     "index 0 out of range 1..4"),
+    (lambda: cartier_index(WORKED_V, [(1, 3), (1, 4), (2, 3), (2, 2)], (1, 0, 0, 0)),
+     "cone generators must be strictly increasing"),
+    (lambda: is_support_complete(WORKED_V, [(1, 3), ()]), "index set must not be empty"),
+    (lambda: picard_basis(WORKED_Q, [(1, 3), (2, 3), (2, 4)]),
+     "invalid fan: support does not cover the column cone (interior facet "
+     "{1} of cone {1, 3} lies on no other cone)"),
     # a fan index or a cap is an int too: 1.5 once reached list indexing as
     # a TypeError, True took fan 1, and a cap of None a comparison
     (lambda: full_report(V=gale_dual(NOPROJ_Q), fan_index=1.5),
@@ -515,6 +526,28 @@ def test_full_report_checks_each_given_cone_once(monkeypatch):
 def test_every_entry_refuses_a_malformed_index_set(call, message):
     with pytest.raises(DomainError, match=re.escape(message) + "$"):
         call()
+
+
+def test_per_object_entries_take_cone_index_sets():
+    # picard_basis, delta_sigma, cartier_index and is_support_complete answer
+    # for cone index sets, in any order, as for the Fan built on them
+    cases = [(WORKED_Q, gale_dual(WORKED_Q)), (NOPROJ_Q, gale_dual(NOPROJ_Q)),
+             (None, TORSION_V)]
+    seen = 0
+    for Q, V in cases:
+        for fan in enumerate_SF(V):
+            cones = [list(reversed(c)) for c in reversed(fan.cone_sets())]
+            if Q is not None:
+                assert picard_basis(Q, cones) == picard_basis(Q, fan)
+                assert delta_sigma(Q, cones) == delta_sigma(Q, fan)
+            for a in Mat.identity(V.cols).row_tuples():
+                assert cartier_index(V, cones, a) == cartier_index(V, fan, a)
+            assert is_support_complete(V, cones) and is_support_complete(V, fan)
+            part = cones[1:]
+            assert (is_support_complete(V, part)
+                    == is_support_complete(V, fan_from_cones(V, part)) is False)
+            seen += 1
+    assert seen == 1 + len(enumerate_SF(gale_dual(NOPROJ_Q))) + 1
 
 
 def test_cartier_index_worked():
