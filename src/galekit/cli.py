@@ -4,6 +4,11 @@ One verb per library operation, stable text output for scripting and golden
 tests, and a ``--json`` variant where every number is emitted as a decimal
 string so consumers never have to assume an integer width.
 
+Each verb's handler ``_cmd_*(args, given)`` takes the input that ``main`` has
+read (one matrix, or the list of matrices for ``intersect``) and returns its
+output once, as a pair (JSON object, text lines); ``main`` prints the one the
+user asked for.  ``_render`` holds the format rules most verbs share.
+
 Exit status: 0 on success, 1 on domain errors (violated preconditions), 2 on
 parse or usage errors.
 """
@@ -15,17 +20,11 @@ import json
 import os
 import sys
 
-from .matrix import (
-    DomainError,
-    GaleKitError,
-    Mat,
-    ParseError,
-    format_matrix,
-    parse_matrix,
-)
+from .matrix import GaleKitError, Mat, ParseError, format_matrix, parse_matrix
 from .normal_forms import hnf, positive_row_echelon, snf
 from .lattices import (
     Lattice,
+    QuotientStructure,
     dual_lattice,
     gcd_max_minors,
     lattice_intersection,
@@ -35,14 +34,6 @@ from .gale import GaleDualPair, det_duality_check, gale_dual, quotient_iso_check
 from .fw import classify_f, classify_w, f_reduce, positivize, w_reduce
 from .fans import DEFAULT_CAP, _select_fan, enumerate_SF
 from .toric import _cartier_index, class_group, full_report, is_pws
-
-
-def _json_matrix(A: Mat):
-    return [[str(x) for x in row] for row in A.row_tuples()]
-
-
-def _json_vector(v):
-    return [str(x) for x in v]
 
 
 def _read_file(path: str) -> str:
@@ -56,16 +47,6 @@ def _read_file(path: str) -> str:
 def _read_matrix(path: str) -> Mat:
     """The matrix in a file, or on stdin for ``-``."""
     return parse_matrix(sys.stdin.read() if path == "-" else _read_file(path))
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=None, separators=(", ", ": ")))
-
-
-def _print_matrix(A: Mat, label: "str | None" = None) -> None:
-    if label:
-        print(f"{label}:")
-    print(format_matrix(A))
 
 
 def _cap(args) -> int:
@@ -83,16 +64,6 @@ def _cap(args) -> int:
     if cap < 0:
         raise ParseError(f"GALEKIT_CAP={env!r} is negative")
     return cap
-
-
-def _quotient_lines(q) -> list[str]:
-    torsion = " ".join(str(c) for c in q.torsion_factors)
-    return [f"free_rank: {q.free_rank}", f"torsion: {torsion}".rstrip()]
-
-
-def _json_quotient(q):
-    return {"free_rank": str(q.free_rank),
-            "torsion": [str(c) for c in q.torsion_factors]}
 
 
 def _read_fan_file(path: str) -> list[list[int]]:
@@ -113,63 +84,80 @@ def _read_fan_file(path: str) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# output
+
+def _render(**fields) -> tuple[dict, list[str]]:
+    """The (JSON object, text lines) of labelled fields, in order: a ``Mat``
+    prints as ``label:`` and its rows, a tuple as ``label: a b c`` (an empty
+    one as ``label: ``), a bool as true/false, an int after its label, and a
+    ``QuotientStructure`` as its own lines prefixed by the label.  JSON keeps
+    bools, nests the quotient and writes every number as a decimal string."""
+    obj, lines = {}, []
+    for label, value in fields.items():
+        if isinstance(value, Mat):
+            obj[label] = [[str(x) for x in row] for row in value.row_tuples()]
+            lines += [f"{label}:", format_matrix(value)]
+        elif isinstance(value, tuple):
+            obj[label] = [str(x) for x in value]
+            lines.append(f"{label}: " + " ".join(str(x) for x in value))
+        elif isinstance(value, bool):
+            obj[label] = value
+            lines.append(f"{label}: {str(value).lower()}")
+        elif isinstance(value, int):
+            obj[label] = str(value)
+            lines.append(f"{label}: {value}")
+        else:
+            obj[label], quotient_lines = _quotient(value)
+            lines += [f"{label} {line}" for line in quotient_lines]
+    return obj, lines
+
+
+def _quotient(q: QuotientStructure) -> tuple[dict, list[str]]:
+    obj, lines = _render(free_rank=q.free_rank, torsion=q.torsion_factors)
+    return obj, [lines[0], lines[1].rstrip()]  # "torsion:" when trivial
+
+
+def _lattice(L: Lattice) -> tuple[dict, list[str]]:
+    text = format_matrix(L.basis_matrix()) if L.rank else "# zero lattice"
+    return ({"ambient_dim": str(L.ambient_dim),
+             "basis": [[str(x) for x in row] for row in L.basis]}, [text])
+
+
+def _verdict(flags: dict, violated, clauses: str) -> tuple[dict, list[str]]:
+    """A classification: its flags, then every clause's verdict in JSON and
+    the violated clauses in text."""
+    obj, lines = _render(**flags)
+    obj["clauses"] = {c: c not in violated for c in clauses}
+    lines.append(("violated: " + " ".join(violated)).rstrip())
+    return obj, lines
+
+
+# ---------------------------------------------------------------------------
 # verb handlers
 
-def _cmd_hnf(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_hnf(args, A: Mat):
     res = hnf(A)
-    if args.json:
-        _emit_json({"H": _json_matrix(res.H), "U": _json_matrix(res.U),
-                    "pivots": [str(p) for p in res.pivot_map]})
-        return
-    _print_matrix(res.H, "H")
-    _print_matrix(res.U, "U")
-    print("pivots: " + " ".join(str(p) for p in res.pivot_map))
+    return _render(H=res.H, U=res.U, pivots=res.pivot_map)
 
 
-def _cmd_snf(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_snf(args, A: Mat):
     res = snf(A)
-    if args.json:
-        _emit_json({"S": _json_matrix(res.S), "alpha": _json_matrix(res.alpha),
-                    "beta": _json_matrix(res.beta),
-                    "factors": [str(c) for c in res.factors]})
-        return
-    _print_matrix(res.S, "S")
-    _print_matrix(res.alpha, "alpha")
-    _print_matrix(res.beta, "beta")
-    print("factors: " + " ".join(str(c) for c in res.factors))
+    return _render(S=res.S, alpha=res.alpha, beta=res.beta, factors=res.factors)
 
 
-def _cmd_echelon(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_echelon(args, A: Mat):
     E, alpha, beta = positive_row_echelon(A)
-    if args.json:
-        _emit_json({"E": _json_matrix(E), "alpha": _json_matrix(alpha),
-                    "beta": _json_matrix(beta)})
-        return
-    _print_matrix(E, "E")
-    _print_matrix(alpha, "alpha")
-    _print_matrix(beta, "beta")
+    return _render(E=E, alpha=alpha, beta=beta)
 
 
-def _cmd_gale(args) -> None:
-    if args.check_size_cap < 0:
-        raise ParseError(f"--check-size-cap {args.check_size_cap} is negative")
-    A = _read_matrix(args.matrix)
+def _cmd_gale(args, A: Mat):
     G = gale_dual(A)
-    checked = None
+    obj, lines = _render(gale=G)[0], [format_matrix(G)]
     if args.check:
         checked = _run_gale_checks(GaleDualPair(A, G), args.check_size_cap)
-    if args.json:
-        obj = {"gale": _json_matrix(G)}
-        if checked is not None:
-            obj["checked_subsets"] = str(checked)
-        _emit_json(obj)
-        return
-    print(format_matrix(G))
-    if checked is not None:
-        print(f"check: ok ({checked} subsets)")
+        obj["checked_subsets"] = str(checked)
+        lines.append(f"check: ok ({checked} subsets)")
+    return obj, lines
 
 
 def _run_gale_checks(pair: GaleDualPair, size_cap: int) -> int:
@@ -191,174 +179,86 @@ def _run_gale_checks(pair: GaleDualPair, size_cap: int) -> int:
     return count
 
 
-def _cmd_dual(args) -> None:
-    A = _read_matrix(args.matrix)
-    L = dual_lattice(Lattice.from_matrix(A))
-    _emit_basis(L, args)
+def _cmd_dual(args, A: Mat):
+    return _lattice(dual_lattice(Lattice.from_matrix(A)))
 
 
-def _emit_basis(L: Lattice, args) -> None:
-    if args.json:
-        _emit_json({"ambient_dim": str(L.ambient_dim),
-                    "basis": [_json_vector(r) for r in L.basis]})
-        return
-    if L.rank == 0:
-        print("# zero lattice")
-        return
-    print(format_matrix(L.basis_matrix()))
+def _cmd_intersect(args, mats: list[Mat]):
+    return _lattice(lattice_intersection([Lattice.from_matrix(A) for A in mats]))
 
 
-def _cmd_intersect(args) -> None:
-    mats = [_read_matrix(p) for p in args.matrices]
-    L = lattice_intersection([Lattice.from_matrix(A) for A in mats])
-    _emit_basis(L, args)
+def _cmd_quotient(args, A: Mat):
+    return _quotient(quotient_structure(A.cols, Lattice.from_matrix(A)))
 
 
-def _cmd_quotient(args) -> None:
-    A = _read_matrix(args.matrix)
-    q = quotient_structure(A.cols, Lattice.from_matrix(A))
-    if args.json:
-        _emit_json(_json_quotient(q))
-        return
-    for line in _quotient_lines(q):
-        print(line)
-
-
-def _cmd_minors_gcd(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_minors_gcd(args, A: Mat):
     value = gcd_max_minors(A)
-    if args.json:
-        _emit_json({"gcd": str(value)})
-        return
-    print(value)
+    return {"gcd": str(value)}, [str(value)]
 
 
-def _cmd_check_f(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_check_f(args, A: Mat):
     rep = classify_f(A)
-    clauses = {c: c not in rep.violated for c in "abcde"}
-    if args.json:
-        _emit_json({"f_matrix": rep.is_f_matrix, "cf_matrix": rep.is_cf_matrix,
-                    "clauses": clauses})
-        return
-    print(f"f_matrix: {str(rep.is_f_matrix).lower()}")
-    print(f"cf_matrix: {str(rep.is_cf_matrix).lower()}")
-    print(("violated: " + " ".join(rep.violated)).rstrip())
+    return _verdict({"f_matrix": rep.is_f_matrix, "cf_matrix": rep.is_cf_matrix},
+                    rep.violated, "abcde")
 
 
-def _cmd_check_w(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_check_w(args, A: Mat):
     rep = classify_w(A)
-    clauses = {c: c not in rep.violated for c in "abcdef"}
-    if args.json:
-        obj = {"w_matrix": rep.is_w_matrix, "clauses": clauses}
-        if rep.positive_witness is not None:
-            obj["positive_witness"] = _json_vector(rep.positive_witness)
-        _emit_json(obj)
-        return
-    print(f"w_matrix: {str(rep.is_w_matrix).lower()}")
-    print(("violated: " + " ".join(rep.violated)).rstrip())
-    if rep.positive_witness is not None:
-        print("witness: " + " ".join(str(x) for x in rep.positive_witness))
+    obj, lines = _verdict({"w_matrix": rep.is_w_matrix}, rep.violated, "abcdef")
+    witness = rep.positive_witness
+    if witness is not None:
+        obj["positive_witness"] = [str(x) for x in witness]
+        lines.append("witness: " + " ".join(str(x) for x in witness))
+    return obj, lines
 
 
-def _cmd_positivize(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_positivize(args, A: Mat):
     P = positivize(A)
-    if args.json:
-        _emit_json({"positivized": _json_matrix(P)})
-        return
-    print(format_matrix(P))
+    return _render(positivized=P)[0], [format_matrix(P)]
 
 
-def _cmd_reduce_f(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_reduce_f(args, A: Mat):
     reduced, gcds = f_reduce(A)
-    if args.json:
-        _emit_json({"reduced": _json_matrix(reduced),
-                    "column_gcds": [str(d) for d in gcds]})
-        return
-    print(format_matrix(reduced))
-    print("column_gcds: " + " ".join(str(d) for d in gcds))
+    obj, lines = _render(reduced=reduced, column_gcds=gcds)
+    return obj, lines[1:]  # the matrix without its label
 
 
-def _cmd_reduce_w(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_reduce_w(args, A: Mat):
     reduced = w_reduce(A)
-    if args.json:
-        _emit_json({"reduced": _json_matrix(reduced)})
-        return
-    print(format_matrix(reduced))
+    return _render(reduced=reduced)[0], [format_matrix(reduced)]
 
 
-def _cmd_fans(args) -> None:
-    V = _read_matrix(args.matrix)
+def _cmd_fans(args, V: Mat):
     fans = enumerate_SF(V, cap=_cap(args))
-    if args.json:
-        _emit_json({"count": str(len(fans)),
-                    "fans": [[[str(g) for g in cone.gens]
-                              for cone in f.maximal_cones] for f in fans]})
-        return
-    print(f"count: {len(fans)}")
-    for k, f in enumerate(fans, start=1):
-        cones = " | ".join(" ".join(str(g) for g in cone.gens)
-                           for cone in f.maximal_cones)
-        print(f"fan {k}: {cones}")
+    cones = [f.cone_sets() for f in fans]
+    obj, lines = _render(count=len(fans))
+    obj["fans"] = [[[str(g) for g in gens] for gens in fan] for fan in cones]
+    lines += [f"fan {k}: " + " | ".join(" ".join(str(g) for g in gens) for gens in fan)
+              for k, fan in enumerate(cones, start=1)]
+    return obj, lines
 
 
-def _cmd_class_group(args) -> None:
-    V = _read_matrix(args.matrix)
-    q = class_group(V)
-    if args.json:
-        _emit_json(_json_quotient(q))
-        return
-    for line in _quotient_lines(q):
-        print(line)
+def _cmd_class_group(args, V: Mat):
+    return _quotient(class_group(V))
 
 
-def _cmd_pws(args) -> None:
-    V = _read_matrix(args.matrix)
+def _cmd_pws(args, V: Mat):
     flag, conditions = is_pws(V)
-    if args.json:
-        _emit_json({"pws": flag, "conditions": conditions})
-        return
-    print(f"pws: {str(flag).lower()}")
-    for name, value in conditions.items():
-        print(f"{name}: {str(value).lower()}")
+    return {"pws": flag, "conditions": conditions}, _render(pws=flag, **conditions)[1]
 
 
-def _cmd_report(args) -> None:
-    A = _read_matrix(args.matrix)
+def _cmd_report(args, A: Mat):
     cap = _cap(args)  # a bad cap is refused even beside a fan file
     cones = None if args.fan_file is None else _read_fan_file(args.fan_file)
     given = {"Q" if args.kind == "weight" else "V": A}
     rep = full_report(**given, fan=cones, fan_index=args.fan, cap=cap)
-    if args.json:
-        _emit_json({
-            "n": str(rep.n), "r": str(rep.r),
-            "class_group": _json_quotient(rep.cl),
-            "pws": rep.is_pws,
-            "cl_generators": _json_matrix(rep.cl_generators),
-            "picard_basis": _json_matrix(rep.picard_basis),
-            "cartier_basis": _json_matrix(rep.cartier_basis),
-            "delta_sigma": str(rep.delta_sigma),
-            "cartier_indices": [str(c) for c in rep.cartier_indices],
-        })
-        return
-    print(f"n: {rep.n}")
-    print(f"r: {rep.r}")
-    for line in _quotient_lines(rep.cl):
-        print("class_group " + line)
-    print(f"pws: {str(rep.is_pws).lower()}")
-    _print_matrix(rep.cl_generators, "cl_generators")
-    _print_matrix(rep.picard_basis, "picard_basis")
-    _print_matrix(rep.cartier_basis, "cartier_basis")
-    print(f"delta_sigma: {rep.delta_sigma}")
-    print("cartier_indices: " + " ".join(str(c) for c in rep.cartier_indices))
+    return _render(n=rep.n, r=rep.r, class_group=rep.cl, pws=rep.is_pws,
+                   cl_generators=rep.cl_generators, picard_basis=rep.picard_basis,
+                   cartier_basis=rep.cartier_basis, delta_sigma=rep.delta_sigma,
+                   cartier_indices=rep.cartier_indices)
 
 
-def _cmd_cartier_index(args) -> None:
-    V = _read_matrix(args.matrix)
+def _cmd_cartier_index(args, V: Mat):
     try:
         divisor = [int(tok) for tok in args.divisor.split(",")]
     except ValueError:
@@ -367,10 +267,7 @@ def _cmd_cartier_index(args) -> None:
     cones = None if args.fan_file is None else _read_fan_file(args.fan_file)
     # the selector has checked the fan
     value = _cartier_index(V, _select_fan(V, cones, args.fan, cap), divisor)
-    if args.json:
-        _emit_json({"cartier_index": str(value)})
-        return
-    print(value)
+    return {"cartier_index": str(value)}, [str(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +349,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.func(args)
-    except ParseError as exc:
+        # a negative subset cap is refused before the input is read
+        if getattr(args, "check_size_cap", 0) < 0:
+            raise ParseError(f"--check-size-cap {args.check_size_cap} is negative")
+        given = ([_read_matrix(p) for p in args.matrices] if args.verb == "intersect"
+                 else _read_matrix(args.matrix))
+        obj, lines = args.func(args, given)
+    except GaleKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, GaleKitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
+    print(json.dumps(obj) if args.json else "\n".join(lines))
     return 0
 
 

@@ -99,6 +99,9 @@ class Fan:
 
 
 def fan_from_cones(V: Mat, cones: Iterable[Sequence[int]]) -> Fan:
+    """The Fan on V with the given cone index sets, each checked."""
+    if cones is None:
+        raise DomainError("no fan given: pass a Fan or its cones' index sets")
     parsed = tuple(sorted(Cone(gens=tuple(sorted(c))) for c in cones))
     for c in parsed:
         check_index_set(c.gens, V.cols, allow_empty=False)
@@ -381,10 +384,12 @@ def is_support_complete(V: Mat, fan: "Fan | Iterable[Sequence[int]]") -> bool:
     shared by exactly two cones or lies on a supporting hyperplane of the
     whole column configuration.
     """
-    cones = (fan if isinstance(fan, Fan) else fan_from_cones(V, fan)).cone_sets()
+    # fan_from_cones checks the index sets it is given; a Fan's are checked here
+    cones = (_index_sets(V, fan.maximal_cones) if isinstance(fan, Fan)
+             else fan_from_cones(V, fan).cone_sets())
     if not cones:
         return False
-    table, used, masks = _cone_masks(V, _index_sets(V, cones), every_column=True)
+    table, used, masks = _cone_masks(V, cones, every_column=True)
     error = _conflict(table, used, masks)
     if error:
         raise error

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import (
-    DomainError, GaleKitError, Mat, check_index_set, det_exact, solve, submatrix_cols)
+    DomainError, GaleKitError, Mat, check_index_set, det_exact, solve)
 from .lattices import (
     Lattice,
     QuotientStructure,
@@ -91,6 +91,13 @@ def solve_left_factor(A: Mat, Q: Mat) -> "Mat | None":
     return alpha if alpha.is_integral else None
 
 
+def _outside(idx: tuple[int, ...], m: int) -> list[int]:
+    """The 0-based columns of m that the checked 1-based index set idx
+    leaves out."""
+    chosen = set(idx)
+    return [j for j in range(m) if j + 1 not in chosen]
+
+
 def quotient_iso_check(pair: GaleDualPair, I,
                        ) -> tuple[QuotientStructure, QuotientStructure, bool]:
     """Both sides of the subgroup-quotient isomorphism attached to an index
@@ -103,7 +110,7 @@ def quotient_iso_check(pair: GaleDualPair, I,
     if k == m:
         left = QuotientStructure(0, ())
     else:
-        qi = submatrix_cols(Q, idx, complement=True) if k else Q
+        qi = Q.take_cols(_outside(idx, m)) if k else Q
         left = quotient_structure(m - k, Lattice.from_matrix(qi))
 
     col_lattice = Lattice.from_rows(V.col_tuples(), V.rows)
@@ -130,6 +137,7 @@ def det_duality_check(pair: GaleDualPair, I) -> tuple[int, int, bool]:
     if len(idx) != V.rows:
         raise DomainError(f"index set must have size n = {V.rows}")
     index = gcd_max_minors(V)
-    lhs = index * abs(det_exact(submatrix_cols(Q, idx, complement=True)))
-    rhs = abs(det_exact(submatrix_cols(V, idx)))
+    # idx is checked; neither selection is empty, since 0 < n < n + r
+    lhs = index * abs(det_exact(Q.take_cols(_outside(idx, V.cols))))
+    rhs = abs(det_exact(V.take_cols([i - 1 for i in idx])))
     return lhs, rhs, lhs == rhs

@@ -17,7 +17,8 @@ from galekit import (
     quotient_structure,
     solve_left_factor,
 )
-from conftest import count_rank_calls, rand_full_row_rank, rand_mat
+from galekit import cli, matrix
+from conftest import count_calls, count_rank_calls, rand_full_row_rank, rand_mat
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -173,3 +174,19 @@ def test_subset_identities_random():
                 if size == n:
                     lhs, rhs, ok = det_duality_check(pair, I)
                     assert ok, (V, I, lhs, rhs)
+
+
+def test_subset_checks_check_each_index_set_once(monkeypatch):
+    # each check reads its index set once and selects columns from it
+    # directly; gale --check on a 3 x 9 pair makes 2^9 + C(9, 3) checks
+    calls = count_calls(monkeypatch, matrix, "check_index_set")
+    assert quotient_iso_check(WORKED_PAIR, (1, 3))[2]
+    assert calls["check_index_set"] == 1
+    assert det_duality_check(WORKED_PAIR, (1, 3))[2]
+    assert calls["check_index_set"] == 2
+    V = Mat([[1, 0, 0, 1, 0, 1, 1, 2, 1],
+             [0, 1, 0, 1, 1, 0, 1, 1, 2],
+             [0, 0, 1, 0, 1, 1, 1, 1, -1]])
+    calls.clear()
+    assert cli._run_gale_checks(GaleDualPair(V, gale_dual(V)), 12) == 512
+    assert calls["check_index_set"] == 512 + 84

@@ -327,3 +327,21 @@ def test_positivity_rebase_stays_in_integers():
             if name == "positive_row_basis":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_cli_has_one_output_path():
+    """``main`` reads every verb's input and prints its output, text or
+    JSON; a verb handler returns both and never looks at ``--json``."""
+    tree = _tree(next(p for p in SOURCES if p.name == "cli.py"))
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (name != "main" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("print", "_read_matrix")):
+                found.append(f"{name} calls {node.func.id}")
+            if (name.startswith("_cmd_") and isinstance(node, ast.Attribute)
+                    and node.attr == "json"):
+                found.append(f"{name} reads args.json")
+    assert not found, found

@@ -454,6 +454,9 @@ def test_full_report_takes_one_left_kernel(monkeypatch):
 WORKED_CONES = [(1, 3), (1, 4), (2, 3), (2, 4)]
 
 
+NO_FAN = "no fan given: pass a Fan or its cones' index sets"
+
+
 def _hand_fan(*cones):
     """A Fan on WORKED_V built by hand, past ``fan_from_cones``."""
     return Fan(WORKED_V, tuple(Cone(c) for c in cones))
@@ -462,7 +465,8 @@ def _hand_fan(*cones):
 def test_full_report_checks_each_given_cone_once(monkeypatch):
     # fan_from_cones checks the index sets it is given and _check_fan does
     # not check them again; a Fan of int generators takes no check at all,
-    # and is_fan and is_support_complete check each cone they are given once
+    # and is_fan and is_support_complete check each cone they are given once,
+    # also when is_support_complete builds the Fan on cone index sets
     fan = _worked_fan()
     calls = count_calls(monkeypatch, matrix, "check_index_set")
     assert full_report(Q=WORKED_Q, fan=WORKED_CONES).picard_basis == Mat([[2, 0], [0, 2]])
@@ -472,6 +476,8 @@ def test_full_report_checks_each_given_cone_once(monkeypatch):
     assert calls["check_index_set"] == 4
     assert is_fan(WORKED_V, WORKED_CONES) and is_support_complete(WORKED_V, fan)
     assert calls["check_index_set"] == 12
+    assert is_support_complete(WORKED_V, WORKED_CONES)
+    assert calls["check_index_set"] == 16
 
 
 @pytest.mark.parametrize("call, message", [
@@ -512,6 +518,11 @@ def test_full_report_checks_each_given_cone_once(monkeypatch):
     (lambda: cartier_index(WORKED_V, [(1, 3), (1, 4), (2, 3), (2, 2)], (1, 0, 0, 0)),
      "cone generators must be strictly increasing"),
     (lambda: is_support_complete(WORKED_V, [(1, 3), ()]), "index set must not be empty"),
+    # no fan at all: the per-object entries need one (full_report selects it)
+    (lambda: picard_basis(WORKED_Q, None), NO_FAN),
+    (lambda: delta_sigma(WORKED_Q, None), NO_FAN),
+    (lambda: cartier_index(WORKED_V, None, (1, 0, 0, 0)), NO_FAN),
+    (lambda: is_support_complete(WORKED_V, None), NO_FAN),
     (lambda: picard_basis(WORKED_Q, [(1, 3), (2, 3), (2, 4)]),
      "invalid fan: support does not cover the column cone (interior facet "
      "{1} of cone {1, 3} lies on no other cone)"),
