@@ -282,7 +282,11 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
         raise DomainError("provide exactly one of Q or V")
     derived = Q is None
     if derived:
-        if not is_pws(V)[0]:
+        try:
+            pws = is_pws(V)[0]
+        except DomainError as exc:  # worded as the W-matrix check of Q is
+            raise DomainError(str(exc).replace("is_pws requires", "input is not")) from None
+        if not pws:
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")
         Q = gale_dual(V)

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from galekit import (Lattice, Mat, enumerate_SF, full_report, gale,
-                     is_divisorially_detected, parse_matrix)
+from galekit import (DomainError, Lattice, Mat, enumerate_SF, full_report, gale,
+                     is_divisorially_detected, is_pws, parse_matrix)
 from galekit import cli
 from galekit import fans as fans_module
 from galekit.cli import main
@@ -614,3 +615,21 @@ def test_cli_fuzz_exits_0_1_or_2(capsys, tmp_path, monkeypatch):
         assert code in (0, 1, 2), argv
         codes[code] += 1
     assert min(codes[c] for c in (0, 1, 2)) >= 20, codes
+
+
+def test_report_names_no_internal_function_for_a_non_f_matrix(capsys, tmp_path):
+    # the fan path words its F-matrix check as the weight path words its
+    # W-matrix check; is_pws keeps its own message
+    v = tmp_path / "v.txt"
+    v.write_text("1 1\n")
+    code, out, err = run_cli(capsys, "report", str(v), "--kind", "fan")
+    assert (code, out) == (1, "")
+    assert err == "error: input is not an F-matrix (violated clauses: b,d)\n"
+    with pytest.raises(DomainError, match=r"^input is not an F-matrix "
+                       r"\(violated clauses: b,d\)$"):
+        full_report(V=Mat([[1, 1]]))
+    with pytest.raises(DomainError, match=r"^is_pws requires an F-matrix "
+                       r"\(violated clauses: b,d\)$"):
+        is_pws(Mat([[1, 1]]))
+    with pytest.raises(DomainError, match=r"^classify_f requires an integer matrix$"):
+        full_report(V=Mat([[1, Fraction(1, 2)]]))
