@@ -89,7 +89,7 @@ def _read_fan_file(path: str) -> list[list[int]]:
 def _render(**fields) -> tuple[dict, list[str]]:
     """The (JSON object, text lines) of labelled fields, in order: a ``Mat``
     prints as ``label:`` and its rows, a tuple as ``label: a b c`` (an empty
-    one as ``label: ``), a bool as true/false, an int after its label, and a
+    one as ``label:``), a bool as true/false, an int after its label, and a
     ``QuotientStructure`` as its own lines prefixed by the label.  JSON keeps
     bools, nests the quotient and writes every number as a decimal string."""
     obj, lines = {}, []
@@ -99,7 +99,7 @@ def _render(**fields) -> tuple[dict, list[str]]:
             lines += [f"{label}:", format_matrix(value)]
         elif isinstance(value, tuple):
             obj[label] = [str(x) for x in value]
-            lines.append(f"{label}: " + " ".join(str(x) for x in value))
+            lines.append(f"{label}: {' '.join(map(str, value))}".rstrip())
         elif isinstance(value, bool):
             obj[label] = value
             lines.append(f"{label}: {str(value).lower()}")
@@ -113,8 +113,7 @@ def _render(**fields) -> tuple[dict, list[str]]:
 
 
 def _quotient(q: QuotientStructure) -> tuple[dict, list[str]]:
-    obj, lines = _render(free_rank=q.free_rank, torsion=q.torsion_factors)
-    return obj, [lines[0], lines[1].rstrip()]  # "torsion:" when trivial
+    return _render(free_rank=q.free_rank, torsion=q.torsion_factors)
 
 
 def _lattice(L: Lattice) -> tuple[dict, list[str]]:

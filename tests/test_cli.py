@@ -633,3 +633,15 @@ def test_report_names_no_internal_function_for_a_non_f_matrix(capsys, tmp_path):
         is_pws(Mat([[1, 1]]))
     with pytest.raises(DomainError, match=r"^classify_f requires an integer matrix$"):
         full_report(V=Mat([[1, Fraction(1, 2)]]))
+
+
+@pytest.mark.parametrize("verb, label", [("hnf", "pivots"), ("snf", "factors"),
+                                         ("quotient", "torsion")])
+def test_empty_tuple_line_has_no_trailing_space(capsys, tmp_path, verb, label):
+    # one strip rule for every "label: a b c" line, empty or not
+    p = tmp_path / "zero.txt"
+    p.write_text("0 0\n0 0\n")
+    code, out, _ = run_cli(capsys, verb, str(p))
+    assert code == 0
+    assert f"{label}:" in out.splitlines()
+    assert not any(line.endswith(" ") for line in out.splitlines())
