@@ -645,3 +645,14 @@ def test_empty_tuple_line_has_no_trailing_space(capsys, tmp_path, verb, label):
     assert code == 0
     assert f"{label}:" in out.splitlines()
     assert not any(line.endswith(" ") for line in out.splitlines())
+
+
+def test_negative_divisor_needs_the_equals_form(capsys, vfile):
+    # a value that starts with "-" is read as an option unless joined by "="
+    code, out, err = run_cli(capsys, "cartier-index", vfile, "--fan", "1",
+                             "--divisor=-1,0,0,0")
+    assert (code, out) == (0, "2\n")
+    code, out, err = run_cli(capsys, "cartier-index", vfile, "--fan", "1",
+                             "--divisor", "-1,0,0,0")
+    assert (code, out) == (2, "")
+    assert "--divisor: expected one argument" in err
