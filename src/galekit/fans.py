@@ -60,7 +60,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -73,6 +72,7 @@ from .matrix import (
     _int_row,
     _nonneg_solve,
     _norm_rows,
+    _require_int,
     check_index_set,
 )
 from .lattices import Lattice
@@ -182,9 +182,9 @@ class _Circuits:
     ``chi`` maps the bitmask of each basis (rank-many independent columns),
     in lexicographic order, to the sign of its minor on the echelon rows E
     of one ``_eliminate`` of V, all from one sweep (``_minors``): down E,
-    or down the s - rank rows of the kernel basis K that one back
-    substitution reads off E when that takes fewer steps, set-up included;
-    then chi(S) = c (-1)^(sum of S) sgn K(S^c) with one sign c (Björner et
+    or, when it has fewer rows (2 rank > s), down the s - rank rows of the
+    kernel basis K that one back substitution reads off E; then
+    chi(S) = c (-1)^(sum of S) sgn K(S^c) with one sign c (Björner et
     al., *Oriented Matroids*, §3.4), read off E's triangular pivot block.
     ``circuits`` holds every oriented circuit in both orientations as sorted
     (positive, negative) bitmask pairs.  The circuit of a rank+1 subset
@@ -199,11 +199,7 @@ class _Circuits:
         s, rho = V.cols, len(piv)
         self.rank, self.cols = rho, s
         bits = [1 << j for j in range(s)]
-        # the sweep takes k C(s, k) steps on row k; the kernel's is shorter when
-        # 2 rho > s, but its set-up weighs about 2 rho^2 s steps (timed when that
-        # was an elimination and a determinant, break-even near s = 8; not since)
-        steps = [k * comb(s, k) for k in range(s + 1)]
-        if sum(steps[:rho + 1]) <= sum(steps[:s - rho + 1]) + 2 * rho * rho * s:
+        if 2 * rho <= s:  # sweep the shorter side, E or K
             chi = {m: 1 if d > 0 else -1 for m, d in _minors(rows[:rho], bits).items()}
         else:
             # K: per free column f, -d at f and column f of d rref(E) at the pivots
@@ -442,8 +438,7 @@ def enumerate_SF(V: Mat, cap: int = DEFAULT_CAP) -> list[Fan]:
     """
     if not V.is_integral:
         raise DomainError("enumerate_SF requires an integer matrix")
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise DomainError(f"cap {cap!r} is not an integer")
+    _require_int(cap, "cap")
     n, s = V.shape
     if s > cap:
         raise DomainError(f"ray count {s} exceeds cap {cap}")
@@ -554,8 +549,8 @@ def _select_fan(V: Mat, fan: "Fan | Iterable[Sequence[int]] | None",
     checked once, or else the 1-based ``index``-th fan of ``enumerate_SF``,
     or its only fan when there is one.  An enumerated fan is valid by
     construction and is taken as it is."""
-    if index is not None and (not isinstance(index, int) or isinstance(index, bool)):
-        raise DomainError(f"fan index {index!r} is not an integer")
+    if index is not None:
+        _require_int(index, "fan index")
     if fan is not None:
         if index is not None:
             raise DomainError("give a fan or a fan index, not both")

@@ -37,6 +37,7 @@ off the column lattice that clauses a and e read, then one Stiemke LP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -46,7 +47,6 @@ from .matrix import (
     GaleKitError,
     Mat,
     check_index_set,
-    vec_gcd,
 )
 from .normal_forms import (
     _left_kernel,
@@ -195,7 +195,7 @@ def _classify_w(Q: Mat, kernel: "list[tuple] | None" = None
 
 def _primitive(c: tuple) -> tuple:
     """c divided by the gcd of its entries (a zero vector stays zero)."""
-    g = vec_gcd(c)
+    g = math.gcd(*c)
     return tuple(x // g for x in c) if g else tuple(c)
 
 
@@ -244,7 +244,7 @@ def f_reduce(V: Mat) -> tuple[Mat, tuple[int, ...]]:
     if not rep.is_f_matrix:
         raise DomainError("f_reduce requires an F-matrix "
                           f"(violated clauses: {','.join(rep.violated)})")
-    gcds = tuple(vec_gcd(V.col(j)) for j in range(V.cols))
+    gcds = tuple(math.gcd(*V.col(j)) for j in range(V.cols))
     reduced = Mat([[row[j] // gcds[j] for j in range(V.cols)]
                    for row in V.row_tuples()])
     return reduced, gcds
@@ -278,7 +278,7 @@ def _gale_reduce(Q: Mat, V: list[tuple], cols: Sequence[int]) -> Mat:
     dual_cols = list(zip(*V))
     gcds = [1] * Q.cols
     for j in cols:
-        gcds[j] = vec_gcd(dual_cols[j])
+        gcds[j] = math.gcd(*dual_cols[j])
     if all(d == 1 for d in gcds):
         return Q
     rows = _left_kernel([[x // d for x in col] for col, d in zip(dual_cols, gcds)])
@@ -314,7 +314,7 @@ def _is_w_reduced(Q: Mat, V: Mat) -> bool:
     except DomainError:
         raise GaleKitError("column-deleted weight matrix is rank-deficient "
                            "(internal invariant)") from None
-    via_dual = all(vec_gcd(V.col(j)) == 1 for j in range(m))
+    via_dual = all(math.gcd(*V.col(j)) == 1 for j in range(m))
     if direct != via_dual:
         raise GaleKitError("reducedness criteria disagree (internal invariant)")
     return direct

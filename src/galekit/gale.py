@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import (
-    DomainError, GaleKitError, Mat, check_index_set, det_exact, solve)
+    DomainError, GaleKitError, Mat, _outside, check_index_set, det_exact, solve)
 from .lattices import (
     Lattice,
     QuotientStructure,
@@ -89,13 +89,6 @@ def solve_left_factor(A: Mat, Q: Mat) -> "Mat | None":
         return None
     alpha = x.transpose()
     return alpha if alpha.is_integral else None
-
-
-def _outside(idx: tuple[int, ...], m: int) -> list[int]:
-    """The 0-based columns of m that the checked 1-based index set idx
-    leaves out."""
-    chosen = set(idx)
-    return [j for j in range(m) if j + 1 not in chosen]
 
 
 def quotient_iso_check(pair: GaleDualPair, I,

@@ -22,7 +22,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
-from .matrix import DomainError, Mat, _norm_rows
+from .matrix import DomainError, Mat, _norm_rows, _require_int
 # ``hnf`` stays bound here: perfbench/selftest.py checks its traced binding.
 from .normal_forms import _hermite_insert, _left_kernel, _smith, _split_units, hnf  # noqa: F401
 
@@ -90,7 +90,7 @@ class Lattice:
                 raise DomainError("generator width does not match ambient dimension")
         elif ambient_dim is None:
             raise DomainError("ambient dimension required for an empty generator set")
-        _check_ambient(ambient_dim)
+        _require_int(ambient_dim, "ambient dimension")
         if ambient_dim < 1:
             raise DomainError("ambient dimension must be positive")
         if den > 1:
@@ -230,13 +230,8 @@ def lattice_intersection(lattices: Sequence[Lattice]) -> Lattice:
     return out
 
 
-def _check_ambient(ambient_dim) -> None:
-    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
-        raise DomainError(f"ambient dimension {ambient_dim!r} is not an integer")
-
-
 def _check_quotient(ambient_dim: int, L: Lattice, caller: str) -> None:
-    _check_ambient(ambient_dim)
+    _require_int(ambient_dim, "ambient dimension")
     if L.ambient_dim != ambient_dim:
         raise DomainError("ambient dimension mismatch")
     if not L.is_integral:

@@ -64,15 +64,6 @@ def _norm_rows(rows: Iterable[Iterable]) -> tuple[tuple, int]:
     return data, math.lcm(*(x.denominator for x in chain.from_iterable(data)))
 
 
-def _as_int(x):
-    # exact conversion; x must have denominator 1
-    if isinstance(x, int):
-        return x
-    if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return x.numerator
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y: the
     cofactors of Euclid's loop with floor quotients, pinned as the worked
@@ -203,7 +194,7 @@ class Mat:
         d = self._den
         if d == 1:
             return 1, [list(r) for r in self._rows]
-        return d, [[_as_int(x * d) for x in row] for row in self._rows]
+        return d, [[x.numerator * (d // x.denominator) for x in row] for row in self._rows]
 
     def take_cols(self, idx0: Sequence[int]) -> "Mat":
         rows = tuple(tuple([row[j] for j in idx0]) for row in self._rows)
@@ -333,7 +324,7 @@ def _back_substitute(m: list[list[int]], pivots: Sequence[int], d: int,
 def _int_row(row: Sequence) -> tuple[int, list[int]]:
     """(k, k * row as ints); k is the lcm of the row's denominators."""
     k = math.lcm(*(x.denominator for x in row))
-    return k, [_as_int(x * k) for x in row]
+    return k, [x.numerator * (k // x.denominator) for x in row]
 
 
 def solve(A: Mat, B: Mat) -> "Mat | None":
@@ -426,42 +417,18 @@ def _nonneg_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> tuple:
         # A (D x) = D b on the integers D x, D the common denominator of x
         D = math.lcm(*(v.denominator for v in x))
         dx = [v.numerator * (D // v.denominator) for v in x]
-        if any(v < 0 for v in dx) or any(dot(row, dx) != D * bi
+        if any(v < 0 for v in dx) or any(sum(map(mul, row, dx)) != D * bi
                                          for row, bi in zip(A, b)):
             raise GaleKitError("simplex point fails A x = b, x >= 0 "
                                "(internal invariant)")
         return x, None
-    g = vec_gcd(w)
+    g = math.gcd(*w)
     if g:
         w = [wi // g for wi in w]
-    if any(dot(w, col) < 0 for col in zip(*A)) or dot(w, b) >= 0:
+    if any(sum(map(mul, w, col)) < 0 for col in zip(*A)) or sum(map(mul, w, b)) >= 0:
         raise GaleKitError("Farkas certificate fails w A >= 0, w b < 0 "
                            "(internal invariant)")
     return None, w
-
-
-def block_diag(*mats: Mat) -> Mat:
-    total_c = sum(m.cols for m in mats)
-    out = []
-    c0 = 0
-    for m in mats:
-        for row in m.row_tuples():
-            line = [0] * total_c
-            line[c0:c0 + m.cols] = row
-            out.append(line)
-        c0 += m.cols
-    return Mat(out)
-
-
-def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +444,19 @@ def rank_exact(A: Mat) -> int:
     return A.rank()
 
 
+def _require_int(x, what: str) -> None:
+    """Refuse an argument that is not an int (a bool is not one)."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError(f"{what} {x!r} is not an integer")
+
+
 def check_index_set(I: Iterable[int], ncols: int, allow_empty: bool = True) -> tuple[int, ...]:
     """Validate a 1-based strictly increasing column index set."""
     t = tuple(I)
     if not allow_empty and not t:
         raise DomainError("index set must not be empty")
     for x in t:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"index {x!r} is not an integer")
+        _require_int(x, "index")
         if not 1 <= x <= ncols:
             raise DomainError(f"index {x} out of range 1..{ncols}")
     if any(a >= b for a, b in zip(t, t[1:])):
@@ -492,14 +464,17 @@ def check_index_set(I: Iterable[int], ncols: int, allow_empty: bool = True) -> t
     return t
 
 
+def _outside(idx: Iterable[int], m: int) -> list[int]:
+    """The 0-based columns of m that the checked 1-based index set idx
+    leaves out."""
+    chosen = set(idx)
+    return [j for j in range(m) if j + 1 not in chosen]
+
+
 def submatrix_cols(A: Mat, I: Iterable[int], complement: bool = False) -> Mat:
     """Columns of A selected by the 1-based index set I (or its complement)."""
     t = check_index_set(I, A.cols)
-    chosen = set(t)
-    if complement:
-        idx0 = [j for j in range(A.cols) if j + 1 not in chosen]
-    else:
-        idx0 = [x - 1 for x in t]
+    idx0 = _outside(t, A.cols) if complement else [x - 1 for x in t]
     if not idx0:
         raise DomainError("column selection is empty")
     return A.take_cols(idx0)

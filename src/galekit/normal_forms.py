@@ -61,7 +61,6 @@ from .matrix import (
     _back_substitute,
     _eliminate,
     _nonneg_solve,
-    vec_gcd,
     xgcd,
 )
 
@@ -505,7 +504,7 @@ def _weight_side_vector(basis: Sequence[Sequence[int]],
     if w is None:
         return None
     y = [sum(map(mul, w, col)) for col in zip(*basis)]  # zip drops t
-    g = vec_gcd(y)
+    g = math.gcd(*y)
     return [v // g for v in y]
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .matrix import (
@@ -34,12 +35,11 @@ from .matrix import (
     _int_row,
     _norm_entry,
     _norm_rows,
-    block_diag,
+    _outside,
     det_exact,
-    dot,
 )
 from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
-from .lattices import Lattice, QuotientStructure, _gcd_maximal_minors, quotient_structure
+from .lattices import Lattice, QuotientStructure, quotient_structure
 from .gale import _gale_dual, gale_dual
 from .fw import _classify_f, _classify_w, _is_w_reduced
 from .fans import DEFAULT_CAP, Fan, _given_fan, _select_fan
@@ -145,17 +145,23 @@ def weil_class(Q: Mat, a: Sequence[int]) -> tuple:
     a = _norm_rows([a])[0][0]
     if len(a) != Q.cols:
         raise DomainError("vector length mismatch")
-    return tuple(_norm_entry(dot(row, a)) for row in Q.row_tuples())
+    return tuple(_norm_entry(sum(map(mul, row, a))) for row in Q.row_tuples())
+
+
+def _checked_pws(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> tuple[Fan, Mat]:
+    """(fan, U_Q) for a Q of PWS type and a fan given for its Gale dual,
+    from one ``hnf(Q^T)``: the Gale dual's checks, then the fan's, then
+    the PWS test of Q."""
+    qt = hnf(Q.transpose())  # its rows of U past the rank are ker(Q)
+    fan = _given_fan(_gale_dual(Q, list(qt.U.row_tuples()[qt.rank:])), fan)
+    return fan, _pws_transform(qt, Q.rows)
 
 
 def picard_basis(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> Mat:
     """Basis (rows) of the Picard subgroup inside Z^r, the intersection of
     the complementary blocks' column lattices, read off their inverses, for
-    a Q of PWS type (the Hermite pivots of its columns have product 1)."""
-    fan = _given_fan(gale_dual(Q), fan)
-    if _gcd_maximal_minors(Q.col_tuples(), Q.rows) != 1:
-        raise DomainError(_NOT_PWS)
-    return _picard_basis(Q, fan)[0]
+    a Q of PWS type."""
+    return _picard_basis(Q, _checked_pws(Q, fan)[0])[0]
 
 
 def _cone_table(rows: Sequence[Sequence[int]], blocks: Sequence[Sequence[int]],
@@ -185,8 +191,7 @@ def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
     delta for every cone (``_inverse_columns``)."""
     r = Q.rows
     table = _cone_table(Q.row_tuples(), [
-        [j for j in range(Q.cols) if j + 1 not in cone.gens]
-        for cone in fan.maximal_cones])
+        _outside(cone.gens, Q.cols) for cone in fan.maximal_cones])
     delta = math.lcm(*(d for d, _ in table))
     ys = _inverse_columns([[delta // d * x for x in row] for d, adj in table
                            for row in adj], delta, r)
@@ -195,23 +200,23 @@ def _picard_basis(Q: Mat, fan: Fan) -> tuple[Mat, int]:
 
 def cartier_basis(B: Mat, U_Q: Mat) -> Mat:
     """Rows spanning the Cartier subgroup inside the ray-divisor lattice:
-    blockdiag(B, I_n) @ U_Q."""
+    blockdiag(B, I_n) @ U_Q, that is B times the first r rows of U_Q,
+    followed by its other rows."""
     r = B.rows
     if B.cols != r:
         raise DomainError("Picard basis must be square")
-    total = U_Q.rows
-    if U_Q.cols != total or total <= r:
+    rows = U_Q.row_tuples()
+    if U_Q.cols != len(rows) or len(rows) <= r:
         raise DomainError("transform must be square of size n + r with n >= 1")
-    return block_diag(B, Mat.identity(total - r)) @ U_Q
+    return Mat((B @ Mat(rows[:r])).row_tuples() + rows[r:])
 
 
 def delta_sigma(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> int:
     """lcm of |det| of the complementary weight submatrices over all maximal
     cones; multiplies every ray divisor into a Cartier divisor."""
-    qt = hnf(Q.transpose())  # its rows of U past the rank are ker(Q)
-    fan = _given_fan(_gale_dual(Q, list(qt.U.row_tuples()[qt.rank:])), fan)
+    fan, u_full = _checked_pws(Q, fan)
     b, delta = _picard_basis(Q, fan)
-    _check_delta_sigma(delta, cartier_basis(b, _pws_transform(qt, Q.rows)))
+    _check_delta_sigma(delta, cartier_basis(b, u_full))
     return delta
 
 
@@ -316,7 +321,7 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     c = cartier_basis(b, u_full)
     _check_delta_sigma(delta, c)
     (d, adj), = _cone_table(b.col_tuples(), [range(r)])
-    indices = tuple(abs(d) // math.gcd(d, *(dot(row, q) for row in adj))
+    indices = tuple(abs(d) // math.gcd(d, *(sum(map(mul, row, q)) for row in adj))
                     for q in Q.col_tuples())
 
     _assert_report_invariants(Q, V, gens, b, c, delta)
@@ -332,13 +337,7 @@ def _assert_report_invariants(Q: Mat, V: Mat, gens: Mat, b: Mat, c: Mat,
     if Q @ gens.transpose() != ident:
         raise GaleKitError("class-group generators do not invert Q "
                            "(internal invariant)")
-    prod = Q @ c.transpose()
-    expect = [[0] * (n + r) for _ in range(r)]
-    bt = b.transpose()
-    for i in range(r):
-        for j in range(r):
-            expect[i][j] = bt[i, j]
-    if prod != Mat(expect):
+    if Q @ c.transpose() != Mat([col + (0,) * n for col in b.col_tuples()]):
         raise GaleKitError("Cartier rows do not map onto the Picard basis "
                            "(internal invariant)")
     index = abs(det_exact(b))

@@ -34,7 +34,6 @@ from galekit.matrix import (
     _nonneg_solve,
     _norm_entry,
     _pivot,
-    block_diag,
     solve,
 )
 from galekit.normal_forms import _positive_span_vector
@@ -1146,7 +1145,9 @@ def positive_row_echelon_oracle(A: Mat) -> tuple[Mat, Mat, Mat]:
         r = res.rank
         basis = [list(res.H.row(i)) for i in range(r)]
         pos_rows, t_mat = _positive_row_basis(basis)
-        trans = block_diag(t_mat, Mat.identity(d - r)) if r < d else t_mat
+        # the block diagonal of t_mat and I_(d - r)
+        trans = Mat([list(row) + [0] * (d - r) for row in t_mat.row_tuples()]
+                    + [[int(i == j) for j in range(d)] for i in range(r, d)])
         full = trans @ res.U
         mat = pos_rows + [[0] * m for _ in range(d - r)]
         left = full.to_lists()
@@ -1209,12 +1210,11 @@ def i_reduce_oracle(Q: Mat, i: int) -> Mat:
     the Gale dual of the rescaled kernel: one Smith form of Q with column i
     deleted (``_rescale``)."""
     from galekit.fw import _require_w_matrix
-    from galekit.matrix import vec_gcd
 
     if not 1 <= i <= Q.cols:
         raise DomainError(f"column index {i} out of range")
     kernel = _require_w_matrix(Q, "i_reduce")[1]
-    d = vec_gcd([row[i - 1] for row in kernel])
+    d = math.gcd(*(row[i - 1] for row in kernel))
     return Q if d == 1 else _rescale(Q, kernel, i, d)[0]
 
 
@@ -1246,11 +1246,10 @@ def w_reduce_oracle(Q: Mat) -> Mat:
     order, reading each column gcd off the Gale dual carried through the
     rescalings."""
     from galekit.fw import _require_w_matrix
-    from galekit.matrix import vec_gcd
 
     cur, V = Q, _require_w_matrix(Q, "w_reduce")[1]
     for i in range(1, Q.cols + 1):
-        d = vec_gcd([row[i - 1] for row in V])
+        d = math.gcd(*(row[i - 1] for row in V))
         if d > 1:
             cur, V = _rescale(cur, V, i, d)
     return cur

@@ -674,7 +674,10 @@ def test_circuit_table_matches_bareiss_oracle_fuzz(monkeypatch):
 
 def test_circuit_table_sweeps_the_shorter_side(monkeypatch):
     # short V: the sweep runs down its echelon rows; the 18 x 20 V of
-    # P^9 x P^9: down the 2 rows of its kernel.  Neither takes a determinant
+    # P^9 x P^9 and the Gale duals of P(1,2,3,5) (3 x 4) and of
+    # P(1,1,2,3,5,8) (5 x 6), which have fewer kernel rows than echelon
+    # rows: down the 2 rows, or the 1 row, of their kernels.  Neither route
+    # takes a determinant
     calls = count_calls(monkeypatch, matrix, "_bareiss_det")
     swept = []
     minors = fans_module._minors
@@ -685,8 +688,10 @@ def test_circuit_table_sweeps_the_shorter_side(monkeypatch):
         _Circuits(V)
     assert swept == [2, 3, 1, 0] and calls["_bareiss_det"] == 0
     swept.clear()
-    _Circuits(P9_P9_V)
-    assert swept == [2] and calls["_bareiss_det"] == 0
+    for V in (P9_P9_V, gale_dual(Mat([[1, 2, 3, 5]])),
+              gale_dual(Mat([[1, 1, 2, 3, 5, 8]]))):
+        _Circuits(V)
+    assert swept == [2, 1, 1] and calls["_bareiss_det"] == 0
 
 
 def test_circuit_table_eliminates_once_on_both_routes(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -25,7 +26,6 @@ from galekit import (
     w_reduce,
 )
 from galekit import fw, gale, matrix, normal_forms
-from galekit.matrix import vec_gcd
 from conftest import (_rescale, count_calls, count_rank_calls, i_reduce_oracle,
                       rand_f_matrix, rand_full_row_rank, rand_unimodular, w_reduce_oracle)
 
@@ -173,7 +173,7 @@ def test_positivize_first_row_is_the_primitive_witness():
             continue
         Q = rand_unimodular(rng, Q.rows) @ Q
         witness = classify_w(Q).positive_witness
-        g = vec_gcd(witness)
+        g = math.gcd(*witness)
         out = positivize(Q)
         assert out.row(0) == tuple(x // g for x in witness)
         assert all(x >= 0 for row in out.row_tuples() for x in row)
@@ -409,7 +409,7 @@ def test_w_reduce_carries_the_gale_dual():
         if not classify_w(Q).is_w_matrix:
             continue
         dual = gale_dual(Q)
-        gcds = [vec_gcd(dual.col(j)) for j in range(s)]
+        gcds = [math.gcd(*dual.col(j)) for j in range(s)]
         out = w_reduce(Q)
         assert gale_dual(out) == Mat([[x // d for x, d in zip(row, gcds)]
                                       for row in dual.row_tuples()]), Q
@@ -474,7 +474,7 @@ def test_reductions_match_the_smith_oracle():
         if Q is None or not classify_w(Q).is_w_matrix:
             continue
         dual = gale_dual(Q)
-        gcds = [vec_gcd(dual.col(j)) for j in range(Q.cols)]
+        gcds = [math.gcd(*dual.col(j)) for j in range(Q.cols)]
         out = w_reduce(Q)
         assert _row_lattice_equal(out, w_reduce_oracle(Q)), Q
         assert gale_dual(out) == Mat([[x // d for x, d in zip(row, gcds)]
@@ -587,7 +587,7 @@ def test_deleted_column_quotient_is_cyclic_of_column_gcd():
         W = gale_dual(Q)
         m = Q.cols
         for i in range(1, m + 1):
-            d = vec_gcd(W.col(i - 1))
+            d = math.gcd(*W.col(i - 1))
             qi = submatrix_cols(Q, (i,), complement=True)
             q = quotient_structure(m - 1, Lattice.from_matrix(qi))
             torsion = (d,) if d > 1 else ()

@@ -345,3 +345,32 @@ def test_cli_has_one_output_path():
                     and node.attr == "json"):
                 found.append(f"{name} reads args.json")
     assert not found, found
+
+
+def test_each_question_has_one_primitive():
+    """``matrix.py`` alone defines the integer-argument check
+    ``_require_int`` and the complement of an index set ``_outside``; no
+    module defines ``vec_gcd``, ``dot``, ``block_diag``, ``_as_int`` or
+    ``_check_ambient`` (``math.gcd``, ``sum(map(mul, ...))`` and one
+    denominator idiom serve); ``toric.py`` names neither
+    ``_gcd_maximal_minors`` nor ``block_diag``, since every PWS test of Q
+    reads ``hnf(Q^T)``; and ``fans.py`` imports no ``comb``, since the
+    circuit table's route compares row counts."""
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.name)
+    gone = {"vec_gcd", "dot", "block_diag", "_as_int", "_check_ambient"}
+    assert not gone & defined.keys(), {name: defined[name] for name in gone & defined.keys()}
+    for name in ("_outside", "_require_int"):
+        assert defined.get(name) == ["matrix.py"], (name, defined.get(name))
+    toric = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(_tree(next(p for p in SOURCES if p.name == "toric.py")))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not toric & {"_gcd_maximal_minors", "block_diag"}
+    fans = _tree(next(p for p in SOURCES if p.name == "fans.py"))
+    assert "comb" not in {alias.name for node in ast.walk(fans)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))
+                          for alias in node.names}
