@@ -290,7 +290,8 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
         try:
             pws = is_pws(V)[0]
         except DomainError as exc:  # worded as the W-matrix check of Q is
-            raise DomainError(str(exc).replace("is_pws requires", "input is not")) from None
+            raise DomainError(str(exc).replace("is_pws requires an F-matrix",
+                                               "input is not an F-matrix")) from None
         if not pws:
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")

@@ -19,7 +19,8 @@ A call leaves one record per part of its output, in one of three families:
   positivity witnesses, ``positivize``, ``w_reduce`` and ``i_reduce``, and
   ``cl_generators``, ``cl_generators_full`` and ``cartier_basis``, which
   read the first rows of U_Q.
-* ``errors``: the type and message of every exception raised.
+* ``errors``: the type and message of every ``GaleKitError`` raised, and
+  of the ``TypeError`` that refuses an entry of the wrong type.
 
 A group is one (entry, family) pair, named ``entry/family``; its digest is
 the sha256 of its records as one JSON list.  ``tests/data/digests.json``
@@ -735,7 +736,7 @@ def entry_records(name: str) -> dict[str, list]:
         rng = random.Random(f"lib:{name}:{k}")
         try:
             parts = run(rng)
-        except Exception as exc:  # a message is an output too
+        except (gk.GaleKitError, TypeError) as exc:  # a message is an output too
             parts = {"errors": [type(exc).__name__, str(exc)]}
         for family, record in parts.items():
             out.setdefault(family, []).append([k, _canon(record)])
