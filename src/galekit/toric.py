@@ -8,11 +8,12 @@ subgroup is the intersection of the column lattices of the complementary
 weight submatrices over all maximal cones, Cartier divisors are spanned by
 an explicit block product, and the Cartier index of a divisor a is the order
 of Q a in Z^r / Pic, read off its coordinates in the Picard basis.  One
-per-cone table, d = det and d times the inverse of each square block, serves
-both sides of the Gale pair: on the weight blocks Q^I it gives delta_Sigma,
+per-cone table, d = det and d times the inverse of each square block, gives
+every determinant and inverse here: on the weight blocks Q^I, delta_Sigma,
 the lcm of the |d|, and Pic, the dual of the sum of the inverses modulo
-delta_Sigma; on the fan blocks V_sigma it gives ``cartier_index``, which also
-serves V with class-group torsion.
+delta_Sigma; on the fan blocks V_sigma, ``cartier_index``, which also serves
+V with class-group torsion; on the Picard basis b, the Cartier indices and
+|det b|; on the Cartier basis c, |det c| and that delta_Sigma e_j is Cartier.
 ``full_report`` validates its input once and derives each object once (one
 ``hnf(Q^T)`` gives U_Q and ``classify_w``'s kernel, from Q the dual V, whose
 class group is read off its column lattice; only a fan passed in is checked);
@@ -36,7 +37,6 @@ from .matrix import (
     _norm_entry,
     _norm_rows,
     _outside,
-    det_exact,
 )
 from .normal_forms import HnfResult, _hermite_insert, _inverse_columns, hnf
 from .lattices import Lattice, QuotientStructure, quotient_structure
@@ -96,10 +96,14 @@ def is_pws(V: Mat) -> tuple[bool, dict[str, bool]]:
     = 1, the product of the pivots of the triangular T_n), all read off one
     HNF(V^T) = [T_n; 0], and a full column lattice (clause e of
     ``classify_f``, read off the same Hermite basis T_n)."""
+    return _pws_conditions(V, "is_pws requires an F-matrix")
+
+
+def _pws_conditions(V: Mat, refusal: str) -> tuple[bool, dict[str, bool]]:
+    """``is_pws``, refusing a V that is not an F-matrix with ``refusal``."""
     rep, col_lat = _classify_f(V)
     if not rep.is_f_matrix:
-        raise DomainError("is_pws requires an F-matrix "
-                          f"(violated clauses: {','.join(rep.violated)})")
+        raise DomainError(f"{refusal} (violated clauses: {','.join(rep.violated)})")
     top, torsion = _upper_block(col_lat)
     cond = {
         "torsion_trivial": torsion.is_trivial,
@@ -170,7 +174,8 @@ def _cone_table(rows: Sequence[Sequence[int]], blocks: Sequence[Sequence[int]],
     integer matrix M = ``rows`` on those columns, from one Bareiss
     elimination of [M | I].  The weight side passes Q and each cone's
     complement, the fan side V and each cone; by Gale duality a block is
-    singular on one side exactly when it is on the other."""
+    singular on one side exactly when it is on the other.  The report
+    passes b^T and the Cartier basis c as one block each."""
     r = len(rows)
     table = []
     for block in blocks:
@@ -220,15 +225,17 @@ def delta_sigma(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> int:
     return delta
 
 
-def _check_delta_sigma(delta: int, cb: Mat) -> None:
-    """delta times every ray divisor lies in the Cartier lattice spanned by
-    the rows cb of the same fan."""
-    lat = Lattice.from_matrix(cb)
-    for j in range(cb.cols):
-        vec = tuple(delta * int(t == j) for t in range(cb.cols))
-        if vec not in lat:
-            raise GaleKitError("delta_sigma multiple is not Cartier "
-                               "(internal invariant)")
+def _check_delta_sigma(delta: int, c: Mat) -> int:
+    """+-det c, once delta times every ray divisor is shown to lie in the row
+    lattice of the Cartier basis c: delta c^-1 is integral, that is delta x
+    = 0 mod d for every entry x of c's table entry (d, d c^-1).  A singular c
+    (impossible for a Picard basis and a unimodular U_Q) raises the table's
+    internal invariant."""
+    (d, adj), = _cone_table(c.row_tuples(), [range(c.cols)])
+    if any(delta * x % d for row in adj for x in row):
+        raise GaleKitError("delta_sigma multiple is not Cartier "
+                           "(internal invariant)")
+    return d
 
 
 def cartier_index(V: Mat, fan: "Fan | Sequence[Sequence[int]]",
@@ -286,13 +293,8 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     if (Q is None) == (V is None):
         raise DomainError("provide exactly one of Q or V")
     derived = Q is None
-    if derived:
-        try:
-            pws = is_pws(V)[0]
-        except DomainError as exc:  # worded as the W-matrix check of Q is
-            raise DomainError(str(exc).replace("is_pws requires an F-matrix",
-                                               "input is not an F-matrix")) from None
-        if not pws:
+    if derived:  # worded as the W-matrix check of Q is
+        if not _pws_conditions(V, "input is not an F-matrix")[0]:
             raise DomainError("fan matrix has class-group torsion: only "
                               "torsion-free (CF) fan matrices are supported here")
         Q = gale_dual(V)
@@ -320,29 +322,27 @@ def full_report(Q: "Mat | None" = None, V: "Mat | None" = None,
     gens = Mat([u_full.row(i) for i in range(r)])
     b, delta = _picard_basis(Q, chosen)
     c = cartier_basis(b, u_full)
-    _check_delta_sigma(delta, c)
+    c_det = _check_delta_sigma(delta, c)
     (d, adj), = _cone_table(b.col_tuples(), [range(r)])
     indices = tuple(abs(d) // math.gcd(d, *(sum(map(mul, row, q)) for row in adj))
                     for q in Q.col_tuples())
 
-    _assert_report_invariants(Q, V, gens, b, c, delta)
+    _assert_report_invariants(Q, V, gens, b, c, delta, abs(d), abs(c_det))
     return ToricReport(n=n, r=r, cl=cl, is_pws=True, cl_generators=gens,
                        picard_basis=b, cartier_basis=c, delta_sigma=delta,
                        cartier_indices=indices)
 
 
 def _assert_report_invariants(Q: Mat, V: Mat, gens: Mat, b: Mat, c: Mat,
-                              delta: int) -> None:
-    r, n = Q.rows, V.rows
-    ident = Mat.identity(r)
-    if Q @ gens.transpose() != ident:
+                              delta: int, index: int, c_index: int) -> None:
+    """index = |det b| and c_index = |det c|, off their table entries."""
+    if Q @ gens.transpose() != Mat.identity(Q.rows):
         raise GaleKitError("class-group generators do not invert Q "
                            "(internal invariant)")
-    if Q @ c.transpose() != Mat([col + (0,) * n for col in b.col_tuples()]):
+    if Q @ c.transpose() != Mat([col + (0,) * V.rows for col in b.col_tuples()]):
         raise GaleKitError("Cartier rows do not map onto the Picard basis "
                            "(internal invariant)")
-    index = abs(det_exact(b))
-    if abs(det_exact(c)) != index:
+    if c_index != index:
         raise GaleKitError("Cartier index does not match Picard index "
                            "(internal invariant)")
     if index % delta:

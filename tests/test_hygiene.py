@@ -354,8 +354,10 @@ def test_each_question_has_one_primitive():
     ``_check_ambient`` (``math.gcd``, ``sum(map(mul, ...))`` and one
     denominator idiom serve); ``toric.py`` names neither
     ``_gcd_maximal_minors`` nor ``block_diag``, since every PWS test of Q
-    reads ``hnf(Q^T)``; and ``fans.py`` imports no ``comb``, since the
-    circuit table's route compares row counts."""
+    reads ``hnf(Q^T)``, nor ``det_exact``, since every determinant and
+    inverse there comes off ``_cone_table``, and its delta_Sigma check builds
+    no ``Lattice``; and ``fans.py`` imports no ``comb``, since the circuit
+    table's route compares row counts."""
     defined = {}
     for path in SOURCES:
         for node in ast.walk(_tree(path)):
@@ -369,7 +371,8 @@ def test_each_question_has_one_primitive():
              node.attr if isinstance(node, ast.Attribute) else node.name
              for node in ast.walk(_tree(next(p for p in SOURCES if p.name == "toric.py")))
              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
-    assert not toric & {"_gcd_maximal_minors", "block_diag"}
+    assert not toric & {"_gcd_maximal_minors", "block_diag", "det_exact"}
+    assert not _names_in("toric.py", "_check_delta_sigma") & {"Lattice", "det"}
     fans = _tree(next(p for p in SOURCES if p.name == "fans.py"))
     assert "comb" not in {alias.name for node in ast.walk(fans)
                           if isinstance(node, (ast.Import, ast.ImportFrom))

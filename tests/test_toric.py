@@ -672,12 +672,13 @@ def test_full_report_from_fan_matrix():
 def test_full_report_derives_each_object_once(monkeypatch, source):
     # from Q, the Gale dual is the kernel classify_w computes for clause c,
     # and its torsion-free class group is read off its column lattice: no
-    # is_pws, so no second LP and no Smith pass.  From V, is_pws is the
-    # input check and classify_w(Q) the invariant, one LP each; the column
-    # lattice of a PWS is Z^n, every Hermite pivot 1, so no Smith pass either
+    # PWS test of V, so no second LP and no Smith pass.  From V, is_pws's
+    # conditions are the input check and classify_w(Q) the invariant, one LP
+    # each; the column lattice of a PWS is Z^n, every Hermite pivot 1, so no
+    # Smith pass either
     gale_calls = count_calls(monkeypatch, gale, "gale_dual")
     fw_calls = count_calls(monkeypatch, fw, "_classify_w")
-    toric_calls = count_calls(monkeypatch, toric, "is_pws", "_pws_transform")
+    toric_calls = count_calls(monkeypatch, toric, "_pws_conditions", "_pws_transform")
     lp_calls = count_calls(monkeypatch, matrix, "_nonneg_solve")
     smith_calls = count_calls(monkeypatch, normal_forms, "_smith")
     table_calls = count_calls(monkeypatch, fans_module, "_Circuits")
@@ -688,7 +689,7 @@ def test_full_report_derives_each_object_once(monkeypatch, source):
     assert rep.picard_basis == Mat([[2, 0], [0, 2]])
     assert gale_calls["gale_dual"] == (source == "V")
     assert fw_calls["_classify_w"] == 1
-    assert toric_calls["is_pws"] == (source == "V")
+    assert toric_calls["_pws_conditions"] == (source == "V")
     assert toric_calls["_pws_transform"] == 1
     assert lp_calls["_nonneg_solve"] == (1 if source == "Q" else 2)
     assert smith_calls["_smith"] == 0
@@ -774,8 +775,8 @@ def test_full_report_reads_free_class_group(monkeypatch):
 
 
 def test_full_report_reads_delta_off_the_picard_pass(monkeypatch):
-    # delta_Sigma comes off the Picard pass: the four maximal cones of the
-    # worked fan add no determinant to the 8 the rest of the report takes
+    # delta_Sigma comes off the Picard pass, and |det b| and |det c| off
+    # their cone-table blocks: the report takes no determinant
     counts = {"det": 0}
     det = Mat.det
 
@@ -786,7 +787,7 @@ def test_full_report_reads_delta_off_the_picard_pass(monkeypatch):
     monkeypatch.setattr(Mat, "det", counted)
     rep = full_report(Q=WORKED_Q)
     assert rep.delta_sigma == 2
-    assert counts["det"] <= 8
+    assert counts["det"] == 0
 
 
 def test_full_report_reads_indices_off_picard_basis(monkeypatch):
@@ -806,8 +807,9 @@ def test_full_report_reads_indices_off_picard_basis(monkeypatch):
     rep = full_report(Q=WORKED_Q)
     assert rep.cartier_indices == (2, 2, 2, 1)
     assert calls["solve"] == 0
-    # the Picard pass over the four maximal cones, then one block of b^T
-    assert blocks == [4, 1]
+    # the Picard pass over the four maximal cones, then one block of the
+    # Cartier basis c for the delta_Sigma check, then one of b^T
+    assert blocks == [4, 1, 1]
     assert nf_calls["hnf"] <= 24
 
 
@@ -817,7 +819,9 @@ def test_full_report_picard_coordinates_are_an_invariant(monkeypatch):
     table = toric._cone_table
 
     def singular_coordinates(rows, cone_blocks):
-        if len(cone_blocks) == 1:  # the worked fan has four maximal cones
+        # b^T has r rows and one block; c has n + r rows, the Picard pass
+        # one block per maximal cone (four on the worked fan)
+        if len(cone_blocks) == 1 and len(rows) == WORKED_Q.rows:
             rows = [[0] * len(row) for row in rows]
         return table(rows, cone_blocks)
 
@@ -826,6 +830,54 @@ def test_full_report_picard_coordinates_are_an_invariant(monkeypatch):
                        r".*\(internal invariant\)") as info:
         full_report(Q=WORKED_Q)
     assert not isinstance(info.value, DomainError)
+
+
+def _scaled_row(i, k):
+    """Corrupt a matrix by multiplying its row i by k."""
+    return lambda m: Mat([[k * x for x in row] if t == i else row
+                          for t, row in enumerate(m.row_tuples())])
+
+
+# On the worked example delta_Sigma = 2, b = 2 I and U_Q = [gens; kernel rows]:
+# row 0 of c times 3, a prime not dividing delta, leaves delta e_0 outside its
+# row lattice; -1 keeps the lattice but not Q c^T = [b^T | 0]; a kernel row
+# times delta keeps both but doubles |det c|; a tripled delta divides no
+# |det b| = 4; swapping the generators commutes with b = 2 I, so only
+# Q gens^T = I fails
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("cartier_basis", _scaled_row(0, 3), "delta_sigma multiple is not Cartier"),
+    ("cartier_basis", _scaled_row(0, -1),
+     "Cartier rows do not map onto the Picard basis"),
+    ("cartier_basis", _scaled_row(2, 2), "Cartier index does not match Picard index"),
+    ("_picard_basis", lambda bd: (bd[0], 3 * bd[1]),
+     "delta does not divide the Picard index"),
+    ("_pws_transform", lambda u: Mat([u.row(1), u.row(0), *u.row_tuples()[2:]]),
+     "class-group generators do not invert Q"),
+])
+def test_full_report_checks_every_invariant(monkeypatch, name, corrupt, message):
+    fn = getattr(toric, name)
+    monkeypatch.setattr(toric, name, lambda *args: corrupt(fn(*args)))
+    with pytest.raises(GaleKitError, match=f"^{re.escape(message)} "
+                       r"\(internal invariant\)$") as info:
+        full_report(Q=WORKED_Q)
+    assert not isinstance(info.value, DomainError)
+
+
+def test_delta_sigma_checks_its_multiple_on_the_cartier_table(monkeypatch):
+    # delta_sigma runs the report's Cartier check on c's one table block;
+    # a singular c is the table's own internal invariant
+    fn = toric.cartier_basis
+    for corrupt, message in [(_scaled_row(0, 3), "delta_sigma multiple is not "
+                              r"Cartier \(internal invariant\)$"),
+                             (_scaled_row(0, 0), "^Picard lattice is not of full "
+                              r"rank .*\(internal invariant\)$")]:
+        monkeypatch.setattr(toric, "cartier_basis",
+                            lambda *args, corrupt=corrupt: corrupt(fn(*args)))
+        with pytest.raises(GaleKitError, match=message) as info:
+            delta_sigma(WORKED_Q, _worked_fan())
+        assert not isinstance(info.value, DomainError)
+    monkeypatch.undo()
+    assert delta_sigma(WORKED_Q, _worked_fan()) == 2
 
 
 def _wps_q(rng, m):
