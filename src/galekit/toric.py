@@ -174,8 +174,8 @@ def _cone_table(rows: Sequence[Sequence[int]], blocks: Sequence[Sequence[int]],
     integer matrix M = ``rows`` on those columns, from one Bareiss
     elimination of [M | I].  The weight side passes Q and each cone's
     complement, the fan side V and each cone; by Gale duality a block is
-    singular on one side exactly when it is on the other.  The report
-    passes b^T and the Cartier basis c as one block each."""
+    singular on one side exactly when it is on the other.  The Picard basis
+    b (as b^T) and the Cartier basis c are one block each."""
     r = len(rows)
     table = []
     for block in blocks:
