@@ -56,7 +56,7 @@ from .normal_forms import (
     basis_with_positive_first_row,
     left_kernel_rows,
 )
-from .lattices import Lattice, _gcd_maximal_minors, has_cotorsion
+from .lattices import Lattice, _coefficients, _gcd_maximal_minors, has_cotorsion
 
 
 @dataclass(frozen=True)
@@ -272,9 +272,8 @@ def _gale_reduce(Q: Mat, V: list[tuple], cols: Sequence[int]) -> Mat:
     basis of {x : V' x = 0}.  Q itself when every d_j is 1.
 
     V q = 0 for each row q of Q, so q with column j multiplied by d_j lies
-    in that kernel; the check reduces it to zero against the pivots of the
-    echelon basis (a pivot it does not divide leaves a remainder that no
-    later row clears)."""
+    in that kernel; the check reduces it against the echelon basis
+    (``lattices._coefficients``)."""
     dual_cols = list(zip(*V))
     gcds = [1] * Q.cols
     for j in cols:
@@ -283,13 +282,11 @@ def _gale_reduce(Q: Mat, V: list[tuple], cols: Sequence[int]) -> Mat:
         return Q
     rows = _left_kernel([[x // d for x in col] for col, d in zip(dual_cols, gcds)])
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-    for q in Q.row_tuples():
-        x = list(map(mul, q, gcds))
-        for row, p in zip(rows, pivots):
-            x = [a - x[p] // row[p] * b for a, b in zip(x, row)]
-        if any(x) or len(rows) != Q.rows:
-            raise GaleKitError("rescaled rows of Q do not lie in the reduced "
-                               "row lattice (internal invariant)")
+    if len(rows) != Q.rows or any(
+            _coefficients(rows, pivots, list(map(mul, q, gcds))) is None
+            for q in Q.row_tuples()):
+        raise GaleKitError("rescaled rows of Q do not lie in the reduced "
+                           "row lattice (internal invariant)")
     return Mat(rows)
 
 

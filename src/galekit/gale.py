@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import (
-    DomainError, GaleKitError, Mat, _outside, check_index_set, det_exact, solve)
+from .matrix import DomainError, GaleKitError, Mat, _outside, check_index_set, det_exact
 from .lattices import (
     Lattice,
     QuotientStructure,
+    _coefficients,
     gcd_max_minors,
     quotient_structure,
 )
-from .normal_forms import left_kernel_rows
+from .normal_forms import hnf, left_kernel_rows
 
 
 def gale_dual(A: Mat) -> Mat:
@@ -68,7 +68,7 @@ class GaleDualPair:
         q_lattice = Lattice.from_matrix(q)
         if v.cols - len(kern) != n or q_lattice.rank != r:
             raise DomainError("invalid pair: rank deficiency")
-        if q_lattice != Lattice.from_rows(kern, v.cols):
+        if q_lattice.basis != tuple(kern):  # kern is a Hermite basis
             raise DomainError("invalid pair: rows of Q do not span ker(V)")
 
     @property
@@ -81,14 +81,20 @@ class GaleDualPair:
 
 
 def solve_left_factor(A: Mat, Q: Mat) -> "Mat | None":
-    """alpha with A = alpha @ Q and integer entries, if one exists."""
+    """alpha with A = alpha @ Q and integer entries, if one exists, else None:
+    d times each row of A, d the lcm of the denominators of H = U Q from
+    ``hnf(Q)``, reduces to c against the integer rows of d H, and c U is the
+    row of alpha, unique for Q of full row rank, else one choice, as U is."""
     if A.cols != Q.cols:
         raise DomainError("column counts differ")
-    x = solve(Q.transpose(), A.transpose())
-    if x is None:
+    res = hnf(Q)
+    d, herm = res.H.int_scaled()
+    e, rows = A.int_scaled()
+    if d % e:  # d A is not integral, so neither is d alpha Q
         return None
-    alpha = x.transpose()
-    return alpha if alpha.is_integral else None
+    pivots = [j - 1 for j in res.pivot_map]
+    cs = [_coefficients(herm, pivots, [d // e * x for x in row]) for row in rows]
+    return None if None in cs else Mat([c + (0,) * (Q.rows - len(c)) for c in cs]) @ res.U
 
 
 def quotient_iso_check(pair: GaleDualPair, I,

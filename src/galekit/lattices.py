@@ -36,13 +36,16 @@ class QuotientStructure:
     torsion_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _require_int(self.free_rank, "free rank")
+        for c in self.torsion_factors:
+            _require_int(c, "torsion factor")
         if self.free_rank < 0:
             raise DomainError("negative free rank")
+        if any(c <= 1 for c in self.torsion_factors):  # before any division by c
+            raise DomainError("torsion factors must exceed 1")
         for a, b in zip(self.torsion_factors, self.torsion_factors[1:]):
             if b % a:
                 raise DomainError("torsion factors must form a divisibility chain")
-        if any(c <= 1 for c in self.torsion_factors):
-            raise DomainError("torsion factors must exceed 1")
 
     @property
     def torsion_order(self) -> int:
@@ -55,6 +58,22 @@ class QuotientStructure:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion_factors
+
+
+def _coefficients(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+                  x: Sequence[int]) -> "tuple[int, ...] | None":
+    """Integer c with c @ rows = x, or None: x is reduced by ``divmod`` against
+    the echelon integer ``rows``, led by their 0-based ``pivots``, and a pivot
+    that does not divide leaves a remainder that no later row clears."""
+    coeffs = []
+    for row, p in zip(rows, pivots):
+        q, rem = divmod(x[p], row[p])
+        if rem:
+            return None
+        coeffs.append(q)
+        if q:
+            x = [a - q * b for a, b in zip(x, row)]
+    return None if any(x) else tuple(coeffs)
 
 
 class Lattice:
@@ -129,26 +148,15 @@ class Lattice:
     def coordinates(self, vec: Sequence) -> "tuple | None":
         """Integer coefficients of vec in the canonical basis, or None: the
         entries of vec are checked as ``Mat``'s are (ints and Fractions only);
-        d * vec must be integral and is back-substituted against the stored
-        integer rows of d L by ``divmod``."""
+        d * vec must be integral and is reduced against the stored integer
+        rows of d L (``_coefficients``)."""
         if len(vec) != self._ambient:
             raise DomainError("vector length does not match ambient dimension")
-        vec = _norm_rows([vec])[0][0]
-        d = self._d
+        vec, d = _norm_rows([vec])[0][0], self._d
         if any(d % v.denominator for v in vec):
             return None
-        x = [v.numerator * (d // v.denominator) for v in vec]
-        coeffs = []
-        for row, p in zip(self._rows, self._pivots):
-            q, rem = divmod(x[p], row[p])
-            if rem:
-                return None
-            coeffs.append(q)
-            if q:
-                x = [a - q * b for a, b in zip(x, row)]
-        if any(x):
-            return None
-        return tuple(coeffs)
+        return _coefficients(self._rows, self._pivots,
+                             [v.numerator * (d // v.denominator) for v in vec])
 
     def __contains__(self, vec) -> bool:
         return self.coordinates(vec) is not None

@@ -9,12 +9,12 @@ stores the lcm of their denominators, which integrality and integer scaling
 read.  A matrix taken from another with no new entries (a transpose, integer
 columns, a product of integer matrices) keeps its value and skips the scan.
 
-Rank, ``solve`` and ``inverse`` share one fraction-free (Bareiss) forward
-elimination on integer rows; the rank reads only its pivots, and ``solve``
-back-substitutes on the right-hand side alone and reads X off it over one
-common denominator.  The phase-1 simplex keeps a Gauss-Jordan step, since
-its tableau reads every row.  Determinants keep their own Bareiss loop,
-which serves ``Mat.det`` alone.
+Ranks and inverses share one fraction-free (Bareiss) forward elimination
+on integer rows: the rank reads only its pivots, and ``_block_inverse``
+(``Mat.inverse`` and the cone table of ``toric``) back-substitutes [M | I]
+on I's columns alone, for (d, d M^-1).  The phase-1 simplex keeps a
+Gauss-Jordan step, since its tableau reads every row.  Determinants keep
+their own Bareiss loop, which serves ``Mat.det`` alone.
 
 Text format shared by the CLI and tests: one row per line, entries
 whitespace-separated, rationals written ``p/q``, integers plain; blank lines
@@ -218,11 +218,12 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DomainError("inverse requires a square matrix")
-        # a square A X = I has a solution exactly when A is nonsingular
-        sol = solve(self, Mat.identity(self.rows))
-        if sol is None:
+        den, m = self.int_scaled()  # A^-1 = den (den A)^-1
+        entry = _block_inverse(m, range(self.cols))
+        if entry is None:
             raise DomainError("matrix is singular")
-        return sol
+        d, adj = entry
+        return Mat([[Fraction(den * x, d) for x in row] for row in adj])
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -321,28 +322,23 @@ def _back_substitute(m: list[list[int]], pivots: Sequence[int], d: int,
     return out
 
 
+def _block_inverse(rows: Sequence[Sequence[int]], block: Sequence[int]) -> "tuple | None":
+    """(d = +-det M, d M^-1) for the block M of the integer ``rows`` on the
+    0-based columns ``block``, from one Bareiss elimination of [M | I] and a
+    back substitution on I's columns; None when M is singular or not square."""
+    n = len(rows)
+    m = [[row[j] for j in block] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    pivots, d = _eliminate(m, len(block))
+    if len(pivots) < n or len(block) != n:
+        return None
+    return d, _back_substitute(m, pivots, d, range(n, 2 * n))
+
+
 def _int_row(row: Sequence) -> tuple[int, list[int]]:
     """(k, k * row as ints); k is the lcm of the row's denominators."""
     k = math.lcm(*(x.denominator for x in row))
     return k, [x.numerator * (k // x.denominator) for x in row]
-
-
-def solve(A: Mat, B: Mat) -> "Mat | None":
-    """A particular exact solution X of A @ X = B, or None if inconsistent.
-
-    Free variables are set to zero, which makes the answer deterministic.
-    """
-    if A.rows != B.rows:
-        raise DomainError("solve: row mismatch")
-    n, k = A.cols, B.cols
-    m = [_int_row(a + b)[1] for a, b in zip(A.row_tuples(), B.row_tuples())]
-    pivots, d = _eliminate(m, n)
-    if any(any(row[n:]) for row in m[len(pivots):]):
-        return None
-    sol = [[0] * k for _ in range(n)]
-    for row, j in zip(_back_substitute(m, pivots, d, range(n, n + k)), pivots):
-        sol[j] = [Fraction(x, d) if x % d else x // d for x in row]
-    return Mat(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from .matrix import (
     DomainError,
     GaleKitError,
     Mat,
-    _back_substitute,
-    _eliminate,
+    _block_inverse,
     _int_row,
     _norm_entry,
     _norm_rows,
@@ -171,21 +170,15 @@ def picard_basis(Q: Mat, fan: "Fan | Sequence[Sequence[int]]") -> Mat:
 def _cone_table(rows: Sequence[Sequence[int]], blocks: Sequence[Sequence[int]],
                 ) -> list[tuple[int, list[list[int]]]]:
     """Per block of 0-based columns, (d = +-det M, d M^-1) for the square
-    integer matrix M = ``rows`` on those columns, from one Bareiss
-    elimination of [M | I].  The weight side passes Q and each cone's
-    complement, the fan side V and each cone; by Gale duality a block is
-    singular on one side exactly when it is on the other.  The Picard basis
-    b (as b^T) and the Cartier basis c are one block each."""
-    r = len(rows)
-    table = []
-    for block in blocks:
-        m = [[row[j] for j in block] + [int(i == j) for j in range(r)]
-             for i, row in enumerate(rows)]
-        pivots, d = _eliminate(m, len(block))
-        if len(pivots) < r or len(block) != r:
-            raise GaleKitError("Picard lattice is not of full rank on a "
-                               "simplicial complete fan (internal invariant)")
-        table.append((d, _back_substitute(m, pivots, d, range(r, 2 * r))))
+    integer matrix M = ``rows`` on those columns (``_block_inverse``, as for
+    ``Mat.inverse``).  The weight side passes Q and each cone's complement,
+    the fan side V and each cone; by Gale duality a block is singular on one
+    side exactly when it is on the other.  The Picard basis b (as b^T) and
+    the Cartier basis c are one block each."""
+    table = [_block_inverse(rows, block) for block in blocks]
+    if None in table:
+        raise GaleKitError("Picard lattice is not of full rank on a "
+                           "simplicial complete fan (internal invariant)")
     return table
 
 

@@ -11,7 +11,7 @@ their transforms in separate lists, Cartier indices by one linear system
 per maximal cone on the fan side, pairwise lattice intersections by the
 kernel of the stack [B1; -B2] in operand order, weight-matrix reductions by
 one Smith form of Q without column i per rescaled column, the positivity
-rebase by one ``solve`` for its lift and the rational inverse of its
+rebase by one ``solve_oracle`` for its lift and the rational inverse of its
 unimodular transform.  They are the reference implementations the
 production code is checked against.
 """
@@ -34,7 +34,6 @@ from galekit.matrix import (
     _nonneg_solve,
     _norm_entry,
     _pivot,
-    solve,
 )
 from galekit.normal_forms import _positive_span_vector
 
@@ -1000,9 +999,9 @@ def snf_oracle(A: Mat) -> SnfResult:
 def lift_into_rows_oracle(basis: Sequence[Sequence[int]], y: Sequence[int],
                           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(c, lam) with c = lam @ basis = d y and lam integral, for the least
-    d >= 1: one ``solve`` for the rational coefficients of y, whose
+    d >= 1: one ``solve_oracle`` for the rational coefficients of y, whose
     denominators are then cleared."""
-    lam = solve(Mat(basis).transpose(), Mat([[v] for v in y]))
+    lam = solve_oracle(Mat(basis).transpose(), Mat([[v] for v in y]))
     if lam is None:
         raise GaleKitError("positive vector is not in the row space")
     lam = lam.col(0)
@@ -1166,13 +1165,13 @@ def positive_row_echelon_oracle(A: Mat) -> tuple[Mat, Mat, Mat]:
 
 
 def cartier_indices_oracle(V: Mat, fan: Fan, divisors: Sequence) -> tuple[int, ...]:
-    """cartier_index of each divisor: one solve per maximal cone, with one
-    right-hand side column per divisor."""
+    """cartier_index of each divisor: one ``solve_oracle`` per maximal cone,
+    with one right-hand side column per divisor."""
     ks = [1] * len(divisors)
     for cone in fan.maximal_cones:
         sub = V.take_cols([g - 1 for g in cone.gens])
         rhs = Mat([[a[g - 1] for a in divisors] for g in cone.gens])
-        sol = solve(sub.transpose(), rhs)
+        sol = solve_oracle(sub.transpose(), rhs)
         if sol is None:
             raise DomainError("degenerate cone in cartier_index")
         for row in sol.row_tuples():

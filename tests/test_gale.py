@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,7 +20,8 @@ from galekit import (
     solve_left_factor,
 )
 from galekit import cli, matrix
-from conftest import count_calls, count_rank_calls, rand_full_row_rank, rand_mat
+from conftest import (
+    count_calls, count_rank_calls, gauss_rank, rand_full_row_rank, rand_mat, solve_oracle)
 
 WORKED_Q = Mat([[1, 1, 0, 0], [0, 1, 1, 2]])
 WORKED_V = Mat([[1, -1, 1, 0], [0, 0, 2, -1]])
@@ -157,6 +160,62 @@ def test_universal_property():
         A = mult @ Q
         alpha = solve_left_factor(A, Q)
         assert alpha is not None and alpha @ Q == A
+
+
+def test_left_factor_through_dependent_rows():
+    # [1] = -[2] + [3]: an integral factor exists although no rational
+    # solution with a free variable at zero is integral
+    A, Q = Mat([[1]]), Mat([[2], [3]])
+    alpha = solve_left_factor(A, Q)
+    assert alpha is not None and alpha.is_integral and alpha @ Q == A
+    # [1, 0] is half of the generator [2, 0] of L_r(Q), in its span only
+    assert solve_left_factor(Mat([[1, 0]]), Mat([[2, 0], [4, 0]])) is None
+    Q = Mat([[2, 0], [4, 0]])
+    alpha = solve_left_factor(Mat([[6, 0], [0, 0]]), Q)
+    assert alpha is not None and alpha @ Q == Mat([[6, 0], [0, 0]])
+
+
+def test_left_factor_corpus():
+    # 3,000 seeded Q of 1-4 rows and 1-5 columns, entries in [-3, 3], one in
+    # five with a rational entry.  A = C Q for an integer C always factors;
+    # A = C Q with one half-integer entry in C, or A random, factors exactly
+    # when every row lies in L_r(Q), that is when stacking it on Q leaves
+    # the row lattice as it is.  For Q of full row rank alpha is the unique
+    # rational solution, when that is integral.
+    rng = random.Random(405)
+    tally = Counter()
+    for _ in range(3000):
+        r, m, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+        rational = rng.random() < 0.2
+        if rational:
+            rows[rng.randrange(r)][rng.randrange(m)] = Fraction(
+                rng.choice([-3, -1, 1, 5]), rng.choice([2, 3, 4]))
+        Q = Mat(rows)
+        C = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
+        kind = rng.choice(["integral", "integral", "half", "random"])
+        if kind == "half":
+            C[rng.randrange(k)][rng.randrange(r)] += Fraction(1, 2)
+        A = Mat(C) @ Q if kind != "random" else Mat(
+            [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)])
+        alpha = solve_left_factor(A, Q)
+        lattice = Lattice.from_matrix(Q)
+        inside = all(Lattice.from_rows(Q.row_tuples() + (a,), m) == lattice
+                     for a in A.row_tuples())
+        assert (alpha is not None) == inside, (A, Q)
+        if alpha is not None:
+            assert alpha.is_integral and alpha @ Q == A, (A, Q, alpha)
+        deficient = gauss_rank(Q) < r
+        if not deficient:
+            x = solve_oracle(Q.transpose(), A.transpose())
+            assert alpha == (x.transpose() if x is not None and x.is_integral else None)
+        assert inside or kind != "integral"
+        tally["rational"] += rational
+        tally["deficient"] += deficient
+        tally["deficient factored"] += deficient and alpha is not None
+        tally["none"] += alpha is None
+        tally["random inside"] += kind == "random" and inside
+    assert min(tally.values()) >= 100, tally
 
 
 def test_subset_identities_random():

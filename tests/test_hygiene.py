@@ -7,7 +7,9 @@ keeps no results in a ``functools`` cache, keeps no Euclid scan beside
 row insertion, reaches Smith forms only through row insertion,
 enumerates the fan of a toric call only in the fan selector, derives
 the Picard lattice without intersecting lattices, reads both sides of
-the Gale pair off one per-cone table, builds a ``Mat`` without its
+the Gale pair off one per-cone table, whose square-block routine
+``Mat.inverse`` shares, names no rational ``solve``, asks row-lattice
+membership through one reduction, builds a ``Mat`` without its
 construction scan only inside ``matrix.py`` and a ``Lattice`` from integer
 rows only inside ``lattices.py``, rebases a row lattice on a positive
 vector with no ``solve``, inverse or ``Fraction`` (nor ``hnf`` for its
@@ -212,20 +214,61 @@ def test_unscanned_matrices_stay_in_matrix():
     assert uses and set(uses) == {"matrix.py"}, uses
 
 
+def _callers(module, callee):
+    """The top-level definitions of a module, and the methods (as
+    ``Class.method``), whose bodies call the function ``callee`` by name."""
+    found = set()
+    for top in _tree(next(p for p in SOURCES if p.name == module)).body:
+        nested = isinstance(top, ast.ClassDef)
+        prefix = f"{top.name}." if nested else ""
+        for node in top.body if nested else [top]:
+            if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == callee for sub in ast.walk(node)):
+                found.add(prefix + getattr(node, "name", str(node.lineno)))
+    return found
+
+
 def test_toric_eliminates_only_in_the_cone_table():
     """Both sides of the Gale pair read their per-cone blocks off one table:
-    in ``toric.py`` only ``_cone_table`` calls ``_eliminate``, and
-    ``_cartier_index`` names neither ``solve`` nor ``Mat``."""
-    tree = _tree(next(p for p in SOURCES if p.name == "toric.py"))
-    callers = set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "_eliminate"):
-                callers.add(getattr(top, "name", top.lineno))
-    assert callers == {"_cone_table"}, callers
-    names = _names_in("toric.py", "_cartier_index")
-    assert not names & {"solve", "Mat"}, sorted(names & {"solve", "Mat"})
+    ``toric.py`` calls ``_eliminate`` nowhere, only ``_cone_table`` calls
+    the square-block routine ``matrix._block_inverse``, which ``Mat.inverse``
+    shares, and ``_cartier_index`` names no ``Mat``."""
+    assert _callers("toric.py", "_eliminate") == set()
+    assert _callers("toric.py", "_block_inverse") == {"_cone_table"}
+    assert _callers("matrix.py", "_block_inverse") == {"Mat.inverse"}
+    assert "Mat" not in _names_in("toric.py", "_cartier_index")
+
+
+def test_no_module_names_solve():
+    """The rational ``solve`` is gone: no library module defines, imports or
+    names it, as a name, an attribute, an alias or a string; integer
+    routines answer its questions."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name == "solve":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_lattice_membership_has_one_routine():
+    """Membership in a row lattice is one reduction, ``lattices._coefficients``:
+    ``Lattice.coordinates``, the invariant check of ``fw._gale_reduce`` and
+    ``gale.solve_left_factor`` each call it, and ``gale.py`` names neither
+    ``solve`` nor ``Fraction``."""
+    assert "Lattice.coordinates" in _callers("lattices.py", "_coefficients")
+    assert "_gale_reduce" in _callers("fw.py", "_coefficients")
+    assert "solve_left_factor" in _callers("gale.py", "_coefficients")
+    tree = _tree(next(p for p in SOURCES if p.name == "gale.py"))
+    names = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not names & {"solve", "Fraction"}, sorted(names & {"solve", "Fraction"})
 
 
 def _raise_messages(tree, cls):

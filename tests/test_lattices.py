@@ -192,7 +192,6 @@ def test_intersection_is_one_kernel_per_pair(monkeypatch):
     assert (L1._d, L2._d, R1._d, R2._d) == (1, 1, 2, 3)
     meet, rational_meet = intersection_oracle([L1, L2]), intersection_oracle([R1, R2])
     others = count_calls(monkeypatch, lattices, "transverse")
-    solves = count_calls(monkeypatch, matrix, "solve")
     stacks = []
     kernel = lattices._left_kernel
 
@@ -208,7 +207,6 @@ def test_intersection_is_one_kernel_per_pair(monkeypatch):
         assert lattice_intersection([first, second]) == expected
         assert len(stacks) == n
         assert others["transverse"] == 0
-        assert solves["solve"] == 0
         assert stacks[-1] == ([[-s2 * x for x in r] for r in second._rows]
                               + [[s1 * x for x in r] for r in reversed(first._rows)])
         assert all(type(x) is int for row in stacks[-1] for x in row)
@@ -326,12 +324,31 @@ def test_quotient_examples():
     assert quotient_structure(3, Lattice.from_matrix(Mat([[2, 0, 0], [0, 3, 5]]))) \
         == QuotientStructure(1, (2,))
     assert quotient_structure(3, Lattice.from_matrix(Mat.identity(3))) == QuotientStructure(0, ())
+    assert QuotientStructure(1, (2, 4)).torsion_order == 8
 
 
 def test_quotient_rejects_rational():
     L = Lattice.from_matrix(Mat([[Fraction(1, 2), 0]]))
     with pytest.raises(DomainError):
         quotient_structure(2, L)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.5,), "free rank 1.5 is not an integer"),
+    ((True,), "free rank True is not an integer"),
+    ((1, (2.0, 4)), "torsion factor 2.0 is not an integer"),
+    ((1, (2, Fraction(4))), r"torsion factor Fraction\(4, 1\) is not an integer"),
+    ((-1,), "negative free rank"),
+    ((0, (0, 2)), "torsion factors must exceed 1"),
+    ((0, (2, 1)), "torsion factors must exceed 1"),
+    ((0, (2, 3)), "torsion factors must form a divisibility chain"),
+], ids=["float rank", "bool rank", "float factor", "Fraction factor", "negative rank",
+        "zero factor", "unit factor", "chain"])
+def test_quotient_structure_refuses_bad_fields(args, message):
+    # integers are checked first, and a factor of 0 or 1 is refused before
+    # the divisibility chain divides by it
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        QuotientStructure(*args)
 
 
 def test_quotient_structure_runs_no_snf(monkeypatch):

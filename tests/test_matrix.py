@@ -16,7 +16,6 @@ from galekit import (
     submatrix_cols,
 )
 from galekit import matrix
-from galekit.matrix import solve
 from conftest import (
     cofactor_det,
     count_calls,
@@ -215,25 +214,23 @@ def _inverse_oracle(A):
     return sol
 
 
-def _assert_kernel_matches_oracles(A, B):
-    assert repr(solve(A, B)) == repr(solve_oracle(A, B))
+def _assert_kernel_matches_oracles(A):
     assert A.rank() == gauss_rank(A)
     if A.rows == A.cols:
         assert _outcome(A.inverse) == _outcome(lambda: _inverse_oracle(A))
 
 
 def test_fraction_free_kernel_matches_oracles():
-    # 2,000 systems of shapes 1-7 x 1-7 with 1-3 right-hand sides; 20 %
-    # rational, 30 % rank-deficient, 40 % consistent by construction
+    # 2,000 matrices of shapes 1-7 x 1-7; 20 % rational, 30 % rank-deficient
     rng = random.Random(106)
 
     def entry():
         x = rng.randint(-6, 6)
         return Fraction(x, rng.randint(2, 7)) if rational else x
 
-    tally = {"rational": 0, "deficient": 0, "none": 0, "square": 0}
+    tally = {"rational": 0, "deficient": 0, "square": 0}
     for _ in range(2000):
-        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 3)
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
         rational = rng.random() < 0.2
         rows = [[entry() for _ in range(n)] for _ in range(m)]
         if rng.random() < 0.3 and m > 1:
@@ -241,14 +238,9 @@ def test_fraction_free_kernel_matches_oracles():
             rows[-1] = [sum(ci * rows[i][j] for i, ci in enumerate(c))
                         for j in range(n)]
         A = Mat(rows)
-        if rng.random() < 0.4:
-            B = A @ Mat([[entry() for _ in range(k)] for _ in range(n)])
-        else:
-            B = Mat([[entry() for _ in range(k)] for _ in range(m)])
-        _assert_kernel_matches_oracles(A, B)
+        _assert_kernel_matches_oracles(A)
         tally["rational"] += rational
         tally["deficient"] += gauss_rank(A) < min(m, n)
-        tally["none"] += solve_oracle(A, B) is None
         tally["square"] += m == n
     assert all(count >= 200 for count in tally.values()), tally
 
@@ -263,8 +255,7 @@ def test_fraction_free_kernel_large_entries():
         if t % 3 == 0 and n > 1:
             rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
         A = Mat(rows)
-        B = Mat([[rng.randint(-10**6, 10**6)] for _ in range(n)])
-        _assert_kernel_matches_oracles(A, B)
+        _assert_kernel_matches_oracles(A)
         singular += A.rank() < n
     assert singular >= 50
 
@@ -363,5 +354,5 @@ def test_rank_runs_no_back_substitution(monkeypatch):
     A = Mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert A.rank() == 3
     assert calls["_back_substitute"] == 0
-    assert solve(A, Mat([[1], [0], [0]])) is not None
+    assert A.inverse() @ A == Mat.identity(3)
     assert calls["_back_substitute"] == 1

@@ -1,6 +1,7 @@
 """Property tests of the stored denominator of ``Mat``, of the
-fraction-free linear algebra kernel (``solve``,
-``Mat.rank`` and ``Mat.inverse`` on small rational matrices), of integer
+fraction-free linear algebra kernel (``Mat.rank`` and ``Mat.inverse`` on
+small rational matrices), of integral left factors (``solve_left_factor``
+over any weight matrix, rank-deficient and rational ones included), of integer
 left kernels (``left_kernel_rows``), of the integer normal forms ``snf``
 and ``positive_row_echelon``, and of lattice membership
 (``Lattice.coordinates``), ``lattice_intersection``,
@@ -35,12 +36,12 @@ from galekit import (  # noqa: E402
     positive_row_echelon,
     quotient_structure,
     snf,
+    solve_left_factor,
 )
 from galekit.lattices import _gcd_maximal_minors  # noqa: E402
 from galekit.matrix import (  # noqa: E402
     format_matrix,
     parse_matrix,
-    solve,
     submatrix_cols,
 )
 from conftest import hnf_clauses_hold, solve_oracle  # noqa: E402
@@ -59,18 +60,19 @@ def matrices(rows, cols, cell=entries):
 
 
 @st.composite
-def products(draw):
-    """(A, X) with A m x n and X n x k."""
-    m, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    return draw(matrices(m, n)), draw(matrices(n, k))
+def factored(draw):
+    """(A, Q) with Q any rational r x m matrix and A = C Q for an integer
+    C, so an integral left factor of A through Q exists."""
+    r, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    Q = draw(matrices(r, m))
+    return draw(matrices(k, r, st.integers(-3, 3))) @ Q, Q
 
 
 @st.composite
-def systems(draw):
-    """(A, B); B = A X, consistent by construction, half of the time."""
-    A, X = draw(products())
-    B = A @ X if draw(st.booleans()) else draw(matrices(A.rows, X.cols))
-    return A, B
+def left_systems(draw):
+    """(A, Q); A factors through Q by construction half of the time."""
+    A, Q = draw(factored())
+    return (A if draw(st.booleans()) else draw(matrices(A.rows, Q.cols))), Q
 
 
 def _hstack(A, B):
@@ -78,24 +80,27 @@ def _hstack(A, B):
 
 
 @PROFILE
-@given(products())
-def test_solve_recovers_consistent_right_hand_side(pair):
-    A, X = pair
-    B = A @ X
-    sol = solve(A, B)
-    assert sol is not None and A @ sol == B
+@given(factored())
+def test_left_factor_recovers_integral_combination(pair):
+    A, Q = pair
+    alpha = solve_left_factor(A, Q)
+    assert alpha is not None and alpha.is_integral and alpha @ Q == A
 
 
 @PROFILE
-@given(systems())
-def test_solve_none_means_rank_jump(system):
-    A, B = system
-    sol = solve(A, B)
-    if sol is None:
-        assert A.rank() < _hstack(A, B).rank()
+@given(left_systems())
+def test_left_factor_none_means_row_outside_lattice(system):
+    # the oracle stacks a row onto Q: it lies in L_r(Q) exactly when the
+    # row lattice does not grow
+    A, Q = system
+    alpha = solve_left_factor(A, Q)
+    lattice = Lattice.from_matrix(Q)
+    outside = [a for a in A.row_tuples()
+               if Lattice.from_rows(Q.row_tuples() + (a,), Q.cols) != lattice]
+    if alpha is None:
+        assert outside
     else:
-        assert A @ sol == B
-        assert A.rank() == _hstack(A, B).rank()
+        assert not outside and alpha.is_integral and alpha @ Q == A
 
 
 @PROFILE
